@@ -9,7 +9,6 @@ verified, 1 a verification found a violation, 2 bad input.
 from __future__ import annotations
 
 import argparse
-import random
 import re
 import sys
 from fractions import Fraction
@@ -44,6 +43,7 @@ from .tiling import (
     TilingEngine,
     certify_direction,
     choose_generic_direction,
+    grid_vector,
     verify_constancy,
 )
 
@@ -152,11 +152,7 @@ def _load_fs(args) -> FragmentSet:
 
 def _direction(args, fs: FragmentSet):
     if args.w is not None:
-        w = _parse_vec(args.w, "--w")
-        try:
-            return certify_direction(fs, w)
-        except (GenericityError, LinalgError) as exc:
-            raise CliInputError(str(exc)) from None
+        return certify_direction(fs, _parse_vec(args.w, "--w"))
     return choose_generic_direction(fs, args.seed)
 
 
@@ -303,14 +299,10 @@ def cmd_crossing(args) -> int:
     if args.point is not None:
         points = [_parse_vec(args.point, "--point")]
     else:
-        points = []
-        for i in range(args.samples):
-            rng = random.Random(f"ray:{args.seed}:{i}")
-            u = tuple(
-                Fraction(rng.randrange(0, SAMPLE_DENOMINATOR), SAMPLE_DENOMINATOR)
-                for _ in range(n)
-            )
-            points.append(m.mat_vec(u))
+        points = [
+            m.mat_vec(grid_vector(f"ray:{args.seed}:{i}", n, 0, SAMPLE_DENOMINATOR))
+            for i in range(args.samples)
+        ]
     print(f"w={_fmt_vec(w.w)} reach={reach}")
     all_ok = True
     for i, point in enumerate(points):
@@ -335,10 +327,7 @@ def _slice_window(fs: FragmentSet):
 def cmd_slice(args) -> int:
     fs = _load_fs(args)
     w = _direction(args, fs)
-    try:
-        layout = slice_layout(fs, w, _slice_window(fs))
-    except SlicePreconditionError as exc:
-        raise CliInputError(str(exc)) from None
+    layout = slice_layout(fs, w, _slice_window(fs))
     print("B=" + ";".join(_fmt_vec(layout.b.row(i)) for i in range(layout.b.rows)))
     all_ok = True
     balance = Fraction(0)
@@ -369,10 +358,8 @@ def cmd_slice(args) -> int:
     zeros = (Fraction(0),) * fs.dims.k
     f_ok = True
     for i in range(args.samples):
-        rng = random.Random(f"slicepoint:{args.seed}:{i}")
-        p_r = tuple(
-            Fraction(rng.randrange(-3 * SAMPLE_DENOMINATOR, 3 * SAMPLE_DENOMINATOR), SAMPLE_DENOMINATOR)
-            for _ in range(fs.dims.r)
+        p_r = grid_vector(
+            f"slicepoint:{args.seed}:{i}", fs.dims.r, -3 * SAMPLE_DENOMINATOR, 3 * SAMPLE_DENOMINATOR
         )
         report = engine.coverage(p_r + zeros)
         f_ok = f_ok and report.f_value == report.expected
@@ -389,18 +376,11 @@ def cmd_render(args) -> int:
     window = _parse_vec(args.window, "--window")
     if len(window) != 4:
         raise CliInputError("--window must be x0,x1,y0,y1")
-    try:
-        cfg = RenderConfig(window=(window[0], window[1], window[2], window[3]))
-    except LinalgError as exc:
-        raise CliInputError(str(exc)) from None
+    cfg = RenderConfig(window=(window[0], window[1], window[2], window[3]))
     if fs.dims.n == 2:
         source = fs
     elif fs.dims.r == 2:
-        w = _direction(args, fs)
-        try:
-            source = slice_layout(fs, w, _slice_window(fs))
-        except SlicePreconditionError as exc:
-            raise CliInputError(str(exc)) from None
+        source = slice_layout(fs, _direction(args, fs), _slice_window(fs))
     else:
         raise CliInputError("rendering needs r+k = 2 (tiling) or r = 2 (slice)")
     document = render_svg(source, cfg)
@@ -412,6 +392,45 @@ def cmd_render(args) -> int:
     else:
         sys.stdout.write(document)
     return 0
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+# Every flag takes a value; each subcommand registers the ones it reads.
+_FLAGS = {
+    "--matrix": dict(required=True, help="matrix file path"),
+    "--w": dict(default=None, help="orientation vector 'a,b,...' (certified)"),
+    "--seed": dict(type=int, default=0, help="seed for derived randomness"),
+    "--samples": dict(type=_positive_int, default=1000, help="sample count, at least 1"),
+    "--point": dict(default=None, help="query point 'a,b,...'"),
+    "--tau": dict(default=None, help="size r-1 index subset 'i,j,...'"),
+    "--gamma": dict(default=None, help="size r+1 index subset 'i,j,...'"),
+    "--z": dict(default=None, help="integer translate 'a,b,...' (default 0)"),
+    "--window": dict(default="-5,5,-5,5", help="render window x0,x1,y0,y1"),
+    "--reach": dict(default="3", help="ray length for crossing scans"),
+    "--out": dict(default=None, help="output path for SVG"),
+}
+
+# The flags each subcommand reads besides --matrix.
+_COMMAND_FLAGS = {
+    "fragments": (),
+    "laplace": (),
+    "coverage": ("--w", "--seed", "--point"),
+    "verify": ("--w", "--seed", "--samples"),
+    "facets": ("--w", "--seed", "--tau", "--gamma", "--z"),
+    "double-cover": ("--w", "--seed", "--samples", "--tau", "--gamma", "--z"),
+    "crossing": ("--w", "--seed", "--samples", "--point", "--reach"),
+    "slice": ("--w", "--seed", "--samples"),
+    "render": ("--w", "--seed", "--window", "--out"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,34 +452,10 @@ def build_parser() -> argparse.ArgumentParser:
     ]
     for name, func, help_text in specs:
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--matrix", required=True, help="matrix file path")
-        p.add_argument("--w", default=None, help="orientation vector 'a,b,...' (certified)")
-        p.add_argument("--seed", type=int, default=0, help="seed for derived randomness")
-        p.add_argument("--samples", type=int, default=1000, help="sample count")
-        p.add_argument("--point", default=None, help="query point 'a,b,...'")
-        p.add_argument("--tau", default=None, help="size r-1 index subset 'i,j,...'")
-        p.add_argument("--gamma", default=None, help="size r+1 index subset 'i,j,...'")
-        p.add_argument("--z", default=None, help="integer translate 'a,b,...' (default 0)")
-        p.add_argument("--window", default="-5,5,-5,5", help="render window x0,x1,y0,y1")
-        p.add_argument("--reach", default="3", help="ray length for crossing scans")
-        p.add_argument("--out", default=None, help="output path for SVG")
+        for flag in ("--matrix", *_COMMAND_FLAGS[name]):
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=func)
     return parser
-
-
-_VALUE_FLAGS = {
-    "--matrix",
-    "--w",
-    "--seed",
-    "--samples",
-    "--point",
-    "--tau",
-    "--gamma",
-    "--z",
-    "--window",
-    "--reach",
-    "--out",
-}
 
 
 def _merge_flag_values(argv):
@@ -470,7 +465,7 @@ def _merge_flag_values(argv):
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
+        if tok in _FLAGS and i + 1 < len(argv):
             merged.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -487,10 +482,14 @@ def run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (CliInputError, MatrixParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GenericityError, SlicePreconditionError, LinalgError, OSError) as exc:
+    except (
+        CliInputError,
+        MatrixParseError,
+        GenericityError,
+        SlicePreconditionError,
+        LinalgError,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,12 +16,11 @@ exact crossing scans along rays.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .fragments import (
     DEGENERATE,
@@ -36,13 +35,13 @@ from .linalg import (
     DimensionError,
     LinalgError,
     Matrix,
+    RankDeficiencyError,
     det,
-    inverse,
     normalize_integer_direction,
     perm_sign,
     rat,
+    rref,
     solve,
-    solve_affine,
     vec_add,
     vec_scale,
     vec_sub,
@@ -53,10 +52,13 @@ from .tiling import (
     GenericDirection,
     GenericityError,
     TilingEngine,
+    cell_position,
+    grid_vector,
 )
 
 TAU = "tau"
 GAMMA = "gamma"
+CROSSING_RESAMPLES = 10
 
 
 @dataclass(frozen=True)
@@ -158,8 +160,6 @@ def facet_signs(fs: FragmentSet, w: GenericDirection, facet: FacetId) -> tuple[i
     determinant sign of the tile's fragment.
     """
     frag = fs[facet.sigma]
-    if frag.sign_class == DEGENERATE:
-        raise DegenerateFragmentError(f"fragment {frag.sigma} is degenerate")
     lam_j = lambda_vector(fs, w, facet.sigma)[facet.j - 1]
     if lam_j == 0:
         raise GenericityError("zero lambda coordinate: direction not generic")
@@ -232,36 +232,50 @@ class FacetGeometry:
     generators: tuple[tuple[Fraction, ...], ...]
     include_zero: tuple[bool, ...]
 
-    def _matrix(self) -> Matrix:
-        return Matrix.from_columns(self.generators, rows=len(self.base))
+    @cached_property
+    def _coordinate_map(self) -> tuple[Matrix, Matrix]:
+        """(left inverse, left null rows) of the generator matrix.
+
+        Row-reducing [G | I] leaves G's left inverse beside the pivot rows
+        and, when G has fewer columns than rows, rows spanning its left null
+        space below them: a vector lies in the span exactly when those rows
+        annihilate it.
+        """
+        dim = len(self.base)
+        count = len(self.generators)
+        aug = [
+            [g[i] for g in self.generators] + [Fraction(int(i == j)) for j in range(dim)]
+            for i in range(dim)
+        ]
+        if len(rref(aug, count)) < count:
+            raise RankDeficiencyError("facet generators are linearly dependent")
+        left = Matrix(count, dim, [x for row in aug[:count] for x in row[count:]])
+        null = Matrix(dim - count, dim, [x for row in aug[count:] for x in row[count:]])
+        return left, null
 
     def coordinates(self, point: Sequence) -> tuple[Fraction, ...] | None:
         """Exact coordinates of point in the generator frame, or None when the
         point lies outside the affine span."""
         rhs = vec_sub(vector(point), self.base)
-        return solve_affine(self._matrix(), rhs)
+        left, null = self._coordinate_map
+        if any(x != 0 for x in null.mat_vec(rhs)):
+            return None
+        return left.mat_vec(rhs)
+
+    def position(self, point: Sequence) -> tuple[bool, bool] | None:
+        """cell_position of the point's coordinates: None off the closed
+        cell, else (inside, touching)."""
+        x = self.coordinates(point)
+        return None if x is None else cell_position(x, 1, self.include_zero)
 
     def contains(self, point: Sequence) -> bool:
-        x = self.coordinates(point)
-        if x is None:
-            return False
-        for xi, inc0 in zip(x, self.include_zero):
-            if inc0:
-                if not (0 <= xi < 1):
-                    return False
-            else:
-                if not (0 < xi <= 1):
-                    return False
-        return True
+        pos = self.position(point)
+        return pos is not None and pos[0]
 
     def on_closed_boundary(self, point: Sequence) -> bool:
         """True when the point lies in the closed cell touching a face."""
-        x = self.coordinates(point)
-        if x is None:
-            return False
-        if any(not (0 <= xi <= 1) for xi in x):
-            return False
-        return any(xi == 0 or xi == 1 for xi in x)
+        pos = self.position(point)
+        return pos is not None and pos[1]
 
 
 def facet_projections(
@@ -275,9 +289,6 @@ def facet_projections(
     rules given by the matching lambda coordinates.
     """
     dims = fs.dims
-    frag = fs[facet.sigma]
-    if frag.sign_class == DEGENERATE:
-        raise DegenerateFragmentError(f"fragment {frag.sigma} is degenerate")
     d = fs.decomposition
     lam = lambda_vector(fs, w, facet.sigma)
     mz = d.m.mat_vec(tuple(Fraction(x) for x in facet.z))
@@ -334,64 +345,31 @@ def double_cover_check(
     and exactly one down facet shadow.
     """
     dims = fs.dims
-    n = dims.n
-    index = normalize_subset(index, n)
+    index = normalize_subset(index, dims.n)
     z = tuple(int(x) for x in z)
-    d = fs.decomposition
+    mz = fs.decomposition.m.mat_vec(tuple(Fraction(x) for x in z))
     if len(index) == dims.r - 1:
         kind = TAU
-        js = complement(index, n)
-        col: Callable[[int], tuple[Fraction, ...]] = lambda i: d.cbar[i - 1]
-        proj = lambda v: v[dims.r :]
-        sigma_of = lambda j: tuple(sorted(index + (j,)))
-        gen_idx_of = lambda sigma: complement(sigma, n)
+        js = complement(index, dims.n)
+        zono_cols = [fs.decomposition.cbar[j - 1] for j in js]
+        base = mz[dims.r :]
     elif len(index) == dims.r + 1:
         kind = GAMMA
         js = index
-        col = lambda i: d.c[i - 1]
-        proj = lambda v: v[: dims.r]
-        sigma_of = lambda j: tuple(i for i in index if i != j)
-        gen_idx_of = lambda sigma: sigma
+        zono_cols = [fs.decomposition.c[j - 1] for j in js]
+        base = mz[: dims.r]
     else:
         raise DimensionError(
             f"index size {len(index)} is neither r-1={dims.r - 1} nor r+1={dims.r + 1}"
         )
-
-    base = proj(d.m.mat_vec(tuple(Fraction(x) for x in z)))
-    members = []
-    for j in js:
-        sigma = sigma_of(j)
-        frag = fs[sigma]
-        if frag.sign_class == DEGENERATE:
-            continue
-        gen_idx = gen_idx_of(sigma)
-        cell = Matrix.from_columns([col(i) for i in gen_idx])
-        cell_inv = inverse(cell)
-        lam = solve(frag.s, w.w)
-        rules = tuple(lam[i - 1] > 0 for i in gen_idx)
-        s_up = 0 if lam[j - 1] * frag.det_s > 0 else 1
-        members.append((j, cell_inv, rules, col(j), s_up))
-
-    zono_cols = [col(j) for j in js]
-
-    def cell_state(q_abs, cell_inv, rules, shift, s):
-        rel = vec_sub(q_abs, base)
-        if s == 1:
-            rel = vec_sub(rel, shift)
-        y = cell_inv.mat_vec(rel)
-        closed = all(0 <= yi <= 1 for yi in y)
-        touching = closed and any(yi == 0 or yi == 1 for yi in y)
-        inside = True
-        for yi, inc0 in zip(y, rules):
-            if inc0:
-                if not (0 <= yi < 1):
-                    inside = False
-                    break
-            else:
-                if not (0 < yi <= 1):
-                    inside = False
-                    break
-        return inside, touching
+    zonotope = Matrix.from_columns(zono_cols, rows=len(base))
+    coll = facet_collection(fs, kind, z, index)
+    up = set(up_down_partition(fs, w, coll).up)
+    # A tau collection's facets differ in their bottom parts, a gamma
+    # collection's in their top parts: that shadow is the one to cover.
+    shadow = 1 if kind == TAU else 0
+    live = coll.live_members()
+    cells = [facet_projections(fs, w, facet)[shadow] for facet in live]
 
     redraws = 0
     relative_points = []
@@ -399,38 +377,20 @@ def double_cover_check(
     for idx in range(sample_count):
         attempt = 0
         while True:
-            rng = random.Random(f"cover:{seed}:{idx}:{attempt}")
-            coeffs = [
-                Fraction(rng.randrange(0, SAMPLE_DENOMINATOR), SAMPLE_DENOMINATOR)
-                for _ in js
-            ]
-            q_rel = tuple(
-                sum((c * g[i] for c, g in zip(coeffs, zono_cols)), Fraction(0))
-                for i in range(len(base))
-            )
+            coeffs = grid_vector(f"cover:{seed}:{idx}:{attempt}", len(js), 0, SAMPLE_DENOMINATOR)
+            q_rel = zonotope.mat_vec(coeffs)
             q_abs = vec_add(q_rel, base)
-            touched = False
-            for _, cell_inv, rules, shift, _ in members:
-                for s in (0, 1):
-                    if cell_state(q_abs, cell_inv, rules, shift, s)[1]:
-                        touched = True
-                        break
-                if touched:
-                    break
-            if not touched:
+            positions = [cell.position(q_abs) for cell in cells]
+            if not any(pos is not None and pos[1] for pos in positions):
                 break
             redraws += 1
             attempt += 1
-        up = 0
-        down = 0
-        for _, cell_inv, rules, shift, s_up in members:
-            if cell_state(q_abs, cell_inv, rules, shift, s_up)[0]:
-                up += 1
-            if cell_state(q_abs, cell_inv, rules, shift, 1 - s_up)[0]:
-                down += 1
+        hits = [facet in up for facet, pos in zip(live, positions) if pos is not None and pos[0]]
+        up_count = sum(hits)
+        down_count = len(hits) - up_count
         relative_points.append(q_rel)
-        if (up, down) != (1, 1):
-            failures.append((q_rel, up, down))
+        if (up_count, down_count) != (1, 1):
+            failures.append((q_rel, up_count, down_count))
     return DoubleCoverReport(
         kind=kind,
         index=index,
@@ -473,23 +433,19 @@ def _collect_events(engine: TilingEngine, start, reach):
     """
     n = engine.fs.dims.n
     a0 = engine.m_inv.mat_vec(start)
-    aw = engine.m_inv.mat_vec(engine.w.w)
+    a1 = engine.m_inv.mat_vec(vec_add(start, vec_scale(reach, engine.w.w)))
     events: dict[Fraction, list[tuple[FacetId, bool]]] = {}
     for frame in engine.frames:
         u = frame.s_inv.mat_vec(start)
         lam = frame.lam
         shift = [reach * l for l in lam]
-        lo = []
-        hi = []
-        for i in range(n):
-            e0 = a0[i]
-            e1 = a0[i] + reach * aw[i]
-            if e1 < e0:
-                e0, e1 = e1, e0
-            lo.append(ceil(e0 - frame.slack_pos[i]))
-            hi.append(floor(e1 - frame.slack_neg[i]))
-        if any(l > h for l, h in zip(lo, hi)):
-            continue
+        # The translates met anywhere along the segment: ceil and floor are
+        # monotone, so the union of the end boxes is the box of the segment.
+        lo0, hi0 = engine.candidate_box(frame, a0)
+        lo1, hi1 = engine.candidate_box(frame, a1)
+        lo = map(min, lo0, lo1)
+        hi = map(max, hi0, hi1)
+        other_rules = [frame.rules[:i] + frame.rules[i + 1 :] for i in range(n)]
         h_rows = frame.h.row_list()
         for z in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
             y0 = [
@@ -510,20 +466,11 @@ def _collect_events(engine: TilingEngine, start, reach):
                     t = (target - y0[i]) / lam[i]
                     if not (0 < t < reach):
                         continue
-                    inside_closed = True
-                    on_boundary = False
-                    for m_idx in range(n):
-                        if m_idx == i:
-                            continue
-                        ym = y0[m_idx] + t * lam[m_idx]
-                        if ym < 0 or ym > 1:
-                            inside_closed = False
-                            break
-                        if ym == 0 or ym == 1:
-                            on_boundary = True
-                    if inside_closed:
+                    others = (y0[m] + t * lam[m] for m in range(n) if m != i)
+                    pos = cell_position(others, 1, other_rules[i])
+                    if pos is not None:
                         facet = FacetId(z=z, sigma=frame.sigma, j=i + 1, s=target)
-                        events.setdefault(t, []).append((facet, on_boundary))
+                        events.setdefault(t, []).append((facet, pos[1]))
     return events
 
 
@@ -552,13 +499,8 @@ def _classify_events(engine: TilingEngine, events):
         }
         if len(normals) > 1:
             return True, []
-        sign_sum = 0
-        for facet, _ in items:
-            frame = frames_by_sigma[facet.sigma]
-            lam_j = frame.lam[facet.j - 1]
-            wsgn = (1 if lam_j > 0 else -1) * (1 if facet.s == 0 else -1)
-            tsgn = 1 if frame.sign_class == "positive" else -1
-            sign_sum += wsgn * tsgn
+        signs = [facet_signs(engine.fs, engine.w, f) for f, _ in items]
+        sign_sum = sum(wsgn * tsgn for wsgn, tsgn in signs)
         facets = tuple(
             sorted((f for f, _ in items), key=lambda f: (f.sigma, f.z, f.j, f.s))
         )
@@ -572,7 +514,6 @@ def crossing_check(
     p: Sequence,
     reach,
     seed: int,
-    max_resamples: int = 10,
 ) -> CrossingReport:
     """Scan the ray p + t*w, t in (0, reach), and verify crossing invariance.
 
@@ -588,13 +529,12 @@ def crossing_check(
     if reach <= 0:
         raise DimensionError("reach must be positive")
     p0 = vector(p)
-    for attempt in range(max_resamples + 1):
+    for attempt in range(CROSSING_RESAMPLES + 1):
         if attempt == 0:
             start = p0
         else:
-            rng = random.Random(f"crossing:{seed}:{attempt}")
-            jitter = tuple(
-                Fraction(rng.randint(-(2**31 - 1), 2**31 - 1), 2**43) for _ in p0
+            jitter = grid_vector(
+                f"crossing:{seed}:{attempt}", len(p0), -(2**31 - 1), 2**31, 2**43
             )
             start = vec_add(p0, jitter)
         _, boundary = engine.tiles_at(start)
@@ -610,20 +550,14 @@ def crossing_check(
         degenerate, crossings = _classify_events(engine, events)
         if degenerate:
             continue
-        f_values = []
-        if crossings:
-            ts = [c.t for c in crossings]
-            for i, t in enumerate(ts):
-                prev_t = ts[i - 1] if i > 0 else Fraction(0)
-                next_t = ts[i + 1] if i + 1 < len(ts) else reach
-                delta = min(t - prev_t, next_t - t) / 2
-                for t_eval in (t - delta, t + delta):
-                    point = vec_add(start, vec_scale(t_eval, w.w))
-                    f_values.append(engine.coverage(point).f_value)
-        else:
-            for t_eval in (reach / 4, 3 * reach / 4):
-                point = vec_add(start, vec_scale(t_eval, w.w))
-                f_values.append(engine.coverage(point).f_value)
+        t_evals = [] if crossings else [reach / 4, 3 * reach / 4]
+        ts = [Fraction(0)] + [c.t for c in crossings] + [reach]
+        for prev_t, t, next_t in zip(ts, ts[1:], ts[2:]):
+            delta = min(t - prev_t, next_t - t) / 2
+            t_evals += [t - delta, t + delta]
+        f_values = [
+            engine.coverage(vec_add(start, vec_scale(t, w.w))).f_value for t in t_evals
+        ]
         cancellation_ok = all(c.sign_sum == 0 for c in crossings)
         constant = len(set(f_values)) == 1
         return CrossingReport(
@@ -638,5 +572,5 @@ def crossing_check(
             passed=cancellation_ok and constant,
         )
     raise GenericityError(
-        f"ray stayed degenerate after {max_resamples} resamples; seed {seed}"
+        f"ray stayed degenerate after {CROSSING_RESAMPLES} resamples; seed {seed}"
     )

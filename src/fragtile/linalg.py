@@ -15,7 +15,6 @@ from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 Scalar = Union[int, str, Fraction]
-Vec = "tuple[Fraction, ...]"
 
 
 class LinalgError(Exception):
@@ -138,12 +137,6 @@ class Matrix:
     def row_list(self) -> list[tuple[Fraction, ...]]:
         return [self.row(i) for i in range(self.rows)]
 
-    def column_list(self) -> list[tuple[Fraction, ...]]:
-        return [self.column(j) for j in range(self.cols)]
-
-    def transpose(self) -> "Matrix":
-        return Matrix.from_columns(self.row_list(), rows=self.cols)
-
     def mat_vec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(v) != self.cols:
             raise DimensionError(f"vector length {len(v)} vs {self.cols} columns")
@@ -154,13 +147,6 @@ class Matrix:
             raise DimensionError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         cols = [self.mat_vec(other.column(j)) for j in range(other.cols)]
         return Matrix.from_columns(cols, rows=self.rows)
-
-    def __matmul__(self, other):
-        if isinstance(other, Matrix):
-            return self.mat_mul(other)
-        if isinstance(other, (tuple, list)):
-            return self.mat_vec(other)
-        return NotImplemented
 
     def __eq__(self, other):
         return (
@@ -212,6 +198,37 @@ def det(a: Matrix) -> Fraction:
     return sign * m[n - 1][n - 1]
 
 
+def rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan reduction of the first ncols columns, in place.
+
+    The rows may carry augmented columns past ncols; they receive the same
+    row operations.  Each pivot is the first nonzero entry at or below the
+    current row.  Returns the pivot columns in order: afterwards row i has a
+    1 in column pivots[i] and zeros in every other pivot column, and the rows
+    below len(pivots) are zero in the first ncols columns.
+    """
+    nrows = len(rows)
+    pivots: list[int] = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == nrows:
+            break
+        piv = next((r for r in range(row, nrows) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != row:
+            rows[row], rows[piv] = rows[piv], rows[row]
+        pivot = rows[row][col]
+        if pivot != 1:
+            rows[row] = [x / pivot for x in rows[row]]
+        for r in range(nrows):
+            if r != row and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[row])]
+        pivots.append(col)
+    return pivots
+
+
 def solve(a: Matrix, b: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Exact solution x of a*x = b for square invertible a (Gauss-Jordan)."""
     if not a.is_square:
@@ -220,8 +237,9 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> tuple[Fraction, ...]:
     if len(b) != n:
         raise DimensionError(f"right-hand side length {len(b)} vs size {n}")
     aug = [list(a.row(i)) + [rat(b[i])] for i in range(n)]
-    _eliminate(aug, n)
-    return tuple(aug[i][n] for i in range(n))
+    if len(rref(aug, n)) < n:
+        raise SingularMatrixError("matrix is singular")
+    return tuple(row[n] for row in aug)
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -232,25 +250,9 @@ def inverse(a: Matrix) -> Matrix:
     aug = [
         list(a.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)
     ]
-    _eliminate(aug, n)
-    return Matrix.from_rows([aug[i][n:] for i in range(n)])
-
-
-def _eliminate(aug: list[list[Fraction]], n: int) -> None:
-    """Reduce the left n columns of an augmented system to the identity."""
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        if pivot_row != col:
-            aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        if pivot != 1:
-            aug[col] = [x / pivot for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    if len(rref(aug, n)) < n:
+        raise SingularMatrixError("matrix is singular")
+    return Matrix.from_rows([row[n:] for row in aug])
 
 
 def solve_affine(a: Matrix, b: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
@@ -264,29 +266,11 @@ def solve_affine(a: Matrix, b: Sequence[Fraction]) -> tuple[Fraction, ...] | Non
     if len(b) != nrows:
         raise DimensionError(f"right-hand side length {len(b)} vs {nrows} rows")
     aug = [list(a.row(i)) + [rat(b[i])] for i in range(nrows)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    if len(pivots) < ncols:
+    if len(rref(aug, ncols)) < ncols:
         raise RankDeficiencyError("columns are linearly dependent")
-    if any(aug[r][ncols] != 0 for r in range(row, nrows)):
+    if any(row[ncols] != 0 for row in aug[ncols:]):
         return None
-    x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][ncols]
-    return tuple(x)
+    return tuple(row[ncols] for row in aug[:ncols])
 
 
 def normalize_integer_direction(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -316,29 +300,12 @@ def kernel_vector(v: Matrix) -> tuple[Fraction, ...]:
     """
     if v.cols != v.rows + 1:
         raise DimensionError(f"expected k x (k+1) matrix, got {v.rows}x{v.cols}")
-    nrows, ncols = v.rows, v.cols
-    m = [list(v.row(i)) for i in range(nrows)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        if row == nrows:
-            break
-        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-    if row < nrows:
+    m = [list(v.row(i)) for i in range(v.rows)]
+    pivots = rref(m, v.cols)
+    if len(pivots) < v.rows:
         raise RankDeficiencyError("rank below row count: kernel dimension exceeds 1")
-    free = next(c for c in range(ncols) if c not in pivots)
-    h = [Fraction(0)] * ncols
+    free = next(c for c in range(v.cols) if c not in pivots)
+    h = [Fraction(0)] * v.cols
     h[free] = Fraction(1)
     for r, col in enumerate(pivots):
         h[col] = -m[r][free]
@@ -384,10 +351,3 @@ def perm_sign(p: BlockPermutation | Iterable[Iterable[int]]) -> int:
     if not isinstance(p, BlockPermutation):
         p = BlockPermutation(p)
     return word_sign(p.word)
-
-
-def sign(x: Fraction) -> int:
-    """Standard sign of a nonzero rational."""
-    if x == 0:
-        raise LinalgError("sign of zero is undefined here")
-    return 1 if x > 0 else -1

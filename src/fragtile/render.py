@@ -9,7 +9,7 @@ offsets ordered lexicographically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor
@@ -19,34 +19,27 @@ from .fragments import DEGENERATE, FragmentSet, SubsetIndex
 from .linalg import DimensionError, Matrix, inverse, rat, vec_add
 from .slices import SliceLayout
 
-DEFAULT_PALETTE = {
+# Pixels per drawing unit, fill color per sign class, fill opacity.
+SCALE = Fraction(40)
+PALETTE = {
     "positive": "#d95f2b",
     "negative": "#3b6fb6",
     "degenerate": "#bbbbbb",
 }
+OPACITY = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
 class RenderConfig:
-    """Window (x0, x1, y0, y1) in drawing coordinates, pixels per unit, fill
-    colors per sign class, and fill opacity."""
+    """Window (x0, x1, y0, y1) in drawing coordinates."""
 
     window: tuple[Fraction, Fraction, Fraction, Fraction]
-    scale: Fraction = Fraction(40)
-    palette: dict = field(default_factory=lambda: dict(DEFAULT_PALETTE))
-    opacity: Fraction = Fraction(1, 2)
 
     def __post_init__(self):
         x0, x1, y0, y1 = (rat(v) for v in self.window)
         if not (x0 < x1 and y0 < y1):
             raise DimensionError("window must be a nonempty box")
-        if rat(self.scale) <= 0:
-            raise DimensionError("scale must be positive")
-        if not (0 < rat(self.opacity) <= 1):
-            raise DimensionError("opacity must lie in (0, 1]")
         object.__setattr__(self, "window", (x0, x1, y0, y1))
-        object.__setattr__(self, "scale", rat(self.scale))
-        object.__setattr__(self, "opacity", rat(self.opacity))
 
 
 def dec6(q: Fraction) -> str:
@@ -147,11 +140,11 @@ def _family_polygons(shape: Matrix, anchors, basis: Matrix, cfg: RenderConfig):
 
 def _svg_document(groups, cfg: RenderConfig) -> str:
     x0, x1, y0, y1 = cfg.window
-    width = (x1 - x0) * cfg.scale
-    height = (y1 - y0) * cfg.scale
+    width = (x1 - x0) * SCALE
+    height = (y1 - y0) * SCALE
 
     def to_px(pt):
-        return (pt[0] - x0) * cfg.scale, (y1 - pt[1]) * cfg.scale
+        return (pt[0] - x0) * SCALE, (y1 - pt[1]) * SCALE
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -162,7 +155,7 @@ def _svg_document(groups, cfg: RenderConfig) -> str:
     ]
     for group_id, fill, polygons in groups:
         lines.append(
-            f'<g id="{group_id}" fill="{fill}" fill-opacity="{dec6(cfg.opacity)}" '
+            f'<g id="{group_id}" fill="{fill}" fill-opacity="{dec6(OPACITY)}" '
             f'stroke="#222222" stroke-width="0.800000">'
         )
         for corners in polygons:
@@ -212,7 +205,7 @@ def render_svg(source, cfg: RenderConfig) -> str:
     for sigma, sign_class, shape, anchors in families:
         position = class_seen.get(sign_class, 0)
         class_seen[sign_class] = position + 1
-        fill = _shade(cfg.palette[sign_class], position, class_totals[sign_class])
+        fill = _shade(PALETTE[sign_class], position, class_totals[sign_class])
         polygons = _family_polygons(shape, anchors, basis, cfg)
         groups.append((_group_id(sigma), fill, polygons))
     return _svg_document(groups, cfg)

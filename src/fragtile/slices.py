@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import floor, lcm
+from itertools import combinations
+from math import floor, gcd, lcm
 from typing import Sequence
 
 from .fragments import DEGENERATE, Decomposition, FragmentSet, SubsetIndex
 from .linalg import DimensionError, Matrix, det, inverse, vector
-from .tiling import CoverageReport, GenericDirection, TilingEngine
+from .tiling import CoverageReport, GenericDirection, TilingEngine, cell_hits
 
 
 class SlicePreconditionError(Exception):
@@ -35,16 +35,10 @@ def slice_precondition(d: Decomposition) -> bool:
     g = 0
     for cols in combinations(range(1, dims.n + 1), dims.k):
         minor = det(Matrix.from_columns([d.cbar[i - 1] for i in cols], rows=dims.k))
-        g = _gcd(g, abs(int(minor)))
+        g = gcd(g, int(minor))
         if g == 1:
             return True
     return g == 1
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def unimodular_reduce(d: Decomposition) -> tuple[Matrix, Matrix, Matrix]:
@@ -64,23 +58,19 @@ def unimodular_reduce(d: Decomposition) -> tuple[Matrix, Matrix, Matrix]:
     n, r, k = dims.n, dims.r, dims.k
     bottom = [[int(d.m.entry(r + t, i)) for i in range(n)] for t in range(k)]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    # Each column operation acts on the bottom block and records itself in U.
+    rows = bottom + u
 
     def swap_cols(a: int, b: int) -> None:
-        for row in bottom:
-            row[a], row[b] = row[b], row[a]
-        for row in u:
+        for row in rows:
             row[a], row[b] = row[b], row[a]
 
     def negate_col(a: int) -> None:
-        for row in bottom:
-            row[a] = -row[a]
-        for row in u:
+        for row in rows:
             row[a] = -row[a]
 
     def add_multiple(dst: int, src: int, mult: int) -> None:
-        for row in bottom:
-            row[dst] += mult * row[src]
-        for row in u:
+        for row in rows:
             row[dst] += mult * row[src]
 
     for t in range(k):
@@ -186,22 +176,10 @@ def slice_layout(
         rules = tuple(x > 0 for x in cbar_inv.mat_vec(w.w_double_prime))
         forced = cbar_inv.mat_mul(cbar_full)
         fd = lcm(*(x.denominator for row in forced.row_list() for x in row))
-        forced_int = [[int(x * fd) for x in forced.row(i)] for i in range(dims.k)]
+        neg_forced = [[-int(x * fd) for x in forced.row(i)] for i in range(dims.k)]
         families: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
-        for z in product(*(range(lo, hi + 1) for lo, hi in window)):
-            ok = True
-            for i in range(dims.k):
-                row = forced_int[i]
-                num = sum(row[j] * z[j] for j in range(dims.n) if z[j])
-                if rules[i]:
-                    if not (0 <= num < fd):
-                        ok = False
-                        break
-                else:
-                    if not (0 < num <= fd):
-                        ok = False
-                        break
-            if not ok:
+        for z, inside, _ in cell_hits([0] * dims.k, neg_forced, fd, rules, window):
+            if not inside:
                 continue
             key = tuple(
                 sum(row[j] * z[j] for j in range(dims.n) if z[j])

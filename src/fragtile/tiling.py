@@ -31,6 +31,7 @@ from .linalg import (
 )
 
 SAMPLE_DENOMINATOR = 2**31
+DIRECTION_DRAWS = 64
 
 
 class GenericityError(Exception):
@@ -84,7 +85,19 @@ def certify_direction(fs: FragmentSet, w: Sequence) -> GenericDirection:
     )
 
 
-def choose_generic_direction(fs: FragmentSet, seed: int, max_tries: int = 64) -> GenericDirection:
+def grid_vector(
+    tag: str, dim: int, lo: int, hi: int, denom: int = SAMPLE_DENOMINATOR
+) -> tuple[Fraction, ...]:
+    """dim grid values numerator/denom, numerators uniform on [lo, hi).
+
+    The stream is seeded by the tag string alone, so every draw is
+    reproducible from its tag.
+    """
+    rng = random.Random(tag)
+    return tuple(Fraction(rng.randrange(lo, hi), denom) for _ in range(dim))
+
+
+def choose_generic_direction(fs: FragmentSet, seed: int) -> GenericDirection:
     """Seed-deterministic generic direction with entries in (0,1).
 
     Numerators are drawn uniformly from [1, 2^31) over the fixed denominator
@@ -92,18 +105,68 @@ def choose_generic_direction(fs: FragmentSet, seed: int, max_tries: int = 64) ->
     entries this fine a failure is essentially impossible, but the retry
     budget keeps the procedure total.
     """
-    n = fs.dims.n
-    for attempt in range(max_tries):
-        rng = random.Random(f"direction:{seed}:{attempt}")
-        w = tuple(
-            Fraction(rng.randint(1, SAMPLE_DENOMINATOR - 1), SAMPLE_DENOMINATOR)
-            for _ in range(n)
-        )
+    for attempt in range(DIRECTION_DRAWS):
+        w = grid_vector(f"direction:{seed}:{attempt}", fs.dims.n, 1, SAMPLE_DENOMINATOR)
         try:
             return certify_direction(fs, w)
         except GenericityError:
             continue
-    raise GenericityError(f"no generic direction found after {max_tries} draws")
+    raise GenericityError(f"no generic direction found after {DIRECTION_DRAWS} draws")
+
+
+def cell_position(y: Sequence, one, rules: Sequence[bool]) -> tuple[bool, bool] | None:
+    """Where coordinates y lie relative to the half-open cell [0, one]^n.
+
+    Returns None outside the closed cell, else (inside, touching): touching
+    when some coordinate equals 0 or one, inside when every coordinate obeys
+    its half-open rule, [0, one) where rules[i] is true and (0, one] where it
+    is false.
+    """
+    inside = True
+    touching = False
+    for yi, include_zero in zip(y, rules):
+        if yi < 0 or yi > one:
+            return None
+        if yi == 0:
+            touching = True
+            if not include_zero:
+                inside = False
+        elif yi == one:
+            touching = True
+            if include_zero:
+                inside = False
+    return inside, touching
+
+
+def cell_hits(u: Sequence[int], h: Sequence[Sequence[int]], one: int, rules, ranges):
+    """Integer translates z whose vector u - h z meets the closed cell.
+
+    z runs over the box given by the inclusive (lo, hi) ranges, in
+    lexicographic order; u, h and the cell corner one are integers (the
+    caller clears denominators).  Yields (z, inside, touching) with the
+    meaning of cell_position for every z in the closed cell [0, one]^m, where
+    m = len(u).  The test is inlined because it runs once per candidate.
+    """
+    m = len(u)
+    cols = range(len(ranges))
+    for z in product(*(range(lo, hi + 1) for lo, hi in ranges)):
+        inside = True
+        touching = False
+        for i in range(m):
+            row = h[i]
+            num = u[i] - sum(row[j] * z[j] for j in cols)
+            if num < 0 or num > one:
+                break
+            if num == 0:
+                touching = True
+                if not rules[i]:
+                    inside = False
+            elif num == one:
+                touching = True
+                if rules[i]:
+                    inside = False
+        else:
+            yield z, inside, touching
 
 
 def pip_contains(n_mat: Matrix, w: Sequence, q: Sequence) -> bool:
@@ -244,10 +307,10 @@ class TilingEngine:
             if frag.sign_class != DEGENERATE
         ]
 
-    def candidate_box(self, frame: _Frame, a: Sequence[Fraction], widen: int = 0):
+    def candidate_box(self, frame: _Frame, a: Sequence[Fraction]):
         """Per-coordinate integer range of translates whose tile could contain p."""
-        lo = [ceil(ai - sp) - widen for ai, sp in zip(a, frame.slack_pos)]
-        hi = [floor(ai - sn) + widen for ai, sn in zip(a, frame.slack_neg)]
+        lo = [ceil(ai - sp) for ai, sp in zip(a, frame.slack_pos)]
+        hi = [floor(ai - sn) for ai, sn in zip(a, frame.slack_neg)]
         return lo, hi
 
     def tiles_at(self, p: Sequence[Fraction]) -> tuple[list[tuple[TileId, str]], int]:
@@ -266,31 +329,9 @@ class TilingEngine:
             denom = lcm(frame.h_denom, *(x.denominator for x in u))
             u_int = [int(x * denom) for x in u]
             h_int = frame.scaled_rows(denom)
-            lo, hi = self.candidate_box(frame, a)
-            if any(l > h for l, h in zip(lo, hi)):
-                continue
-            rules = frame.rules
-            n = len(u_int)
-            for z in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-                inside = True
-                on_edge = False
-                closed_inside = True
-                for i in range(n):
-                    row = h_int[i]
-                    num = u_int[i] - sum(row[j] * z[j] for j in range(n))
-                    if num < 0 or num > denom:
-                        inside = False
-                        closed_inside = False
-                        break
-                    if num == 0:
-                        on_edge = True
-                        if not rules[i]:
-                            inside = False
-                    elif num == denom:
-                        on_edge = True
-                        if rules[i]:
-                            inside = False
-                if closed_inside and on_edge:
+            ranges = list(zip(*self.candidate_box(frame, a)))
+            for z, inside, touching in cell_hits(u_int, h_int, denom, frame.rules, ranges):
+                if touching:
                     boundary += 1
                 if inside:
                     found.append((TileId(z=z, sigma=frame.sigma), frame.sign_class))
@@ -338,11 +379,7 @@ def verify_constancy(
     for index in range(sample_count):
         attempt = 0
         while True:
-            rng = random.Random(f"sample:{seed}:{index}:{attempt}")
-            u = tuple(
-                Fraction(rng.randrange(0, SAMPLE_DENOMINATOR), SAMPLE_DENOMINATOR)
-                for _ in range(n)
-            )
+            u = grid_vector(f"sample:{seed}:{index}:{attempt}", n, 0, SAMPLE_DENOMINATOR)
             p = m.mat_vec(u)
             tiles, boundary = engine.tiles_at(p)
             if boundary == 0:
@@ -363,14 +400,3 @@ def verify_constancy(
         boundary_redraws=redraws,
         passed=values == {expected},
     )
-
-
-def average_identity(fs: FragmentSet) -> tuple[Fraction, Fraction]:
-    """Both sides of the exact mean-value identity sum det(S_sigma) = (-1)^k det(M).
-
-    The integral of the signed cover count over the fundamental parallelepiped
-    collapses to this determinant sum, so the check is symbolic.
-    """
-    lhs = sum((f.det_s for f in fs), Fraction(0))
-    rhs = fs.det_m if fs.dims.k % 2 == 0 else -fs.det_m
-    return lhs, rhs

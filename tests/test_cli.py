@@ -240,6 +240,26 @@ class TestInputErrors:
         code, _, err = invoke(["coverage", "--matrix", matrix_files["M"]])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--samples", "0"],
+            ["verify", "--samples", "-5"],
+            ["double-cover", "--tau", "2", "--samples", "0"],
+        ],
+    )
+    def test_samples_below_one(self, matrix_files, argv):
+        code, out, err = invoke(argv[:1] + ["--matrix", matrix_files["M"]] + argv[1:])
+        assert code == 2
+        assert out == ""
+        assert "--samples" in err
+
+    def test_flag_foreign_to_command(self, matrix_files):
+        code, out, err = invoke(["laplace", "--matrix", matrix_files["K"], "--samples", "5"])
+        assert code == 2
+        assert out == ""
+        assert "--samples" in err
+
 
 def expected_polygon_count(fs, cfg):
     """Clipping-area oracle: translates whose clipped area is positive."""

@@ -33,7 +33,7 @@ from fragtile import (
     up_down_partition,
 )
 from fragtile.facets import _collect_events
-from fragtile.linalg import DimensionError, normalize_integer_direction
+from fragtile.linalg import DimensionError, normalize_integer_direction, solve_affine
 from fragtile.tiling import SAMPLE_DENOMINATOR, TilingEngine
 
 
@@ -308,6 +308,45 @@ class TestFacetProjections:
         )
         assert bottom.contains(tuple(b + m for b, m in zip(bottom.base, mid)))
         assert not bottom.contains((Fraction(10**6), Fraction(10**6)))
+
+    def test_fewer_generators_than_dimensions(self, mset, w_m):
+        # tau top shadows and gamma bottom shadows of the worked matrix have
+        # one generator in R^2; points inside, on a face and off the affine
+        # span are checked against solve_affine and the half-open rules.
+        xs = (-Fraction(1, 2), 0, Fraction(1, 3), 1, Fraction(3, 2))
+        seen = set()
+        for kind, index, shadow in (("tau", (2,), 0), ("gamma", (1, 2, 3), 1)):
+            coll = facet_collection(mset, kind, (1, 0, -1, 0), index)
+            for facet in coll.live_members():
+                geom = facet_projections(mset, w_m, facet)[shadow]
+                dim = len(geom.base)
+                assert len(geom.generators) < dim
+                g = Matrix.from_columns(geom.generators, rows=dim)
+                units = [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
+                off = next(e for e in units if solve_affine(g, e) is None)
+                for x, t in product(xs, (0, Fraction(1, 5))):
+                    rel = tuple(x * gi + t * oi for gi, oi in zip(geom.generators[0], off))
+                    point = tuple(b + r for b, r in zip(geom.base, rel))
+                    coords = solve_affine(g, rel)
+                    if coords is None:
+                        inside = closed = touching = False
+                    else:
+                        inside = all(
+                            (0 <= y < 1) if inc0 else (0 < y <= 1)
+                            for y, inc0 in zip(coords, geom.include_zero)
+                        )
+                        closed = all(0 <= y <= 1 for y in coords)
+                        touching = closed and any(y in (0, 1) for y in coords)
+                    assert geom.contains(point) == inside
+                    assert geom.on_closed_boundary(point) == touching
+                    seen.add((coords is None, inside, touching))
+        # off the span, strictly inside, and on an included and an excluded face
+        assert seen >= {
+            (True, False, False),
+            (False, True, False),
+            (False, True, True),
+            (False, False, True),
+        }
 
 
 class TestKernelSelectionTiling:

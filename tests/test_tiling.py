@@ -10,13 +10,13 @@ from fragtile import (
     Matrix,
     TileId,
     TilingEngine,
-    average_identity,
     certify_direction,
     choose_generic_direction,
     coverage_value,
     decompose,
     enumerate_tiles_at,
     fragment_set,
+    laplace_identity,
     pip_contains,
     solve,
     verify_constancy,
@@ -198,9 +198,9 @@ class TestVerifyConstancy:
 
 class TestAverageIdentity:
     def test_examples(self, kset, lset, mset):
-        assert average_identity(kset) == (-5, -5)
-        assert average_identity(lset) == (-3, -3)
-        assert average_identity(mset) == (37, 37)
+        assert laplace_identity(kset) == (-5, -5)
+        assert laplace_identity(lset) == (-3, -3)
+        assert laplace_identity(mset) == (37, 37)
 
     def test_volume_census(self, mset, w_m):
         # mean tile count per family approaches |det S| / |det M|
