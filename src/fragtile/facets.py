@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
+from math import ceil
 from typing import Sequence
 
 from .fragments import (
@@ -41,18 +41,20 @@ from .linalg import (
     perm_sign,
     rat,
     rref,
-    solve,
     vec_add,
     vec_scale,
     vec_sub,
     vector,
 )
 from .tiling import (
+    BOUNDARY_REDRAWS,
     SAMPLE_DENOMINATOR,
     GenericDirection,
     GenericityError,
     TilingEngine,
+    cell_hits,
     cell_position,
+    clear_denominator,
     grid_vector,
 )
 
@@ -144,11 +146,11 @@ def facet_collection(
 
 
 def lambda_vector(fs: FragmentSet, w: GenericDirection, sigma: Sequence[int]) -> tuple[Fraction, ...]:
-    """Coordinates of w in the basis of the sigma fragment matrix."""
+    """Coordinates of w in the basis of the sigma fragment matrix (certified)."""
     frag = fs[sigma]
     if frag.sign_class == DEGENERATE:
         raise DegenerateFragmentError(f"fragment {frag.sigma} is degenerate")
-    return solve(frag.s, w.w)
+    return w.lambdas[frag.s]
 
 
 def facet_signs(fs: FragmentSet, w: GenericDirection, facet: FacetId) -> tuple[int, int]:
@@ -161,8 +163,6 @@ def facet_signs(fs: FragmentSet, w: GenericDirection, facet: FacetId) -> tuple[i
     """
     frag = fs[facet.sigma]
     lam_j = lambda_vector(fs, w, facet.sigma)[facet.j - 1]
-    if lam_j == 0:
-        raise GenericityError("zero lambda coordinate: direction not generic")
     wsgn = (1 if lam_j > 0 else -1) * (1 if facet.s == 0 else -1)
     tsgn = 1 if frag.det_s > 0 else -1
     return wsgn, tsgn
@@ -341,8 +341,9 @@ def double_cover_check(
 
     Points are drawn in the projected zonotope of the collection (coefficient
     vectors on the 2^-31 grid of [0,1)), redrawn while they touch any
-    projected facet's closed boundary, and then must lie in exactly one up
-    and exactly one down facet shadow.
+    projected facet's closed boundary (at most BOUNDARY_REDRAWS times, then
+    GenericityError), and then must lie in exactly one up and exactly one
+    down facet shadow.
     """
     dims = fs.dims
     index = normalize_subset(index, dims.n)
@@ -375,8 +376,7 @@ def double_cover_check(
     relative_points = []
     failures = []
     for idx in range(sample_count):
-        attempt = 0
-        while True:
+        for attempt in range(BOUNDARY_REDRAWS + 1):
             coeffs = grid_vector(f"cover:{seed}:{idx}:{attempt}", len(js), 0, SAMPLE_DENOMINATOR)
             q_rel = zonotope.mat_vec(coeffs)
             q_abs = vec_add(q_rel, base)
@@ -384,7 +384,11 @@ def double_cover_check(
             if not any(pos is not None and pos[1] for pos in positions):
                 break
             redraws += 1
-            attempt += 1
+        else:
+            raise GenericityError(
+                f"sample {idx} of seed {seed} stayed on a shadow boundary "
+                f"after {BOUNDARY_REDRAWS} redraws"
+            )
         hits = [facet in up for facet, pos in zip(live, positions) if pos is not None and pos[0]]
         up_count = sum(hits)
         down_count = len(hits) - up_count
@@ -426,41 +430,32 @@ class CrossingReport:
 def _collect_events(engine: TilingEngine, start, reach):
     """Exact facet-crossing times of the ray start + t*w over t in (0, reach).
 
-    For every candidate tile whose fragment coordinates meet the closed unit
-    box along the segment, each coordinate hitting 0 or 1 yields a rational
-    crossing time; the hit is kept when the crossing point lies in the closed
-    facet, and flagged when it touches the facet's own boundary.
+    Fragment coordinates y0 + t*lambda meet the closed unit cell along the
+    segment only if y0 lies within reach*max|lambda_i| of it, so cell_hits
+    scans the segment's translate box against the cell widened by an integer
+    bound on that.  For each translate it yields, every coordinate hitting 0
+    or 1 gives a rational crossing time; the hit is kept when the crossing
+    point lies in the closed facet, and flagged when it touches the facet's
+    own boundary.
     """
     n = engine.fs.dims.n
     a0 = engine.m_inv.mat_vec(start)
     a1 = engine.m_inv.mat_vec(vec_add(start, vec_scale(reach, engine.w.w)))
+    q, p_int = clear_denominator(start)
     events: dict[Fraction, list[tuple[FacetId, bool]]] = {}
     for frame in engine.frames:
-        u = frame.s_inv.mat_vec(start)
         lam = frame.lam
-        shift = [reach * l for l in lam]
+        u, h, one = frame.query(q, p_int)
+        widen = ceil(reach * max(abs(x) for x in lam)) * one
         # The translates met anywhere along the segment: ceil and floor are
         # monotone, so the union of the end boxes is the box of the segment.
         lo0, hi0 = engine.candidate_box(frame, a0)
         lo1, hi1 = engine.candidate_box(frame, a1)
-        lo = map(min, lo0, lo1)
-        hi = map(max, hi0, hi1)
+        ranges = list(zip(map(min, lo0, lo1), map(max, hi0, hi1)))
         other_rules = [frame.rules[:i] + frame.rules[i + 1 :] for i in range(n)]
-        h_rows = frame.h.row_list()
-        for z in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-            y0 = [
-                u[i] - sum(h_rows[i][j] * z[j] for j in range(n) if z[j])
-                for i in range(n)
-            ]
-            outside = False
-            for i in range(n):
-                e0 = y0[i]
-                e1 = y0[i] + shift[i]
-                if (e0 < 0 and e1 < 0) or (e0 > 1 and e1 > 1):
-                    outside = True
-                    break
-            if outside:
-                continue
+        wide_u = [x + widen for x in u]
+        for z, _, _ in cell_hits(wide_u, h, one + 2 * widen, frame.rules, ranges):
+            y0 = [Fraction(u[i] - sum(hij * zj for hij, zj in zip(h[i], z)), one) for i in range(n)]
             for i in range(n):
                 for target in (0, 1):
                     t = (target - y0[i]) / lam[i]
@@ -492,9 +487,7 @@ def _classify_events(engine: TilingEngine, events):
         if any(flag for _, flag in items):
             return True, []
         normals = {
-            normalize_integer_direction(
-                frames_by_sigma[f.sigma].s_inv.row(f.j - 1)
-            )
+            normalize_integer_direction(frames_by_sigma[f.sigma].s_inv[f.j - 1])
             for f, _ in items
         }
         if len(normals) > 1:

@@ -17,7 +17,7 @@ from itertools import combinations
 from math import floor, gcd, lcm
 from typing import Sequence
 
-from .fragments import DEGENERATE, Decomposition, FragmentSet, SubsetIndex
+from .fragments import DEGENERATE, Decomposition, FragmentSet, SubsetIndex, complement
 from .linalg import DimensionError, Matrix, det, inverse, vector
 from .tiling import CoverageReport, GenericDirection, TilingEngine, cell_hits
 
@@ -48,12 +48,12 @@ def unimodular_reduce(d: Decomposition) -> tuple[Matrix, Matrix, Matrix]:
     the applied U is unimodular and M*U spans the same column lattice.
     Returns (U, A, Bk) where M*U = [[Bk | A], [I_k | 0]]: A (r x r) is the top
     block over the zero-bottom columns, the slice-translation lattice basis,
-    and Bk (r x k) the top block over the identity-bottom columns.
+    and Bk (r x k) the top block over the identity-bottom columns.  An
+    integer bottom block reduces exactly when its maximal minors are coprime;
+    otherwise a rank or pivot check raises SlicePreconditionError.
     """
-    if not slice_precondition(d):
-        raise SlicePreconditionError(
-            "bottom block must be integer with coprime maximal minors"
-        )
+    if any(x.denominator != 1 for col in d.cbar for x in col):
+        raise SlicePreconditionError("bottom block must be integer")
     dims = d.dims
     n, r, k = dims.n, dims.r, dims.k
     bottom = [[int(d.m.entry(r + t, i)) for i in range(n)] for t in range(k)]
@@ -172,8 +172,10 @@ def slice_layout(
         if frag.sign_class == DEGENERATE:
             classes.append(SliceClass(frag.sigma, frag.c, frag.sign_class, offsets=()))
             continue
+        # The bottom coordinates of lambda_sigma solve Cbar_hat x = w''.
+        lam = w.lambdas[frag.s]
+        rules = tuple(lam[j - 1] > 0 for j in complement(frag.sigma, dims.n))
         cbar_inv = inverse(frag.cbar)
-        rules = tuple(x > 0 for x in cbar_inv.mat_vec(w.w_double_prime))
         forced = cbar_inv.mat_mul(cbar_full)
         fd = lcm(*(x.denominator for row in forced.row_list() for x in row))
         neg_forced = [[-int(x * fd) for x in forced.row(i)] for i in range(dims.k)]

@@ -13,11 +13,11 @@ predicate reduces to sign conditions on exact rationals, so w must be generic
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor, lcm
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .fragments import DEGENERATE, FragmentSet, SubsetIndex
 from .linalg import (
@@ -32,6 +32,7 @@ from .linalg import (
 
 SAMPLE_DENOMINATOR = 2**31
 DIRECTION_DRAWS = 64
+BOUNDARY_REDRAWS = 64
 
 
 class GenericityError(Exception):
@@ -46,13 +47,16 @@ class GenericDirection:
     N^-1 w were verified nonzero: all invertible fragment matrices plus M
     itself.  That finite condition set also covers the restricted systems on
     the top and bottom blocks, since their coordinate vectors are subvectors
-    of the fragment ones.
+    of the fragment ones.  lambdas keeps those vectors for every half-open
+    rule and facet sign to read: S^-1 w keyed by each invertible fragment
+    matrix S, so a fragment w was not certified for has no entry.
     """
 
     w: tuple[Fraction, ...]
     w_prime: tuple[Fraction, ...]
     w_double_prime: tuple[Fraction, ...]
     certificate: tuple[tuple[str, int], ...]
+    lambdas: Mapping[Matrix, tuple[Fraction, ...]] = field(compare=False, repr=False)
 
 
 def _sigma_label(sigma: SubsetIndex) -> str:
@@ -66,6 +70,7 @@ def certify_direction(fs: FragmentSet, w: Sequence) -> GenericDirection:
     if len(w) != dims.n:
         raise DimensionError(f"w has length {len(w)}, expected {dims.n}")
     checks: list[tuple[str, int]] = []
+    lambdas: dict[Matrix, tuple[Fraction, ...]] = {}
     for frag in fs:
         if frag.sign_class == DEGENERATE:
             continue
@@ -73,6 +78,7 @@ def certify_direction(fs: FragmentSet, w: Sequence) -> GenericDirection:
         if any(x == 0 for x in lam):
             raise GenericityError(f"w is not generic: zero entry in {_sigma_label(frag.sigma)}^-1 w")
         checks.append((_sigma_label(frag.sigma), dims.n))
+        lambdas[frag.s] = lam
     minv_w = solve(fs.decomposition.m, w)
     if any(x == 0 for x in minv_w):
         raise GenericityError("w is not generic: zero entry in M^-1 w")
@@ -82,6 +88,7 @@ def certify_direction(fs: FragmentSet, w: Sequence) -> GenericDirection:
         w_prime=w[: dims.r],
         w_double_prime=w[dims.r :],
         certificate=tuple(checks),
+        lambdas=lambdas,
     )
 
 
@@ -202,6 +209,13 @@ class TileId:
     sigma: SubsetIndex
 
 
+def _census(tiles: Sequence[tuple[TileId, str]]) -> tuple[int, int]:
+    """(positive, negative) tile counts of a tile list."""
+    pos = sum(1 for _, cls in tiles if cls == "positive")
+    neg = sum(1 for _, cls in tiles if cls == "negative")
+    return pos, neg
+
+
 @dataclass(frozen=True)
 class CoverageReport:
     point: tuple[Fraction, ...]
@@ -211,9 +225,7 @@ class CoverageReport:
 
     @property
     def census(self) -> tuple[int, int]:
-        pos = sum(1 for _, cls in self.tiles if cls == "positive")
-        neg = sum(1 for _, cls in self.tiles if cls == "negative")
-        return pos, neg
+        return _census(self.tiles)
 
 
 @dataclass
@@ -227,44 +239,38 @@ class VerifyReport:
     passed: bool
 
 
-class _Frame:
-    """Per-fragment point-location data with an integer-only inner test.
+def clear_denominator(v: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(q, q*v): the least common denominator q of a rational vector and the
+    integer vector it scales v to."""
+    q = lcm(*(x.denominator for x in v))
+    return q, [x.numerator * (q // x.denominator) for x in v]
 
-    The coordinate vector of p - M z in the fragment basis is
-    u - H z with u = S^-1 p and H = S^-1 M.  Clearing denominators once per
-    query point turns each candidate test into integer multiply-adds.
+
+class _Frame:
+    """Per-fragment point-location data, built once per engine.
+
+    The coordinate vector of p - M z in the fragment basis is u - H z with
+    u = S^-1 p and H = S^-1 M.  S^-1 and H are kept as integer rows over one
+    frame denominator, so a query point cleared to q*p (see query) tests each
+    candidate with integer multiply-adds.  The half-open rules are the signs
+    of the certified lambda = S^-1 w.
     """
 
     __slots__ = (
-        "sigma",
-        "sign_class",
-        "s",
-        "s_inv",
-        "lam",
-        "rules",
-        "h",
-        "h_rows",
-        "h_denom",
-        "slack_pos",
-        "slack_neg",
-        "_scaled_cache",
+        "sigma", "sign_class", "lam", "rules", "denom", "s_inv", "h", "slack_pos", "slack_neg"
     )
 
     def __init__(self, frag, m: Matrix, m_inv: Matrix, w: GenericDirection):
         self.sigma = frag.sigma
         self.sign_class = frag.sign_class
-        self.s = frag.s
-        self.s_inv = inverse(frag.s)
-        self.lam = self.s_inv.mat_vec(w.w)
-        if any(x == 0 for x in self.lam):
-            raise GenericityError(f"direction not generic on fragment {frag.sigma}")
+        self.lam = w.lambdas[frag.s]
         self.rules = tuple(x > 0 for x in self.lam)
-        h = self.s_inv.mat_mul(m)
-        self.h = h
-        self.h_denom = lcm(*(e.denominator for e in (x for row in h.row_list() for x in row)))
-        self.h_rows = [
-            [int(x * self.h_denom) for x in h.row(i)] for i in range(h.rows)
-        ]
+        s_inv = inverse(frag.s)
+        h = s_inv.mat_mul(m)
+        self.denom = lcm(*(x.denominator for a in (s_inv, h) for row in a.row_list() for x in row))
+        self.s_inv, self.h = (
+            [[int(x * self.denom) for x in row] for row in a.row_list()] for a in (s_inv, h)
+        )
         g = m_inv.mat_mul(frag.s)
         self.slack_pos = tuple(
             sum((x for x in g.row(i) if x > 0), Fraction(0)) for i in range(g.rows)
@@ -272,17 +278,13 @@ class _Frame:
         self.slack_neg = tuple(
             sum((x for x in g.row(i) if x < 0), Fraction(0)) for i in range(g.rows)
         )
-        self._scaled_cache: dict[int, list[list[int]]] = {}
 
-    def scaled_rows(self, full_denom: int) -> list[list[int]]:
-        rows = self._scaled_cache.get(full_denom)
-        if rows is None:
-            mult = full_denom // self.h_denom
-            rows = [[e * mult for e in row] for row in self.h_rows]
-            if len(self._scaled_cache) > 8:
-                self._scaled_cache.clear()
-            self._scaled_cache[full_denom] = rows
-        return rows
+    def query(self, q: int, p_int: Sequence[int]):
+        """(u, h, one) for cell_hits at the point p_int / q: the cell
+        coordinates of p - M z are (u - h z) / one."""
+        u = [sum(e * x for e, x in zip(row, p_int)) for row in self.s_inv]
+        h = [[e * q for e in row] for row in self.h]
+        return u, h, self.denom * q
 
 
 class TilingEngine:
@@ -322,15 +324,13 @@ class TilingEngine:
         """
         p = vector(p)
         a = self.m_inv.mat_vec(p)
+        q, p_int = clear_denominator(p)
         found: list[tuple[TileId, str]] = []
         boundary = 0
         for frame in self.frames:
-            u = frame.s_inv.mat_vec(p)
-            denom = lcm(frame.h_denom, *(x.denominator for x in u))
-            u_int = [int(x * denom) for x in u]
-            h_int = frame.scaled_rows(denom)
+            u, h, one = frame.query(q, p_int)
             ranges = list(zip(*self.candidate_box(frame, a)))
-            for z, inside, touching in cell_hits(u_int, h_int, denom, frame.rules, ranges):
+            for z, inside, touching in cell_hits(u, h, one, frame.rules, ranges):
                 if touching:
                     boundary += 1
                 if inside:
@@ -339,8 +339,7 @@ class TilingEngine:
 
     def coverage(self, p: Sequence[Fraction]) -> CoverageReport:
         tiles, _ = self.tiles_at(p)
-        pos = sum(1 for _, cls in tiles if cls == "positive")
-        neg = sum(1 for _, cls in tiles if cls == "negative")
+        pos, neg = _census(tiles)
         return CoverageReport(
             point=vector(p),
             tiles=tuple(tiles),
@@ -367,7 +366,9 @@ def verify_constancy(
     Points are drawn as p = M u with u uniform on the 2^-31 grid of [0,1)^n;
     by lattice periodicity of the tiling, constancy there is constancy
     everywhere.  Samples that land exactly on a tile boundary are redrawn
-    (and counted), so the verifier never has to adjudicate ties.
+    (and counted), so the verifier never has to adjudicate ties; a sample
+    still on a boundary after BOUNDARY_REDRAWS redraws raises
+    GenericityError.
     """
     engine = TilingEngine(fs, w)
     n = fs.dims.n
@@ -377,17 +378,19 @@ def verify_constancy(
     values: set[int] = set()
     redraws = 0
     for index in range(sample_count):
-        attempt = 0
-        while True:
+        for attempt in range(BOUNDARY_REDRAWS + 1):
             u = grid_vector(f"sample:{seed}:{index}:{attempt}", n, 0, SAMPLE_DENOMINATOR)
             p = m.mat_vec(u)
             tiles, boundary = engine.tiles_at(p)
             if boundary == 0:
                 break
             redraws += 1
-            attempt += 1
-        pos = sum(1 for _, cls in tiles if cls == "positive")
-        neg = sum(1 for _, cls in tiles if cls == "negative")
+        else:
+            raise GenericityError(
+                f"sample {index} of seed {seed} stayed on a tile boundary "
+                f"after {BOUNDARY_REDRAWS} redraws"
+            )
+        pos, neg = _census(tiles)
         values.add(pos - neg)
         key = (pos, neg)
         histogram[key] = histogram.get(key, 0) + 1

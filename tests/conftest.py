@@ -33,6 +33,12 @@ M_ROWS = [
     [2, 0, -1, 1],
     [0, 1, -2, 3],
 ]
+# The rational corpus matrix q3r2-1 (r=2, k=1): denominators 1 to 3.
+Q_ROWS = [
+    [0, Fraction(3, 2), 3],
+    [-1, Fraction(1, 3), 3],
+    [Fraction(1, 2), Fraction(-3, 2), -1],
+]
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +54,11 @@ def lset():
 @pytest.fixture(scope="session")
 def mset():
     return fragment_set(decompose(Matrix.from_rows(M_ROWS), Dimensions(2, 2)))
+
+
+@pytest.fixture(scope="session")
+def qset():
+    return fragment_set(decompose(Matrix.from_rows(Q_ROWS), Dimensions(2, 1)))
 
 
 @pytest.fixture(scope="session")
@@ -134,6 +145,20 @@ def random_invertible(rng: random.Random, n: int, lo: int = -5, hi: int = 5) -> 
             return m
 
 
+def random_rational_invertible(rng: random.Random, n: int, lo: int = -3, hi: int = 3) -> Matrix:
+    """Matrix of entries a/b with a in [lo, hi] and b in 1..4, |det| >= 1.
+
+    A smaller determinant makes the translate boxes of the brute-force
+    oracles grow like 1/|det| in every coordinate.
+    """
+    while True:
+        m = Matrix.from_rows(
+            [[Fraction(rng.randint(lo, hi), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        )
+        if abs(det_cofactor(m)) >= 1:
+            return m
+
+
 def random_dims(rng: random.Random, max_n: int = 6) -> Dimensions:
     r = rng.randint(1, max_n - 1)
     k = rng.randint(1, max_n - r)
@@ -170,6 +195,62 @@ def brute_force_tiles(fs, w, p, margin: int = 1):
             if pip_contains(frag.s, w.w, q):
                 found.append(TileId(z=z, sigma=frag.sigma))
     return sorted(found, key=lambda t: (t.sigma, t.z))
+
+
+def cramer_inverse(a: Matrix) -> Matrix:
+    """Inverse column by column from Cramer quotients."""
+    n = a.rows
+    cols = [cramer_solve(a, [Fraction(int(i == j)) for i in range(n)]) for j in range(n)]
+    return Matrix.from_columns(cols)
+
+
+def brute_force_events(fs, w, start, reach, margin: int = 1):
+    """Facet crossings of the segment start + t*w, t in (0, reach), by exact
+    face times over a widened translate box; independent of the engine.
+
+    Returns {t: [(FacetId, touching), ...]} like the crossing scan, where
+    touching flags a crossing point on the facet's own boundary.
+    """
+    from itertools import product
+    from math import ceil, floor
+
+    from fragtile import FacetId, vector
+
+    m = fs.decomposition.m
+    n = m.rows
+    m_inv = cramer_inverse(m)
+    start = vector(start)
+    reach = Fraction(reach)
+    end = tuple(s + reach * x for s, x in zip(start, w.w))
+    ends = (m_inv.mat_vec(start), m_inv.mat_vec(end))
+    events = {}
+    for frag in fs:
+        if frag.sign_class == "degenerate":
+            continue
+        s_inv = cramer_inverse(frag.s)
+        lam = s_inv.mat_vec(w.w)
+        g = m_inv.mat_mul(frag.s)
+        ranges = []
+        for i in range(n):
+            pos = sum((x for x in g.row(i) if x > 0), Fraction(0))
+            neg = sum((x for x in g.row(i) if x < 0), Fraction(0))
+            lo = min(ceil(a[i] - pos) for a in ends) - margin
+            hi = max(floor(a[i] - neg) for a in ends) + margin
+            ranges.append(range(lo, hi + 1))
+        for z in product(*ranges):
+            mz = m.mat_vec(tuple(Fraction(v) for v in z))
+            y0 = s_inv.mat_vec(tuple(p - q for p, q in zip(start, mz)))
+            for i in range(n):
+                for target in (0, 1):
+                    t = (target - y0[i]) / lam[i]
+                    if not 0 < t < reach:
+                        continue
+                    others = [y0[j] + t * lam[j] for j in range(n) if j != i]
+                    if all(0 <= y <= 1 for y in others):
+                        facet = FacetId(z=z, sigma=frag.sigma, j=i + 1, s=target)
+                        touching = any(y in (0, 1) for y in others)
+                        events.setdefault(t, []).append((facet, touching))
+    return events
 
 
 def clip_polygon_area(subject, window) -> Fraction:

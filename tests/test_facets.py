@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from conftest import random_invertible
+from conftest import brute_force_events, invoke, random_invertible, random_rational_invertible
 from fragtile import (
     BlockPermutation,
     DegenerateFragmentError,
@@ -33,9 +33,16 @@ from fragtile import (
     tilde_facet,
     up_down_partition,
 )
+from fragtile import facets
 from fragtile.facets import _collect_events
 from fragtile.linalg import DimensionError, normalize_integer_direction, solve_affine
-from fragtile.tiling import SAMPLE_DENOMINATOR, TilingEngine
+from fragtile.tiling import (
+    BOUNDARY_REDRAWS,
+    SAMPLE_DENOMINATOR,
+    GenericityError,
+    TilingEngine,
+    grid_vector,
+)
 
 
 class TestTildeFacet:
@@ -437,6 +444,20 @@ class TestDoubleCover:
             assert double_cover_check(fs, w, (), (0, 0), 60, 2).passed
             assert double_cover_check(fs, w, (1, 2), (0, 0), 60, 2).passed
 
+    def test_redraws_are_bounded(self, mset, w_m, tmp_path, monkeypatch):
+        # Zero coefficients give the collection's base point, a corner of
+        # every s=0 shadow, so every draw lands on a boundary.
+        monkeypatch.setattr(facets, "grid_vector", lambda tag, dim, *rest: (Fraction(0),) * dim)
+        with pytest.raises(GenericityError, match="sample 0 of seed 5"):
+            double_cover_check(mset, w_m, (2,), (0, 0, 0, 0), 3, 5)
+        path = tmp_path / "M.txt"
+        path.write_text("2 2\n3 2 -4 1\n1 0 2 2\n2 0 -1 1\n0 1 -2 3\n")
+        code, out, err = invoke(
+            ["double-cover", "--matrix", str(path), "--tau", "2", "--w", "1,1,1,1", "--samples", "3"]
+        )
+        assert (code, out) == (2, "")
+        assert f"after {BOUNDARY_REDRAWS} redraws" in err
+
 
 class TestCrossing:
     def test_worked_4x4_rays(self, mset, w_m):
@@ -472,3 +493,52 @@ class TestCrossing:
         rep = crossing_check(mset, w_m, p, 2, 4)
         assert rep.passed
         assert rep.f_value == 1
+
+
+def _event_table(events):
+    return {
+        t: sorted(((f.sigma, f.z, f.j, f.s), touching) for f, touching in items)
+        for t, items in events.items()
+    }
+
+
+class TestEventScan:
+    """The crossing scan against the exact face times of brute_force_events."""
+
+    @staticmethod
+    def check(fs, w, start, reach):
+        engine = TilingEngine(fs, w)
+        got = _event_table(_collect_events(engine, start, Fraction(reach)))
+        assert got == _event_table(brute_force_events(fs, w, start, reach))
+        return got
+
+    @staticmethod
+    def grid_start(fs, tag):
+        return grid_vector(tag, fs.dims.n, -2 * SAMPLE_DENOMINATOR, 2 * SAMPLE_DENOMINATOR)
+
+    @staticmethod
+    def lattice_start(fs):
+        z = (1, -1, 0, 2)[: fs.dims.n]
+        return fs.decomposition.m.mat_vec(tuple(Fraction(v) for v in z))
+
+    def test_worked_matrices(self, kset, w_k, lset, w_l, mset, w_m, qset):
+        w_q = choose_generic_direction(qset, 4)
+        crossings = 0
+        touching = 0
+        for fs, w in ((kset, w_k), (lset, w_l), (mset, w_m), (qset, w_q)):
+            starts = [self.grid_start(fs, f"events:{i}") for i in range(2)]
+            for start in starts + [self.lattice_start(fs)]:
+                table = self.check(fs, w, start, 2)
+                crossings += len(table)
+                touching += sum(flag for items in table.values() for _, flag in items)
+        assert crossings > 0 and touching > 0
+
+    def test_random_rational(self):
+        rng = random.Random(41)
+        for trial in range(8):
+            n = rng.randint(2, 4)
+            r = rng.randint(1, n - 1)
+            fs = fragment_set(decompose(random_rational_invertible(rng, n), Dimensions(r, n - r)))
+            w = choose_generic_direction(fs, trial)
+            self.check(fs, w, self.grid_start(fs, f"events:{trial}"), Fraction(3, 2))
+            self.check(fs, w, self.lattice_start(fs), 1)

@@ -84,6 +84,30 @@ class TestUnimodularReduce:
         with pytest.raises(SlicePreconditionError):
             unimodular_reduce(decompose(m, Dimensions(1, 1)))
 
+    def test_rejects_exactly_what_the_precondition_rejects(self):
+        rng = random.Random(17)
+        cases = [
+            # bottom row (2, 4, 6): integer, maximal minors share the factor 2
+            decompose(Matrix.from_rows([[1, 0, 3], [0, 1, 5], [2, 4, 6]]), Dimensions(2, 1)),
+            # a rational bottom entry would be truncated by the integer reduction
+            decompose(Matrix.from_rows([[1, 2], [Fraction(3, 2), 1]]), Dimensions(1, 1)),
+        ]
+        for _ in range(150):
+            n = rng.randint(2, 6)
+            r = rng.randint(1, n - 1)
+            cases.append(decompose(random_int_matrix(rng, n, -4, 4), Dimensions(r, n - r)))
+        outcomes = set()
+        for d in cases:
+            try:
+                unimodular_reduce(d)
+                reduced = True
+            except SlicePreconditionError:
+                reduced = False
+            assert reduced == slice_precondition(d)
+            outcomes.add(reduced)
+        assert not slice_precondition(cases[0]) and not slice_precondition(cases[1])
+        assert outcomes == {True, False}
+
 
 class TestSliceLayout:
     def test_worked_4x4_class_counts(self, mset, w_m):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_force_tiles, random_invertible
+from conftest import brute_force_tiles, invoke, random_invertible, random_rational_invertible
 from fragtile import (
     Dimensions,
     GenericityError,
@@ -19,6 +19,7 @@ from fragtile import (
     laplace_identity,
     pip_contains,
     solve,
+    tiling,
     verify_constancy,
 )
 
@@ -50,6 +51,14 @@ class TestGenericDirection:
     def test_generated_entries_in_unit_interval(self, mset):
         w = choose_generic_direction(mset, 3)
         assert all(0 < x < 1 and (2**31) % x.denominator == 0 for x in w.w)
+
+    def test_lambdas_keyed_by_fragment_matrix(self, kset, w_k, lset, mset, w_m):
+        for frag in mset:
+            if frag.sign_class != "degenerate":
+                assert w_m.lambdas[frag.s] == solve(frag.s, w_m.w)
+        # a direction certified for K carries no lambda for L's fragments
+        with pytest.raises(KeyError):
+            TilingEngine(lset, w_k)
 
     def test_not_generic_for_l(self, lset):
         # the all-ones vector has a zero coordinate in this matrix's basis
@@ -144,6 +153,24 @@ class TestEnumerate:
                 p = tuple(Fraction(rng.randint(-300, 300), 107) for _ in range(3))
                 assert enumerate_tiles_at(fs, w, p) == brute_force_tiles(fs, w, p)
 
+    def test_matches_brute_force_rational(self, qset):
+        # Points whose denominators (5, 7, 11, 13) share no factor with the
+        # matrix denominators 1..4, so clearing p's denominator is exercised.
+        rng = random.Random(23)
+        cases = [(qset, choose_generic_direction(qset, 1))]
+        for trial in range(6):
+            n = rng.randint(2, 3)
+            r = rng.randint(1, n - 1)
+            fs = fragment_set(decompose(random_rational_invertible(rng, n), Dimensions(r, n - r)))
+            cases.append((fs, choose_generic_direction(fs, trial)))
+        for fs, w in cases:
+            for _ in range(4):
+                p = tuple(
+                    Fraction(rng.randint(-300, 300), rng.choice((5, 7, 11, 13)))
+                    for _ in range(fs.dims.n)
+                )
+                assert enumerate_tiles_at(fs, w, p) == brute_force_tiles(fs, w, p)
+
 
 class TestCoverage:
     def test_worked_4x4(self, mset, w_m):
@@ -194,6 +221,18 @@ class TestVerifyConstancy:
         a = verify_constancy(lset, w_l, 100, 3)
         b = verify_constancy(lset, w_l, 100, 3)
         assert a == b
+
+    def test_redraws_are_bounded(self, mset, w_m, tmp_path, monkeypatch):
+        # The lattice origin is a corner of every tile, so every draw lands
+        # on a boundary and the redraw budget runs out.
+        monkeypatch.setattr(tiling, "grid_vector", lambda tag, dim, *rest: (Fraction(0),) * dim)
+        with pytest.raises(GenericityError, match="sample 0 of seed 7"):
+            verify_constancy(mset, w_m, 3, 7)
+        path = tmp_path / "M.txt"
+        path.write_text("2 2\n3 2 -4 1\n1 0 2 2\n2 0 -1 1\n0 1 -2 3\n")
+        code, out, err = invoke(["verify", "--matrix", str(path), "--w", "1,1,1,1", "--samples", "3"])
+        assert (code, out) == (2, "")
+        assert f"after {tiling.BOUNDARY_REDRAWS} redraws" in err
 
 
 class TestAverageIdentity:
