@@ -304,9 +304,10 @@ def cmd_crossing(args) -> int:
             for i in range(args.samples)
         ]
     print(f"w={_fmt_vec(w.w)} reach={reach}")
+    engine = TilingEngine(fs, w)
     all_ok = True
     for i, point in enumerate(points):
-        report = crossing_check(fs, w, point, reach, args.seed * 1_000_003 + i)
+        report = crossing_check(engine, point, reach, args.seed * 1_000_003 + i)
         all_ok = all_ok and report.passed
         f_text = str(report.f_value) if report.constant else "mixed"
         print(

@@ -432,30 +432,30 @@ def _collect_events(engine: TilingEngine, start, reach):
 
     Fragment coordinates y0 + t*lambda meet the closed unit cell along the
     segment only if y0 lies within reach*max|lambda_i| of it, so cell_hits
-    scans the segment's translate box against the cell widened by an integer
-    bound on that.  For each translate it yields, every coordinate hitting 0
-    or 1 gives a rational crossing time; the hit is kept when the crossing
-    point lies in the closed facet, and flagged when it touches the facet's
-    own boundary.
+    scans the segment's box in each frame's reduced basis (the one tiles_at
+    scans) against the cell widened by an integer bound on that.  For each
+    translate it yields, every coordinate hitting 0 or 1 gives a rational
+    crossing time; the hit is kept when the crossing point lies in the
+    closed facet, and flagged when it touches the facet's own boundary.
     """
     n = engine.fs.dims.n
-    a0 = engine.m_inv.mat_vec(start)
-    a1 = engine.m_inv.mat_vec(vec_add(start, vec_scale(reach, engine.w.w)))
     q, p_int = clear_denominator(start)
+    end = vec_add(start, vec_scale(reach, engine.w.w))
+    ends = [engine.lattice_coordinates(q, p_int), engine.lattice_coordinates(*clear_denominator(end))]
     events: dict[Fraction, list[tuple[FacetId, bool]]] = {}
     for frame in engine.frames:
         lam = frame.lam
         u, h, one = frame.query(q, p_int)
         widen = ceil(reach * max(abs(x) for x in lam)) * one
-        # The translates met anywhere along the segment: ceil and floor are
-        # monotone, so the union of the end boxes is the box of the segment.
-        lo0, hi0 = engine.candidate_box(frame, a0)
-        lo1, hi1 = engine.candidate_box(frame, a1)
+        # The translates met anywhere along the segment: the box bounds are
+        # monotone in M^-1 p, so the union of the end boxes covers the segment.
+        (lo0, hi0), (lo1, hi1) = (frame.box(num, den) for num, den in ends)
         ranges = list(zip(map(min, lo0, lo1), map(max, hi0, hi1)))
         other_rules = [frame.rules[:i] + frame.rules[i + 1 :] for i in range(n)]
         wide_u = [x + widen for x in u]
-        for z, _, _ in cell_hits(wide_u, h, one + 2 * widen, frame.rules, ranges):
-            y0 = [Fraction(u[i] - sum(hij * zj for hij, zj in zip(h[i], z)), one) for i in range(n)]
+        for x, _, _ in cell_hits(wide_u, h, one + 2 * widen, frame.rules, ranges):
+            y0 = [Fraction(u[i] - sum(hij * xj for hij, xj in zip(h[i], x)), one) for i in range(n)]
+            z = frame.translate(x)
             for i in range(n):
                 for target in (0, 1):
                     t = (target - y0[i]) / lam[i]
@@ -501,13 +501,7 @@ def _classify_events(engine: TilingEngine, events):
     return False, crossings
 
 
-def crossing_check(
-    fs: FragmentSet,
-    w: GenericDirection,
-    p: Sequence,
-    reach,
-    seed: int,
-) -> CrossingReport:
+def crossing_check(engine: TilingEngine, p: Sequence, reach, seed: int) -> CrossingReport:
     """Scan the ray p + t*w, t in (0, reach), and verify crossing invariance.
 
     At every crossing time the signed cover count is evaluated just before
@@ -515,9 +509,10 @@ def crossing_check(
     wsgn*tsgn contributions of the facets met there are summed.  A start on a
     tile boundary is first nudged along w; rays whose crossing points hit
     facet boundaries or several hyperplanes at once are resampled nearby,
-    since the pairing statement excludes those configurations.
+    since the pairing statement excludes those configurations.  The engine
+    is built once per (fragment set, w) and may serve many rays.
     """
-    engine = TilingEngine(fs, w)
+    w = engine.w
     reach = rat(reach)
     if reach <= 0:
         raise DimensionError("reach must be positive")

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, lcm
+from math import gcd, lcm
 from typing import Mapping, Sequence
 
 from .fragments import DEGENERATE, FragmentSet, SubsetIndex
@@ -246,53 +246,126 @@ def clear_denominator(v: Sequence[Fraction]) -> tuple[int, list[int]]:
     return q, [x.numerator * (q // x.denominator) for x in v]
 
 
+def clear_rows(a: Matrix) -> tuple[int, list[list[int]]]:
+    """(d, d*a): the least common denominator d of a rational matrix and the
+    integer rows it scales a to."""
+    rows = a.row_list()
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
+
+
+def int_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Product of two integer matrices given as rows."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def size_reduce(rows: Sequence[Sequence[int]]):
+    """Pairwise size reduction of linearly independent integer rows.
+
+    Returns (R, W, W^-1) with R = W * rows and W unimodular, all as integer
+    rows.  While some pair has 2|<r_i, r_j>| > <r_j, r_j>, row i loses the
+    nearest integer multiple of row j; each such step strictly shortens row
+    i, so the loop ends and no row is ever longer than it started.
+    """
+    n = len(rows)
+    red = [list(row) for row in rows]
+    w = [[int(i == j) for j in range(n)] for i in range(n)]
+    w_inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    norms = [sum(x * x for x in row) for row in red]
+    changed = True
+    while changed:
+        changed = False
+        for j in range(n):
+            nj = norms[j]
+            for i in range(n):
+                if i == j:
+                    continue
+                d = sum(x * y for x, y in zip(red[i], red[j]))
+                if 2 * abs(d) <= nj:
+                    continue
+                k = (2 * d + nj) // (2 * nj)
+                red[i] = [x - k * y for x, y in zip(red[i], red[j])]
+                w[i] = [x - k * y for x, y in zip(w[i], w[j])]
+                for row in w_inv:
+                    row[j] += k * row[i]
+                norms[i] = sum(x * x for x in red[i])
+                changed = True
+    return red, w, w_inv
+
+
 class _Frame:
     """Per-fragment point-location data, built once per engine.
 
-    The coordinate vector of p - M z in the fragment basis is u - H z with
-    u = S^-1 p and H = S^-1 M.  S^-1 and H are kept as integer rows over one
-    frame denominator, so a query point cleared to q*p (see query) tests each
-    candidate with integer multiply-adds.  The half-open rules are the signs
-    of the certified lambda = S^-1 w.
+    A tile (z, sigma) can hold p only when z = M^-1 p - G y for some y in
+    [0, 1]^n, where G = M^-1 S.  The rows of G are size-reduced once
+    (G' = W G, W unimodular), and the scan runs over x = W z, whose box
+    W M^-1 p - G' [0, 1]^n stays close to the parallelepiped it covers.  The
+    coordinate vector of p - M z in the fragment basis is u - H z = u - H'x
+    with u = S^-1 p and H' = S^-1 M W^-1; S^-1 and H' are kept as integer
+    rows over one frame denominator, so a query point cleared to q*p (see
+    query) tests each candidate with integer multiply-adds, and a hit maps
+    back by z = W^-1 x.  The half-open rules are the signs of the certified
+    lambda = S^-1 w.
     """
 
     __slots__ = (
-        "sigma", "sign_class", "lam", "rules", "denom", "s_inv", "h", "slack_pos", "slack_neg"
+        "sigma", "sign_class", "lam", "rules", "denom", "s_inv", "h",
+        "to_x", "to_z", "slack_den", "slack_pos", "slack_neg",
     )
 
-    def __init__(self, frag, m: Matrix, m_inv: Matrix, w: GenericDirection):
+    def __init__(self, frag, m_rows, m_inv_rows, w: GenericDirection):
+        """m_rows and m_inv_rows are M and M^-1 as (denominator, integer rows)."""
         self.sigma = frag.sigma
         self.sign_class = frag.sign_class
         self.lam = w.lambdas[frag.s]
         self.rules = tuple(x > 0 for x in self.lam)
-        s_inv = inverse(frag.s)
-        h = s_inv.mat_mul(m)
-        self.denom = lcm(*(x.denominator for a in (s_inv, h) for row in a.row_list() for x in row))
-        self.s_inv, self.h = (
-            [[int(x * self.denom) for x in row] for row in a.row_list()] for a in (s_inv, h)
-        )
-        g = m_inv.mat_mul(frag.s)
-        self.slack_pos = tuple(
-            sum((x for x in g.row(i) if x > 0), Fraction(0)) for i in range(g.rows)
-        )
-        self.slack_neg = tuple(
-            sum((x for x in g.row(i) if x < 0), Fraction(0)) for i in range(g.rows)
-        )
+        s_den, s_rows = clear_rows(frag.s)
+        m_inv_den, m_inv = m_inv_rows
+        g, self.to_x, self.to_z = size_reduce(int_mat_mul(m_inv, s_rows))
+        self.slack_den = m_inv_den * s_den
+        self.slack_pos = [sum(x for x in row if x > 0) for row in g]
+        self.slack_neg = [sum(x for x in row if x < 0) for row in g]
+        # S^-1 = si / si_den and M = m / m_den share the denominator
+        # si_den * m_den; dividing by the common gcd leaves the least one.
+        si_den, si = clear_rows(inverse(frag.s))
+        m_den, m = m_rows
+        s_inv = [[x * m_den for x in row] for row in si]
+        h = int_mat_mul(int_mat_mul(si, m), self.to_z)
+        common = gcd(si_den * m_den, *(x for a in (s_inv, h) for row in a for x in row))
+        self.denom = si_den * m_den // common
+        self.s_inv, self.h = ([[x // common for x in row] for row in a] for a in (s_inv, h))
 
     def query(self, q: int, p_int: Sequence[int]):
         """(u, h, one) for cell_hits at the point p_int / q: the cell
-        coordinates of p - M z are (u - h z) / one."""
+        coordinates of p - M W^-1 x are (u - h x) / one."""
         u = [sum(e * x for e, x in zip(row, p_int)) for row in self.s_inv]
         h = [[e * q for e in row] for row in self.h]
         return u, h, self.denom * q
+
+    def box(self, num: Sequence[int], den: int):
+        """Inclusive bounds (lo, hi) on x = W z over the translates z whose
+        closed tile can hold p, where M^-1 p = num / den (den > 0)."""
+        sd = self.slack_den
+        scale = den * sd
+        b = [sum(e * v for e, v in zip(row, num)) * sd for row in self.to_x]
+        lo = [-((sp * den - bi) // scale) for bi, sp in zip(b, self.slack_pos)]
+        hi = [(bi - sn * den) // scale for bi, sn in zip(b, self.slack_neg)]
+        return lo, hi
+
+    def translate(self, x: Sequence[int]) -> tuple[int, ...]:
+        """The translate z = W^-1 x."""
+        return tuple(sum(e * v for e, v in zip(row, x)) for row in self.to_z)
 
 
 class TilingEngine:
     """Point location for the signed tiling of one fragment set.
 
-    The candidate integer translates z for a query point p are bounded per
-    coordinate by interval arithmetic on M^-1 S_sigma, then each candidate is
-    tested exactly.  Results are independent of evaluation order.
+    Per fragment, the candidate translates for a query point p are scanned
+    in the frame's size-reduced basis, over the integer box that interval
+    arithmetic on the reduced rows of M^-1 S_sigma gives, and each candidate
+    is tested exactly with integer arithmetic.  Each fragment's tiles come
+    out sorted by z, so results do not depend on the scan order.
     """
 
     def __init__(self, fs: FragmentSet, w: GenericDirection):
@@ -303,38 +376,49 @@ class TilingEngine:
         self.m = fs.decomposition.m
         self.m_inv = inverse(self.m)
         self.expected = fs.expected_coverage()
+        self._m_inv_rows = clear_rows(self.m_inv)
+        m_rows = clear_rows(self.m)
         self.frames = [
-            _Frame(frag, self.m, self.m_inv, w)
+            _Frame(frag, m_rows, self._m_inv_rows, w)
             for frag in fs
             if frag.sign_class != DEGENERATE
         ]
 
+    def lattice_coordinates(self, q: int, p_int: Sequence[int]) -> tuple[list[int], int]:
+        """(num, den) with M^-1 p = num / den for the point p = p_int / q."""
+        den, rows = self._m_inv_rows
+        return [sum(e * x for e, x in zip(row, p_int)) for row in rows], den * q
+
     def candidate_box(self, frame: _Frame, a: Sequence[Fraction]):
-        """Per-coordinate integer range of translates whose tile could contain p."""
-        lo = [ceil(ai - sp) for ai, sp in zip(a, frame.slack_pos)]
-        hi = [floor(ai - sn) for ai, sn in zip(a, frame.slack_neg)]
-        return lo, hi
+        """The box of x = W z that tiles_at scans in the frame at the point
+        whose lattice coordinates M^-1 p are a."""
+        den, num = clear_denominator(a)
+        return frame.box(num, den)
 
     def tiles_at(self, p: Sequence[Fraction]) -> tuple[list[tuple[TileId, str]], int]:
         """All tiles containing p, plus a count of closed-boundary incidences.
 
         A boundary incidence is a candidate whose coordinate vector lies in
         the closed unit box with some coordinate exactly 0 or 1; the half-open
-        rules still decide membership, the count only flags the event.
+        rules still decide membership, the count only flags the event.  Tiles
+        come in frame order and, within a frame, sorted by z.
         """
         p = vector(p)
-        a = self.m_inv.mat_vec(p)
         q, p_int = clear_denominator(p)
+        num, den = self.lattice_coordinates(q, p_int)
         found: list[tuple[TileId, str]] = []
         boundary = 0
         for frame in self.frames:
             u, h, one = frame.query(q, p_int)
-            ranges = list(zip(*self.candidate_box(frame, a)))
-            for z, inside, touching in cell_hits(u, h, one, frame.rules, ranges):
+            ranges = list(zip(*frame.box(num, den)))
+            hits = []
+            for x, inside, touching in cell_hits(u, h, one, frame.rules, ranges):
                 if touching:
                     boundary += 1
                 if inside:
-                    found.append((TileId(z=z, sigma=frame.sigma), frame.sign_class))
+                    hits.append(frame.translate(x))
+            hits.sort()
+            found.extend((TileId(z=z, sigma=frame.sigma), frame.sign_class) for z in hits)
         return found, boundary
 
     def coverage(self, p: Sequence[Fraction]) -> CoverageReport:

@@ -159,41 +159,96 @@ def random_rational_invertible(rng: random.Random, n: int, lo: int = -3, hi: int
             return m
 
 
+def corpus_matrix(n: int, r: int, i: int):
+    """Fragment set of seeded benchmark-corpus matrix i for (n, r): entries
+    randint(-3, 3) row by row from random.Random(f"corpus:{n}:{r}:{i}")."""
+    rng = random.Random(f"corpus:{n}:{r}:{i}")
+    m = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+    return fragment_set(decompose(m, Dimensions(r, n - r)))
+
+
 def random_dims(rng: random.Random, max_n: int = 6) -> Dimensions:
     r = rng.randint(1, max_n - 1)
     k = rng.randint(1, max_n - r)
     return Dimensions(r, k)
 
 
-def brute_force_tiles(fs, w, p, margin: int = 1):
-    """Tile location by scanning a widened candidate box with the public
-    half-open membership test; independent of the engine's search."""
-    from itertools import product
+def _cleared(rows):
+    """(d, d*rows): the least common denominator of rational rows and the
+    integer rows it scales them to."""
+    from math import lcm
+
+    d = lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return d, [[int(x * d) for x in row] for row in rows]
+
+
+def _axis_boxes(fs, p, margin: int = 0):
+    """Per live fragment, the axis box of translates z whose closed tile can
+    hold p, from the rows of M^-1 S (no basis change), widened by margin."""
     from math import ceil, floor
 
-    from fragtile import TileId, inverse, pip_contains, vector
-
     m = fs.decomposition.m
-    m_inv = inverse(m)
-    p = vector(p)
-    a = m_inv.mat_vec(p)
-    found = []
+    m_inv = cramer_inverse(m)
+    a = m_inv.mat_vec(tuple(Fraction(x) for x in p))
+    boxes = []
     for frag in fs:
         if frag.sign_class == "degenerate":
             continue
         g = m_inv.mat_mul(frag.s)
-        lo = []
-        hi = []
+        ranges = []
         for i in range(m.rows):
             pos = sum((x for x in g.row(i) if x > 0), Fraction(0))
             neg = sum((x for x in g.row(i) if x < 0), Fraction(0))
-            lo.append(ceil(a[i] - pos) - margin)
-            hi.append(floor(a[i] - neg) + margin)
-        for z in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-            mz = m.mat_vec(tuple(Fraction(v) for v in z))
-            q = tuple(pi - mi for pi, mi in zip(p, mz))
-            if pip_contains(frag.s, w.w, q):
-                found.append(TileId(z=z, sigma=frag.sigma))
+            ranges.append((ceil(a[i] - pos) - margin, floor(a[i] - neg) + margin))
+        boxes.append((frag, ranges))
+    return boxes
+
+
+def axis_box_volume(fs, p) -> int:
+    """Translates an axis-aligned candidate box scan visits for p, summed
+    over the live fragments."""
+    from math import prod
+
+    return sum(
+        prod(max(0, hi - lo + 1) for lo, hi in ranges) for _, ranges in _axis_boxes(fs, p)
+    )
+
+
+def brute_force_tiles(fs, w, p, margin: int = 1):
+    """Tile location by scanning a widened axis box with the public
+    half-open membership test; independent of the engine's search.
+
+    An exact closed-cell prefilter skips translates whose closed tile misses
+    p: y = S^-1 (p - M z) is tested against [0, 1]^n with this module's
+    Cramer inverse and every denominator cleared once, so the prefilter is
+    integer arithmetic.  pip_contains decides each translate that passes.
+    """
+    from itertools import product
+
+    from fragtile import TileId, pip_contains, vector
+
+    m = fs.decomposition.m
+    n = m.rows
+    p = vector(p)
+    dm, m_int = _cleared(m.row_list())
+    dp, (p_int,) = _cleared([p])
+    found = []
+    for frag, ranges in _axis_boxes(fs, p, margin):
+        ds, s_inv = _cleared(cramer_inverse(frag.s).row_list())
+        # one * y = base - step z, with one = ds * dp * dm.
+        one = ds * dp * dm
+        base = [dm * sum(e * x for e, x in zip(row, p_int)) for row in s_inv]
+        step = [[dp * sum(row[k] * m_int[k][j] for k in range(n)) for j in range(n)] for row in s_inv]
+        for z in product(*(range(lo, hi + 1) for lo, hi in ranges)):
+            for b, row in zip(base, step):
+                y = b - sum(e * v for e, v in zip(row, z))
+                if y < 0 or y > one:
+                    break
+            else:
+                mz = m.mat_vec(tuple(Fraction(v) for v in z))
+                q = tuple(pi - mi for pi, mi in zip(p, mz))
+                if pip_contains(frag.s, w.w, q):
+                    found.append(TileId(z=z, sigma=frag.sigma))
     return sorted(found, key=lambda t: (t.sigma, t.z))
 
 

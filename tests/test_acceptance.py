@@ -255,6 +255,7 @@ def test_criterion_07b_worked_partition_display(mset, w_m):
 
 def test_criterion_08_crossing_constancy(mset, w_m):
     m = mset.decomposition.m
+    engine = TilingEngine(mset, w_m)
     ok = True
     for i in range(100):
         rng = random.Random(f"ray:7:{i}")
@@ -262,7 +263,7 @@ def test_criterion_08_crossing_constancy(mset, w_m):
             Fraction(rng.randrange(0, SAMPLE_DENOMINATOR), SAMPLE_DENOMINATOR)
             for _ in range(4)
         )
-        rep = crossing_check(mset, w_m, m.mat_vec(u), 3, 7_000 + i)
+        rep = crossing_check(engine, m.mat_vec(u), 3, 7_000 + i)
         ok = (
             ok
             and rep.passed

@@ -10,6 +10,7 @@ from fragtile import (
     Dimensions,
     Matrix,
     RenderConfig,
+    TilingEngine,
     decompose,
     fragment_set,
     inverse,
@@ -148,7 +149,16 @@ class TestSubcommands:
         assert code == 0
         assert "pass=true" in out
 
-    def test_crossing(self, matrix_files):
+    def test_crossing(self, matrix_files, monkeypatch):
+        # one engine serves every ray of the command
+        builds = []
+        build = TilingEngine.__init__
+
+        def counting(self, *args):
+            builds.append(args)
+            build(self, *args)
+
+        monkeypatch.setattr(TilingEngine, "__init__", counting)
         code, out, _ = invoke(
             [
                 "crossing",
@@ -167,6 +177,7 @@ class TestSubcommands:
         assert code == 0
         assert "rays=3 pass=true" in out
         assert "f=-1" in out
+        assert len(builds) == 1
 
     def test_slice(self, matrix_files):
         code, out, _ = invoke(

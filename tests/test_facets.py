@@ -462,17 +462,18 @@ class TestDoubleCover:
 class TestCrossing:
     def test_worked_4x4_rays(self, mset, w_m):
         rng = random.Random(15)
+        engine = TilingEngine(mset, w_m)
         for i in range(5):
             u = tuple(Fraction(rng.randrange(0, 2**20), 2**20) for _ in range(4))
             p = mset.decomposition.m.mat_vec(u)
-            rep = crossing_check(mset, w_m, p, 3, 100 + i)
+            rep = crossing_check(engine, p, 3, 100 + i)
             assert rep.passed
             assert rep.f_value == 1
             assert len(rep.crossings) >= 3
             assert all(c.sign_sum == 0 for c in rep.crossings)
 
     def test_k_rays(self, kset, w_k):
-        rep = crossing_check(kset, w_k, (Fraction(1, 7), Fraction(1, 9)), 6, 1)
+        rep = crossing_check(TilingEngine(kset, w_k), (Fraction(1, 7), Fraction(1, 9)), 6, 1)
         assert rep.passed
         assert rep.f_value == -1
         assert len(rep.crossings) >= 3
@@ -482,7 +483,7 @@ class TestCrossing:
         engine = TilingEngine(mset, w_m)
         events = _collect_events(engine, p, Fraction(3))
         first = min(events)
-        rep = crossing_check(mset, w_m, p, first / 2, 3)
+        rep = crossing_check(engine, p, first / 2, 3)
         assert rep.crossings == ()
         assert rep.constant
         assert rep.f_value == 1
@@ -490,7 +491,7 @@ class TestCrossing:
     def test_boundary_start_perturbed(self, mset, w_m):
         # a lattice image sits on tile corners; the scan must nudge it first
         p = mset.decomposition.m.mat_vec((1, 0, -1, 0))
-        rep = crossing_check(mset, w_m, p, 2, 4)
+        rep = crossing_check(TilingEngine(mset, w_m), p, 2, 4)
         assert rep.passed
         assert rep.f_value == 1
 

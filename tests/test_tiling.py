@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_force_tiles, invoke, random_invertible, random_rational_invertible
+from conftest import (
+    axis_box_volume,
+    brute_force_tiles,
+    corpus_matrix,
+    invoke,
+    random_invertible,
+    random_rational_invertible,
+)
 from fragtile import (
     Dimensions,
     GenericityError,
@@ -16,12 +23,14 @@ from fragtile import (
     decompose,
     enumerate_tiles_at,
     fragment_set,
+    inverse,
     laplace_identity,
     pip_contains,
     solve,
     tiling,
     verify_constancy,
 )
+from fragtile.tiling import clear_rows, int_mat_mul, size_reduce
 
 HALF = Fraction(1, 2)
 WORKED_POINT = (Fraction(-2), Fraction(1), -HALF, -HALF)
@@ -158,8 +167,8 @@ class TestEnumerate:
         # matrix denominators 1..4, so clearing p's denominator is exercised.
         rng = random.Random(23)
         cases = [(qset, choose_generic_direction(qset, 1))]
-        for trial in range(6):
-            n = rng.randint(2, 3)
+        for trial in range(10):
+            n = rng.randint(2, 3) if trial < 6 else 4
             r = rng.randint(1, n - 1)
             fs = fragment_set(decompose(random_rational_invertible(rng, n), Dimensions(r, n - r)))
             cases.append((fs, choose_generic_direction(fs, trial)))
@@ -170,6 +179,140 @@ class TestEnumerate:
                     for _ in range(fs.dims.n)
                 )
                 assert enumerate_tiles_at(fs, w, p) == brute_force_tiles(fs, w, p)
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _verify_points(fs, count):
+    """The first sample points verify_constancy draws at seed 0."""
+    m = fs.decomposition.m
+    return [
+        m.mat_vec(tiling.grid_vector(f"sample:0:{i}:0", fs.dims.n, 0, tiling.SAMPLE_DENOMINATOR))
+        for i in range(count)
+    ]
+
+
+class TestSizeReduce:
+    def _fragment_sets(self):
+        rng = random.Random(41)
+        for n in range(2, 7):
+            for rational in (False, True):
+                for _ in range(2):
+                    if rational:
+                        m = random_rational_invertible(rng, n)
+                    else:
+                        m = random_invertible(rng, n, -3, 3)
+                    r = rng.randint(1, n - 1)
+                    yield fragment_set(decompose(m, Dimensions(r, n - r)))
+
+    def test_unimodular_and_shortening(self):
+        for fs in self._fragment_sets():
+            n = fs.dims.n
+            m_inv = inverse(fs.decomposition.m)
+            for frag in fs:
+                if frag.sign_class == "degenerate":
+                    continue
+                _, g = clear_rows(m_inv.mat_mul(frag.s))
+                red, w, w_inv = size_reduce(g)
+                assert int_mat_mul(w, w_inv) == _identity(n)
+                assert red == int_mat_mul(w, g)
+                for before, after in zip(g, red):
+                    assert sum(x * x for x in after) <= sum(x * x for x in before)
+                # pairwise reduced: no row can be shortened by another
+                for i in range(n):
+                    for j in range(n):
+                        if i != j:
+                            dot = sum(x * y for x, y in zip(red[i], red[j]))
+                            assert 2 * abs(dot) <= sum(x * x for x in red[j])
+
+    def test_frames_keep_the_translate_lattice(self):
+        # H' = S^-1 M W^-1 over the frame denominator, so H' W is S^-1 M.
+        for fs in self._fragment_sets():
+            w = choose_generic_direction(fs, 0)
+            engine = TilingEngine(fs, w)
+            for frame in engine.frames:
+                n = fs.dims.n
+                assert int_mat_mul(frame.to_x, frame.to_z) == _identity(n)
+                h = inverse(fs[frame.sigma].s).mat_mul(fs.decomposition.m)
+                assert int_mat_mul(frame.h, frame.to_x) == [
+                    [x * frame.denom for x in row] for row in h.row_list()
+                ]
+
+    def test_candidate_box_is_the_scanned_box(self, mset, w_m, monkeypatch):
+        engine = TilingEngine(mset, w_m)
+        p = (Fraction(1, 7), Fraction(-2, 9), Fraction(3, 11), Fraction(1, 13))
+        scanned = []
+        real = tiling.cell_hits
+
+        def recording(u, h, one, rules, ranges):
+            scanned.append([tuple(r) for r in ranges])
+            return real(u, h, one, rules, ranges)
+
+        monkeypatch.setattr(tiling, "cell_hits", recording)
+        engine.tiles_at(p)
+        a = engine.m_inv.mat_vec(p)
+        boxes = [list(zip(*engine.candidate_box(frame, a))) for frame in engine.frames]
+        assert scanned == boxes
+
+
+class TestReducedBox:
+    """Point location where the axis box of translates is huge."""
+
+    # Benchmark-corpus matrices whose axis box holds over 4e5 candidates per
+    # point, as (n, r, i) of corpus_matrix.
+    LARGE_BOX = [
+        (5, 2, 0), (5, 2, 10), (5, 3, 3),
+        (6, 2, 1), (6, 3, 0), (6, 3, 3), (6, 3, 6), (6, 4, 1),
+    ]
+
+    def test_matches_brute_force_where_the_axis_box_is_large(self):
+        rng = random.Random(31)
+        checked = 0
+        for trial in range(40):
+            m = random_invertible(rng, 5, -3, 3)
+            r = rng.randint(1, 4)
+            fs = fragment_set(decompose(m, Dimensions(r, 5 - r)))
+            w = choose_generic_direction(fs, trial)
+            p = m.mat_vec(tiling.grid_vector(f"point:{trial}", 5, 0, tiling.SAMPLE_DENOMINATOR))
+            tiles = enumerate_tiles_at(fs, w, p)
+            volume = axis_box_volume(fs, p)
+            # at least 1e4 axis-box candidates per hit; the cap keeps the
+            # oracle's scan to a few seconds
+            if volume < 10_000 * len(tiles) or volume > 250_000:
+                continue
+            assert tiles == brute_force_tiles(fs, w, p)
+            checked += 1
+        assert checked >= 2
+
+    def test_constancy_beyond_the_axis_box(self):
+        # corpus z5r2-10: its axis box holds over 1e12 candidates per point
+        fs = corpus_matrix(5, 2, 10)
+        assert axis_box_volume(fs, _verify_points(fs, 1)[0]) >= 10**9
+        rep = verify_constancy(fs, choose_generic_direction(fs, 0), 20, 0)
+        assert rep.passed
+        assert rep.distinct_f_values == {fs.expected_coverage()}
+
+    def test_candidates_per_hit(self):
+        # Summed candidate_box volume per tile hit at the first 8 verify
+        # points of seed 0: 7-25 on the n=5 matrices, 82-178 at n=6, where
+        # the reduced boxes stay looser.
+        bound = {5: 100, 6: 200}
+        for n, r, i in self.LARGE_BOX:
+            fs = corpus_matrix(n, r, i)
+            engine = TilingEngine(fs, choose_generic_direction(fs, 0))
+            candidates = hits = 0
+            for p in _verify_points(fs, 8):
+                a = engine.m_inv.mat_vec(p)
+                for frame in engine.frames:
+                    lo, hi = engine.candidate_box(frame, a)
+                    volume = 1
+                    for low, high in zip(lo, hi):
+                        volume *= max(0, high - low + 1)
+                    candidates += volume
+                hits += len(engine.tiles_at(p)[0])
+            assert candidates <= bound[n] * hits, (n, r, i, candidates, hits)
 
 
 class TestCoverage:
