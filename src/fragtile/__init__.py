@@ -44,9 +44,6 @@ from .tiling import (
     VerifyReport,
     certify_direction,
     choose_generic_direction,
-    coverage_value,
-    enumerate_tiles_at,
-    pip_contains,
     verify_constancy,
 )
 from .facets import (
@@ -71,7 +68,6 @@ from .slices import (
     SliceClass,
     SliceLayout,
     SlicePreconditionError,
-    slice_coverage,
     slice_layout,
     slice_precondition,
     unimodular_reduce,

@@ -168,8 +168,8 @@ def cmd_fragments(args) -> int:
         ok = lhs == rhs
         all_ok = all_ok and ok
         print(
-            f"sigma={_fmt_subset(frag.sigma)} detC={det(frag.c)} "
-            f"detCbar={det(frag.cbar)} sign={shuffle_sign(frag.sigma, dims.n)} "
+            f"sigma={_fmt_subset(frag.sigma)} detC={frag.det_c} "
+            f"detCbar={frag.det_cbar} sign={shuffle_sign(frag.sigma, dims.n)} "
             f"detS={frag.det_s} class={frag.sign_class} {'ok' if ok else 'FAIL'}"
         )
     print(
@@ -337,8 +337,8 @@ def cmd_slice(args) -> int:
             print(f"sigma={_fmt_subset(cls.sigma)} class=degenerate offset_classes=0")
             continue
         frag = fs[cls.sigma]
-        area = abs(det(cls.shape))
-        expected_classes = abs(det(frag.cbar))
+        area = abs(frag.det_c)
+        expected_classes = abs(frag.det_cbar)
         ok = len(cls.offsets) == expected_classes
         all_ok = all_ok and ok
         sign = 1 if cls.sign_class == "positive" else -1

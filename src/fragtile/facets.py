@@ -183,10 +183,8 @@ def up_down_partition(
     up = []
     down = []
     for facet in coll.live_members():
-        lam_j = lambda_vector(fs, w, facet.sigma)[facet.j - 1]
-        product_sign = lam_j * fs[facet.sigma].det_s
-        raises = (facet.s == 0) == (product_sign > 0)
-        (up if raises else down).append(facet)
+        wsgn, tsgn = facet_signs(fs, w, facet)
+        (up if wsgn * tsgn > 0 else down).append(facet)
     return UpDownPartition(up=tuple(up), down=tuple(down))
 
 
@@ -195,7 +193,8 @@ def h_vector(fs: FragmentSet, w: GenericDirection, tau: Sequence[int]) -> tuple[
 
     Entry j (over the complement of tau, ascending) is
     det([C_tau | w']) * det(Cbar off tau+j) * sgn(tau, j, rest), the closed
-    form of lambda_j times the fragment determinant.  The closed form stays
+    form of lambda_j times the fragment determinant; det(Cbar off tau+j) is
+    the stored det_cbar of the fragment tau+j.  The closed form stays
     defined when a fragment is degenerate and always lands in the kernel,
     which is verified exactly before returning.
     """
@@ -210,9 +209,8 @@ def h_vector(fs: FragmentSet, w: GenericDirection, tau: Sequence[int]) -> tuple[
     h = []
     for j in tau_hat:
         rest = tuple(i for i in tau_hat if i != j)
-        cbar_rest = Matrix.from_columns([d.cbar[i - 1] for i in rest], rows=dims.k)
         sgn = perm_sign(BlockPermutation((tau, (j,), rest)))
-        h.append(lead * det(cbar_rest) * sgn)
+        h.append(lead * fs[tau + (j,)].det_cbar * sgn)
     cbar_hat = Matrix.from_columns([d.cbar[i - 1] for i in tau_hat], rows=dims.k)
     residual = cbar_hat.mat_vec(tuple(h))
     if any(x != 0 for x in residual):
@@ -480,14 +478,13 @@ def _classify_events(engine: TilingEngine, events):
     passes through the codimension-2 skeleton, which the pairing statement
     excludes.
     """
-    frames_by_sigma = {fr.sigma: fr for fr in engine.frames}
     crossings = []
     for t in sorted(events):
         items = events[t]
         if any(flag for _, flag in items):
             return True, []
         normals = {
-            normalize_integer_direction(frames_by_sigma[f.sigma].s_inv[f.j - 1])
+            normalize_integer_direction(engine.fs[f.sigma].s_inv.row(f.j - 1))
             for f, _ in items
         }
         if len(normals) > 1:

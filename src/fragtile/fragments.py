@@ -8,10 +8,18 @@ complement, and zeroes the rest; its determinant is one summand of the
 multi-row Laplace expansion of (-1)^k det(M).  Subsets are 1-based and always
 kept sorted; families are enumerated in lexicographic order so every report is
 deterministic.
+
+Up to the column shuffle of (sigma, complement), S_sigma = diag(C_sigma,
+Cbar_hat): det S_sigma = sgn(sigma, hat) det C_sigma det Cbar_hat, and
+S_sigma^-1 comes from the two block inverses.  Only this module eliminates a
+fragment or its blocks, each once.  The checks stay independent of the
+factorization: sandc_identity takes a fresh n x n determinant of S_sigma, and
+laplace_identity sums the block products against det M.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
@@ -21,6 +29,7 @@ from .linalg import (
     DimensionError,
     Matrix,
     det,
+    inverse,
     perm_sign,
 )
 
@@ -135,14 +144,37 @@ def c_submatrices(d: Decomposition, sigma: Iterable[int]) -> tuple[Matrix, Matri
 
 @dataclass(frozen=True)
 class Fragment:
-    """One member of the indexed fragment family."""
+    """One member of the indexed fragment family.
+
+    det_s = sgn(sigma, hat) * det_c * det_cbar from the two blocks.  A live
+    fragment's block inverses are computed once, on first use: cbar_inv is
+    Cbar_hat^-1, and s_inv is S_sigma^-1 with row i taken from C_sigma^-1 for
+    i in sigma and from Cbar_hat^-1 off sigma, each zero-padded to length n.
+    """
 
     sigma: SubsetIndex
     s: Matrix
     c: Matrix
     cbar: Matrix
+    det_c: Fraction
+    det_cbar: Fraction
     det_s: Fraction
     sign_class: str
+
+    @cached_property
+    def cbar_inv(self) -> Matrix:
+        return inverse(self.cbar)
+
+    @cached_property
+    def s_inv(self) -> Matrix:
+        top = iter(inverse(self.c).row_list())
+        bottom = iter(self.cbar_inv.row_list())
+        zeros_r = (Fraction(0),) * self.c.rows
+        zeros_k = (Fraction(0),) * self.cbar.rows
+        return Matrix.from_rows([
+            next(top) + zeros_k if i in self.sigma else zeros_r + next(bottom)
+            for i in range(1, self.s.rows + 1)
+        ])
 
 
 class FragmentSet:
@@ -160,14 +192,10 @@ class FragmentSet:
         for sigma in subsets(self.dims.n, self.dims.r):
             s = fragment_matrix(decomposition, sigma)
             c, cbar = c_submatrices(decomposition, sigma)
-            det_s = det(s)
-            if det_s > 0:
-                sign_class = POSITIVE
-            elif det_s < 0:
-                sign_class = NEGATIVE
-            else:
-                sign_class = DEGENERATE
-            frags[sigma] = Fragment(sigma, s, c, cbar, det_s, sign_class)
+            det_c, det_cbar = det(c), det(cbar)
+            det_s = shuffle_sign(sigma, self.dims.n) * det_c * det_cbar
+            sign_class = POSITIVE if det_s > 0 else NEGATIVE if det_s < 0 else DEGENERATE
+            frags[sigma] = Fragment(sigma, s, c, cbar, det_c, det_cbar, det_s, sign_class)
         self.fragments: Mapping[SubsetIndex, Fragment] = frags
 
     def __iter__(self) -> Iterator[Fragment]:
@@ -195,10 +223,11 @@ def fragment_set(d: Decomposition) -> FragmentSet:
 
 
 def sandc_identity(fs: FragmentSet, sigma: Iterable[int]) -> tuple[Fraction, Fraction]:
-    """Both sides of det(S_sigma) = det(C_sigma) * det(Cbar_hat) * sgn(sigma, hat)."""
+    """Both sides of det(S_sigma) = sgn(sigma, hat) * det(C_sigma) * det(Cbar_hat):
+    a fresh n x n determinant of the assembled fragment matrix against the
+    stored block product."""
     frag = fs[sigma]
-    rhs = det(frag.c) * det(frag.cbar) * shuffle_sign(frag.sigma, fs.dims.n)
-    return frag.det_s, rhs
+    return det(frag.s), frag.det_s
 
 
 def laplace_identity(fs: FragmentSet) -> tuple[Fraction, Fraction]:

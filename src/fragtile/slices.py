@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import floor, gcd, lcm
+from math import floor, gcd
 from typing import Sequence
 
 from .fragments import DEGENERATE, Decomposition, FragmentSet, SubsetIndex, complement
-from .linalg import DimensionError, Matrix, det, inverse, vector
-from .tiling import CoverageReport, GenericDirection, TilingEngine, cell_hits
+from .linalg import DimensionError, Matrix, det, inverse
+from .tiling import GenericDirection, cell_hits, clear_rows
 
 
 class SlicePreconditionError(Exception):
@@ -151,8 +151,8 @@ def slice_layout(
     are a multiset: distinct families can share a reduced offset, which is
     how overlapping fragments show up in the slice (the family count is the
     bottom-minor magnitude, not the number of distinct residues).
-    Denominators are cleared once per fragment so the window scan is
-    integer-only.
+    Cbar_hat^-1 is the fragment's own cached cbar_inv, and denominators are
+    cleared once per fragment so the window scan is integer-only.
     """
     d = fs.decomposition
     dims = fs.dims
@@ -160,13 +160,9 @@ def slice_layout(
         raise DimensionError(f"window must be {dims.n} nonempty integer ranges")
     u_mat, b_lattice, _ = unimodular_reduce(d)
     b_inv = inverse(b_lattice)
-    u_inv_rows = [
-        [int(x) for x in inverse(u_mat).row(i)] for i in range(dims.k)
-    ]
-    cbar_full = Matrix.from_columns(
-        [d.cbar[i - 1] for i in range(1, dims.n + 1)], rows=dims.k
-    )
-    c_full = Matrix.from_columns([d.c[i - 1] for i in range(1, dims.n + 1)], rows=dims.r)
+    u_inv_rows = [[int(x) for x in row] for row in inverse(u_mat).row_list()[: dims.k]]
+    cbar_full = Matrix.from_columns(d.cbar)
+    c_full = Matrix.from_columns(d.c)
     classes = []
     for frag in fs:
         if frag.sign_class == DEGENERATE:
@@ -175,10 +171,8 @@ def slice_layout(
         # The bottom coordinates of lambda_sigma solve Cbar_hat x = w''.
         lam = w.lambdas[frag.s]
         rules = tuple(lam[j - 1] > 0 for j in complement(frag.sigma, dims.n))
-        cbar_inv = inverse(frag.cbar)
-        forced = cbar_inv.mat_mul(cbar_full)
-        fd = lcm(*(x.denominator for row in forced.row_list() for x in row))
-        neg_forced = [[-int(x * fd) for x in forced.row(i)] for i in range(dims.k)]
+        fd, forced = clear_rows(frag.cbar_inv.mat_mul(cbar_full))
+        neg_forced = [[-x for x in row] for row in forced]
         families: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
         for z, inside, _ in cell_hits([0] * dims.k, neg_forced, fd, rules, window):
             if not inside:
@@ -188,8 +182,7 @@ def slice_layout(
                 for row in u_inv_rows
             )
             if key not in families:
-                zq = tuple(Fraction(v) for v in z)
-                offset = c_full.mat_vec(zq)
+                offset = c_full.mat_vec(z)
                 frac = tuple(y - floor(y) for y in b_inv.mat_vec(offset))
                 families[key] = b_lattice.mat_vec(frac)
         classes.append(
@@ -201,12 +194,3 @@ def slice_layout(
             )
         )
     return SliceLayout(b=b_lattice, classes=tuple(classes))
-
-
-def slice_coverage(fs: FragmentSet, w: GenericDirection, p_r: Sequence) -> CoverageReport:
-    """Signed cover count at a slice-plane point (embedded with zero bottom)."""
-    point = vector(p_r)
-    if len(point) != fs.dims.r:
-        raise DimensionError(f"slice point must have length r={fs.dims.r}")
-    embedded = point + (Fraction(0),) * fs.dims.k
-    return TilingEngine(fs, w).coverage(embedded)

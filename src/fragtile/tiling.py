@@ -24,7 +24,6 @@ from .linalg import (
     DimensionError,
     Matrix,
     SingularMatrixError,
-    det,
     inverse,
     solve,
     vector,
@@ -49,7 +48,8 @@ class GenericDirection:
     the top and bottom blocks, since their coordinate vectors are subvectors
     of the fragment ones.  lambdas keeps those vectors for every half-open
     rule and facet sign to read: S^-1 w keyed by each invertible fragment
-    matrix S, so a fragment w was not certified for has no entry.
+    matrix S (its s_inv times w), so a fragment w was not certified for has
+    no entry.
     """
 
     w: tuple[Fraction, ...]
@@ -64,7 +64,10 @@ def _sigma_label(sigma: SubsetIndex) -> str:
 
 
 def certify_direction(fs: FragmentSet, w: Sequence) -> GenericDirection:
-    """Check every genericity condition for w exactly; raise on any zero."""
+    """Check every genericity condition for w exactly; raise on any zero.
+
+    Each lambda_sigma is the fragment's s_inv times w; M^-1 w is the one
+    n x n solve."""
     dims = fs.dims
     w = vector(w)
     if len(w) != dims.n:
@@ -74,7 +77,7 @@ def certify_direction(fs: FragmentSet, w: Sequence) -> GenericDirection:
     for frag in fs:
         if frag.sign_class == DEGENERATE:
             continue
-        lam = solve(frag.s, w)
+        lam = frag.s_inv.mat_vec(w)
         if any(x == 0 for x in lam):
             raise GenericityError(f"w is not generic: zero entry in {_sigma_label(frag.sigma)}^-1 w")
         checks.append((_sigma_label(frag.sigma), dims.n))
@@ -174,31 +177,6 @@ def cell_hits(u: Sequence[int], h: Sequence[Sequence[int]], one: int, rules, ran
                     inside = False
         else:
             yield z, inside, touching
-
-
-def pip_contains(n_mat: Matrix, w: Sequence, q: Sequence) -> bool:
-    """Exact membership of q in the half-open parallelepiped of n_mat.
-
-    The parallelepiped of a singular matrix is empty.  Otherwise q belongs
-    iff its coordinate vector y = n_mat^-1 q satisfies 0 <= y_i < 1 where
-    (n_mat^-1 w)_i > 0 and 0 < y_i <= 1 where it is negative.
-    """
-    if det(n_mat) == 0:
-        return False
-    w = vector(w)
-    q = vector(q)
-    lam = solve(n_mat, w)
-    if any(x == 0 for x in lam):
-        raise GenericityError("direction is not generic for this parallelepiped")
-    y = solve(n_mat, q)
-    for yi, li in zip(y, lam):
-        if li > 0:
-            if not (0 <= yi < 1):
-                return False
-        else:
-            if not (0 < yi <= 1):
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -305,8 +283,8 @@ class _Frame:
     with u = S^-1 p and H' = S^-1 M W^-1; S^-1 and H' are kept as integer
     rows over one frame denominator, so a query point cleared to q*p (see
     query) tests each candidate with integer multiply-adds, and a hit maps
-    back by z = W^-1 x.  The half-open rules are the signs of the certified
-    lambda = S^-1 w.
+    back by z = W^-1 x.  S^-1 is the fragment's s_inv, so a frame eliminates
+    nothing; the half-open rules are the signs of the certified lambda.
     """
 
     __slots__ = (
@@ -328,7 +306,7 @@ class _Frame:
         self.slack_neg = [sum(x for x in row if x < 0) for row in g]
         # S^-1 = si / si_den and M = m / m_den share the denominator
         # si_den * m_den; dividing by the common gcd leaves the least one.
-        si_den, si = clear_rows(inverse(frag.s))
+        si_den, si = clear_rows(frag.s_inv)
         m_den, m = m_rows
         s_inv = [[x * m_den for x in row] for row in si]
         h = int_mat_mul(int_mat_mul(si, m), self.to_z)
@@ -430,16 +408,6 @@ class TilingEngine:
             f_value=pos - neg,
             expected=self.expected,
         )
-
-
-def enumerate_tiles_at(fs: FragmentSet, w: GenericDirection, p: Sequence) -> list[TileId]:
-    """All (z, sigma) whose tile contains p, in (sigma, z) lexicographic order."""
-    tiles, _ = TilingEngine(fs, w).tiles_at(vector(p))
-    return [tile for tile, _ in tiles]
-
-
-def coverage_value(fs: FragmentSet, w: GenericDirection, p: Sequence) -> CoverageReport:
-    return TilingEngine(fs, w).coverage(vector(p))
 
 
 def verify_constancy(

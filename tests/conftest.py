@@ -215,7 +215,7 @@ def axis_box_volume(fs, p) -> int:
 
 
 def brute_force_tiles(fs, w, p, margin: int = 1):
-    """Tile location by scanning a widened axis box with the public
+    """Tile location by scanning a widened axis box with this module's
     half-open membership test; independent of the engine's search.
 
     An exact closed-cell prefilter skips translates whose closed tile misses
@@ -225,7 +225,7 @@ def brute_force_tiles(fs, w, p, margin: int = 1):
     """
     from itertools import product
 
-    from fragtile import TileId, pip_contains, vector
+    from fragtile import TileId, vector
 
     m = fs.decomposition.m
     n = m.rows
@@ -250,6 +250,34 @@ def brute_force_tiles(fs, w, p, margin: int = 1):
                 if pip_contains(frag.s, w.w, q):
                     found.append(TileId(z=z, sigma=frag.sigma))
     return sorted(found, key=lambda t: (t.sigma, t.z))
+
+
+def pip_contains(n_mat: Matrix, w, q) -> bool:
+    """Exact membership of q in the half-open parallelepiped of n_mat.
+
+    The parallelepiped of a singular matrix is empty.  Otherwise q belongs
+    iff its coordinate vector y = n_mat^-1 q satisfies 0 <= y_i < 1 where
+    (n_mat^-1 w)_i > 0 and 0 < y_i <= 1 where it is negative.  It eliminates
+    n_mat itself, so it reads nothing a fragment caches.
+    """
+    from fragtile import GenericityError, det, solve, vector
+
+    if det(n_mat) == 0:
+        return False
+    w = vector(w)
+    q = vector(q)
+    lam = solve(n_mat, w)
+    if any(x == 0 for x in lam):
+        raise GenericityError("direction is not generic for this parallelepiped")
+    y = solve(n_mat, q)
+    for yi, li in zip(y, lam):
+        if li > 0:
+            if not (0 <= yi < 1):
+                return False
+        else:
+            if not (0 < yi <= 1):
+                return False
+    return True
 
 
 def cramer_inverse(a: Matrix) -> Matrix:

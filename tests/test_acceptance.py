@@ -36,7 +36,6 @@ from fragtile import (
     kernel_vector,
     laplace_identity,
     sandc_identity,
-    slice_coverage,
     slice_layout,
     subsets,
     tilde_facet,
@@ -281,13 +280,14 @@ def test_criterion_09_slice_structure(mset, w_m):
     counts = [len(cls.offsets) for cls in layout.classes]
     areas = [abs(det(cls.shape)) for cls in layout.classes]
     ok = counts == [1, 1, 1, 6, 4, 2] and areas == [2, 10, 5, 4, 4, 10]
+    engine = TilingEngine(mset, w_m)
     rng = random.Random(909)
     for _ in range(100):
         p_r = (
             Fraction(rng.randint(-400, 400), 101),
             Fraction(rng.randint(-400, 400), 103),
         )
-        ok = ok and slice_coverage(mset, w_m, p_r).f_value == 1
+        ok = ok and engine.coverage(p_r + (Fraction(0), Fraction(0))).f_value == 1
     _report("9", "slice classes, areas, and cover", ok)
     assert ok, (counts, areas)
 

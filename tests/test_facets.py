@@ -4,7 +4,13 @@ from itertools import product
 
 import pytest
 
-from conftest import brute_force_events, invoke, random_invertible, random_rational_invertible
+from conftest import (
+    brute_force_events,
+    invoke,
+    pip_contains,
+    random_invertible,
+    random_rational_invertible,
+)
 from fragtile import (
     BlockPermutation,
     DegenerateFragmentError,
@@ -27,7 +33,6 @@ from fragtile import (
     kernel_vector,
     lambda_vector,
     perm_sign,
-    pip_contains,
     solve,
     subsets,
     tilde_facet,

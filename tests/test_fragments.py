@@ -4,22 +4,34 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_dims, random_int_matrix
+from conftest import (
+    M_ROWS,
+    Q_ROWS,
+    corpus_matrix,
+    random_dims,
+    random_int_matrix,
+    random_invertible,
+    random_rational_invertible,
+)
 from fragtile import (
     DEGENERATE,
     NEGATIVE,
     POSITIVE,
     Dimensions,
     Matrix,
+    TilingEngine,
     c_submatrices,
+    choose_generic_direction,
     complement,
     decompose,
     det,
     fragment_matrix,
     fragment_set,
+    inverse,
     laplace_identity,
     sandc_identity,
     shuffle_sign,
+    solve,
     subsets,
 )
 from fragtile.linalg import DimensionError
@@ -193,3 +205,85 @@ def test_expected_coverage(mset, kset, lset):
     assert mset.expected_coverage() == 1
     assert kset.expected_coverage() == -1
     assert lset.expected_coverage() == -1
+
+
+def _factorization_sets():
+    """Fragment sets of the worked M, corpus q3r2-1 and z6r3-4, and seeded
+    integer and rational matrices with n = 2..6, all invertible.  Small
+    integer entries leave some fragments degenerate."""
+    rng = random.Random(61)
+    sets = [
+        fragment_set(decompose(Matrix.from_rows(M_ROWS), Dimensions(2, 2))),
+        fragment_set(decompose(Matrix.from_rows(Q_ROWS), Dimensions(2, 1))),
+        corpus_matrix(6, 3, 4),
+    ]
+    for n in range(2, 7):
+        for m in (random_invertible(rng, n, -2, 2), random_rational_invertible(rng, n)):
+            r = rng.randint(1, n - 1)
+            sets.append(fragment_set(decompose(m, Dimensions(r, n - r))))
+    return sets
+
+
+class TestBlockFactorization:
+    def test_determinants_match_fresh_eliminations(self):
+        degenerate = 0
+        for fs in _factorization_sets():
+            for frag in fs:
+                assert frag.det_s == det(frag.s), frag.sigma
+                assert frag.det_c == det(frag.c), frag.sigma
+                assert frag.det_cbar == det(frag.cbar), frag.sigma
+                degenerate += frag.sign_class == DEGENERATE
+        assert degenerate > 0
+
+    def test_inverses_and_lambdas_match_fresh_eliminations(self):
+        for seed, fs in enumerate(_factorization_sets()):
+            w = choose_generic_direction(fs, seed)
+            for frag in fs:
+                if frag.sign_class == DEGENERATE:
+                    continue
+                assert frag.s_inv == inverse(frag.s), frag.sigma
+                assert frag.cbar_inv == inverse(frag.cbar), frag.sigma
+                assert w.lambdas[frag.s] == solve(frag.s, w.w), frag.sigma
+
+
+class TestEliminationGuard:
+    """Building a fragment set, certifying a direction and building an
+    engine eliminate M and the fragments' blocks, never a whole fragment."""
+
+    def _record(self, monkeypatch):
+        """Patch the Gauss-Jordan routine and every bound det; return the
+        log of (ncols, leading square rows) per elimination."""
+        import fragtile
+        from fragtile import cli, facets, fragments, linalg, render, slices, tiling
+
+        log = []
+        rref = linalg.rref
+        bareiss = linalg.det
+
+        def logged_rref(rows, ncols):
+            log.append((ncols, [tuple(row[:ncols]) for row in rows]))
+            return rref(rows, ncols)
+
+        def logged_det(a):
+            log.append((a.cols, a.row_list()))
+            return bareiss(a)
+
+        for module in (fragtile, linalg, fragments, tiling, facets, slices, cli, render):
+            for name, original, wrapper in (("rref", rref, logged_rref), ("det", bareiss, logged_det)):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, wrapper)
+        return log
+
+    def test_only_m_is_eliminated_at_full_size(self, monkeypatch):
+        decompositions = [fs.decomposition for fs in _factorization_sets()]
+        log = self._record(monkeypatch)
+        for seed, d in enumerate(decompositions):
+            del log[:]
+            fs = fragment_set(d)
+            TilingEngine(fs, choose_generic_direction(fs, seed))
+            full = [rows for ncols, rows in log if ncols == d.dims.n]
+            # det M, M^-1 w for the one direction draw, and M^-1
+            assert len(full) == 3, seed
+            assert all(rows == d.m.row_list() for rows in full), seed
+            # the block eliminations are logged too
+            assert len(log) > 3

@@ -12,7 +12,6 @@ from fragtile import (
     decompose,
     det,
     fragment_set,
-    slice_coverage,
     slice_layout,
     slice_precondition,
     unimodular_reduce,
@@ -160,28 +159,16 @@ class TestSliceLayout:
 
 class TestSliceCoverage:
     def test_worked_4x4(self, mset, w_m):
+        engine = TilingEngine(mset, w_m)
         rng = random.Random(8)
         for _ in range(10):
             p_r = (
                 Fraction(rng.randint(-300, 300), 101),
                 Fraction(rng.randint(-300, 300), 103),
             )
-            rep = slice_coverage(mset, w_m, p_r)
+            rep = engine.coverage(p_r + (Fraction(0), Fraction(0)))
             assert rep.f_value == 1 == rep.expected
 
-    def test_agrees_with_embedded_coverage(self, mset, w_m):
-        engine = TilingEngine(mset, w_m)
-        rng = random.Random(18)
-        for _ in range(100):
-            p_r = (
-                Fraction(rng.randint(-200, 200), 97),
-                Fraction(rng.randint(-200, 200), 89),
-            )
-            direct = engine.coverage(p_r + (Fraction(0), Fraction(0)))
-            via_slice = slice_coverage(mset, w_m, p_r)
-            assert via_slice.f_value == direct.f_value
-            assert via_slice.tiles == direct.tiles
-
     def test_k_line_slice(self, kset, w_k):
-        rep = slice_coverage(kset, w_k, (Fraction(5, 7),))
+        rep = TilingEngine(kset, w_k).coverage((Fraction(5, 7), Fraction(0)))
         assert rep.f_value == -1

@@ -8,6 +8,7 @@ from conftest import (
     brute_force_tiles,
     corpus_matrix,
     invoke,
+    pip_contains,
     random_invertible,
     random_rational_invertible,
 )
@@ -19,13 +20,10 @@ from fragtile import (
     TilingEngine,
     certify_direction,
     choose_generic_direction,
-    coverage_value,
     decompose,
-    enumerate_tiles_at,
     fragment_set,
     inverse,
     laplace_identity,
-    pip_contains,
     solve,
     tiling,
     verify_constancy,
@@ -34,6 +32,11 @@ from fragtile.tiling import clear_rows, int_mat_mul, size_reduce
 
 HALF = Fraction(1, 2)
 WORKED_POINT = (Fraction(-2), Fraction(1), -HALF, -HALF)
+
+
+def _tile_ids(engine, p):
+    """The tiles holding p, in (sigma, z) lexicographic order."""
+    return [tile for tile, _ in engine.tiles_at(p)[0]]
 
 
 class TestGenericDirection:
@@ -103,7 +106,7 @@ class TestPipContains:
 
 class TestEnumerate:
     def test_worked_point_memberships(self, mset, w_m):
-        tiles = enumerate_tiles_at(mset, w_m, WORKED_POINT)
+        tiles = _tile_ids(TilingEngine(mset, w_m), WORKED_POINT)
         interior = [
             TileId(z=(0, -3, -1, 1), sigma=(2, 3)),
             TileId(z=(0, -2, 0, 0), sigma=(2, 4)),
@@ -122,10 +125,11 @@ class TestEnumerate:
         assert len(tiles) == 5
 
     def test_k_single_tile(self, kset, w_k):
+        engine = TilingEngine(kset, w_k)
         rng = random.Random(4)
         for _ in range(20):
             p = (Fraction(rng.randint(-500, 500), 97), Fraction(rng.randint(-500, 500), 89))
-            assert len(enumerate_tiles_at(kset, w_k, p)) == 1
+            assert len(_tile_ids(engine, p)) == 1
 
     def test_lattice_periodicity(self, mset, w_m):
         p = (Fraction(1, 7), Fraction(-2, 9), Fraction(3, 11), Fraction(1, 13))
@@ -134,8 +138,9 @@ class TestEnumerate:
             pi + mi
             for pi, mi in zip(p, mset.decomposition.m.mat_vec(z0))
         )
-        base = enumerate_tiles_at(mset, w_m, p)
-        moved = enumerate_tiles_at(mset, w_m, shifted)
+        engine = TilingEngine(mset, w_m)
+        base = _tile_ids(engine, p)
+        moved = _tile_ids(engine, shifted)
         expected = sorted(
             (TileId(z=tuple(a + b for a, b in zip(t.z, z0)), sigma=t.sigma) for t in base),
             key=lambda t: (t.sigma, t.z),
@@ -145,12 +150,13 @@ class TestEnumerate:
     def test_matches_brute_force_2d(self, kset, w_k, lset, w_l):
         rng = random.Random(9)
         for fs, w in ((kset, w_k), (lset, w_l)):
+            engine = TilingEngine(fs, w)
             for _ in range(10):
                 p = (
                     Fraction(rng.randint(-400, 400), 101),
                     Fraction(rng.randint(-400, 400), 103),
                 )
-                assert enumerate_tiles_at(fs, w, p) == brute_force_tiles(fs, w, p)
+                assert _tile_ids(engine, p) == brute_force_tiles(fs, w, p)
 
     def test_matches_brute_force_3d(self):
         rng = random.Random(21)
@@ -158,9 +164,10 @@ class TestEnumerate:
             m = random_invertible(rng, 3, -3, 3)
             fs = fragment_set(decompose(m, Dimensions(2, 1)))
             w = choose_generic_direction(fs, trial)
+            engine = TilingEngine(fs, w)
             for _ in range(5):
                 p = tuple(Fraction(rng.randint(-300, 300), 107) for _ in range(3))
-                assert enumerate_tiles_at(fs, w, p) == brute_force_tiles(fs, w, p)
+                assert _tile_ids(engine, p) == brute_force_tiles(fs, w, p)
 
     def test_matches_brute_force_rational(self, qset):
         # Points whose denominators (5, 7, 11, 13) share no factor with the
@@ -173,12 +180,13 @@ class TestEnumerate:
             fs = fragment_set(decompose(random_rational_invertible(rng, n), Dimensions(r, n - r)))
             cases.append((fs, choose_generic_direction(fs, trial)))
         for fs, w in cases:
+            engine = TilingEngine(fs, w)
             for _ in range(4):
                 p = tuple(
                     Fraction(rng.randint(-300, 300), rng.choice((5, 7, 11, 13)))
                     for _ in range(fs.dims.n)
                 )
-                assert enumerate_tiles_at(fs, w, p) == brute_force_tiles(fs, w, p)
+                assert _tile_ids(engine, p) == brute_force_tiles(fs, w, p)
 
 
 def _identity(n):
@@ -276,7 +284,7 @@ class TestReducedBox:
             fs = fragment_set(decompose(m, Dimensions(r, 5 - r)))
             w = choose_generic_direction(fs, trial)
             p = m.mat_vec(tiling.grid_vector(f"point:{trial}", 5, 0, tiling.SAMPLE_DENOMINATOR))
-            tiles = enumerate_tiles_at(fs, w, p)
+            tiles = _tile_ids(TilingEngine(fs, w), p)
             volume = axis_box_volume(fs, p)
             # at least 1e4 axis-box candidates per hit; the cap keeps the
             # oracle's scan to a few seconds
@@ -317,25 +325,27 @@ class TestReducedBox:
 
 class TestCoverage:
     def test_worked_4x4(self, mset, w_m):
+        engine = TilingEngine(mset, w_m)
         rng = random.Random(2)
         for _ in range(10):
             u = tuple(Fraction(rng.randint(0, 2**20 - 1), 2**20) for _ in range(4))
             p = mset.decomposition.m.mat_vec(u)
-            rep = coverage_value(mset, w_m, p)
+            rep = engine.coverage(p)
             assert rep.f_value == 1 == rep.expected
             assert rep.census in {(1, 0), (2, 1), (3, 2)}
 
     def test_k(self, kset, w_k):
-        rep = coverage_value(kset, w_k, (Fraction(1, 3), Fraction(2, 7)))
+        rep = TilingEngine(kset, w_k).coverage((Fraction(1, 3), Fraction(2, 7)))
         assert rep.f_value == -1 == rep.expected
         assert rep.census == (0, 1)
 
     def test_l(self, lset, w_l):
+        engine = TilingEngine(lset, w_l)
         rng = random.Random(6)
         seen = set()
         for _ in range(30):
             p = (Fraction(rng.randint(-200, 200), 101), Fraction(rng.randint(-200, 200), 103))
-            rep = coverage_value(lset, w_l, p)
+            rep = engine.coverage(p)
             assert rep.f_value == -1
             seen.add(rep.census)
         assert seen == {(0, 1), (1, 2)}
