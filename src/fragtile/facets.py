@@ -55,7 +55,9 @@ from .tiling import (
     cell_hits,
     cell_position,
     clear_denominator,
+    clear_rows,
     grid_vector,
+    int_mat_mul,
 )
 
 TAU = "tau"
@@ -251,6 +253,22 @@ class FacetGeometry:
         null = Matrix(dim - count, dim, [x for row in aug[count:] for x in row[count:]])
         return left, null
 
+    def sample_map(self, columns: Sequence[Sequence[Fraction]], origin: Sequence):
+        """(e, rows, null): the cleared affine map from sample numerators to
+        cell coordinates.
+
+        For the point p = sum_j (c_j / q) * columns[j] + origin, with integer
+        c and q > 0 and v = (c_1, ..., c_m, q), the coordinates of p are
+        (rows . v) / (e * q), and p lies in the affine span exactly when
+        every null row annihilates v.  The last column of each map carries
+        the offset origin - base, which v weighs by q.
+        """
+        left, null = self._coordinate_map
+        offset = vec_sub(vector(origin), self.base)
+        a_den, a = clear_rows(Matrix.from_columns([*columns, offset], rows=len(self.base)))
+        l_den, l_rows = clear_rows(left)
+        return l_den * a_den, int_mat_mul(l_rows, a), int_mat_mul(clear_rows(null)[1], a)
+
     def coordinates(self, point: Sequence) -> tuple[Fraction, ...] | None:
         """Exact coordinates of point in the generator frame, or None when the
         point lies outside the affine span."""
@@ -327,6 +345,16 @@ class DoubleCoverReport:
     passed: bool
 
 
+def _sample_position(cell: FacetGeometry, cell_map, v: Sequence[int], q: int):
+    """cell.position of the sample v = (c, q), through the cell's cleared
+    sample_map: None off the closed cell, else (inside, touching)."""
+    e, rows, null = cell_map
+    if any(sum(a * x for a, x in zip(row, v)) for row in null):
+        return None
+    ints = [sum(a * x for a, x in zip(row, v)) for row in rows]
+    return cell_position(ints, e * q, cell.include_zero)
+
+
 def double_cover_check(
     fs: FragmentSet,
     w: GenericDirection,
@@ -341,7 +369,9 @@ def double_cover_check(
     vectors on the 2^-31 grid of [0,1)), redrawn while they touch any
     projected facet's closed boundary (at most BOUNDARY_REDRAWS times, then
     GenericityError), and then must lie in exactly one up and exactly one
-    down facet shadow.
+    down facet shadow.  Each shadow clears its sample_map once, so a sample
+    with coefficients c / q is placed by integer dot products with
+    (c, q) and one cell_position call per shadow.
     """
     dims = fs.dims
     index = normalize_subset(index, dims.n)
@@ -361,7 +391,7 @@ def double_cover_check(
         raise DimensionError(
             f"index size {len(index)} is neither r-1={dims.r - 1} nor r+1={dims.r + 1}"
         )
-    zonotope = Matrix.from_columns(zono_cols, rows=len(base))
+    zono_den, zono_rows = clear_rows(Matrix.from_columns(zono_cols, rows=len(base)))
     coll = facet_collection(fs, kind, z, index)
     up = set(up_down_partition(fs, w, coll).up)
     # A tau collection's facets differ in their bottom parts, a gamma
@@ -369,6 +399,7 @@ def double_cover_check(
     shadow = 1 if kind == TAU else 0
     live = coll.live_members()
     cells = [facet_projections(fs, w, facet)[shadow] for facet in live]
+    maps = [cell.sample_map(zono_cols, base) for cell in cells]
 
     redraws = 0
     relative_points = []
@@ -376,9 +407,9 @@ def double_cover_check(
     for idx in range(sample_count):
         for attempt in range(BOUNDARY_REDRAWS + 1):
             coeffs = grid_vector(f"cover:{seed}:{idx}:{attempt}", len(js), 0, SAMPLE_DENOMINATOR)
-            q_rel = zonotope.mat_vec(coeffs)
-            q_abs = vec_add(q_rel, base)
-            positions = [cell.position(q_abs) for cell in cells]
+            q, c = clear_denominator(coeffs)
+            v = c + [q]
+            positions = [_sample_position(cell, m, v, q) for cell, m in zip(cells, maps)]
             if not any(pos is not None and pos[1] for pos in positions):
                 break
             redraws += 1
@@ -390,6 +421,8 @@ def double_cover_check(
         hits = [facet in up for facet, pos in zip(live, positions) if pos is not None and pos[0]]
         up_count = sum(hits)
         down_count = len(hits) - up_count
+        den = zono_den * q
+        q_rel = tuple(Fraction(sum(a * x for a, x in zip(row, c)), den) for row in zono_rows)
         relative_points.append(q_rel)
         if (up_count, down_count) != (1, 1):
             failures.append((q_rel, up_count, down_count))
@@ -435,34 +468,49 @@ def _collect_events(engine: TilingEngine, start, reach):
     translate it yields, every coordinate hitting 0 or 1 gives a rational
     crossing time; the hit is kept when the crossing point lies in the
     closed facet, and flagged when it touches the facet's own boundary.
+
+    All of it runs on integers: y0 = y / one, lambda = l / d and reach =
+    rn / rd, and the crossing of coordinate i at target T has
+    t = a*d / (one*|l_i|) with a = sign(l_i)*(T*one - y_i).  So 0 < t < reach
+    is 0 < a with a*d*rd < one*|l_i|*rn, and the other coordinates there are
+    (y_m*|l_i| + a*l_m) / (one*|l_i|).  A Fraction t is built only for the
+    crossings kept.
     """
     n = engine.fs.dims.n
+    reach_num, reach_den = reach.numerator, reach.denominator
     q, p_int = clear_denominator(start)
     end = vec_add(start, vec_scale(reach, engine.w.w))
     ends = [engine.lattice_coordinates(q, p_int), engine.lattice_coordinates(*clear_denominator(end))]
     events: dict[Fraction, list[tuple[FacetId, bool]]] = {}
     for frame in engine.frames:
-        lam = frame.lam
+        lam_den, lam = clear_denominator(frame.lam)
         u, h, one = frame.query(q, p_int)
-        widen = ceil(reach * max(abs(x) for x in lam)) * one
+        widen = ceil(reach * max(abs(x) for x in frame.lam)) * one
         # The translates met anywhere along the segment: the box bounds are
         # monotone in M^-1 p, so the union of the end boxes covers the segment.
         (lo0, hi0), (lo1, hi1) = (frame.box(num, den) for num, den in ends)
         ranges = list(zip(map(min, lo0, lo1), map(max, hi0, hi1)))
         other_rules = [frame.rules[:i] + frame.rules[i + 1 :] for i in range(n)]
+        # Per coordinate i: |l_i|, the corner one*|l_i| of the cell the other
+        # coordinates are tested in, and the bound one*|l_i|*rn on a*d*rd.
+        abs_lam = [abs(x) for x in lam]
+        corner = [one * x for x in abs_lam]
+        limit = [reach_num * x for x in corner]
+        scale = lam_den * reach_den
         wide_u = [x + widen for x in u]
         for x, _, _ in cell_hits(wide_u, h, one + 2 * widen, frame.rules, ranges):
-            y0 = [Fraction(u[i] - sum(hij * xj for hij, xj in zip(h[i], x)), one) for i in range(n)]
+            y = [u[i] - sum(hij * xj for hij, xj in zip(h[i], x)) for i in range(n)]
             z = frame.translate(x)
             for i in range(n):
                 for target in (0, 1):
-                    t = (target - y0[i]) / lam[i]
-                    if not (0 < t < reach):
+                    a = target * one - y[i] if lam[i] > 0 else y[i] - target * one
+                    if a <= 0 or a * scale >= limit[i]:
                         continue
-                    others = (y0[m] + t * lam[m] for m in range(n) if m != i)
-                    pos = cell_position(others, 1, other_rules[i])
+                    others = (y[m] * abs_lam[i] + a * lam[m] for m in range(n) if m != i)
+                    pos = cell_position(others, corner[i], other_rules[i])
                     if pos is not None:
                         facet = FacetId(z=z, sigma=frame.sigma, j=i + 1, s=target)
+                        t = Fraction(a * lam_den, corner[i])
                         events.setdefault(t, []).append((facet, pos[1]))
     return events
 

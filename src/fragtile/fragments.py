@@ -12,8 +12,9 @@ deterministic.
 Up to the column shuffle of (sigma, complement), S_sigma = diag(C_sigma,
 Cbar_hat): det S_sigma = sgn(sigma, hat) det C_sigma det Cbar_hat, and
 S_sigma^-1 comes from the two block inverses.  Only this module eliminates a
-fragment or its blocks, each once.  The checks stay independent of the
-factorization: sandc_identity takes a fresh n x n determinant of S_sigma, and
+fragment or its blocks, each once, and M is inverted once, on first use of
+the fragment set's m_inv.  The checks stay independent of the factorization:
+sandc_identity takes a fresh n x n determinant of S_sigma, and
 laplace_identity sums the block products against det M.
 """
 from __future__ import annotations
@@ -197,6 +198,12 @@ class FragmentSet:
             sign_class = POSITIVE if det_s > 0 else NEGATIVE if det_s < 0 else DEGENERATE
             frags[sigma] = Fragment(sigma, s, c, cbar, det_c, det_cbar, det_s, sign_class)
         self.fragments: Mapping[SubsetIndex, Fragment] = frags
+
+    @cached_property
+    def m_inv(self) -> Matrix:
+        """M^-1, eliminated once on first use.  det_m is a separate Bareiss
+        determinant, so laplace_identity does not rest on this elimination."""
+        return inverse(self.decomposition.m)
 
     def __iter__(self) -> Iterator[Fragment]:
         return iter(self.fragments.values())

@@ -255,24 +255,6 @@ def inverse(a: Matrix) -> Matrix:
     return Matrix.from_rows([row[n:] for row in aug])
 
 
-def solve_affine(a: Matrix, b: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
-    """Solve a*x = b for a rectangular a with independent columns.
-
-    Returns the unique exact solution, or None when the system is
-    inconsistent (b outside the column span).  Raises RankDeficiencyError if
-    the columns are dependent, since then no unique solution exists.
-    """
-    nrows, ncols = a.rows, a.cols
-    if len(b) != nrows:
-        raise DimensionError(f"right-hand side length {len(b)} vs {nrows} rows")
-    aug = [list(a.row(i)) + [rat(b[i])] for i in range(nrows)]
-    if len(rref(aug, ncols)) < ncols:
-        raise RankDeficiencyError("columns are linearly dependent")
-    if any(row[ncols] != 0 for row in aug[ncols:]):
-        return None
-    return tuple(row[ncols] for row in aug[:ncols])
-
-
 def normalize_integer_direction(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Canonical representative of a nonzero rational direction.
 

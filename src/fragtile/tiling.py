@@ -24,8 +24,6 @@ from .linalg import (
     DimensionError,
     Matrix,
     SingularMatrixError,
-    inverse,
-    solve,
     vector,
 )
 
@@ -66,8 +64,8 @@ def _sigma_label(sigma: SubsetIndex) -> str:
 def certify_direction(fs: FragmentSet, w: Sequence) -> GenericDirection:
     """Check every genericity condition for w exactly; raise on any zero.
 
-    Each lambda_sigma is the fragment's s_inv times w; M^-1 w is the one
-    n x n solve."""
+    Each lambda_sigma is the fragment's s_inv times w, and M^-1 w is the
+    fragment set's cached m_inv times w, so certifying eliminates nothing."""
     dims = fs.dims
     w = vector(w)
     if len(w) != dims.n:
@@ -82,7 +80,7 @@ def certify_direction(fs: FragmentSet, w: Sequence) -> GenericDirection:
             raise GenericityError(f"w is not generic: zero entry in {_sigma_label(frag.sigma)}^-1 w")
         checks.append((_sigma_label(frag.sigma), dims.n))
         lambdas[frag.s] = lam
-    minv_w = solve(fs.decomposition.m, w)
+    minv_w = fs.m_inv.mat_vec(w)
     if any(x == 0 for x in minv_w):
         raise GenericityError("w is not generic: zero entry in M^-1 w")
     checks.append(("M", dims.n))
@@ -344,6 +342,11 @@ class TilingEngine:
     arithmetic on the reduced rows of M^-1 S_sigma gives, and each candidate
     is tested exactly with integer arithmetic.  Each fragment's tiles come
     out sorted by z, so results do not depend on the scan order.
+
+    M and M^-1 (the fragment set's cached inverse) are kept cleared, as
+    (denominator, integer rows) in _m_rows and _m_inv_rows: the frames are
+    built from them, and verify_constancy forms its sample points M u from
+    the rows of M.
     """
 
     def __init__(self, fs: FragmentSet, w: GenericDirection):
@@ -352,12 +355,12 @@ class TilingEngine:
         self.fs = fs
         self.w = w
         self.m = fs.decomposition.m
-        self.m_inv = inverse(self.m)
+        self.m_inv = fs.m_inv
         self.expected = fs.expected_coverage()
+        self._m_rows = clear_rows(self.m)
         self._m_inv_rows = clear_rows(self.m_inv)
-        m_rows = clear_rows(self.m)
         self.frames = [
-            _Frame(frag, m_rows, self._m_inv_rows, w)
+            _Frame(frag, self._m_rows, self._m_inv_rows, w)
             for frag in fs
             if frag.sign_class != DEGENERATE
         ]
@@ -417,14 +420,16 @@ def verify_constancy(
 
     Points are drawn as p = M u with u uniform on the 2^-31 grid of [0,1)^n;
     by lattice periodicity of the tiling, constancy there is constancy
-    everywhere.  Samples that land exactly on a tile boundary are redrawn
+    everywhere.  Each p is formed from integers: with u = c / q and
+    M = A / d (the engine's cleared rows), p = A c / (d q), one Fraction per
+    coordinate.  Samples that land exactly on a tile boundary are redrawn
     (and counted), so the verifier never has to adjudicate ties; a sample
     still on a boundary after BOUNDARY_REDRAWS redraws raises
     GenericityError.
     """
     engine = TilingEngine(fs, w)
     n = fs.dims.n
-    m = fs.decomposition.m
+    m_den, m_rows = engine._m_rows
     expected = engine.expected
     histogram: dict[tuple[int, int], int] = {}
     values: set[int] = set()
@@ -432,7 +437,9 @@ def verify_constancy(
     for index in range(sample_count):
         for attempt in range(BOUNDARY_REDRAWS + 1):
             u = grid_vector(f"sample:{seed}:{index}:{attempt}", n, 0, SAMPLE_DENOMINATOR)
-            p = m.mat_vec(u)
+            q, c = clear_denominator(u)
+            den = m_den * q
+            p = tuple(Fraction(sum(a * x for a, x in zip(row, c)), den) for row in m_rows)
             tiles, boundary = engine.tiles_at(p)
             if boundary == 0:
                 break

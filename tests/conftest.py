@@ -78,6 +78,20 @@ def w_m(mset):
     return certify_direction(mset, [1, 1, 1, 1])
 
 
+@pytest.fixture
+def mat_vec_log(monkeypatch):
+    """A list that gains one entry per Matrix.mat_vec call during the test."""
+    log = []
+    mat_vec = Matrix.mat_vec
+
+    def logged(self, v):
+        log.append(self.rows)
+        return mat_vec(self, v)
+
+    monkeypatch.setattr(Matrix, "mat_vec", logged)
+    return log
+
+
 def invoke(argv):
     """Run the CLI in-process, capturing (exit code, stdout, stderr)."""
     import io
@@ -159,12 +173,16 @@ def random_rational_invertible(rng: random.Random, n: int, lo: int = -3, hi: int
             return m
 
 
-def corpus_matrix(n: int, r: int, i: int):
+def corpus_matrix(n: int, r: int, i: int, rational: bool = False):
     """Fragment set of seeded benchmark-corpus matrix i for (n, r): entries
-    randint(-3, 3) row by row from random.Random(f"corpus:{n}:{r}:{i}")."""
+    randint(-3, 3) row by row from random.Random(f"corpus:{n}:{r}:{i}"); a
+    rational one (q{n}r{r}-{i}) then divides each entry by a denominator
+    drawn from (1, 2, 3, 4) by the same stream."""
     rng = random.Random(f"corpus:{n}:{r}:{i}")
-    m = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-    return fragment_set(decompose(m, Dimensions(r, n - r)))
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    if rational:
+        rows = [[Fraction(x, rng.choice((1, 2, 3, 4))) for x in row] for row in rows]
+    return fragment_set(decompose(Matrix.from_rows(rows), Dimensions(r, n - r)))
 
 
 def random_dims(rng: random.Random, max_n: int = 6) -> Dimensions:
@@ -280,6 +298,27 @@ def pip_contains(n_mat: Matrix, w, q) -> bool:
     return True
 
 
+def solve_affine(a: Matrix, b):
+    """Solve a*x = b for a rectangular a with independent columns.
+
+    Returns the unique exact solution, or None when the system is
+    inconsistent (b outside the column span).  Raises RankDeficiencyError if
+    the columns are dependent, since then no unique solution exists.
+    """
+    from fragtile import DimensionError, RankDeficiencyError, vector
+    from fragtile.linalg import rref
+
+    nrows, ncols = a.rows, a.cols
+    if len(b) != nrows:
+        raise DimensionError(f"right-hand side length {len(b)} vs {nrows} rows")
+    aug = [list(a.row(i)) + [x] for i, x in enumerate(vector(b))]
+    if len(rref(aug, ncols)) < ncols:
+        raise RankDeficiencyError("columns are linearly dependent")
+    if any(row[ncols] != 0 for row in aug[ncols:]):
+        return None
+    return tuple(row[ncols] for row in aug[:ncols])
+
+
 def cramer_inverse(a: Matrix) -> Matrix:
     """Inverse column by column from Cramer quotients."""
     n = a.rows
@@ -334,6 +373,99 @@ def brute_force_events(fs, w, start, reach, margin: int = 1):
                         touching = any(y in (0, 1) for y in others)
                         events.setdefault(t, []).append((facet, touching))
     return events
+
+
+def reference_verify(fs, w, sample_count: int, seed: int):
+    """verify_constancy through the rational path it replaced: each sample
+    point is the Fraction product M u of the seeded grid vector u, located
+    with tiles_at, with the same redraw rule and report."""
+    from fragtile import GenericityError, TilingEngine, VerifyReport
+    from fragtile.tiling import BOUNDARY_REDRAWS, SAMPLE_DENOMINATOR, grid_vector
+
+    engine = TilingEngine(fs, w)
+    m = fs.decomposition.m
+    histogram = {}
+    values = set()
+    redraws = 0
+    for index in range(sample_count):
+        for attempt in range(BOUNDARY_REDRAWS + 1):
+            u = grid_vector(f"sample:{seed}:{index}:{attempt}", fs.dims.n, 0, SAMPLE_DENOMINATOR)
+            tiles, boundary = engine.tiles_at(m.mat_vec(u))
+            if boundary == 0:
+                break
+            redraws += 1
+        else:
+            raise GenericityError(f"sample {index} of seed {seed} stayed on a tile boundary")
+        pos = sum(1 for _, cls in tiles if cls == "positive")
+        neg = sum(1 for _, cls in tiles if cls == "negative")
+        values.add(pos - neg)
+        histogram[(pos, neg)] = histogram.get((pos, neg), 0) + 1
+    return VerifyReport(
+        sample_count=sample_count,
+        seed=seed,
+        expected=engine.expected,
+        distinct_f_values=frozenset(values),
+        census_histogram=dict(sorted(histogram.items())),
+        boundary_redraws=redraws,
+        passed=values == {engine.expected},
+    )
+
+
+def reference_double_cover(fs, w, index, z, sample_count: int, seed: int):
+    """double_cover_check through the rational path it replaced: each sample
+    is the Fraction point zonotope * coeffs + base, placed in every live
+    shadow by FacetGeometry.position, with the same redraw rule and report."""
+    from fragtile import (
+        DoubleCoverReport,
+        GenericityError,
+        complement,
+        facet_collection,
+        facet_projections,
+        up_down_partition,
+    )
+    from fragtile.facets import BOUNDARY_REDRAWS, SAMPLE_DENOMINATOR, grid_vector
+
+    d = fs.decomposition
+    index = tuple(sorted(index))
+    z = tuple(z)
+    mz = d.m.mat_vec(tuple(Fraction(x) for x in z))
+    if len(index) == fs.dims.r - 1:
+        kind, js, gens, base, shadow = "tau", complement(index, fs.dims.n), d.cbar, mz[fs.dims.r :], 1
+    else:
+        kind, js, gens, base, shadow = "gamma", index, d.c, mz[: fs.dims.r], 0
+    zonotope = Matrix.from_columns([gens[j - 1] for j in js], rows=len(base))
+    coll = facet_collection(fs, kind, z, index)
+    up = set(up_down_partition(fs, w, coll).up)
+    live = coll.live_members()
+    cells = [facet_projections(fs, w, facet)[shadow] for facet in live]
+    redraws = 0
+    relative_points = []
+    failures = []
+    for idx in range(sample_count):
+        for attempt in range(BOUNDARY_REDRAWS + 1):
+            coeffs = grid_vector(f"cover:{seed}:{idx}:{attempt}", len(js), 0, SAMPLE_DENOMINATOR)
+            q_rel = zonotope.mat_vec(coeffs)
+            q_abs = tuple(a + b for a, b in zip(q_rel, base))
+            positions = [cell.position(q_abs) for cell in cells]
+            if not any(pos is not None and pos[1] for pos in positions):
+                break
+            redraws += 1
+        else:
+            raise GenericityError(f"sample {idx} of seed {seed} stayed on a shadow boundary")
+        hits = [f in up for f, pos in zip(live, positions) if pos is not None and pos[0]]
+        relative_points.append(q_rel)
+        if (sum(hits), len(hits) - sum(hits)) != (1, 1):
+            failures.append((q_rel, sum(hits), len(hits) - sum(hits)))
+    return DoubleCoverReport(
+        kind=kind,
+        index=index,
+        z=z,
+        sample_count=sample_count,
+        redraws=redraws,
+        relative_points=tuple(relative_points),
+        failures=tuple(failures),
+        passed=not failures,
+    )
 
 
 def clip_polygon_area(subject, window) -> Fraction:

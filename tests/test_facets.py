@@ -9,7 +9,10 @@ from conftest import (
     invoke,
     pip_contains,
     random_invertible,
+    corpus_matrix,
     random_rational_invertible,
+    reference_double_cover,
+    solve_affine,
 )
 from fragtile import (
     BlockPermutation,
@@ -40,7 +43,7 @@ from fragtile import (
 )
 from fragtile import facets
 from fragtile.facets import _collect_events
-from fragtile.linalg import DimensionError, normalize_integer_direction, solve_affine
+from fragtile.linalg import DimensionError, normalize_integer_direction
 from fragtile.tiling import (
     BOUNDARY_REDRAWS,
     SAMPLE_DENOMINATOR,
@@ -48,6 +51,10 @@ from fragtile.tiling import (
     TilingEngine,
     grid_vector,
 )
+
+# The corpus matrix cover13 (r=1): its gamma {2,3} collection fails the
+# once-each cover, the recorded cover-degenerate-gamma discrepancy.
+COVER13_ROWS = [[3, -1, 1, 0], [1, 2, 2, -1], [0, -3, -3, 2], [3, -2, 0, 1]]
 
 
 class TestTildeFacet:
@@ -376,6 +383,38 @@ class TestFacetProjections:
         }
 
 
+    def test_sample_map_matches_position(self, mset, w_m):
+        # double_cover_check's integer cell map against the rational
+        # position, on the one-generator shadows above, whose left null row
+        # is not empty: points off the span, strictly inside and on both
+        # faces, from two origins and two sample denominators.
+        seen = set()
+        for kind, index, shadow in (("tau", (2,), 0), ("gamma", (1, 2, 3), 1)):
+            coll = facet_collection(mset, kind, (1, 0, -1, 0), index)
+            for facet in coll.live_members():
+                geom = facet_projections(mset, w_m, facet)[shadow]
+                dim = len(geom.base)
+                g = Matrix.from_columns(geom.generators, rows=dim)
+                units = [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
+                off = next(e for e in units if solve_affine(g, e) is None)
+                columns = [geom.generators[0], off]
+                shifted = tuple(
+                    b - gi / 2 + oi / 3 for b, gi, oi in zip(geom.base, geom.generators[0], off)
+                )
+                for origin in (geom.base, shifted):
+                    cell_map = geom.sample_map(columns, origin)
+                    for q, c in product((30, 60), product((-15, 0, 10, 15, 30, 45), (0, -10, 6))):
+                        v = [x * q // 30 for x in c] + [q]
+                        point = tuple(
+                            o + sum(Fraction(x, q) * col[i] for x, col in zip(v, columns))
+                            for i, o in enumerate(origin)
+                        )
+                        got = facets._sample_position(geom, cell_map, v, q)
+                        assert got == geom.position(point)
+                        seen.add(got)
+        assert seen == {None, (True, False), (True, True), (False, True)}
+
+
 class TestKernelSelectionTiling:
     def test_sign_pattern_tiles_zonotope(self, mset, w_m):
         # third route to the double cover: select shifted/unshifted cells by
@@ -448,6 +487,51 @@ class TestDoubleCover:
         for fs, w in ((kset, w_k), (lset, w_l)):
             assert double_cover_check(fs, w, (), (0, 0), 60, 2).passed
             assert double_cover_check(fs, w, (1, 2), (0, 0), 60, 2).passed
+
+    def test_matches_the_fraction_path(self, mset, w_m, qset):
+        # Every collection of M at two translates, every collection of
+        # q3r2-1, and cover13's gamma {2,3}, the recorded failing witness.
+        cases = [
+            (mset, w_m, index, z)
+            for z in ((0, 0, 0, 0), (1, -1, 0, 2))
+            for index in (*subsets(4, 1), *subsets(4, 3))
+        ]
+        w_q = choose_generic_direction(qset, 0)
+        cases += [
+            (qset, w_q, index, z)
+            for z in ((0, 0, 0), (1, -1, 0))
+            for index in (*subsets(3, 1), *subsets(3, 3))
+        ]
+        for seed in (0, 1):
+            for fs, w, index, z in cases:
+                rep = double_cover_check(fs, w, index, z, 30, seed)
+                assert rep == reference_double_cover(fs, w, index, z, 30, seed)
+        cover13 = fragment_set(decompose(Matrix.from_rows(COVER13_ROWS), Dimensions(1, 3)))
+        w_c = choose_generic_direction(cover13, 0)
+        rep = double_cover_check(cover13, w_c, (2, 3), (0, 0, 0, 0), 100, 0)
+        assert not rep.passed
+        assert rep == reference_double_cover(cover13, w_c, (2, 3), (0, 0, 0, 0), 100, 0)
+
+    def test_matches_the_fraction_path_with_redraws(self, mset, w_m, monkeypatch):
+        # On a grid of step 1/4 many samples touch a shadow boundary, so the
+        # redraw rule is compared too.
+        grid_vector = facets.grid_vector
+        monkeypatch.setattr(facets, "grid_vector", lambda tag, dim, lo, hi: grid_vector(tag, dim, 0, 4, 4))
+        redraws = 0
+        for index in (*subsets(4, 1), *subsets(4, 3)):
+            rep = double_cover_check(mset, w_m, index, (1, -1, 0, 2), 20, 2)
+            assert rep == reference_double_cover(mset, w_m, index, (1, -1, 0, 2), 20, 2)
+            redraws += rep.redraws
+        assert redraws > 0
+
+    def test_mat_vec_calls_do_not_grow_with_samples(self, mset, w_m, mat_vec_log):
+        for index in ((2,), (1, 2, 3)):
+            counts = []
+            for samples in (10, 100):
+                del mat_vec_log[:]
+                double_cover_check(mset, w_m, index, (1, -1, 0, 2), samples, 3)
+                counts.append(len(mat_vec_log))
+            assert counts[0] == counts[1]
 
     def test_redraws_are_bounded(self, mset, w_m, tmp_path, monkeypatch):
         # Zero coefficients give the collection's base point, a corner of
@@ -538,6 +622,15 @@ class TestEventScan:
                 crossings += len(table)
                 touching += sum(flag for items in table.values() for _, flag in items)
         assert crossings > 0 and touching > 0
+
+    def test_rational_corpus(self):
+        # corpus q3r2-0 and q3r2-1: rational M and lambda, and a rational reach
+        for i in range(2):
+            fs = corpus_matrix(3, 2, i, rational=True)
+            for seed in range(3):
+                w = choose_generic_direction(fs, seed)
+                self.check(fs, w, self.grid_start(fs, f"events:q{i}:{seed}"), Fraction(7, 3))
+                self.check(fs, w, self.lattice_start(fs), Fraction(5, 2))
 
     def test_random_rational(self):
         rng = random.Random(41)

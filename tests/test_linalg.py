@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import cramer_solve, det_cofactor, kernel_by_minors, random_invertible
+from conftest import cramer_solve, det_cofactor, kernel_by_minors, random_invertible, solve_affine
 from fragtile import (
     BlockPermutation,
     BlockPermutationError,
@@ -17,7 +17,7 @@ from fragtile import (
     perm_sign,
     solve,
 )
-from fragtile.linalg import normalize_integer_direction, solve_affine, word_sign
+from fragtile.linalg import normalize_integer_direction, word_sign
 
 K = Matrix.from_rows([[1, 2], [-1, 3]])
 L = Matrix.from_rows([[1, 2], [1, 5]])

@@ -11,6 +11,7 @@ from conftest import (
     pip_contains,
     random_invertible,
     random_rational_invertible,
+    reference_verify,
 )
 from fragtile import (
     Dimensions,
@@ -374,6 +375,33 @@ class TestVerifyConstancy:
         a = verify_constancy(lset, w_l, 100, 3)
         b = verify_constancy(lset, w_l, 100, 3)
         assert a == b
+
+    def test_matches_the_fraction_path(self, kset, w_k, lset, w_l, mset, w_m):
+        # K, L, M and the corpus matrices q3r2-0, q3r2-1 and z4r3-2
+        cases = [(kset, w_k), (lset, w_l), (mset, w_m)]
+        for fs in (corpus_matrix(3, 2, 0, True), corpus_matrix(3, 2, 1, True), corpus_matrix(4, 3, 2)):
+            cases.append((fs, choose_generic_direction(fs, 0)))
+        for fs, w in cases:
+            for seed in range(3):
+                assert verify_constancy(fs, w, 40, seed) == reference_verify(fs, w, 40, seed)
+
+    def test_matches_the_fraction_path_with_redraws(self, mset, w_m, lset, w_l, monkeypatch):
+        # On a grid of step 1/8 many samples land on tile boundaries, so the
+        # redraw rule is compared too.
+        grid_vector = tiling.grid_vector
+        monkeypatch.setattr(tiling, "grid_vector", lambda tag, dim, lo, hi: grid_vector(tag, dim, 0, 8, 8))
+        for fs, w in ((mset, w_m), (lset, w_l)):
+            rep = verify_constancy(fs, w, 40, 1)
+            assert rep.boundary_redraws > 0
+            assert rep == reference_verify(fs, w, 40, 1)
+
+    def test_mat_vec_calls_do_not_grow_with_samples(self, mset, w_m, mat_vec_log):
+        counts = []
+        for samples in (10, 100):
+            del mat_vec_log[:]
+            verify_constancy(mset, w_m, samples, 3)
+            counts.append(len(mat_vec_log))
+        assert counts[0] == counts[1]
 
     def test_redraws_are_bounded(self, mset, w_m, tmp_path, monkeypatch):
         # The lattice origin is a corner of every tile, so every draw lands
