@@ -6,7 +6,6 @@ from .linalg import (
     DimensionError,
     LinalgError,
     Matrix,
-    Rational,
     RankDeficiencyError,
     SingularMatrixError,
     det,

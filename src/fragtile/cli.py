@@ -12,6 +12,7 @@ import argparse
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .fragments import (
@@ -434,7 +435,9 @@ _COMMAND_FLAGS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by runs."""
     parser = argparse.ArgumentParser(
         prog="fragtile",
         description="Signed tilings from fragment matrices: verify and render.",

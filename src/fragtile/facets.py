@@ -36,6 +36,8 @@ from .linalg import (
     LinalgError,
     Matrix,
     RankDeficiencyError,
+    clear_denominator,
+    clear_rows,
     det,
     normalize_integer_direction,
     perm_sign,
@@ -54,8 +56,6 @@ from .tiling import (
     TilingEngine,
     cell_hits,
     cell_position,
-    clear_denominator,
-    clear_rows,
     grid_vector,
     int_mat_mul,
 )
@@ -269,29 +269,15 @@ class FacetGeometry:
         l_den, l_rows = clear_rows(left)
         return l_den * a_den, int_mat_mul(l_rows, a), int_mat_mul(clear_rows(null)[1], a)
 
-    def coordinates(self, point: Sequence) -> tuple[Fraction, ...] | None:
-        """Exact coordinates of point in the generator frame, or None when the
-        point lies outside the affine span."""
+    def position(self, point: Sequence) -> tuple[bool, bool] | None:
+        """cell_position of the point's exact coordinates in the generator
+        frame: None off the affine span or the closed cell, else (inside,
+        touching)."""
         rhs = vec_sub(vector(point), self.base)
         left, null = self._coordinate_map
         if any(x != 0 for x in null.mat_vec(rhs)):
             return None
-        return left.mat_vec(rhs)
-
-    def position(self, point: Sequence) -> tuple[bool, bool] | None:
-        """cell_position of the point's coordinates: None off the closed
-        cell, else (inside, touching)."""
-        x = self.coordinates(point)
-        return None if x is None else cell_position(x, 1, self.include_zero)
-
-    def contains(self, point: Sequence) -> bool:
-        pos = self.position(point)
-        return pos is not None and pos[0]
-
-    def on_closed_boundary(self, point: Sequence) -> bool:
-        """True when the point lies in the closed cell touching a face."""
-        pos = self.position(point)
-        return pos is not None and pos[1]
+        return cell_position(left.mat_vec(rhs), 1, self.include_zero)
 
 
 def facet_projections(
@@ -309,28 +295,20 @@ def facet_projections(
     lam = lambda_vector(fs, w, facet.sigma)
     mz = d.m.mat_vec(tuple(Fraction(x) for x in facet.z))
     in_sigma = facet.j in facet.sigma
-    sigma_hat = complement(facet.sigma, dims.n)
-
-    top_idx = [i for i in facet.sigma if i != facet.j]
-    top_base = mz[: dims.r]
-    if facet.s == 1 and in_sigma:
-        top_base = vec_add(top_base, d.c[facet.j - 1])
-    top = FacetGeometry(
-        base=top_base,
-        generators=tuple(d.c[i - 1] for i in top_idx),
-        include_zero=tuple(lam[i - 1] > 0 for i in top_idx),
-    )
-
-    bottom_idx = [i for i in sigma_hat if i != facet.j]
-    bottom_base = mz[dims.r :]
-    if facet.s == 1 and not in_sigma:
-        bottom_base = vec_add(bottom_base, d.cbar[facet.j - 1])
-    bottom = FacetGeometry(
-        base=bottom_base,
-        generators=tuple(d.cbar[i - 1] for i in bottom_idx),
-        include_zero=tuple(lam[i - 1] > 0 for i in bottom_idx),
-    )
-    return top, bottom
+    shadows = []
+    for idx, base, parts, holds_j in (
+        (facet.sigma, mz[: dims.r], d.c, in_sigma),
+        (complement(facet.sigma, dims.n), mz[dims.r :], d.cbar, not in_sigma),
+    ):
+        gens = [i for i in idx if i != facet.j]
+        if facet.s == 1 and holds_j:
+            base = vec_add(base, parts[facet.j - 1])
+        shadows.append(FacetGeometry(
+            base=base,
+            generators=tuple(parts[i - 1] for i in gens),
+            include_zero=tuple(lam[i - 1] > 0 for i in gens),
+        ))
+    return shadows[0], shadows[1]
 
 
 @dataclass
@@ -521,10 +499,10 @@ def _classify_events(engine: TilingEngine, events):
 
     Distinct collections may share one hyperplane (their anchor translates
     differ along it), so parallelism is decided on the facet normals: the
-    normal of the facet omitting generator j is row j of the fragment
-    inverse.  Meeting two non-parallel hyperplanes at one point means the ray
-    passes through the codimension-2 skeleton, which the pairing statement
-    excludes.
+    normal of the facet omitting generator j is row j of the fragment's
+    integer s_inv_rows.  Meeting two non-parallel hyperplanes at one point
+    means the ray passes through the codimension-2 skeleton, which the
+    pairing statement excludes.
     """
     crossings = []
     for t in sorted(events):
@@ -532,7 +510,7 @@ def _classify_events(engine: TilingEngine, events):
         if any(flag for _, flag in items):
             return True, []
         normals = {
-            normalize_integer_direction(engine.fs[f.sigma].s_inv.row(f.j - 1))
+            normalize_integer_direction(engine.fs[f.sigma].s_inv_rows[1][f.j - 1])
             for f, _ in items
         }
         if len(normals) > 1:

@@ -11,15 +11,16 @@ deterministic.
 
 Up to the column shuffle of (sigma, complement), S_sigma = diag(C_sigma,
 Cbar_hat): det S_sigma = sgn(sigma, hat) det C_sigma det Cbar_hat, and
-S_sigma^-1 comes from the two block inverses.  Only this module eliminates a
-fragment or its blocks, each once, and M is inverted once, on first use of
-the fragment set's m_inv.  The checks stay independent of the factorization:
-sandc_identity takes a fresh n x n determinant of S_sigma, and
-laplace_identity sums the block products against det M.
+S_sigma^-1 comes from the two block inverses.  Only this module eliminates
+a fragment's blocks, on integers: M is cleared once to A / d, one
+int_inverse per block of A gives its determinant and adjugate, det M is
+int_det(A), and M^-1 is A's adjugate, taken on first use.  The checks stay
+independent of this: sandc_identity takes a fresh n x n determinant of
+S_sigma, and laplace_identity sums the block products against det M.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
@@ -29,8 +30,11 @@ from .linalg import (
     BlockPermutation,
     DimensionError,
     Matrix,
+    SingularMatrixError,
+    clear_rows,
     det,
-    inverse,
+    int_det,
+    int_inverse,
     perm_sign,
 )
 
@@ -98,13 +102,10 @@ def decompose(m: Matrix, dims: Dimensions) -> Decomposition:
     n = dims.n
     if m.rows != n or m.cols != n:
         raise DimensionError(f"matrix is {m.rows}x{m.cols}, expected {n}x{n}")
-    c = []
-    cbar = []
-    for i in range(n):
-        col = m.column(i)
-        c.append(col[: dims.r])
-        cbar.append(tuple(-x for x in col[dims.r :]))
-    return Decomposition(dims=dims, m=m, c=tuple(c), cbar=tuple(cbar))
+    cols = [m.column(i) for i in range(n)]
+    c = tuple(col[: dims.r] for col in cols)
+    cbar = tuple(tuple(-x for x in col[dims.r :]) for col in cols)
+    return Decomposition(dims=dims, m=m, c=c, cbar=cbar)
 
 
 def fragment_matrix(d: Decomposition, sigma: Iterable[int]) -> Matrix:
@@ -117,16 +118,11 @@ def fragment_matrix(d: Decomposition, sigma: Iterable[int]) -> Matrix:
     sigma = normalize_subset(sigma, dims.n)
     if len(sigma) != dims.r:
         raise DimensionError(f"subset {sigma} must have size r={dims.r}")
-    inside = set(sigma)
-    zeros_r = (Fraction(0),) * dims.r
-    zeros_k = (Fraction(0),) * dims.k
-    cols = []
-    for i in range(1, dims.n + 1):
-        if i in inside:
-            cols.append(d.c[i - 1] + zeros_k)
-        else:
-            cols.append(zeros_r + d.cbar[i - 1])
-    return Matrix.from_columns(cols)
+    zeros_r, zeros_k = (Fraction(0),) * dims.r, (Fraction(0),) * dims.k
+    return Matrix.from_columns([
+        d.c[i - 1] + zeros_k if i in sigma else zeros_r + d.cbar[i - 1]
+        for i in range(1, dims.n + 1)
+    ])
 
 
 def c_submatrices(d: Decomposition, sigma: Iterable[int]) -> tuple[Matrix, Matrix]:
@@ -147,10 +143,10 @@ def c_submatrices(d: Decomposition, sigma: Iterable[int]) -> tuple[Matrix, Matri
 class Fragment:
     """One member of the indexed fragment family.
 
-    det_s = sgn(sigma, hat) * det_c * det_cbar from the two blocks.  A live
-    fragment's block inverses are computed once, on first use: cbar_inv is
-    Cbar_hat^-1, and s_inv is S_sigma^-1 with row i taken from C_sigma^-1 for
-    i in sigma and from Cbar_hat^-1 off sigma, each zero-padded to length n.
+    det_s = sgn(sigma, hat) * det_c * det_cbar.  A live fragment keeps
+    S_sigma^-1 = X / e as s_inv_rows = (e, X), e > 0, row i of X from
+    C_sigma^-1 for i in sigma and from Cbar_hat^-1 off sigma, zero-padded;
+    s_inv and cbar_inv (Cbar_hat^-1) are Fraction copies made on first use.
     """
 
     sigma: SubsetIndex
@@ -161,49 +157,67 @@ class Fragment:
     det_cbar: Fraction
     det_s: Fraction
     sign_class: str
+    s_inv_rows: tuple[int, list[list[int]]] | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def cbar_inv(self) -> Matrix:
-        return inverse(self.cbar)
+        rows = enumerate(self.s_inv.row_list(), 1)
+        return Matrix.from_rows([row[self.c.rows :] for i, row in rows if i not in self.sigma])
 
     @cached_property
     def s_inv(self) -> Matrix:
-        top = iter(inverse(self.c).row_list())
-        bottom = iter(self.cbar_inv.row_list())
-        zeros_r = (Fraction(0),) * self.c.rows
-        zeros_k = (Fraction(0),) * self.cbar.rows
-        return Matrix.from_rows([
-            next(top) + zeros_k if i in self.sigma else zeros_r + next(bottom)
-            for i in range(1, self.s.rows + 1)
-        ])
+        if self.s_inv_rows is None:
+            raise SingularMatrixError(f"fragment {self.sigma} is degenerate")
+        e, rows = self.s_inv_rows
+        return Matrix.from_rows([[Fraction(x, e) for x in row] for row in rows])
 
 
 class FragmentSet:
     """The full fragment family of one decomposition, indexed by sigma.
 
     Iteration and the ``fragments`` mapping follow lexicographic subset
-    order.  Instances are immutable after construction.
+    order.  Instances are immutable after construction.  m_rows is (d, A).
     """
 
     def __init__(self, decomposition: Decomposition):
         self.decomposition = decomposition
-        self.dims = decomposition.dims
-        self.det_m = det(decomposition.m)
+        self.dims = dims = decomposition.dims
+        r, k, n = dims.r, dims.k, dims.n
+        self.m_rows = d, a = clear_rows(decomposition.m)
+        self.det_m = Fraction(int_det(a), d**n)
         frags: dict[SubsetIndex, Fragment] = {}
-        for sigma in subsets(self.dims.n, self.dims.r):
-            s = fragment_matrix(decomposition, sigma)
-            c, cbar = c_submatrices(decomposition, sigma)
-            det_c, det_cbar = det(c), det(cbar)
-            det_s = shuffle_sign(sigma, self.dims.n) * det_c * det_cbar
+        for sigma in subsets(n, r):
+            det_top, adj_top = int_inverse([[row[i - 1] for i in sigma] for row in a[:r]])
+            det_bottom, adj_bottom = int_inverse(
+                [[-row[j - 1] for j in complement(sigma, n)] for row in a[r:]]
+            )
+            det_s = shuffle_sign(sigma, n) * Fraction(det_top * det_bottom, d**n)
             sign_class = POSITIVE if det_s > 0 else NEGATIVE if det_s < 0 else DEGENERATE
-            frags[sigma] = Fragment(sigma, s, c, cbar, det_c, det_cbar, det_s, sign_class)
+            s_inv_rows = None
+            if det_s:
+                # C^-1 = d adj_top / det_top, Cbar^-1 = d adj_bottom / det_bottom
+                f = d if det_top * det_bottom > 0 else -d
+                top = iter([f * det_bottom * x for x in row] + [0] * k for row in adj_top)
+                bottom = iter([0] * r + [f * det_top * x for x in row] for row in adj_bottom)
+                rows = [next(top) if i in sigma else next(bottom) for i in range(1, n + 1)]
+                s_inv_rows = abs(det_top * det_bottom), rows
+            c, cbar = c_submatrices(decomposition, sigma)
+            frags[sigma] = Fragment(
+                sigma, fragment_matrix(decomposition, sigma), c, cbar, Fraction(det_top, d**r),
+                Fraction(det_bottom, d**k), det_s, sign_class, s_inv_rows,
+            )
         self.fragments: Mapping[SubsetIndex, Fragment] = frags
 
     @cached_property
-    def m_inv(self) -> Matrix:
-        """M^-1, eliminated once on first use.  det_m is a separate Bareiss
-        determinant, so laplace_identity does not rest on this elimination."""
-        return inverse(self.decomposition.m)
+    def m_inv_rows(self) -> tuple[int, list[list[int]]]:
+        """M^-1 = X / e as (e, X), e > 0, from A's adjugate on first use; det_m
+        is a separate determinant, so laplace_identity does not rest on it."""
+        d, a = self.m_rows
+        det_a, adj = int_inverse(a)
+        if adj is None:
+            raise SingularMatrixError("matrix is singular")
+        f = d if det_a > 0 else -d
+        return abs(det_a), [[f * x for x in row] for row in adj]
 
     def __iter__(self) -> Iterator[Fragment]:
         return iter(self.fragments.values())

@@ -1,10 +1,12 @@
 """Exact rational linear algebra kernel.
 
-Every scalar is a ``fractions.Fraction`` (arbitrary precision, always stored
-reduced with positive denominator), so all predicates computed here, such as
-determinant signs and boundary membership, are decided exactly.  Matrices are
-immutable, dense and row-major.  Intended scale is small systems (n <= ~10);
-there is no attempt at sparsity or asymptotic cleverness.
+Entries and results are ``fractions.Fraction``, so predicates such as
+determinant signs are decided exactly; matrices are immutable, dense and
+row-major.  Every elimination is ``eliminate``, fraction-free Gauss-Jordan
+on integer rows: ``det``, ``inverse``, ``solve``, ``kernel_vector`` and
+``rref`` clear a matrix to A / c, eliminate A and divide once; ``int_det``
+and ``int_inverse`` serve callers that hold integer rows.  Intended scale is
+small systems (n <= ~10), with no sparsity or asymptotic cleverness.
 """
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
 Scalar = Union[int, str, Fraction]
 
 
@@ -149,11 +150,8 @@ class Matrix:
         return Matrix.from_columns(cols, rows=self.rows)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._entries == other._entries
+        return isinstance(other, Matrix) and (self.rows, self.cols, self._entries) == (
+            other.rows, other.cols, other._entries
         )
 
     def __hash__(self):
@@ -164,95 +162,124 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
-def det(a: Matrix) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) two-step elimination.
-
-    Dividing each Schur update by the previous pivot keeps intermediate
-    numerators and denominators from compounding, which matters once entries
-    carry large denominators (e.g. 2^31 sampling grids).
-    """
-    if not a.is_square:
-        raise DimensionError(f"determinant of non-square {a.rows}x{a.cols} matrix")
-    n = a.rows
-    if n == 0:
-        return Fraction(1)
-    m = [list(a.row(i)) for i in range(n)]
-    sign = 1
-    prev = Fraction(1)
-    for col in range(n - 1):
-        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-            sign = -sign
-        pivot = m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col]
-            row_r = m[r]
-            row_c = m[col]
-            for c in range(col + 1, n):
-                row_r[c] = (row_r[c] * pivot - factor * row_c[c]) / prev
-            row_r[col] = Fraction(0)
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+def clear_denominator(v: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(q, q*v): the least common denominator q of a rational vector and the
+    integer vector it scales v to."""
+    q = lcm(*(x.denominator for x in v))
+    return q, [x.numerator * (q // x.denominator) for x in v]
 
 
-def rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Gauss-Jordan reduction of the first ncols columns, in place.
+def clear_rows(a: Matrix | Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """(d, d*a): the least common denominator d of a rational matrix (or of
+    its rows) and the integer rows it scales a to."""
+    rows = a.row_list() if isinstance(a, Matrix) else a
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
 
-    The rows may carry augmented columns past ncols; they receive the same
-    row operations.  Each pivot is the first nonzero entry at or below the
-    current row.  Returns the pivot columns in order: afterwards row i has a
-    1 in column pivots[i] and zeros in every other pivot column, and the rows
-    below len(pivots) are zero in the first ncols columns.
+
+def eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan on the first ncols columns of integer rows,
+    in place; later columns get the same row operations.
+
+    A column's pivot is its first nonzero entry at or below the current row,
+    swapped up; with pivot row y, pivot p and previous pivot prev (1 at the
+    start), every other row x becomes (p*x - x[col]*y) // prev, an exact
+    division (Bareiss).  Returns (pivots, last, sign): pivot columns, last
+    pivot (1 if none), swap sign.  Each row ends as last times the row that
+    rational Gauss-Jordan leaves, so a full-rank square has det sign*last.
     """
     nrows = len(rows)
     pivots: list[int] = []
+    sign = prev = 1
     for col in range(ncols):
         row = len(pivots)
         if row == nrows:
             break
-        piv = next((r for r in range(row, nrows) if rows[r][col] != 0), None)
+        piv = next((r for r in range(row, nrows) if rows[r][col]), None)
         if piv is None:
             continue
         if piv != row:
             rows[row], rows[piv] = rows[piv], rows[row]
-        pivot = rows[row][col]
-        if pivot != 1:
-            rows[row] = [x / pivot for x in rows[row]]
+            sign = -sign
+        y = rows[row]
+        p = y[col]
         for r in range(nrows):
-            if r != row and rows[r][col] != 0:
+            if r != row:
                 f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[row])]
+                rows[r] = [(p * a - f * b) // prev for a, b in zip(rows[r], y)]
         pivots.append(col)
+        prev = p
+    return pivots, prev, sign
+
+
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix given as rows."""
+    work = [list(row) for row in rows]
+    pivots, last, sign = eliminate(work, len(work))
+    return sign * last if len(pivots) == len(work) else 0
+
+
+def int_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
+    """(det B, adj B), B^-1 = adj B / det B, for a square integer matrix B
+    given as rows, from one elimination of [B | I]; (0, None) if singular."""
+    n = len(rows)
+    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    pivots, last, sign = eliminate(work, n)
+    if len(pivots) < n:
+        return 0, None
+    return sign * last, [[sign * x for x in row[n:]] for row in work]
+
+
+def det(a: Matrix) -> Fraction:
+    """Exact determinant: a = A / c with integer A, so det a = det A / c^n."""
+    if not a.is_square:
+        raise DimensionError(f"determinant of non-square {a.rows}x{a.cols} matrix")
+    c, rows = clear_rows(a)
+    return Fraction(int_det(rows), c**a.rows)
+
+
+def rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Gauss-Jordan reduction of the first ncols columns of rational rows, in
+    place (later columns ride along), with eliminate's pivots, which it
+    returns.  Row i then has a 1 in column pivots[i] and 0 in the other pivot
+    columns, and rows below len(pivots) are zero in the first ncols columns.
+    Cleared by one scalar c and eliminated, the pivot rows come out scaled by
+    the last pivot and the rows below by last * c."""
+    c, ints = clear_rows(rows)
+    pivots, last, _ = eliminate(ints, ncols)
+    rank = len(pivots)
+    rows[:] = [
+        [Fraction(x, last if i < rank else last * c) for x in row]
+        for i, row in enumerate(ints)
+    ]
     return pivots
 
 
 def solve(a: Matrix, b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Exact solution x of a*x = b for square invertible a (Gauss-Jordan)."""
+    """Exact solution x of a*x = b for square invertible a: [a | b] is cleared
+    and eliminated, and x is the last column over the last pivot."""
     if not a.is_square:
         raise DimensionError(f"solve needs a square matrix, got {a.rows}x{a.cols}")
     n = a.rows
     if len(b) != n:
         raise DimensionError(f"right-hand side length {len(b)} vs size {n}")
-    aug = [list(a.row(i)) + [rat(b[i])] for i in range(n)]
-    if len(rref(aug, n)) < n:
+    _, aug = clear_rows([a.row(i) + (rat(b[i]),) for i in range(n)])
+    pivots, last, _ = eliminate(aug, n)
+    if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
-    return tuple(row[n] for row in aug)
+    return tuple(Fraction(row[n], last) for row in aug)
 
 
 def inverse(a: Matrix) -> Matrix:
-    """Exact inverse of a square invertible matrix (Gauss-Jordan)."""
+    """Exact inverse of a square invertible matrix: a = A / c, so
+    a^-1 = c adj A / det A."""
     if not a.is_square:
         raise DimensionError(f"inverse needs a square matrix, got {a.rows}x{a.cols}")
-    n = a.rows
-    aug = [
-        list(a.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)
-    ]
-    if len(rref(aug, n)) < n:
+    c, rows = clear_rows(a)
+    d, adj = int_inverse(rows)
+    if adj is None:
         raise SingularMatrixError("matrix is singular")
-    return Matrix.from_rows([row[n:] for row in aug])
+    return Matrix(a.rows, a.rows, [Fraction(c * x, d) for row in adj for x in row])
 
 
 def normalize_integer_direction(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -274,21 +301,18 @@ def normalize_integer_direction(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 
 def kernel_vector(v: Matrix) -> tuple[Fraction, ...]:
-    """Canonical nonzero kernel vector of a k x (k+1) matrix of rank k.
-
-    Gauss-Jordan elimination exposes the single free column; the resulting
-    one-dimensional null space is returned normalized (integer entries,
-    gcd 1, first nonzero entry positive).
-    """
+    """Canonical nonzero kernel vector of a k x (k+1) matrix of rank k: the
+    elimination exposes the one free column, and the null space it spans is
+    returned as normalize_integer_direction gives it."""
     if v.cols != v.rows + 1:
         raise DimensionError(f"expected k x (k+1) matrix, got {v.rows}x{v.cols}")
-    m = [list(v.row(i)) for i in range(v.rows)]
-    pivots = rref(m, v.cols)
+    _, m = clear_rows(v)
+    pivots, last, _ = eliminate(m, v.cols)
     if len(pivots) < v.rows:
         raise RankDeficiencyError("rank below row count: kernel dimension exceeds 1")
     free = next(c for c in range(v.cols) if c not in pivots)
-    h = [Fraction(0)] * v.cols
-    h[free] = Fraction(1)
+    h = [0] * v.cols
+    h[free] = last
     for r, col in enumerate(pivots):
         h[col] = -m[r][free]
     return normalize_integer_direction(h)

@@ -18,8 +18,8 @@ from math import floor, gcd
 from typing import Sequence
 
 from .fragments import DEGENERATE, Decomposition, FragmentSet, SubsetIndex, complement
-from .linalg import DimensionError, Matrix, det, inverse
-from .tiling import GenericDirection, cell_hits, clear_rows
+from .linalg import DimensionError, Matrix, clear_rows, det, inverse
+from .tiling import GenericDirection, cell_hits
 
 
 class SlicePreconditionError(Exception):

@@ -15,8 +15,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 from typing import Mapping, Sequence
 
 from .fragments import DEGENERATE, FragmentSet, SubsetIndex
@@ -24,6 +25,8 @@ from .linalg import (
     DimensionError,
     Matrix,
     SingularMatrixError,
+    clear_denominator,
+    clear_rows,
     vector,
 )
 
@@ -44,10 +47,9 @@ class GenericDirection:
     N^-1 w were verified nonzero: all invertible fragment matrices plus M
     itself.  That finite condition set also covers the restricted systems on
     the top and bottom blocks, since their coordinate vectors are subvectors
-    of the fragment ones.  lambdas keeps those vectors for every half-open
-    rule and facet sign to read: S^-1 w keyed by each invertible fragment
-    matrix S (its s_inv times w), so a fragment w was not certified for has
-    no entry.
+    of the fragment ones.  lambdas holds S^-1 w for every half-open rule and
+    facet sign to read, keyed by the invertible fragment matrix S, so a
+    fragment w was not certified for has no entry.
     """
 
     w: tuple[Fraction, ...]
@@ -64,24 +66,31 @@ def _sigma_label(sigma: SubsetIndex) -> str:
 def certify_direction(fs: FragmentSet, w: Sequence) -> GenericDirection:
     """Check every genericity condition for w exactly; raise on any zero.
 
-    Each lambda_sigma is the fragment's s_inv times w, and M^-1 w is the
-    fragment set's cached m_inv times w, so certifying eliminates nothing."""
+    With w = wn / q, lambda_sigma = S^-1 w has entries (X_i . wn) / (e q)
+    from the fragment's s_inv_rows (e, X), and M^-1 w comes the same way
+    from m_inv_rows: certifying eliminates nothing."""
     dims = fs.dims
     w = vector(w)
     if len(w) != dims.n:
         raise DimensionError(f"w has length {len(w)}, expected {dims.n}")
+    q, wn = clear_denominator(w)
+
+    def times_w(inverse_rows):
+        e, rows = inverse_rows
+        den = e * q
+        return tuple(Fraction(sum(a * x for a, x in zip(row, wn)), den) for row in rows)
+
     checks: list[tuple[str, int]] = []
     lambdas: dict[Matrix, tuple[Fraction, ...]] = {}
     for frag in fs:
         if frag.sign_class == DEGENERATE:
             continue
-        lam = frag.s_inv.mat_vec(w)
+        lam = times_w(frag.s_inv_rows)
         if any(x == 0 for x in lam):
             raise GenericityError(f"w is not generic: zero entry in {_sigma_label(frag.sigma)}^-1 w")
         checks.append((_sigma_label(frag.sigma), dims.n))
         lambdas[frag.s] = lam
-    minv_w = fs.m_inv.mat_vec(w)
-    if any(x == 0 for x in minv_w):
+    if any(x == 0 for x in times_w(fs.m_inv_rows)):
         raise GenericityError("w is not generic: zero entry in M^-1 w")
     checks.append(("M", dims.n))
     return GenericDirection(
@@ -215,21 +224,6 @@ class VerifyReport:
     passed: bool
 
 
-def clear_denominator(v: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(q, q*v): the least common denominator q of a rational vector and the
-    integer vector it scales v to."""
-    q = lcm(*(x.denominator for x in v))
-    return q, [x.numerator * (q // x.denominator) for x in v]
-
-
-def clear_rows(a: Matrix) -> tuple[int, list[list[int]]]:
-    """(d, d*a): the least common denominator d of a rational matrix and the
-    integer rows it scales a to."""
-    rows = a.row_list()
-    d = lcm(*(x.denominator for row in rows for x in row))
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
-
-
 def int_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     """Product of two integer matrices given as rows."""
     cols = list(zip(*b))
@@ -281,8 +275,9 @@ class _Frame:
     with u = S^-1 p and H' = S^-1 M W^-1; S^-1 and H' are kept as integer
     rows over one frame denominator, so a query point cleared to q*p (see
     query) tests each candidate with integer multiply-adds, and a hit maps
-    back by z = W^-1 x.  S^-1 is the fragment's s_inv, so a frame eliminates
-    nothing; the half-open rules are the signs of the certified lambda.
+    back by z = W^-1 x.  S^-1 is the fragment's integer s_inv_rows, so a
+    frame eliminates nothing; the half-open rules are the signs of the
+    certified lambda.
     """
 
     __slots__ = (
@@ -290,22 +285,21 @@ class _Frame:
         "to_x", "to_z", "slack_den", "slack_pos", "slack_neg",
     )
 
-    def __init__(self, frag, m_rows, m_inv_rows, w: GenericDirection):
-        """m_rows and m_inv_rows are M and M^-1 as (denominator, integer rows)."""
+    def __init__(self, frag, fs: FragmentSet, w: GenericDirection):
         self.sigma = frag.sigma
         self.sign_class = frag.sign_class
         self.lam = w.lambdas[frag.s]
         self.rules = tuple(x > 0 for x in self.lam)
         s_den, s_rows = clear_rows(frag.s)
-        m_inv_den, m_inv = m_inv_rows
+        m_inv_den, m_inv = fs.m_inv_rows
         g, self.to_x, self.to_z = size_reduce(int_mat_mul(m_inv, s_rows))
         self.slack_den = m_inv_den * s_den
         self.slack_pos = [sum(x for x in row if x > 0) for row in g]
         self.slack_neg = [sum(x for x in row if x < 0) for row in g]
         # S^-1 = si / si_den and M = m / m_den share the denominator
         # si_den * m_den; dividing by the common gcd leaves the least one.
-        si_den, si = clear_rows(frag.s_inv)
-        m_den, m = m_rows
+        si_den, si = frag.s_inv_rows
+        m_den, m = fs.m_rows
         s_inv = [[x * m_den for x in row] for row in si]
         h = int_mat_mul(int_mat_mul(si, m), self.to_z)
         common = gcd(si_den * m_den, *(x for a in (s_inv, h) for row in a for x in row))
@@ -341,12 +335,8 @@ class TilingEngine:
     in the frame's size-reduced basis, over the integer box that interval
     arithmetic on the reduced rows of M^-1 S_sigma gives, and each candidate
     is tested exactly with integer arithmetic.  Each fragment's tiles come
-    out sorted by z, so results do not depend on the scan order.
-
-    M and M^-1 (the fragment set's cached inverse) are kept cleared, as
-    (denominator, integer rows) in _m_rows and _m_inv_rows: the frames are
-    built from them, and verify_constancy forms its sample points M u from
-    the rows of M.
+    out sorted by z, so results do not depend on the scan order.  The frames
+    are built from the fragment set's cleared m_rows and m_inv_rows.
     """
 
     def __init__(self, fs: FragmentSet, w: GenericDirection):
@@ -354,20 +344,18 @@ class TilingEngine:
             raise SingularMatrixError("tiling requires an invertible matrix")
         self.fs = fs
         self.w = w
-        self.m = fs.decomposition.m
-        self.m_inv = fs.m_inv
         self.expected = fs.expected_coverage()
-        self._m_rows = clear_rows(self.m)
-        self._m_inv_rows = clear_rows(self.m_inv)
-        self.frames = [
-            _Frame(frag, self._m_rows, self._m_inv_rows, w)
-            for frag in fs
-            if frag.sign_class != DEGENERATE
-        ]
+        self.frames = [_Frame(frag, fs, w) for frag in fs if frag.sign_class != DEGENERATE]
+
+    @cached_property
+    def m_inv(self) -> Matrix:
+        """M^-1 as Fractions, built from m_inv_rows when first read."""
+        e, rows = self.fs.m_inv_rows
+        return Matrix.from_rows([[Fraction(x, e) for x in row] for row in rows])
 
     def lattice_coordinates(self, q: int, p_int: Sequence[int]) -> tuple[list[int], int]:
         """(num, den) with M^-1 p = num / den for the point p = p_int / q."""
-        den, rows = self._m_inv_rows
+        den, rows = self.fs.m_inv_rows
         return [sum(e * x for e, x in zip(row, p_int)) for row in rows], den * q
 
     def candidate_box(self, frame: _Frame, a: Sequence[Fraction]):
@@ -405,12 +393,7 @@ class TilingEngine:
     def coverage(self, p: Sequence[Fraction]) -> CoverageReport:
         tiles, _ = self.tiles_at(p)
         pos, neg = _census(tiles)
-        return CoverageReport(
-            point=vector(p),
-            tiles=tuple(tiles),
-            f_value=pos - neg,
-            expected=self.expected,
-        )
+        return CoverageReport(vector(p), tuple(tiles), pos - neg, self.expected)
 
 
 def verify_constancy(
@@ -420,16 +403,15 @@ def verify_constancy(
 
     Points are drawn as p = M u with u uniform on the 2^-31 grid of [0,1)^n;
     by lattice periodicity of the tiling, constancy there is constancy
-    everywhere.  Each p is formed from integers: with u = c / q and
-    M = A / d (the engine's cleared rows), p = A c / (d q), one Fraction per
-    coordinate.  Samples that land exactly on a tile boundary are redrawn
+    everywhere.  With u = c / q and M = A / d (fs.m_rows), p = A c / (d q)
+    is formed from integers, one Fraction per coordinate.  Samples that land exactly on a tile boundary are redrawn
     (and counted), so the verifier never has to adjudicate ties; a sample
     still on a boundary after BOUNDARY_REDRAWS redraws raises
     GenericityError.
     """
     engine = TilingEngine(fs, w)
     n = fs.dims.n
-    m_den, m_rows = engine._m_rows
+    m_den, m_rows = fs.m_rows
     expected = engine.expected
     histogram: dict[tuple[int, int], int] = {}
     values: set[int] = set()

@@ -319,6 +319,32 @@ def solve_affine(a: Matrix, b):
     return tuple(row[ncols] for row in aug[:ncols])
 
 
+def reference_rref(rows, ncols: int) -> list[int]:
+    """Gauss-Jordan over Fractions, in place: the reduction fragtile.linalg
+    used before its elimination ran on integers, kept as the reference the
+    fraction-free rref must reproduce row for row."""
+    nrows = len(rows)
+    pivots: list[int] = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == nrows:
+            break
+        piv = next((r for r in range(row, nrows) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != row:
+            rows[row], rows[piv] = rows[piv], rows[row]
+        pivot = rows[row][col]
+        if pivot != 1:
+            rows[row] = [x / pivot for x in rows[row]]
+        for r in range(nrows):
+            if r != row and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[row])]
+        pivots.append(col)
+    return pivots
+
+
 def cramer_inverse(a: Matrix) -> Matrix:
     """Inverse column by column from Cramer quotients."""
     n = a.rows

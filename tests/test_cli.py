@@ -271,6 +271,46 @@ class TestInputErrors:
         assert out == ""
         assert "--samples" in err
 
+    def test_singular_matrix(self, tmp_path):
+        # det M = 0: every command that needs a direction or an engine exits
+        # 2 naming the singular matrix; fragments and laplace still report.
+        path = tmp_path / "singular.txt"
+        path.write_text("2 1\n1 2 0\n2 4 1\n0 0 3\n")
+        for argv in (
+            ["verify", "--samples", "3"],
+            ["coverage", "--point", "1/3,1/5,1/7"],
+            ["crossing", "--samples", "1"],
+            ["facets", "--gamma", "1,2,3"],
+        ):
+            code, out, err = invoke([argv[0], "--matrix", str(path), *argv[1:]])
+            assert (code, out) == (2, ""), argv
+            assert "matrix is singular" in err, argv
+        code, out, _ = invoke(["laplace", "--matrix", str(path)])
+        assert (code, out) == (0, "lhs=0 rhs=0 ok\n")
+
+    def test_runs_share_one_parser(self, matrix_files, monkeypatch):
+        import argparse
+
+        from fragtile import cli
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        first = invoke(["laplace", "--matrix", matrix_files["K"]])
+        after_first = len(built)
+        second = invoke(["laplace", "--matrix", matrix_files["K"], "--samples", "5"])
+        third = invoke(["laplace", "--matrix", matrix_files["K"]])
+        assert built.count("fragtile") == 1
+        assert len(built) == after_first
+        assert first == third and first[0] == 0
+        assert second[0] == 2 and "--samples" in second[2]
+
 
 def expected_polygon_count(fs, cfg):
     """Clipping-area oracle: translates whose clipped area is positive."""

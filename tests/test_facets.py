@@ -340,8 +340,10 @@ class TestFacetProjections:
             sum(Fraction(1, 2) * g[i] for g in bottom.generators)
             for i in range(2)
         )
-        assert bottom.contains(tuple(b + m for b, m in zip(bottom.base, mid)))
-        assert not bottom.contains((Fraction(10**6), Fraction(10**6)))
+        pos = bottom.position(tuple(b + m for b, m in zip(bottom.base, mid)))
+        assert pos is not None and pos[0]
+        pos = bottom.position((Fraction(10**6), Fraction(10**6)))
+        assert not (pos is not None and pos[0])
 
     def test_fewer_generators_than_dimensions(self, mset, w_m):
         # tau top shadows and gamma bottom shadows of the worked matrix have
@@ -371,8 +373,9 @@ class TestFacetProjections:
                         )
                         closed = all(0 <= y <= 1 for y in coords)
                         touching = closed and any(y in (0, 1) for y in coords)
-                    assert geom.contains(point) == inside
-                    assert geom.on_closed_boundary(point) == touching
+                    pos = geom.position(point)
+                    assert (pos is not None and pos[0]) == inside
+                    assert (pos is not None and pos[1]) == touching
                     seen.add((coords is None, inside, touching))
         # off the span, strictly inside, and on an included and an excluded face
         assert seen >= {

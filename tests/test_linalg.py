@@ -1,9 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import cramer_solve, det_cofactor, kernel_by_minors, random_invertible, solve_affine
+from conftest import (
+    cramer_inverse,
+    cramer_solve,
+    det_cofactor,
+    kernel_by_minors,
+    random_invertible,
+    reference_rref,
+    solve_affine,
+)
 from fragtile import (
     BlockPermutation,
     BlockPermutationError,
@@ -17,7 +26,7 @@ from fragtile import (
     perm_sign,
     solve,
 )
-from fragtile.linalg import normalize_integer_direction, word_sign
+from fragtile.linalg import normalize_integer_direction, rref, word_sign
 
 K = Matrix.from_rows([[1, 2], [-1, 3]])
 L = Matrix.from_rows([[1, 2], [1, 5]])
@@ -231,3 +240,117 @@ def test_solve_affine_consistency():
     assert solve_affine(a, (3, 4, 11)) is None
     with pytest.raises(RankDeficiencyError):
         solve_affine(Matrix.from_columns([(1, 2), (2, 4)]), (1, 2))
+
+
+def _seeded_rows(rng, nrows, ncols, rational):
+    """Entries in [-3, 3], about a third of them zero, over denominators
+    1..5 when rational."""
+    def entry():
+        num = 0 if rng.random() < 0.3 else rng.randint(-3, 3)
+        return Fraction(num, rng.randint(1, 5) if rational else 1)
+
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _make_singular(rng, rows):
+    """Replace the last row by a rational combination of the others (zero
+    for a single row)."""
+    a, b = Fraction(rng.randint(-2, 2), rng.randint(1, 3)), Fraction(rng.randint(-2, 2))
+    if len(rows) == 1:
+        rows[-1] = [Fraction(0)] * len(rows[0])
+    else:
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[-2])]
+    return rows
+
+
+def _differential_cases():
+    """Seeded (n, rows, singular) for n = 1..6, integer and rational, each
+    once invertible-or-not as drawn and once made singular."""
+    rng = random.Random(8)
+    cases = []
+    for n in range(1, 7):
+        for rational in (False, True):
+            for _ in range(4 if n < 6 else 2):
+                rows = _seeded_rows(rng, n, n, rational)
+                cases.append((n, rows, det_cofactor(Matrix.from_rows(rows)) == 0))
+            cases.append((n, _make_singular(rng, _seeded_rows(rng, n, n, rational)), True))
+    return cases
+
+
+class TestFractionFreeElimination:
+    """det, inverse, solve, kernel_vector and rref against oracles that
+    share no code with the integer elimination loop."""
+
+    def test_det_inverse_solve_against_cramer(self):
+        rng = random.Random(9)
+        singular = 0
+        for n, rows, is_singular in _differential_cases():
+            m = Matrix.from_rows(rows)
+            assert det(m) == det_cofactor(m), rows
+            b = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
+            if is_singular:
+                singular += 1
+                with pytest.raises(SingularMatrixError):
+                    inverse(m)
+                with pytest.raises(SingularMatrixError):
+                    solve(m, b)
+                continue
+            assert inverse(m) == cramer_inverse(m), rows
+            assert solve(m, b) == cramer_solve(m, b), rows
+        assert singular >= 12
+
+    def test_kernel_vector_against_minors(self):
+        rng = random.Random(10)
+        deficient = 0
+        for k in range(1, 6):
+            for rational in (False, True):
+                for make_deficient in (False, False, True):
+                    rows = _seeded_rows(rng, k, k + 1, rational)
+                    if make_deficient:
+                        rows = _make_singular(rng, rows)
+                    v = Matrix.from_rows(rows)
+                    oracle = kernel_by_minors(v)
+                    if all(x == 0 for x in oracle):
+                        deficient += 1
+                        with pytest.raises(RankDeficiencyError):
+                            kernel_vector(v)
+                    else:
+                        assert kernel_vector(v) == normalize_integer_direction(oracle), rows
+        assert deficient >= 10
+
+    def _check_rref(self, rows, ncols):
+        ours = [list(row) for row in rows]
+        ref = [list(row) for row in rows]
+        assert rref(ours, ncols) == reference_rref(ref, ncols), rows
+        assert ours == ref, rows
+
+    def test_rref_reproduces_fraction_gauss_jordan(self):
+        rng = random.Random(11)
+        for n in range(1, 7):
+            for rational in (False, True):
+                for extra in (0, 1, 3):
+                    rows = _seeded_rows(rng, n, n + extra, rational)
+                    self._check_rref(rows, n)
+                    self._check_rref(rows, n + extra)
+                    self._check_rref(_make_singular(rng, rows), n + extra)
+        # wide and tall shapes, including all-zero rows and columns
+        for nrows, ncols in ((1, 4), (4, 1), (3, 5), (5, 3), (2, 2)):
+            self._check_rref([[Fraction(0)] * ncols for _ in range(nrows)], ncols)
+            self._check_rref(_seeded_rows(rng, nrows, ncols, True), ncols)
+
+    def test_rref_of_generators_beside_the_identity(self):
+        # [G | I] with fewer generators than rows, as a facet shadow's
+        # coordinate map row-reduces it: left inverse above, left null rows
+        # below, which carry the clearing denominator until divided.
+        rng = random.Random(12)
+        for dim in range(2, 7):
+            for count in range(1, dim):
+                for rational in (False, True):
+                    gens = _seeded_rows(rng, count, dim, rational)
+                    if count > 1 and rng.random() < 0.3:
+                        gens[-1] = [2 * x for x in gens[0]]
+                    aug = [
+                        [g[i] for g in gens] + [Fraction(int(i == j)) for j in range(dim)]
+                        for i in range(dim)
+                    ]
+                    self._check_rref(aug, count)
