@@ -152,7 +152,7 @@ def lambda_vector(fs: FragmentSet, w: GenericDirection, sigma: Sequence[int]) ->
     frag = fs[sigma]
     if frag.sign_class == DEGENERATE:
         raise DegenerateFragmentError(f"fragment {frag.sigma} is degenerate")
-    return w.lambdas[frag.s]
+    return w.lambda_of(fs, frag.sigma)
 
 
 def facet_signs(fs: FragmentSet, w: GenericDirection, facet: FacetId) -> tuple[int, int]:
@@ -462,7 +462,7 @@ def _collect_events(engine: TilingEngine, start, reach):
     events: dict[Fraction, list[tuple[FacetId, bool]]] = {}
     for frame in engine.frames:
         lam_den, lam = clear_denominator(frame.lam)
-        u, h, one = frame.query(q, p_int)
+        u, h, one = frame.exact_query(q, p_int)
         widen = ceil(reach * max(abs(x) for x in frame.lam)) * one
         # The translates met anywhere along the segment: the box bounds are
         # monotone in M^-1 p, so the union of the end boxes covers the segment.

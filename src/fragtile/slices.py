@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import floor, gcd
+from operator import mul
 from typing import Sequence
 
 from .fragments import DEGENERATE, Decomposition, FragmentSet, SubsetIndex, complement
@@ -152,7 +153,8 @@ def slice_layout(
     how overlapping fragments show up in the slice (the family count is the
     bottom-minor magnitude, not the number of distinct residues).
     Cbar_hat^-1 is the fragment's own cached cbar_inv, and denominators are
-    cleared once per fragment so the window scan is integer-only.
+    cleared once per fragment; cell_hits visits only the window's translates
+    whose forced coordinates lie in the closed cell.
     """
     d = fs.decomposition
     dims = fs.dims
@@ -169,7 +171,7 @@ def slice_layout(
             classes.append(SliceClass(frag.sigma, frag.c, frag.sign_class, offsets=()))
             continue
         # The bottom coordinates of lambda_sigma solve Cbar_hat x = w''.
-        lam = w.lambdas[frag.s]
+        lam = w.lambda_of(fs, frag.sigma)
         rules = tuple(lam[j - 1] > 0 for j in complement(frag.sigma, dims.n))
         fd, forced = clear_rows(frag.cbar_inv.mat_mul(cbar_full))
         neg_forced = [[-x for x in row] for row in forced]
@@ -177,20 +179,11 @@ def slice_layout(
         for z, inside, _ in cell_hits([0] * dims.k, neg_forced, fd, rules, window):
             if not inside:
                 continue
-            key = tuple(
-                sum(row[j] * z[j] for j in range(dims.n) if z[j])
-                for row in u_inv_rows
-            )
+            key = tuple(sum(map(mul, row, z)) for row in u_inv_rows)
             if key not in families:
                 offset = c_full.mat_vec(z)
                 frac = tuple(y - floor(y) for y in b_inv.mat_vec(offset))
                 families[key] = b_lattice.mat_vec(frac)
-        classes.append(
-            SliceClass(
-                sigma=frag.sigma,
-                shape=frag.c,
-                sign_class=frag.sign_class,
-                offsets=tuple(sorted(families.values())),
-            )
-        )
+        offsets = tuple(sorted(families.values()))
+        classes.append(SliceClass(frag.sigma, frag.c, frag.sign_class, offsets))
     return SliceLayout(b=b_lattice, classes=tuple(classes))

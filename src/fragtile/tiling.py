@@ -18,17 +18,11 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd
+from operator import mul
 from typing import Mapping, Sequence
 
-from .fragments import DEGENERATE, FragmentSet, SubsetIndex
-from .linalg import (
-    DimensionError,
-    Matrix,
-    SingularMatrixError,
-    clear_denominator,
-    clear_rows,
-    vector,
-)
+from .fragments import DEGENERATE, FragmentSet, SubsetIndex, complement
+from .linalg import DimensionError, Matrix, SingularMatrixError, clear_denominator, vector
 
 SAMPLE_DENOMINATOR = 2**31
 DIRECTION_DRAWS = 64
@@ -48,15 +42,23 @@ class GenericDirection:
     itself.  That finite condition set also covers the restricted systems on
     the top and bottom blocks, since their coordinate vectors are subvectors
     of the fragment ones.  lambdas holds S^-1 w for every half-open rule and
-    facet sign to read, keyed by the invertible fragment matrix S, so a
-    fragment w was not certified for has no entry.
+    facet sign, keyed by sigma; lambda_of reads it for the matrix m that w
+    was certified for and raises KeyError for any other.
     """
 
     w: tuple[Fraction, ...]
     w_prime: tuple[Fraction, ...]
     w_double_prime: tuple[Fraction, ...]
     certificate: tuple[tuple[str, int], ...]
-    lambdas: Mapping[Matrix, tuple[Fraction, ...]] = field(compare=False, repr=False)
+    lambdas: Mapping[SubsetIndex, tuple[Fraction, ...]] = field(compare=False, repr=False)
+    m: Matrix = field(compare=False, repr=False)
+
+    def lambda_of(self, fs: FragmentSet, sigma: SubsetIndex) -> tuple[Fraction, ...]:
+        """lambda_sigma = S_sigma^-1 w of a live fragment of fs."""
+        m = fs.decomposition.m
+        if m is not self.m and m != self.m:
+            raise KeyError(f"w was not certified for the matrix of {_sigma_label(sigma)}")
+        return self.lambdas[sigma]
 
 
 def _sigma_label(sigma: SubsetIndex) -> str:
@@ -81,7 +83,7 @@ def certify_direction(fs: FragmentSet, w: Sequence) -> GenericDirection:
         return tuple(Fraction(sum(a * x for a, x in zip(row, wn)), den) for row in rows)
 
     checks: list[tuple[str, int]] = []
-    lambdas: dict[Matrix, tuple[Fraction, ...]] = {}
+    lambdas: dict[SubsetIndex, tuple[Fraction, ...]] = {}
     for frag in fs:
         if frag.sign_class == DEGENERATE:
             continue
@@ -89,17 +91,11 @@ def certify_direction(fs: FragmentSet, w: Sequence) -> GenericDirection:
         if any(x == 0 for x in lam):
             raise GenericityError(f"w is not generic: zero entry in {_sigma_label(frag.sigma)}^-1 w")
         checks.append((_sigma_label(frag.sigma), dims.n))
-        lambdas[frag.s] = lam
+        lambdas[frag.sigma] = lam
     if any(x == 0 for x in times_w(fs.m_inv_rows)):
         raise GenericityError("w is not generic: zero entry in M^-1 w")
     checks.append(("M", dims.n))
-    return GenericDirection(
-        w=w,
-        w_prime=w[: dims.r],
-        w_double_prime=w[dims.r :],
-        certificate=tuple(checks),
-        lambdas=lambdas,
-    )
+    return GenericDirection(w, w[: dims.r], w[dims.r :], tuple(checks), lambdas, fs.decomposition.m)
 
 
 def grid_vector(
@@ -160,30 +156,41 @@ def cell_hits(u: Sequence[int], h: Sequence[Sequence[int]], one: int, rules, ran
 
     z runs over the box given by the inclusive (lo, hi) ranges, in
     lexicographic order; u, h and the cell corner one are integers (the
-    caller clears denominators).  Yields (z, inside, touching) with the
-    meaning of cell_position for every z in the closed cell [0, one]^m, where
-    m = len(u).  The test is inlined because it runs once per candidate.
+    caller clears denominators).  Yields (z, inside, touching), the
+    cell_position of u - h z, for every z with u - h z in the closed cell
+    [0, one]^m, m = len(u).  As in Fincke-Pohst enumeration, only the first
+    c - 1 of the c = len(ranges) coordinates are enumerated: per prefix, each
+    row's residual r_i is formed once, and 0 <= r_i - a_i t <= one
+    (a_i = h[i][c-1]) cuts the last range by floor division to its members.
     """
-    m = len(u)
-    cols = range(len(ranges))
-    for z in product(*(range(lo, hi + 1) for lo, hi in ranges)):
-        inside = True
-        touching = False
-        for i in range(m):
-            row = h[i]
-            num = u[i] - sum(row[j] * z[j] for j in cols)
-            if num < 0 or num > one:
+    if not ranges:
+        pos = cell_position(u, one, rules)
+        if pos is not None:
+            yield (), *pos
+        return
+    *head, (lo, hi) = ranges
+    last = [row[len(head)] for row in h]
+    for prefix in product(*(range(a, b + 1) for a, b in head)):
+        t0, t1 = lo, hi
+        res = []
+        for ui, row, a in zip(u, h, last):
+            r = ui - sum(map(mul, row, prefix))
+            if a > 0:
+                low, high = -((one - r) // a), r // a
+            elif a < 0:
+                low, high = -(r // -a), (one - r) // -a
+            elif 0 <= r <= one:
+                low, high = lo, hi
+            else:
                 break
-            if num == 0:
-                touching = True
-                if not rules[i]:
-                    inside = False
-            elif num == one:
-                touching = True
-                if rules[i]:
-                    inside = False
+            t0 = low if low > t0 else t0
+            t1 = high if high < t1 else t1
+            if t0 > t1:
+                break
+            res.append(r)
         else:
-            yield z, inside, touching
+            for t in range(t0, t1 + 1):
+                yield (*prefix, t), *cell_position([r - a * t for r, a in zip(res, last)], one, rules)
 
 
 @dataclass(frozen=True)
@@ -236,64 +243,67 @@ def size_reduce(rows: Sequence[Sequence[int]]):
     Returns (R, W, W^-1) with R = W * rows and W unimodular, all as integer
     rows.  While some pair has 2|<r_i, r_j>| > <r_j, r_j>, row i loses the
     nearest integer multiple of row j; each such step strictly shortens row
-    i, so the loop ends and no row is ever longer than it started.
+    i, so the loop ends and no row is ever longer than it started.  The
+    products <r_i, r_j> are read from the Gram matrix, whose row and column
+    i each step updates in O(n).
     """
     n = len(rows)
-    red = [list(row) for row in rows]
     w = [[int(i == j) for j in range(n)] for i in range(n)]
     w_inv = [[int(i == j) for j in range(n)] for i in range(n)]
-    norms = [sum(x * x for x in row) for row in red]
+    gram = [[sum(map(mul, a, b)) for b in rows] for a in rows]
     changed = True
     while changed:
         changed = False
-        for j in range(n):
-            nj = norms[j]
-            for i in range(n):
-                if i == j:
-                    continue
-                d = sum(x * y for x, y in zip(red[i], red[j]))
-                if 2 * abs(d) <= nj:
+        for j, gj in enumerate(gram):
+            nj = gj[j]
+            for i, gi in enumerate(gram):
+                d = gi[j]
+                if i == j or 2 * abs(d) <= nj:
                     continue
                 k = (2 * d + nj) // (2 * nj)
-                red[i] = [x - k * y for x, y in zip(red[i], red[j])]
                 w[i] = [x - k * y for x, y in zip(w[i], w[j])]
                 for row in w_inv:
                     row[j] += k * row[i]
-                norms[i] = sum(x * x for x in red[i])
+                # <r_i - k r_j, r_l> for every l; the diagonal last
+                norm = gi[i] - 2 * k * d + k * k * nj
+                for col, row in enumerate(gram):
+                    row[i] = gi[col] = gi[col] - k * gj[col]
+                gi[i] = norm
                 changed = True
-    return red, w, w_inv
+    return int_mat_mul(w, rows), w, w_inv
 
 
 class _Frame:
     """Per-fragment point-location data, built once per engine.
 
     A tile (z, sigma) can hold p only when z = M^-1 p - G y for some y in
-    [0, 1]^n, where G = M^-1 S.  The rows of G are size-reduced once
-    (G' = W G, W unimodular), and the scan runs over x = W z, whose box
+    [0, 1]^n, where G = M^-1 S.  S = P M - M D, with P keeping the first r
+    coordinates and D the identity off sigma, so G = T - D for the engine's
+    T = M^-1 P M.  The rows of G are size-reduced once (G' = W G, W
+    unimodular), and the scan runs over x = W z, whose box
     W M^-1 p - G' [0, 1]^n stays close to the parallelepiped it covers.  The
-    coordinate vector of p - M z in the fragment basis is u - H z = u - H'x
-    with u = S^-1 p and H' = S^-1 M W^-1; S^-1 and H' are kept as integer
-    rows over one frame denominator, so a query point cleared to q*p (see
-    query) tests each candidate with integer multiply-adds, and a hit maps
-    back by z = W^-1 x.  S^-1 is the fragment's integer s_inv_rows, so a
-    frame eliminates nothing; the half-open rules are the signs of the
-    certified lambda.
+    coordinate vector of p - M z in the fragment basis is u - H'x with
+    u = S^-1 p and H' = S^-1 M W^-1, kept as integer rows over one frame
+    denominator, and doubled for query; a hit maps back by z = W^-1 x.
+    S^-1 is the fragment's s_inv_rows, so a frame eliminates nothing; the
+    half-open rules are the signs of the certified lambda.
     """
 
     __slots__ = (
-        "sigma", "sign_class", "lam", "rules", "denom", "s_inv", "h",
+        "sigma", "sign_class", "lam", "rules", "denom", "s_inv", "h", "h2", "one2",
         "to_x", "to_z", "slack_den", "slack_pos", "slack_neg",
     )
 
-    def __init__(self, frag, fs: FragmentSet, w: GenericDirection):
+    def __init__(self, frag, fs: FragmentSet, w: GenericDirection, top):
         self.sigma = frag.sigma
         self.sign_class = frag.sign_class
-        self.lam = w.lambdas[frag.s]
+        self.lam = w.lambda_of(fs, frag.sigma)
         self.rules = tuple(x > 0 for x in self.lam)
-        s_den, s_rows = clear_rows(frag.s)
-        m_inv_den, m_inv = fs.m_inv_rows
-        g, self.to_x, self.to_z = size_reduce(int_mat_mul(m_inv, s_rows))
-        self.slack_den = m_inv_den * s_den
+        self.slack_den, t = top  # T = t / slack_den, and G = T - D over it
+        g = [list(row) for row in t]
+        for j in complement(frag.sigma, fs.dims.n):
+            g[j - 1][j - 1] -= self.slack_den
+        g, self.to_x, self.to_z = size_reduce(g)
         self.slack_pos = [sum(x for x in row if x > 0) for row in g]
         self.slack_neg = [sum(x for x in row if x < 0) for row in g]
         # S^-1 = si / si_den and M = m / m_den share the denominator
@@ -305,13 +315,28 @@ class _Frame:
         common = gcd(si_den * m_den, *(x for a in (s_inv, h) for row in a for x in row))
         self.denom = si_den * m_den // common
         self.s_inv, self.h = ([[x // common for x in row] for row in a] for a in (s_inv, h))
+        self.h2 = [[2 * x for x in row] for row in self.h]
+        self.one2 = 2 * self.denom
+
+    def exact_query(self, q: int, p_int: Sequence[int]):
+        """(u, h, one) for cell_hits at the point p_int / q: the cell
+        coordinates of p - M W^-1 x are exactly (u - h x) / one."""
+        u = [sum(map(mul, row, p_int)) for row in self.s_inv]
+        return u, [[e * q for e in row] for row in self.h], self.denom * q
 
     def query(self, q: int, p_int: Sequence[int]):
-        """(u, h, one) for cell_hits at the point p_int / q: the cell
-        coordinates of p - M W^-1 x are (u - h x) / one."""
-        u = [sum(e * x for e, x in zip(row, p_int)) for row in self.s_inv]
-        h = [[e * q for e in row] for row in self.h]
-        return u, h, self.denom * q
+        """(u', 2 H', 2 denom), on which cell_hits yields what it yields for
+        exact_query, on integers that do not grow with q.
+
+        With u = S^-1 p_int, row i tests v = u_i / q - (H'x)_i against
+        [0, denom], and u'_i = 2 (u_i // q) + (u_i % q > 0).  Where q divides
+        u_i, u'_i - 2 (H'x)_i = 2 v.  Elsewhere v is no integer, so never 0 or
+        denom, and lies in the cell exactly when floor(v) lies in
+        [0, denom - 1]; then u'_i - 2 (H'x)_i = 2 floor(v) + 1 is odd, never
+        0 or 2 denom, and lies in [0, 2 denom] exactly when floor(v) does.
+        """
+        u = [sum(map(mul, row, p_int)) for row in self.s_inv]
+        return [2 * (x // q) + (x % q > 0) for x in u], self.h2, self.one2
 
     def box(self, num: Sequence[int], den: int):
         """Inclusive bounds (lo, hi) on x = W z over the translates z whose
@@ -336,7 +361,8 @@ class TilingEngine:
     arithmetic on the reduced rows of M^-1 S_sigma gives, and each candidate
     is tested exactly with integer arithmetic.  Each fragment's tiles come
     out sorted by z, so results do not depend on the scan order.  The frames
-    are built from the fragment set's cleared m_rows and m_inv_rows.
+    are built from the fragment set's cleared m_rows and m_inv_rows, and
+    share T = M^-1 P M, formed once here.
     """
 
     def __init__(self, fs: FragmentSet, w: GenericDirection):
@@ -345,7 +371,9 @@ class TilingEngine:
         self.fs = fs
         self.w = w
         self.expected = fs.expected_coverage()
-        self.frames = [_Frame(frag, fs, w) for frag in fs if frag.sign_class != DEGENERATE]
+        (m_den, m), (e, m_inv), r = fs.m_rows, fs.m_inv_rows, fs.dims.r
+        top = e * m_den, int_mat_mul([row[:r] for row in m_inv], m[:r])
+        self.frames = [_Frame(frag, fs, w, top) for frag in fs if frag.sign_class != DEGENERATE]
 
     @cached_property
     def m_inv(self) -> Matrix:
@@ -404,10 +432,10 @@ def verify_constancy(
     Points are drawn as p = M u with u uniform on the 2^-31 grid of [0,1)^n;
     by lattice periodicity of the tiling, constancy there is constancy
     everywhere.  With u = c / q and M = A / d (fs.m_rows), p = A c / (d q)
-    is formed from integers, one Fraction per coordinate.  Samples that land exactly on a tile boundary are redrawn
-    (and counted), so the verifier never has to adjudicate ties; a sample
-    still on a boundary after BOUNDARY_REDRAWS redraws raises
-    GenericityError.
+    is formed from integers, one Fraction per coordinate.  Samples that land
+    exactly on a tile boundary are redrawn (and counted), so the verifier
+    never has to adjudicate ties; a sample still on a boundary after
+    BOUNDARY_REDRAWS redraws raises GenericityError.
     """
     engine = TilingEngine(fs, w)
     n = fs.dims.n

@@ -345,6 +345,64 @@ def reference_rref(rows, ncols: int) -> list[int]:
     return pivots
 
 
+def reference_cell_hits(u, h, one, rules, ranges):
+    """The translate scan cell_hits ran before it solved the last coordinate:
+    every z of the box in lexicographic order, each row tested in turn.
+    Kept as the reference the solved scan must reproduce yield for yield."""
+    from itertools import product
+
+    m = len(u)
+    cols = range(len(ranges))
+    for z in product(*(range(lo, hi + 1) for lo, hi in ranges)):
+        inside = True
+        touching = False
+        for i in range(m):
+            row = h[i]
+            num = u[i] - sum(row[j] * z[j] for j in cols)
+            if num < 0 or num > one:
+                break
+            if num == 0:
+                touching = True
+                if not rules[i]:
+                    inside = False
+            elif num == one:
+                touching = True
+                if rules[i]:
+                    inside = False
+        else:
+            yield z, inside, touching
+
+
+def reference_size_reduce(rows):
+    """Pairwise size reduction with every inner product taken afresh from the
+    rows: the loop fragtile.tiling.size_reduce ran before it kept a Gram
+    matrix.  Returns (R, W, W^-1) like it."""
+    n = len(rows)
+    red = [list(row) for row in rows]
+    w = [[int(i == j) for j in range(n)] for i in range(n)]
+    w_inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    norms = [sum(x * x for x in row) for row in red]
+    changed = True
+    while changed:
+        changed = False
+        for j in range(n):
+            nj = norms[j]
+            for i in range(n):
+                if i == j:
+                    continue
+                d = sum(x * y for x, y in zip(red[i], red[j]))
+                if 2 * abs(d) <= nj:
+                    continue
+                k = (2 * d + nj) // (2 * nj)
+                red[i] = [x - k * y for x, y in zip(red[i], red[j])]
+                w[i] = [x - k * y for x, y in zip(w[i], w[j])]
+                for row in w_inv:
+                    row[j] += k * row[i]
+                norms[i] = sum(x * x for x in red[i])
+                changed = True
+    return red, w, w_inv
+
+
 def cramer_inverse(a: Matrix) -> Matrix:
     """Inverse column by column from Cramer quotients."""
     n = a.rows

@@ -243,7 +243,7 @@ class TestBlockFactorization:
                     continue
                 assert frag.s_inv == inverse(frag.s), frag.sigma
                 assert frag.cbar_inv == inverse(frag.cbar), frag.sigma
-                assert w.lambdas[frag.s] == solve(frag.s, w.w), frag.sigma
+                assert w.lambda_of(fs, frag.sigma) == solve(frag.s, w.w), frag.sigma
 
 
 class TestEliminationGuard:

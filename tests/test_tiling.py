@@ -11,6 +11,8 @@ from conftest import (
     pip_contains,
     random_invertible,
     random_rational_invertible,
+    reference_cell_hits,
+    reference_size_reduce,
     reference_verify,
 )
 from fragtile import (
@@ -29,7 +31,8 @@ from fragtile import (
     tiling,
     verify_constancy,
 )
-from fragtile.tiling import clear_rows, int_mat_mul, size_reduce
+from fragtile.linalg import clear_denominator, clear_rows
+from fragtile.tiling import cell_hits, int_mat_mul, size_reduce
 
 HALF = Fraction(1, 2)
 WORKED_POINT = (Fraction(-2), Fraction(1), -HALF, -HALF)
@@ -68,7 +71,8 @@ class TestGenericDirection:
     def test_lambdas_keyed_by_fragment_matrix(self, kset, w_k, lset, mset, w_m):
         for frag in mset:
             if frag.sign_class != "degenerate":
-                assert w_m.lambdas[frag.s] == solve(frag.s, w_m.w)
+                assert w_m.lambda_of(mset, frag.sigma) == solve(frag.s, w_m.w)
+        assert set(w_m.lambdas) == set(mset.by_class("positive") + mset.by_class("negative"))
         # a direction certified for K carries no lambda for L's fragments
         with pytest.raises(KeyError):
             TilingEngine(lset, w_k)
@@ -249,6 +253,32 @@ class TestSizeReduce:
                     [x * frame.denom for x in row] for row in h.row_list()
                 ]
 
+    def test_frames_match_the_product_construction(self):
+        # Frames take G = M^-1 S as T - D and reduce it on its Gram matrix;
+        # the reference multiplies M^-1 by the cleared S and takes every
+        # inner product from the rows.  Both give the same W, W^-1 and boxes.
+        corpus = [corpus_matrix(n, r, i) for n, r, i in ((4, 1, 0), (5, 2, 10), (6, 3, 4), (6, 2, 1))]
+        rng = random.Random(43)
+        for fs in [*corpus, *self._fragment_sets()]:
+            engine = TilingEngine(fs, choose_generic_direction(fs, 0))
+            e, m_inv = fs.m_inv_rows
+            m = fs.decomposition.m
+            points = [
+                m.mat_vec([Fraction(rng.randint(-40, 40), rng.choice((1, 3, 8))) for _ in range(fs.dims.n)])
+                for _ in range(3)
+            ]
+            for frame in engine.frames:
+                s_den, s_rows = clear_rows(fs[frame.sigma].s)
+                g, to_x, to_z = reference_size_reduce(int_mat_mul(m_inv, s_rows))
+                assert (frame.to_x, frame.to_z) == (to_x, to_z)
+                sd = e * s_den
+                for p in points:
+                    num, den = engine.lattice_coordinates(*clear_denominator(p))
+                    b = [sum(x * v for x, v in zip(row, num)) * sd for row in to_x]
+                    lo = [-((sum(x for x in row if x > 0) * den - bi) // (den * sd)) for bi, row in zip(b, g)]
+                    hi = [(bi - sum(x for x in row if x < 0) * den) // (den * sd) for bi, row in zip(b, g)]
+                    assert frame.box(num, den) == (lo, hi)
+
     def test_candidate_box_is_the_scanned_box(self, mset, w_m, monkeypatch):
         engine = TilingEngine(mset, w_m)
         p = (Fraction(1, 7), Fraction(-2, 9), Fraction(3, 11), Fraction(1, 13))
@@ -264,6 +294,137 @@ class TestSizeReduce:
         a = engine.m_inv.mat_vec(p)
         boxes = [list(zip(*engine.candidate_box(frame, a))) for frame in engine.frames]
         assert scanned == boxes
+
+
+class TestCellHits:
+    """The last-coordinate solve against the full product scan."""
+
+    @staticmethod
+    def _case(rng, m, c, one, last=None):
+        """u, h, one, rules, ranges with residuals that reach into the cell;
+        last, when given, draws the last column of h."""
+        scale = rng.choice((1, max(1, one // 3)))
+        h = [[rng.randint(-3, 3) * scale + rng.randint(-1, 1) for _ in range(c)] for _ in range(m)]
+        if last is not None and c:
+            for row in h:
+                row[-1] = last(rng, scale)
+        u = [rng.randint(-one, 2 * one) for _ in range(m)]
+        rules = [rng.random() < 0.5 for _ in range(m)]
+        ranges = [(lo, lo + rng.randint(0, 4)) for lo in (rng.randint(-4, 4) for _ in range(c))]
+        return u, h, one, rules, ranges
+
+    @staticmethod
+    def _check(cases):
+        """Assert every case matches; return (members, touching) totals."""
+        members = touching = 0
+        for case in cases:
+            got = list(cell_hits(*case))
+            assert got == list(reference_cell_hits(*case)), case
+            members += len(got)
+            touching += sum(1 for _, _, t in got if t)
+        return members, touching
+
+    def test_seeded_shapes(self):
+        # m < c is the slice shape (k rows, n columns); m >= c is the frames'.
+        rng = random.Random(51)
+        shapes = [(1, 3), (2, 4), (1, 5), (2, 2), (3, 3), (3, 2), (4, 1), (5, 3)]
+        cases = [
+            self._case(rng, m, c, rng.choice((1, 2, 6, 12)))
+            for m, c in shapes
+            for _ in range(80)
+        ]
+        members, touching = self._check(cases)
+        assert members > 500 and touching > 100
+
+    def test_zero_and_negative_last_columns(self):
+        rng = random.Random(52)
+        columns = {
+            "zero": lambda rng, scale: 0,
+            "negative": lambda rng, scale: -rng.randint(1, 3) * scale,
+            "mixed": lambda rng, scale: rng.choice((0, 1, -1)) * rng.randint(1, 3) * scale,
+        }
+        for name, last in columns.items():
+            cases = [
+                self._case(rng, m, c, rng.choice((1, 6, 12)), last)
+                for m, c in ((1, 3), (2, 2), (3, 3), (4, 2))
+                for _ in range(60)
+            ]
+            members, touching = self._check(cases)
+            assert members > 100 and touching > 10, name
+
+    def test_empty_ranges_and_no_columns(self):
+        rng = random.Random(53)
+        empty = []
+        for _ in range(50):
+            u, h, one, rules, ranges = self._case(rng, 2, 3, 6)
+            i = rng.randrange(3)
+            ranges[i] = (ranges[i][0], ranges[i][0] - 1)
+            empty.append((u, h, one, rules, ranges))
+        assert self._check(empty) == (0, 0)
+        # c == 0: the one empty translate, when u itself is in the cell
+        assert list(cell_hits([0, 3], [[], []], 3, (True, True), [])) == [((), False, True)]
+        assert list(cell_hits([2, 1], [[], []], 3, (True, False), [])) == [((), True, False)]
+        assert list(cell_hits([4, 1], [[], []], 3, (True, True), [])) == []
+        # no rows: every translate of the box, inside and not touching
+        assert list(cell_hits([], [], 3, (), [(0, 1), (2, 2)])) == [
+            ((0, 2), True, False), ((1, 2), True, False)
+        ]
+
+    def test_large_cell_corner(self):
+        rng = random.Random(54)
+        cases = [
+            self._case(rng, m, c, 2**40 + rng.randint(-5, 5))
+            for m, c in ((1, 3), (2, 4), (3, 3), (4, 2))
+            for _ in range(60)
+        ]
+        members, _ = self._check(cases)
+        assert members > 100
+
+    def test_last_range_is_solved_not_scanned(self):
+        # A product scan would visit 2e12 + 1 translates here.
+        wide = [(-(10**12), 10**12)]
+        assert [z for z, _, _ in cell_hits([7], [[2]], 5, (True,), wide)] == [(1,), (2,), (3,)]
+        hits = list(cell_hits([0, 9], [[1, 0], [0, -3]], 4, (True, False), [(0, 2), *wide]))
+        assert [z for z, _, _ in hits] == [(0, -3), (0, -2)]
+
+
+class TestHalvedQuery:
+    """tiles_at's small-integer query against the exact one."""
+
+    def test_matches_the_exact_query(self, mset, w_m, qset):
+        rng = random.Random(55)
+        sets = [(mset, w_m), (qset, choose_generic_direction(qset, 0))]
+        sets += [(fs, choose_generic_direction(fs, 0)) for fs in (corpus_matrix(3, 1, 2), corpus_matrix(5, 2, 0))]
+        on_boundary = members = touching = 0
+        for fs, w in sets:
+            engine = TilingEngine(fs, w)
+            m = fs.decomposition.m
+            n = fs.dims.n
+            points = [
+                tuple(Fraction(rng.randint(-60, 60), rng.choice((3, 7, 10))) for _ in range(n))
+                for _ in range(4)
+            ]
+            # Points on a tile boundary: S y + M z with some y_i = 0 or 1.
+            for frame in engine.frames:
+                for _ in range(3):
+                    y = [Fraction(rng.randint(1, 4), 5) for _ in range(n)]
+                    y[rng.randrange(n)] = Fraction(rng.randint(0, 1))
+                    z = [rng.randint(-2, 2) for _ in range(n)]
+                    s_y = fs[frame.sigma].s.mat_vec(y)
+                    points.append(tuple(a + b for a, b in zip(s_y, m.mat_vec(z))))
+            for p in points:
+                q, p_int = clear_denominator(p)
+                num, den = engine.lattice_coordinates(q, p_int)
+                for frame in engine.frames:
+                    ranges = list(zip(*frame.box(num, den)))
+                    exact = frame.exact_query(q, p_int)
+                    got = list(cell_hits(*frame.query(q, p_int), frame.rules, ranges))
+                    assert got == list(cell_hits(*exact, frame.rules, ranges)), (p, frame.sigma)
+                    if q > 1 and any(x % q == 0 for x in exact[0]):
+                        on_boundary += 1
+                    members += len(got)
+                    touching += sum(1 for _, _, t in got if t)
+        assert on_boundary > 50 and touching > 50 and members > 200
 
 
 class TestReducedBox:
