@@ -49,14 +49,12 @@ from .facets import (
     CrossingReport,
     DoubleCoverReport,
     FacetCollection,
-    FacetGeometry,
     FacetId,
     UpDownPartition,
     collection_of,
     crossing_check,
     double_cover_check,
     facet_collection,
-    facet_projections,
     facet_signs,
     h_vector,
     lambda_vector,

@@ -10,16 +10,16 @@ Within a collection, every facet either increases or decreases the signed
 cover count when crossed along the orientation w (the up/down split).  The up
 facets and the down facets each project onto the same zonotope, once each,
 which is why crossing a hyperplane never changes the cover count.  This module
-makes all of that executable: exact facet geometry, the split, the kernel
-certificate behind the zonotope tiling, sampled double-cover verification, and
-exact crossing scans along rays.
+makes all of that executable: the split, the kernel certificate behind the
+zonotope tiling, sampled double-cover verification on each fragment's integer
+S^-1 rows, and exact crossing scans along rays.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import ceil
+from operator import mul
 from typing import Sequence
 
 from .fragments import (
@@ -35,17 +35,14 @@ from .linalg import (
     DimensionError,
     LinalgError,
     Matrix,
-    RankDeficiencyError,
     clear_denominator,
-    clear_rows,
     det,
+    int_mat_mul,
     normalize_integer_direction,
     perm_sign,
     rat,
-    rref,
     vec_add,
     vec_scale,
-    vec_sub,
     vector,
 )
 from .tiling import (
@@ -57,7 +54,6 @@ from .tiling import (
     cell_hits,
     cell_position,
     grid_vector,
-    int_mat_mul,
 )
 
 TAU = "tau"
@@ -220,97 +216,6 @@ def h_vector(fs: FragmentSet, w: GenericDirection, tau: Sequence[int]) -> tuple[
     return tuple(h)
 
 
-@dataclass(frozen=True)
-class FacetGeometry:
-    """Half-open affine cell: base + sum of x_i * generator_i.
-
-    Coordinate i ranges over [0,1) when include_zero[i] is true and over
-    (0,1] otherwise.  Generators must be linearly independent.
-    """
-
-    base: tuple[Fraction, ...]
-    generators: tuple[tuple[Fraction, ...], ...]
-    include_zero: tuple[bool, ...]
-
-    @cached_property
-    def _coordinate_map(self) -> tuple[Matrix, Matrix]:
-        """(left inverse, left null rows) of the generator matrix.
-
-        Row-reducing [G | I] leaves G's left inverse beside the pivot rows
-        and, when G has fewer columns than rows, rows spanning its left null
-        space below them: a vector lies in the span exactly when those rows
-        annihilate it.
-        """
-        dim = len(self.base)
-        count = len(self.generators)
-        aug = [
-            [g[i] for g in self.generators] + [Fraction(int(i == j)) for j in range(dim)]
-            for i in range(dim)
-        ]
-        if len(rref(aug, count)) < count:
-            raise RankDeficiencyError("facet generators are linearly dependent")
-        left = Matrix(count, dim, [x for row in aug[:count] for x in row[count:]])
-        null = Matrix(dim - count, dim, [x for row in aug[count:] for x in row[count:]])
-        return left, null
-
-    def sample_map(self, columns: Sequence[Sequence[Fraction]], origin: Sequence):
-        """(e, rows, null): the cleared affine map from sample numerators to
-        cell coordinates.
-
-        For the point p = sum_j (c_j / q) * columns[j] + origin, with integer
-        c and q > 0 and v = (c_1, ..., c_m, q), the coordinates of p are
-        (rows . v) / (e * q), and p lies in the affine span exactly when
-        every null row annihilates v.  The last column of each map carries
-        the offset origin - base, which v weighs by q.
-        """
-        left, null = self._coordinate_map
-        offset = vec_sub(vector(origin), self.base)
-        a_den, a = clear_rows(Matrix.from_columns([*columns, offset], rows=len(self.base)))
-        l_den, l_rows = clear_rows(left)
-        return l_den * a_den, int_mat_mul(l_rows, a), int_mat_mul(clear_rows(null)[1], a)
-
-    def position(self, point: Sequence) -> tuple[bool, bool] | None:
-        """cell_position of the point's exact coordinates in the generator
-        frame: None off the affine span or the closed cell, else (inside,
-        touching)."""
-        rhs = vec_sub(vector(point), self.base)
-        left, null = self._coordinate_map
-        if any(x != 0 for x in null.mat_vec(rhs)):
-            return None
-        return cell_position(left.mat_vec(rhs), 1, self.include_zero)
-
-
-def facet_projections(
-    fs: FragmentSet, w: GenericDirection, facet: FacetId
-) -> tuple[FacetGeometry, FacetGeometry]:
-    """Geometry of the facet's shadow on the first r and last k coordinates.
-
-    The omitted generator j contributes only an offset (its top or bottom
-    part, on the s=1 side); the remaining generators split between the two
-    shadows by whether they carry a top or a bottom part, with half-open
-    rules given by the matching lambda coordinates.
-    """
-    dims = fs.dims
-    d = fs.decomposition
-    lam = lambda_vector(fs, w, facet.sigma)
-    mz = d.m.mat_vec(tuple(Fraction(x) for x in facet.z))
-    in_sigma = facet.j in facet.sigma
-    shadows = []
-    for idx, base, parts, holds_j in (
-        (facet.sigma, mz[: dims.r], d.c, in_sigma),
-        (complement(facet.sigma, dims.n), mz[dims.r :], d.cbar, not in_sigma),
-    ):
-        gens = [i for i in idx if i != facet.j]
-        if facet.s == 1 and holds_j:
-            base = vec_add(base, parts[facet.j - 1])
-        shadows.append(FacetGeometry(
-            base=base,
-            generators=tuple(parts[i - 1] for i in gens),
-            include_zero=tuple(lam[i - 1] > 0 for i in gens),
-        ))
-    return shadows[0], shadows[1]
-
-
 @dataclass
 class DoubleCoverReport:
     kind: str
@@ -321,16 +226,6 @@ class DoubleCoverReport:
     relative_points: tuple[tuple[Fraction, ...], ...]
     failures: tuple[tuple[tuple[Fraction, ...], int, int], ...]
     passed: bool
-
-
-def _sample_position(cell: FacetGeometry, cell_map, v: Sequence[int], q: int):
-    """cell.position of the sample v = (c, q), through the cell's cleared
-    sample_map: None off the closed cell, else (inside, touching)."""
-    e, rows, null = cell_map
-    if any(sum(a * x for a, x in zip(row, v)) for row in null):
-        return None
-    ints = [sum(a * x for a, x in zip(row, v)) for row in rows]
-    return cell_position(ints, e * q, cell.include_zero)
 
 
 def double_cover_check(
@@ -347,37 +242,43 @@ def double_cover_check(
     vectors on the 2^-31 grid of [0,1)), redrawn while they touch any
     projected facet's closed boundary (at most BOUNDARY_REDRAWS times, then
     GenericityError), and then must lie in exactly one up and exactly one
-    down facet shadow.  Each shadow clears its sample_map once, so a sample
-    with coefficients c / q is placed by integer dot products with
-    (c, q) and one cell_position call per shadow.
+    down facet shadow.
+
+    The shadow covered is full-dimensional: Cbar_hat for tau (j in sigma)
+    and C_sigma for gamma (j off sigma), based at part(M z_f).  A sample
+    with coefficients c / q on the columns js is x = part(M (z -+ c / q))
+    (minus for tau), so its cell coordinates are the block rows of
+    S_sigma^-1 M (q (z - z_f) -+ c) over q.  With S_sigma^-1 = X / e and
+    M = A / d, each member keeps those rows of X A as integer rows on
+    v = (c, q) over e d, tested by cell_position.
     """
-    dims = fs.dims
-    index = normalize_subset(index, dims.n)
+    r, n = fs.dims.r, fs.dims.n
+    index = normalize_subset(index, n)
     z = tuple(int(x) for x in z)
-    mz = fs.decomposition.m.mat_vec(tuple(Fraction(x) for x in z))
-    if len(index) == dims.r - 1:
-        kind = TAU
-        js = complement(index, dims.n)
-        zono_cols = [fs.decomposition.cbar[j - 1] for j in js]
-        base = mz[dims.r :]
-    elif len(index) == dims.r + 1:
-        kind = GAMMA
-        js = index
-        zono_cols = [fs.decomposition.c[j - 1] for j in js]
-        base = mz[: dims.r]
+    if len(index) == r - 1:
+        kind, js, sign = TAU, complement(index, n), -1
+    elif len(index) == r + 1:
+        kind, js, sign = GAMMA, index, 1
     else:
-        raise DimensionError(
-            f"index size {len(index)} is neither r-1={dims.r - 1} nor r+1={dims.r + 1}"
-        )
-    zono_den, zono_rows = clear_rows(Matrix.from_columns(zono_cols, rows=len(base)))
+        raise DimensionError(f"index size {len(index)} is neither r-1={r - 1} nor r+1={r + 1}")
+    d, a = fs.m_rows
+    # The zonotope's columns are sign * part(M e_j): A's part rows over d.
+    part = a[:r] if kind == GAMMA else a[r:]
+    zono_rows = [[sign * row[j - 1] for j in js] for row in part]
     coll = facet_collection(fs, kind, z, index)
     up = set(up_down_partition(fs, w, coll).up)
-    # A tau collection's facets differ in their bottom parts, a gamma
-    # collection's in their top parts: that shadow is the one to cover.
-    shadow = 1 if kind == TAU else 0
     live = coll.live_members()
-    cells = [facet_projections(fs, w, facet)[shadow] for facet in live]
-    maps = [cell.sample_map(zono_cols, base) for cell in cells]
+    cells = []
+    for facet in live:
+        e, x = fs[facet.sigma].s_inv_rows
+        block = facet.sigma if kind == GAMMA else complement(facet.sigma, n)
+        lam = lambda_vector(fs, w, facet.sigma)
+        shift = [zi - fi for zi, fi in zip(z, facet.z)]
+        rows = [
+            [sign * g[j - 1] for j in js] + [sum(map(mul, g, shift))]
+            for g in int_mat_mul([x[i - 1] for i in block], a)
+        ]
+        cells.append((rows, e * d, tuple(lam[i - 1] > 0 for i in block)))
 
     redraws = 0
     relative_points = []
@@ -387,7 +288,10 @@ def double_cover_check(
             coeffs = grid_vector(f"cover:{seed}:{idx}:{attempt}", len(js), 0, SAMPLE_DENOMINATOR)
             q, c = clear_denominator(coeffs)
             v = c + [q]
-            positions = [_sample_position(cell, m, v, q) for cell, m in zip(cells, maps)]
+            positions = [
+                cell_position([sum(map(mul, row, v)) for row in rows], one * q, rules)
+                for rows, one, rules in cells
+            ]
             if not any(pos is not None and pos[1] for pos in positions):
                 break
             redraws += 1
@@ -399,8 +303,8 @@ def double_cover_check(
         hits = [facet in up for facet, pos in zip(live, positions) if pos is not None and pos[0]]
         up_count = sum(hits)
         down_count = len(hits) - up_count
-        den = zono_den * q
-        q_rel = tuple(Fraction(sum(a * x for a, x in zip(row, c)), den) for row in zono_rows)
+        den = d * q
+        q_rel = tuple(Fraction(sum(map(mul, row, c)), den) for row in zono_rows)
         relative_points.append(q_rel)
         if (up_count, down_count) != (1, 1):
             failures.append((q_rel, up_count, down_count))

@@ -14,9 +14,11 @@ Cbar_hat): det S_sigma = sgn(sigma, hat) det C_sigma det Cbar_hat, and
 S_sigma^-1 comes from the two block inverses.  Only this module eliminates
 a fragment's blocks, on integers: M is cleared once to A / d, one
 int_inverse per block of A gives its determinant and adjugate, det M is
-int_det(A), and M^-1 is A's adjugate, taken on first use.  The checks stay
-independent of this: sandc_identity takes a fresh n x n determinant of
-S_sigma, and laplace_identity sums the block products against det M.
+int_det(A), and M^-1 is A's adjugate, taken on first use.  A fragment keeps
+S_sigma^-1 as integer rows, which every cell test reads, and no Fraction
+matrix.  The checks stay independent of this: sandc_identity takes a fresh
+n x n determinant of S_sigma, and laplace_identity sums the block products
+against det M.
 """
 from __future__ import annotations
 
@@ -146,30 +148,21 @@ class Fragment:
     det_s = sgn(sigma, hat) * det_c * det_cbar.  A live fragment keeps
     S_sigma^-1 = X / e as s_inv_rows = (e, X), e > 0, row i of X from
     C_sigma^-1 for i in sigma and from Cbar_hat^-1 off sigma, zero-padded;
-    s_inv and cbar_inv (Cbar_hat^-1) are Fraction copies made on first use.
+    every cell test reads these rows.  The fragment matrix s itself is
+    assembled from the decomposition on first read.
     """
 
     sigma: SubsetIndex
-    s: Matrix
-    c: Matrix
-    cbar: Matrix
     det_c: Fraction
     det_cbar: Fraction
     det_s: Fraction
     sign_class: str
-    s_inv_rows: tuple[int, list[list[int]]] | None = field(default=None, compare=False, repr=False)
+    s_inv_rows: tuple[int, list[list[int]]] | None = field(compare=False, repr=False)
+    decomposition: Decomposition = field(repr=False)
 
     @cached_property
-    def cbar_inv(self) -> Matrix:
-        rows = enumerate(self.s_inv.row_list(), 1)
-        return Matrix.from_rows([row[self.c.rows :] for i, row in rows if i not in self.sigma])
-
-    @cached_property
-    def s_inv(self) -> Matrix:
-        if self.s_inv_rows is None:
-            raise SingularMatrixError(f"fragment {self.sigma} is degenerate")
-        e, rows = self.s_inv_rows
-        return Matrix.from_rows([[Fraction(x, e) for x in row] for row in rows])
+    def s(self) -> Matrix:
+        return fragment_matrix(self.decomposition, self.sigma)
 
 
 class FragmentSet:
@@ -201,10 +194,9 @@ class FragmentSet:
                 bottom = iter([0] * r + [f * det_top * x for x in row] for row in adj_bottom)
                 rows = [next(top) if i in sigma else next(bottom) for i in range(1, n + 1)]
                 s_inv_rows = abs(det_top * det_bottom), rows
-            c, cbar = c_submatrices(decomposition, sigma)
             frags[sigma] = Fragment(
-                sigma, fragment_matrix(decomposition, sigma), c, cbar, Fraction(det_top, d**r),
-                Fraction(det_bottom, d**k), det_s, sign_class, s_inv_rows,
+                sigma, Fraction(det_top, d**r), Fraction(det_bottom, d**k), det_s, sign_class,
+                s_inv_rows, decomposition,
             )
         self.fragments: Mapping[SubsetIndex, Fragment] = frags
 

@@ -3,10 +3,11 @@
 Entries and results are ``fractions.Fraction``, so predicates such as
 determinant signs are decided exactly; matrices are immutable, dense and
 row-major.  Every elimination is ``eliminate``, fraction-free Gauss-Jordan
-on integer rows: ``det``, ``inverse``, ``solve``, ``kernel_vector`` and
-``rref`` clear a matrix to A / c, eliminate A and divide once; ``int_det``
-and ``int_inverse`` serve callers that hold integer rows.  Intended scale is
-small systems (n <= ~10), with no sparsity or asymptotic cleverness.
+on integer rows: ``det``, ``inverse``, ``solve`` and ``kernel_vector`` clear
+a matrix to A / c, eliminate A and divide once; ``int_det``,
+``int_inverse`` and ``int_mat_mul`` serve callers that hold integer rows.
+Intended scale is small systems (n <= ~10), with no sparsity or asymptotic
+cleverness.
 """
 from __future__ import annotations
 
@@ -55,12 +56,6 @@ def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...
     if len(u) != len(v):
         raise DimensionError(f"vector lengths differ: {len(u)} vs {len(v)}")
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    if len(u) != len(v):
-        raise DimensionError(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_scale(c: Scalar, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -230,29 +225,18 @@ def int_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | N
     return sign * last, [[sign * x for x in row[n:]] for row in work]
 
 
+def int_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Product of two integer matrices given as rows."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
 def det(a: Matrix) -> Fraction:
     """Exact determinant: a = A / c with integer A, so det a = det A / c^n."""
     if not a.is_square:
         raise DimensionError(f"determinant of non-square {a.rows}x{a.cols} matrix")
     c, rows = clear_rows(a)
     return Fraction(int_det(rows), c**a.rows)
-
-
-def rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Gauss-Jordan reduction of the first ncols columns of rational rows, in
-    place (later columns ride along), with eliminate's pivots, which it
-    returns.  Row i then has a 1 in column pivots[i] and 0 in the other pivot
-    columns, and rows below len(pivots) are zero in the first ncols columns.
-    Cleared by one scalar c and eliminated, the pivot rows come out scaled by
-    the last pivot and the rows below by last * c."""
-    c, ints = clear_rows(rows)
-    pivots, last, _ = eliminate(ints, ncols)
-    rank = len(pivots)
-    rows[:] = [
-        [Fraction(x, last if i < rank else last * c) for x in row]
-        for i, row in enumerate(ints)
-    ]
-    return pivots
 
 
 def solve(a: Matrix, b: Sequence[Fraction]) -> tuple[Fraction, ...]:

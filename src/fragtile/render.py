@@ -2,22 +2,23 @@
 
 All geometry arrives exact; decimals appear only in the emitted document
 (6 fractional digits, round half to even).  A tile translate is drawn when its
-open parallelogram meets the open window, decided by an exact separating-axis
-test, so the polygon census is reproducible.  Elements are grouped per
-fragment in lexicographic subset order, each group with its own fill shade,
-offsets ordered lexicographically.
+open parallelogram meets the open window: its offset lies strictly inside the
+four separating-axis strips, which tiling.cell_hits decides on integers, so
+the polygon census is reproducible.  Elements are grouped per fragment in
+lexicographic subset order, each group with its own fill shade, offsets
+ordered lexicographically.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import ceil, floor
 from typing import Sequence
 
 from .fragments import DEGENERATE, FragmentSet, SubsetIndex
-from .linalg import DimensionError, Matrix, inverse, rat, vec_add
+from .linalg import DimensionError, Matrix, clear_rows, inverse, rat, vec_add
 from .slices import SliceLayout
+from .tiling import cell_hits
 
 # Pixels per drawing unit, fill color per sign class, fill opacity.
 SCALE = Fraction(40)
@@ -48,36 +49,6 @@ def dec6(q: Fraction) -> str:
     sign = "-" if n < 0 else ""
     n = abs(n)
     return f"{sign}{n // 10**6}.{n % 10**6:06d}"
-
-
-def _project(points, axis):
-    values = [px * axis[0] + py * axis[1] for px, py in points]
-    return min(values), max(values)
-
-
-def _open_overlap(span_a, span_b) -> bool:
-    return span_a[0] < span_b[1] and span_b[0] < span_a[1]
-
-
-def parallelogram_meets_window(corners, window) -> bool:
-    """Exact separating-axis test: do the open parallelogram and the open
-    window intersect?  Touching along an edge or corner does not count."""
-    x0, x1, y0, y1 = window
-    rect = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-    e1 = (corners[1][0] - corners[0][0], corners[1][1] - corners[0][1])
-    e2 = (corners[3][0] - corners[0][0], corners[3][1] - corners[0][1])
-    axes = [
-        (Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(1)),
-        (-e1[1], e1[0]),
-        (-e2[1], e2[0]),
-    ]
-    for axis in axes:
-        if axis == (0, 0):
-            continue
-        if not _open_overlap(_project(corners, axis), _project(rect, axis)):
-            return False
-    return True
 
 
 def _lattice_box(basis_inv: Matrix, lo: Sequence[Fraction], hi: Sequence[Fraction]):
@@ -117,23 +88,47 @@ def _corners(offset, g1, g2):
 
 
 def _family_polygons(shape: Matrix, anchors, basis: Matrix, cfg: RenderConfig):
-    """All translates anchor + basis*z whose parallelogram meets the window."""
+    """All translates anchor + basis*z whose open parallelogram meets the
+    open window.
+
+    W - P, the offsets where the parallelogram P meets the window W, is a
+    zonotope bounded by four strips (separating axes): on the axes (1,0),
+    (0,1) and the two edge normals a, a.offset must lie strictly inside
+    (min a.W - max a.P, max a.W - min a.P).  Each strip is scaled to [0, 1]
+    and the four rows are cleared once per anchor; cell_hits then scans
+    _lattice_box's ranges, and a translate is drawn when it touches no
+    strip's edge.
+    """
     x0, x1, y0, y1 = cfg.window
     g1 = shape.column(0)
     g2 = shape.column(1)
     smin = [min(0, g1[i]) + min(0, g2[i]) for i in range(2)]
     smax = [max(0, g1[i]) + max(0, g2[i]) for i in range(2)]
+
+    def along(a, points):
+        return [a[0] * px + a[1] * py for px, py in points]
+
+    rect = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+    cell = _corners((0, 0), g1, g2)
+    columns = list(zip(*basis.row_list()))
+    strips = []
+    for a in ((1, 0), (0, 1), (-g1[1], g1[0]), (-g2[1], g2[0])):
+        low = min(along(a, rect)) - max(along(a, cell))
+        width = max(along(a, rect)) - min(along(a, cell)) - low
+        strips.append((a, low, width, [-x / width for x in along(a, columns)]))
     basis_inv = inverse(basis)
     polygons = []
     for anchor in anchors:
         lo = (x0 - smax[0] - anchor[0], y0 - smax[1] - anchor[1])
         hi = (x1 - smin[0] - anchor[0], y1 - smin[1] - anchor[1])
-        for z in product(*(range(a, b + 1) for a, b in _lattice_box(basis_inv, lo, hi))):
-            shift = basis.mat_vec(tuple(Fraction(v) for v in z))
-            offset = vec_add(anchor, shift)
-            corners = _corners(offset, g1, g2)
-            if parallelogram_meets_window(corners, cfg.window):
-                polygons.append(corners)
+        one, rows = clear_rows([
+            [(a[0] * anchor[0] + a[1] * anchor[1] - low) / width, *h]
+            for a, low, width, h in strips
+        ])
+        u, h = [row[0] for row in rows], [row[1:] for row in rows]
+        for z, _, touching in cell_hits(u, h, one, (True,) * 4, _lattice_box(basis_inv, lo, hi)):
+            if not touching:
+                polygons.append(_corners(vec_add(anchor, basis.mat_vec(z)), g1, g2))
     polygons.sort()
     return polygons
 

@@ -7,7 +7,8 @@ coordinates of M*z.  When the bottom block of M is integer with coprime
 maximal minors, integer column operations bring M to a form whose last r
 columns lie in the slice plane; their top parts generate the lattice of
 slice-preserving translations, so the restricted tiling is periodic with
-finitely many translate classes per fragment.
+finitely many translate classes per fragment.  The forced coordinates come
+from each fragment's integer S^-1 rows, and cell_hits scans the window.
 """
 from __future__ import annotations
 
@@ -18,8 +19,15 @@ from math import floor, gcd
 from operator import mul
 from typing import Sequence
 
-from .fragments import DEGENERATE, Decomposition, FragmentSet, SubsetIndex, complement
-from .linalg import DimensionError, Matrix, clear_rows, det, inverse
+from .fragments import (
+    DEGENERATE,
+    Decomposition,
+    FragmentSet,
+    SubsetIndex,
+    c_submatrices,
+    complement,
+)
+from .linalg import DimensionError, Matrix, det, int_mat_mul, inverse
 from .tiling import GenericDirection, cell_hits
 
 
@@ -152,9 +160,9 @@ def slice_layout(
     are a multiset: distinct families can share a reduced offset, which is
     how overlapping fragments show up in the slice (the family count is the
     bottom-minor magnitude, not the number of distinct residues).
-    Cbar_hat^-1 is the fragment's own cached cbar_inv, and denominators are
-    cleared once per fragment; cell_hits visits only the window's translates
-    whose forced coordinates lie in the closed cell.
+    The forced coordinates are -Cbar_hat^-1 Cbar = X_hat A_bottom / (e d),
+    X_hat the rows of s_inv_rows off sigma on the bottom columns, A_bottom
+    the bottom rows of m_rows, so cell_hits scans them on integers.
     """
     d = fs.decomposition
     dims = fs.dims
@@ -163,20 +171,22 @@ def slice_layout(
     u_mat, b_lattice, _ = unimodular_reduce(d)
     b_inv = inverse(b_lattice)
     u_inv_rows = [[int(x) for x in row] for row in inverse(u_mat).row_list()[: dims.k]]
-    cbar_full = Matrix.from_columns(d.cbar)
     c_full = Matrix.from_columns(d.c)
+    m_den, m_rows = fs.m_rows
     classes = []
     for frag in fs:
+        shape = c_submatrices(d, frag.sigma)[0]
         if frag.sign_class == DEGENERATE:
-            classes.append(SliceClass(frag.sigma, frag.c, frag.sign_class, offsets=()))
+            classes.append(SliceClass(frag.sigma, shape, frag.sign_class, offsets=()))
             continue
         # The bottom coordinates of lambda_sigma solve Cbar_hat x = w''.
+        sigma_hat = complement(frag.sigma, dims.n)
         lam = w.lambda_of(fs, frag.sigma)
-        rules = tuple(lam[j - 1] > 0 for j in complement(frag.sigma, dims.n))
-        fd, forced = clear_rows(frag.cbar_inv.mat_mul(cbar_full))
-        neg_forced = [[-x for x in row] for row in forced]
+        rules = tuple(lam[j - 1] > 0 for j in sigma_hat)
+        e, x = frag.s_inv_rows
+        h = int_mat_mul([x[j - 1][dims.r :] for j in sigma_hat], m_rows[dims.r :])
         families: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
-        for z, inside, _ in cell_hits([0] * dims.k, neg_forced, fd, rules, window):
+        for z, inside, _ in cell_hits([0] * dims.k, h, e * m_den, rules, window):
             if not inside:
                 continue
             key = tuple(sum(map(mul, row, z)) for row in u_inv_rows)
@@ -185,5 +195,5 @@ def slice_layout(
                 frac = tuple(y - floor(y) for y in b_inv.mat_vec(offset))
                 families[key] = b_lattice.mat_vec(frac)
         offsets = tuple(sorted(families.values()))
-        classes.append(SliceClass(frag.sigma, frag.c, frag.sign_class, offsets))
+        classes.append(SliceClass(frag.sigma, shape, frag.sign_class, offsets))
     return SliceLayout(b=b_lattice, classes=tuple(classes))

@@ -22,7 +22,7 @@ from operator import mul
 from typing import Mapping, Sequence
 
 from .fragments import DEGENERATE, FragmentSet, SubsetIndex, complement
-from .linalg import DimensionError, Matrix, SingularMatrixError, clear_denominator, vector
+from .linalg import DimensionError, Matrix, SingularMatrixError, clear_denominator, int_mat_mul, vector
 
 SAMPLE_DENOMINATOR = 2**31
 DIRECTION_DRAWS = 64
@@ -231,12 +231,6 @@ class VerifyReport:
     passed: bool
 
 
-def int_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Product of two integer matrices given as rows."""
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
 def size_reduce(rows: Sequence[Sequence[int]]):
     """Pairwise size reduction of linearly independent integer rows.
 
@@ -401,6 +395,8 @@ class TilingEngine:
         come in frame order and, within a frame, sorted by z.
         """
         p = vector(p)
+        if len(p) != self.fs.dims.n:
+            raise DimensionError(f"point has length {len(p)}, expected {self.fs.dims.n}")
         q, p_int = clear_denominator(p)
         num, den = self.lattice_coordinates(q, p_int)
         found: list[tuple[TileId, str]] = []

@@ -8,7 +8,9 @@ the tests were frozen from these oracles.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import settings
@@ -20,6 +22,10 @@ from fragtile import (
     decompose,
     fragment_set,
 )
+# Imported here, not inside invoke: fragtile.cli binds grid_vector and its
+# other helpers by name on first import, so a first import under a test's
+# monkeypatch would keep the patched function after the test.
+from fragtile.cli import run
 
 settings.register_profile("suite", deadline=None, max_examples=40, derandomize=True)
 settings.load_profile("suite")
@@ -96,8 +102,6 @@ def invoke(argv):
     """Run the CLI in-process, capturing (exit code, stdout, stderr)."""
     import io
     from contextlib import redirect_stderr, redirect_stdout
-
-    from fragtile.cli import run
 
     out = io.StringIO()
     err = io.StringIO()
@@ -306,13 +310,12 @@ def solve_affine(a: Matrix, b):
     the columns are dependent, since then no unique solution exists.
     """
     from fragtile import DimensionError, RankDeficiencyError, vector
-    from fragtile.linalg import rref
 
     nrows, ncols = a.rows, a.cols
     if len(b) != nrows:
         raise DimensionError(f"right-hand side length {len(b)} vs {nrows} rows")
     aug = [list(a.row(i)) + [x] for i, x in enumerate(vector(b))]
-    if len(rref(aug, ncols)) < ncols:
+    if len(reference_rref(aug, ncols)) < ncols:
         raise RankDeficiencyError("columns are linearly dependent")
     if any(row[ncols] != 0 for row in aug[ncols:]):
         return None
@@ -320,9 +323,10 @@ def solve_affine(a: Matrix, b):
 
 
 def reference_rref(rows, ncols: int) -> list[int]:
-    """Gauss-Jordan over Fractions, in place: the reduction fragtile.linalg
-    used before its elimination ran on integers, kept as the reference the
-    fraction-free rref must reproduce row for row."""
+    """Gauss-Jordan over Fractions, in place (later columns ride along):
+    returns the pivot columns; row i then has a 1 in column pivots[i] and 0
+    in the other pivot columns, and rows below len(pivots) are zero in the
+    first ncols columns."""
     nrows = len(rows)
     pivots: list[int] = []
     for col in range(ncols):
@@ -495,6 +499,86 @@ def reference_verify(fs, w, sample_count: int, seed: int):
     )
 
 
+@dataclass(frozen=True)
+class FacetGeometry:
+    """Half-open affine cell: base + sum of x_i * generator_i.
+
+    Coordinate i ranges over [0,1) when include_zero[i] is true and over
+    (0,1] otherwise.  Generators must be linearly independent; there may be
+    fewer of them than dimensions.
+    """
+
+    base: tuple[Fraction, ...]
+    generators: tuple[tuple[Fraction, ...], ...]
+    include_zero: tuple[bool, ...]
+
+    @cached_property
+    def _coordinate_map(self):
+        """(left inverse, left null rows) of the generator matrix.
+
+        Row-reducing [G | I] leaves G's left inverse beside the pivot rows
+        and, when G has fewer columns than rows, rows spanning its left null
+        space below them: a vector lies in the span exactly when those rows
+        annihilate it.
+        """
+        from fragtile import RankDeficiencyError
+
+        dim = len(self.base)
+        count = len(self.generators)
+        aug = [
+            [g[i] for g in self.generators] + [Fraction(int(i == j)) for j in range(dim)]
+            for i in range(dim)
+        ]
+        if len(reference_rref(aug, count)) < count:
+            raise RankDeficiencyError("facet generators are linearly dependent")
+        left = Matrix(count, dim, [x for row in aug[:count] for x in row[count:]])
+        null = Matrix(dim - count, dim, [x for row in aug[count:] for x in row[count:]])
+        return left, null
+
+    def position(self, point):
+        """cell_position of the point's exact coordinates in the generator
+        frame: None off the affine span or the closed cell, else (inside,
+        touching)."""
+        from fragtile.tiling import cell_position
+
+        rhs = tuple(Fraction(p) - b for p, b in zip(point, self.base))
+        left, null = self._coordinate_map
+        if any(x != 0 for x in null.mat_vec(rhs)):
+            return None
+        return cell_position(left.mat_vec(rhs), 1, self.include_zero)
+
+
+def facet_projections(fs, w, facet):
+    """Geometry of the facet's shadow on the first r and last k coordinates.
+
+    The omitted generator j contributes only an offset (its top or bottom
+    part, on the s=1 side); the remaining generators split between the two
+    shadows by whether they carry a top or a bottom part, with half-open
+    rules given by the matching lambda coordinates.
+    """
+    from fragtile import complement, lambda_vector
+
+    dims = fs.dims
+    d = fs.decomposition
+    lam = lambda_vector(fs, w, facet.sigma)
+    mz = d.m.mat_vec(tuple(Fraction(x) for x in facet.z))
+    in_sigma = facet.j in facet.sigma
+    shadows = []
+    for idx, base, parts, holds_j in (
+        (facet.sigma, mz[: dims.r], d.c, in_sigma),
+        (complement(facet.sigma, dims.n), mz[dims.r :], d.cbar, not in_sigma),
+    ):
+        gens = [i for i in idx if i != facet.j]
+        if facet.s == 1 and holds_j:
+            base = tuple(b + x for b, x in zip(base, parts[facet.j - 1]))
+        shadows.append(FacetGeometry(
+            base=base,
+            generators=tuple(parts[i - 1] for i in gens),
+            include_zero=tuple(lam[i - 1] > 0 for i in gens),
+        ))
+    return shadows[0], shadows[1]
+
+
 def reference_double_cover(fs, w, index, z, sample_count: int, seed: int):
     """double_cover_check through the rational path it replaced: each sample
     is the Fraction point zonotope * coeffs + base, placed in every live
@@ -504,7 +588,6 @@ def reference_double_cover(fs, w, index, z, sample_count: int, seed: int):
         GenericityError,
         complement,
         facet_collection,
-        facet_projections,
         up_down_partition,
     )
     from fragtile.facets import BOUNDARY_REDRAWS, SAMPLE_DENOMINATOR, grid_vector
@@ -550,6 +633,60 @@ def reference_double_cover(fs, w, index, z, sample_count: int, seed: int):
         failures=tuple(failures),
         passed=not failures,
     )
+
+
+def reference_family_polygons(shape, anchors, basis, window, margin: int = 1):
+    """The translate scan render ran before it went through cell_hits: every
+    lattice point of a box widened by margin, each parallelogram tested
+    against the window by an exact separating-axis test on Fraction
+    projections.  Returns (drawn, skipped), the sorted corner tuples of the
+    translates whose open parallelogram meets the open window and of the
+    other translates scanned."""
+    from itertools import product
+    from math import ceil, floor
+
+    x0, x1, y0, y1 = window
+    rect = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    g1, g2 = shape.column(0), shape.column(1)
+    smin = [min(0, g1[i]) + min(0, g2[i]) for i in range(2)]
+    smax = [max(0, g1[i]) + max(0, g2[i]) for i in range(2)]
+    basis_inv = cramer_inverse(basis)
+
+    def span(points, axis):
+        values = [px * axis[0] + py * axis[1] for px, py in points]
+        return min(values), max(values)
+
+    def meets(corners):
+        axes = [(1, 0), (0, 1), (-g1[1], g1[0]), (-g2[1], g2[0])]
+        for axis in axes:
+            if axis == (0, 0):
+                continue
+            (a0, a1), (b0, b1) = span(corners, axis), span(rect, axis)
+            if not (a0 < b1 and b0 < a1):
+                return False
+        return True
+
+    drawn, skipped = [], []
+    for anchor in anchors:
+        lo = (x0 - smax[0] - anchor[0], y0 - smax[1] - anchor[1])
+        hi = (x1 - smin[0] - anchor[0], y1 - smin[1] - anchor[1])
+        ranges = []
+        for i in range(2):
+            values = [
+                sum(basis_inv.entry(i, j) * c[j] for j in range(2))
+                for c in product((lo[0], hi[0]), (lo[1], hi[1]))
+            ]
+            ranges.append(range(ceil(min(values)) - margin, floor(max(values)) + margin + 1))
+        for z in product(*ranges):
+            o = tuple(anchor[i] + sum(basis.entry(i, j) * z[j] for j in range(2)) for i in range(2))
+            corners = (
+                (o[0], o[1]),
+                (o[0] + g1[0], o[1] + g1[1]),
+                (o[0] + g1[0] + g2[0], o[1] + g1[1] + g2[1]),
+                (o[0] + g2[0], o[1] + g2[1]),
+            )
+            (drawn if meets(corners) else skipped).append(corners)
+    return sorted(drawn), sorted(skipped)
 
 
 def clip_polygon_area(subject, window) -> Fraction:

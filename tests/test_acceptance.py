@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import invoke, random_dims, random_int_matrix, random_invertible
+from conftest import facet_projections, invoke, random_dims, random_int_matrix, random_invertible
 from fragtile import (
     Dimensions,
     Matrix,
@@ -30,7 +30,6 @@ from fragtile import (
     det,
     double_cover_check,
     facet_collection,
-    facet_projections,
     fragment_set,
     h_vector,
     kernel_vector,

@@ -5,17 +5,26 @@ from math import ceil, floor
 
 import pytest
 
-from conftest import clip_polygon_area, invoke, random_int_matrix
+from conftest import (
+    clip_polygon_area,
+    invoke,
+    random_int_matrix,
+    random_invertible,
+    random_rational_invertible,
+    reference_family_polygons,
+)
 from fragtile import (
     Dimensions,
     Matrix,
     RenderConfig,
     TilingEngine,
     decompose,
+    det,
     fragment_set,
     inverse,
     render_svg,
     slice_layout,
+    slice_precondition,
     choose_generic_direction,
 )
 from fragtile.cli import MatrixParseError, format_matrix, parse_matrix
@@ -402,6 +411,100 @@ class TestRender:
         )
         assert code == 0
         assert out.startswith('<?xml version="1.0"')
+
+
+def svg_groups(doc):
+    """{group id: [polygon points text, ...]} of an SVG document."""
+    groups = {}
+    for part in doc.split('<g id="')[1:]:
+        gid, body = part.split('"', 1)
+        groups[gid] = [p.split('"')[0] for p in body.split('<polygon points="')[1:]]
+    return groups
+
+
+class TestRenderAgainstSeparatingAxes:
+    """render_svg's polygons against the old box scan with an exact
+    separating-axis test, and each scanned translate against the area the
+    window clips from it."""
+
+    def _check(self, source, cfg):
+        from fragtile import FragmentSet, render
+
+        x0, x1, y0, y1 = cfg.window
+        if isinstance(source, FragmentSet):
+            zero = (Fraction(0), Fraction(0))
+            basis = source.decomposition.m
+            families = [(f.sigma, f.s, (zero,)) for f in source if f.sign_class != "degenerate"]
+        else:
+            basis = source.b
+            families = [
+                (c.sigma, c.shape, c.offsets)
+                for c in source.classes
+                if c.sign_class != "degenerate" and c.offsets
+            ]
+        groups = svg_groups(render_svg(source, cfg))
+        assert len(groups) == len(families)
+        touching = 0
+        for sigma, shape, anchors in families:
+            drawn, skipped = reference_family_polygons(shape, anchors, basis, cfg.window)
+            expected = [
+                " ".join(
+                    f"{render.dec6((px - x0) * render.SCALE)},{render.dec6((y1 - py) * render.SCALE)}"
+                    for px, py in corners
+                )
+                for corners in drawn
+            ]
+            assert groups["sigma-" + "-".join(map(str, sigma))] == expected, sigma
+            assert all(clip_polygon_area(c, cfg.window) > 0 for c in drawn), sigma
+            assert all(clip_polygon_area(c, cfg.window) == 0 for c in skipped), sigma
+            # skipped translates with a corner on the closed window
+            touching += sum(
+                any(x0 <= px <= x1 and y0 <= py <= y1 for px, py in c) for c in skipped
+            )
+        return touching
+
+    def test_seeded_2x2_matrices(self):
+        rng = random.Random(23)
+        for rational in (False, True):
+            for _ in range(8):
+                m = (
+                    random_rational_invertible(rng, 2) if rational
+                    else random_invertible(rng, 2, -4, 4)
+                )
+                fs = fragment_set(decompose(m, Dimensions(1, 1)))
+                for _ in range(2):
+                    x0 = Fraction(rng.randint(-12, 6), rng.randint(1, 3))
+                    y0 = Fraction(rng.randint(-12, 6), rng.randint(1, 3))
+                    x1 = x0 + Fraction(rng.randint(1, 12), rng.randint(1, 3))
+                    y1 = y0 + Fraction(rng.randint(1, 12), rng.randint(1, 3))
+                    self._check(fs, RenderConfig(window=(x0, x1, y0, y1)))
+
+    def test_slice_layouts(self, mset, w_m):
+        window = tuple((-4, 4) for _ in range(4))
+        for w in (w_m, choose_generic_direction(mset, 1)):
+            layout = slice_layout(mset, w, window)
+            for box in ((-2, 2, -2, 2), (-3, 1, Fraction(-1, 2), Fraction(7, 3))):
+                self._check(layout, RenderConfig(window=box))
+        rng = random.Random(29)
+        checked = 0
+        while checked < 4:
+            m = random_int_matrix(rng, 3, -3, 3)
+            d = decompose(m, Dimensions(2, 1))
+            if det(m) == 0 or not slice_precondition(d):
+                continue
+            fs = fragment_set(d)
+            layout = slice_layout(fs, choose_generic_direction(fs, checked), ((-3, 3),) * 3)
+            self._check(layout, RenderConfig(window=(-3, 3, -2, 4)))
+            checked += 1
+
+    def test_integer_windows_touch_tile_edges_and_corners(self, kset, lset):
+        # The tiles of K and L have integer corners, so integer windows meet
+        # some tiles only along an edge or at a corner: those are not drawn.
+        touching = 0
+        for fs in (kset, lset):
+            for box in ((-3, 3, -3, 3), (0, 1, 0, 1), (-2, 0, 1, 3), (-1, 4, -5, -2), (2, 3, -1, 0)):
+                touching += self._check(fs, RenderConfig(window=box))
+        assert touching > 0
 
 
 class TestDeterminism:

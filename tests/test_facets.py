@@ -10,6 +10,7 @@ from conftest import (
     pip_contains,
     random_invertible,
     corpus_matrix,
+    facet_projections,
     random_rational_invertible,
     reference_double_cover,
     solve_affine,
@@ -20,6 +21,7 @@ from fragtile import (
     Dimensions,
     FacetId,
     Matrix,
+    c_submatrices,
     collection_of,
     complement,
     crossing_check,
@@ -29,7 +31,6 @@ from fragtile import (
     choose_generic_direction,
     double_cover_check,
     facet_collection,
-    facet_projections,
     facet_signs,
     fragment_set,
     h_vector,
@@ -159,8 +160,9 @@ class TestLambdaVector:
             lam = lambda_vector(mset, w_m, frag.sigma)
             lam_sigma = tuple(lam[i - 1] for i in frag.sigma)
             lam_hat = tuple(lam[i - 1] for i in complement(frag.sigma, 4))
-            assert frag.c.mat_vec(lam_sigma) == w_m.w_prime
-            assert frag.cbar.mat_vec(lam_hat) == w_m.w_double_prime
+            c, cbar = c_submatrices(mset.decomposition, frag.sigma)
+            assert c.mat_vec(lam_sigma) == w_m.w_prime
+            assert cbar.mat_vec(lam_hat) == w_m.w_double_prime
 
     def test_quotient_formula(self, mset, w_m):
         # lambda as a quotient of determinants with the block-shuffle sign ratio
@@ -386,38 +388,6 @@ class TestFacetProjections:
         }
 
 
-    def test_sample_map_matches_position(self, mset, w_m):
-        # double_cover_check's integer cell map against the rational
-        # position, on the one-generator shadows above, whose left null row
-        # is not empty: points off the span, strictly inside and on both
-        # faces, from two origins and two sample denominators.
-        seen = set()
-        for kind, index, shadow in (("tau", (2,), 0), ("gamma", (1, 2, 3), 1)):
-            coll = facet_collection(mset, kind, (1, 0, -1, 0), index)
-            for facet in coll.live_members():
-                geom = facet_projections(mset, w_m, facet)[shadow]
-                dim = len(geom.base)
-                g = Matrix.from_columns(geom.generators, rows=dim)
-                units = [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
-                off = next(e for e in units if solve_affine(g, e) is None)
-                columns = [geom.generators[0], off]
-                shifted = tuple(
-                    b - gi / 2 + oi / 3 for b, gi, oi in zip(geom.base, geom.generators[0], off)
-                )
-                for origin in (geom.base, shifted):
-                    cell_map = geom.sample_map(columns, origin)
-                    for q, c in product((30, 60), product((-15, 0, 10, 15, 30, 45), (0, -10, 6))):
-                        v = [x * q // 30 for x in c] + [q]
-                        point = tuple(
-                            o + sum(Fraction(x, q) * col[i] for x, col in zip(v, columns))
-                            for i, o in enumerate(origin)
-                        )
-                        got = facets._sample_position(geom, cell_map, v, q)
-                        assert got == geom.position(point)
-                        seen.add(got)
-        assert seen == {None, (True, False), (True, True), (False, True)}
-
-
 class TestKernelSelectionTiling:
     def test_sign_pattern_tiles_zonotope(self, mset, w_m):
         # third route to the double cover: select shifted/unshifted cells by
@@ -514,6 +484,23 @@ class TestDoubleCover:
         rep = double_cover_check(cover13, w_c, (2, 3), (0, 0, 0, 0), 100, 0)
         assert not rep.passed
         assert rep == reference_double_cover(cover13, w_c, (2, 3), (0, 0, 0, 0), 100, 0)
+
+    def test_matches_the_fraction_path_on_random_rational_matrices(self):
+        # Seeded rational matrices, n = 3..5, every tau and gamma collection
+        # at a nonzero translate.
+        rng = random.Random(37)
+        checked = set()
+        for n in (3, 4, 5):
+            for trial in range(2):
+                r = rng.randint(1, n - 1)
+                fs = fragment_set(decompose(random_rational_invertible(rng, n), Dimensions(r, n - r)))
+                w = choose_generic_direction(fs, trial)
+                z = tuple(rng.randint(-2, 2) for _ in range(n - 1)) + (rng.choice((-1, 1)),)
+                for index in (*subsets(n, r - 1), *subsets(n, r + 1)):
+                    rep = double_cover_check(fs, w, index, z, 12, trial)
+                    assert rep == reference_double_cover(fs, w, index, z, 12, trial), (n, index)
+                    checked.add(rep.kind)
+        assert checked == {"tau", "gamma"}
 
     def test_matches_the_fraction_path_with_redraws(self, mset, w_m, monkeypatch):
         # On a grid of step 1/4 many samples touch a shadow boundary, so the

@@ -168,13 +168,13 @@ class TestIdentities:
 
     def test_factorization_factors(self, mset):
         # frozen factor values for two of the families
-        frag = mset[(3, 4)]
-        assert det(frag.c) == -10
-        assert det(frag.cbar) == 2
+        c, cbar = c_submatrices(mset.decomposition, (3, 4))
+        assert det(c) == -10
+        assert det(cbar) == 2
         assert shuffle_sign((3, 4), 4) == 1
-        frag = mset[(2, 4)]
-        assert det(frag.c) == 4
-        assert det(frag.cbar) == -4
+        c, cbar = c_submatrices(mset.decomposition, (2, 4))
+        assert det(c) == 4
+        assert det(cbar) == -4
         assert shuffle_sign((2, 4), 4) == -1
 
     def test_factorization_all_sigmas(self, mset, kset, lset):
@@ -229,20 +229,29 @@ class TestBlockFactorization:
         degenerate = 0
         for fs in _factorization_sets():
             for frag in fs:
+                c, cbar = c_submatrices(fs.decomposition, frag.sigma)
                 assert frag.det_s == det(frag.s), frag.sigma
-                assert frag.det_c == det(frag.c), frag.sigma
-                assert frag.det_cbar == det(frag.cbar), frag.sigma
+                assert frag.det_c == det(c), frag.sigma
+                assert frag.det_cbar == det(cbar), frag.sigma
                 degenerate += frag.sign_class == DEGENERATE
         assert degenerate > 0
 
     def test_inverses_and_lambdas_match_fresh_eliminations(self):
         for seed, fs in enumerate(_factorization_sets()):
             w = choose_generic_direction(fs, seed)
+            r, n = fs.dims.r, fs.dims.n
             for frag in fs:
                 if frag.sign_class == DEGENERATE:
+                    assert frag.s_inv_rows is None, frag.sigma
                     continue
-                assert frag.s_inv == inverse(frag.s), frag.sigma
-                assert frag.cbar_inv == inverse(frag.cbar), frag.sigma
+                e, x = frag.s_inv_rows
+                s_inv = Matrix.from_rows([[Fraction(v, e) for v in row] for row in x])
+                assert s_inv == inverse(frag.s), frag.sigma
+                # the two blocks: C^-1 on sigma's top columns, Cbar^-1 off it
+                c, cbar = c_submatrices(fs.decomposition, frag.sigma)
+                hat = complement(frag.sigma, n)
+                assert [s_inv.row(i - 1)[:r] for i in frag.sigma] == inverse(c).row_list()
+                assert [s_inv.row(j - 1)[r:] for j in hat] == inverse(cbar).row_list()
                 assert w.lambda_of(fs, frag.sigma) == solve(frag.s, w.w), frag.sigma
 
 
@@ -282,3 +291,29 @@ class TestEliminationGuard:
             assert all(rows == clear_rows(d.m)[1] for rows in full), seed
             # the block eliminations are logged too
             assert len(log) > 2
+
+
+def test_fragment_set_builds_no_matrix(monkeypatch):
+    # Every corpus matrix: the family is built on integer rows alone, and
+    # the fragment matrix s is assembled only when read.
+    from pathlib import Path
+
+    from fragtile.cli import parse_matrix
+
+    corpus = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "corpus").glob("*.txt"))
+    assert len(corpus) > 50
+    decompositions = [decompose(m, dims) for dims, m in map(parse_matrix, (p.read_text() for p in corpus))]
+    built = []
+    init = Matrix.__init__
+
+    def counting_init(self, rows, cols, entries):
+        built.append((rows, cols))
+        init(self, rows, cols, entries)
+
+    monkeypatch.setattr(Matrix, "__init__", counting_init)
+    for path, d in zip(corpus, decompositions):
+        fs = fragment_set(d)
+        assert built == [], path.name
+    frag = fs.fragments[fs.sigmas()[0]]
+    assert frag.s == fragment_matrix(d, frag.sigma)
+    assert built

@@ -84,6 +84,7 @@ CASES = {
     "error-w-length": ("verify", "M", ("--w", "1,1", "--samples", "5")),
     "error-missing-point": ("coverage", "M", ()),
     "error-malformed-point": ("coverage", "K", ("--point", "1,x")),
+    "error-point-length": ("coverage", "M", ("--point", "1,2")),
     "error-tau-and-gamma": ("facets", "M", ("--tau", "2", "--gamma", "1,2,3")),
     "error-no-collection": ("double-cover", "M", ("--samples", "5")),
     "error-tau-size": ("facets", "M", ("--tau", "1,2")),

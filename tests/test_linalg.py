@@ -10,7 +10,6 @@ from conftest import (
     det_cofactor,
     kernel_by_minors,
     random_invertible,
-    reference_rref,
     solve_affine,
 )
 from fragtile import (
@@ -26,7 +25,7 @@ from fragtile import (
     perm_sign,
     solve,
 )
-from fragtile.linalg import normalize_integer_direction, rref, word_sign
+from fragtile.linalg import normalize_integer_direction, word_sign
 
 K = Matrix.from_rows([[1, 2], [-1, 3]])
 L = Matrix.from_rows([[1, 2], [1, 5]])
@@ -278,8 +277,8 @@ def _differential_cases():
 
 
 class TestFractionFreeElimination:
-    """det, inverse, solve, kernel_vector and rref against oracles that
-    share no code with the integer elimination loop."""
+    """det, inverse, solve and kernel_vector against oracles that share no
+    code with the integer elimination loop."""
 
     def test_det_inverse_solve_against_cramer(self):
         rng = random.Random(9)
@@ -317,40 +316,3 @@ class TestFractionFreeElimination:
                     else:
                         assert kernel_vector(v) == normalize_integer_direction(oracle), rows
         assert deficient >= 10
-
-    def _check_rref(self, rows, ncols):
-        ours = [list(row) for row in rows]
-        ref = [list(row) for row in rows]
-        assert rref(ours, ncols) == reference_rref(ref, ncols), rows
-        assert ours == ref, rows
-
-    def test_rref_reproduces_fraction_gauss_jordan(self):
-        rng = random.Random(11)
-        for n in range(1, 7):
-            for rational in (False, True):
-                for extra in (0, 1, 3):
-                    rows = _seeded_rows(rng, n, n + extra, rational)
-                    self._check_rref(rows, n)
-                    self._check_rref(rows, n + extra)
-                    self._check_rref(_make_singular(rng, rows), n + extra)
-        # wide and tall shapes, including all-zero rows and columns
-        for nrows, ncols in ((1, 4), (4, 1), (3, 5), (5, 3), (2, 2)):
-            self._check_rref([[Fraction(0)] * ncols for _ in range(nrows)], ncols)
-            self._check_rref(_seeded_rows(rng, nrows, ncols, True), ncols)
-
-    def test_rref_of_generators_beside_the_identity(self):
-        # [G | I] with fewer generators than rows, as a facet shadow's
-        # coordinate map row-reduces it: left inverse above, left null rows
-        # below, which carry the clearing denominator until divided.
-        rng = random.Random(12)
-        for dim in range(2, 7):
-            for count in range(1, dim):
-                for rational in (False, True):
-                    gens = _seeded_rows(rng, count, dim, rational)
-                    if count > 1 and rng.random() < 0.3:
-                        gens[-1] = [2 * x for x in gens[0]]
-                    aug = [
-                        [g[i] for g in gens] + [Fraction(int(i == j)) for j in range(dim)]
-                        for i in range(dim)
-                    ]
-                    self._check_rref(aug, count)

@@ -8,6 +8,7 @@ from fragtile import (
     Dimensions,
     Matrix,
     TilingEngine,
+    c_submatrices,
     choose_generic_direction,
     decompose,
     det,
@@ -114,7 +115,7 @@ class TestSliceLayout:
         counts = [len(cls.offsets) for cls in layout.classes]
         assert counts == [1, 1, 1, 6, 4, 2]
         for cls in layout.classes:
-            assert len(cls.offsets) == abs(det(mset[cls.sigma].cbar))
+            assert len(cls.offsets) == abs(det(c_submatrices(mset.decomposition, cls.sigma)[1]))
 
     def test_worked_4x4_areas(self, mset, w_m):
         layout = slice_layout(mset, w_m, WINDOW4)

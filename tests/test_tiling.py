@@ -31,8 +31,8 @@ from fragtile import (
     tiling,
     verify_constancy,
 )
-from fragtile.linalg import clear_denominator, clear_rows
-from fragtile.tiling import cell_hits, int_mat_mul, size_reduce
+from fragtile.linalg import DimensionError, clear_denominator, clear_rows, int_mat_mul
+from fragtile.tiling import cell_hits, size_reduce
 
 HALF = Fraction(1, 2)
 WORKED_POINT = (Fraction(-2), Fraction(1), -HALF, -HALF)
@@ -511,6 +511,19 @@ class TestCoverage:
             assert rep.f_value == -1
             seen.add(rep.census)
         assert seen == {(0, 1), (1, 2)}
+
+    def test_point_of_the_wrong_length(self, mset, w_m, tmp_path):
+        # zip would truncate a short point or drop a long one's tail
+        engine = TilingEngine(mset, w_m)
+        path = tmp_path / "M.txt"
+        path.write_text("2 2\n3 2 -4 1\n1 0 2 2\n2 0 -1 1\n0 1 -2 3\n")
+        for point in ((1, 2), (1, 2, 3, 4, 5)):
+            with pytest.raises(DimensionError, match=f"length {len(point)}, expected 4"):
+                engine.tiles_at(point)
+            text = ",".join(map(str, point))
+            for command in ("coverage", "crossing"):
+                code, _, err = invoke([command, "--matrix", str(path), "--point", text])
+                assert code == 2 and f"point has length {len(point)}" in err, command
 
 
 class TestVerifyConstancy:
