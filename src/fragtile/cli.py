@@ -170,7 +170,7 @@ def cmd_fragments(args) -> int:
         all_ok = all_ok and ok
         print(
             f"sigma={_fmt_subset(frag.sigma)} detC={frag.det_c} "
-            f"detCbar={frag.det_cbar} sign={shuffle_sign(frag.sigma, dims.n)} "
+            f"detCbar={frag.det_cbar} sign={shuffle_sign(frag.sigma)} "
             f"detS={frag.det_s} class={frag.sign_class} {'ok' if ok else 'FAIL'}"
         )
     print(
@@ -217,8 +217,9 @@ def cmd_verify(args) -> int:
         print(f"census pos={pos} neg={neg} count={count}")
     values = ",".join(str(v) for v in sorted(report.distinct_f_values))
     f_text = values if len(report.distinct_f_values) == 1 else "mixed"
+    # Old key name kept: stdout is the contract, and perfbench/checks.py parses it.
     print(
-        f"boundary_redraws={report.boundary_redraws} values={values} "
+        f"boundary_redraws={report.boundary_samples} values={values} "
         f"f={f_text} pass={'true' if report.passed else 'false'}"
     )
     return 0 if report.passed else 1
@@ -280,9 +281,10 @@ def cmd_double_cover(args) -> int:
     kind, index = _collection_index(args, fs)
     z = _collection_z(args, fs)
     report = double_cover_check(fs, w, index, z, args.samples, args.seed)
+    # Old key name kept: stdout is the contract, and perfbench/checks.py parses it.
     print(
         f"kind={report.kind} index={_fmt_subset(report.index)} z={_fmt_vec(report.z)} "
-        f"samples={report.sample_count} redraws={report.redraws} "
+        f"samples={report.sample_count} redraws={report.boundary_samples} "
         f"failures={len(report.failures)} pass={'true' if report.passed else 'false'}"
     )
     return 0 if report.passed else 1

@@ -29,7 +29,6 @@ from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
 from .linalg import (
-    BlockPermutation,
     DimensionError,
     Matrix,
     SingularMatrixError,
@@ -37,7 +36,6 @@ from .linalg import (
     det,
     int_det,
     int_inverse,
-    perm_sign,
 )
 
 SubsetIndex = tuple[int, ...]
@@ -94,9 +92,14 @@ def complement(sigma: Iterable[int], n: int) -> SubsetIndex:
     return tuple(i for i in range(1, n + 1) if i not in inside)
 
 
-def shuffle_sign(sigma: SubsetIndex, n: int) -> int:
-    """Sign of the block permutation (sigma, complement of sigma) of {1..n}."""
-    return perm_sign(BlockPermutation((sigma, complement(sigma, n))))
+def shuffle_sign(sigma: SubsetIndex) -> int:
+    """Sign of the block permutation (sigma, complement of sigma) of {1..n}.
+
+    For sorted sigma, its i-th index passes sigma_i - i complement indices,
+    so the inversions number sum(sigma) - r(r+1)/2.
+    """
+    r = len(sigma)
+    return (-1) ** (sum(sigma) - r * (r + 1) // 2)
 
 
 def decompose(m: Matrix, dims: Dimensions) -> Decomposition:
@@ -184,7 +187,7 @@ class FragmentSet:
             det_bottom, adj_bottom = int_inverse(
                 [[-row[j - 1] for j in complement(sigma, n)] for row in a[r:]]
             )
-            det_s = shuffle_sign(sigma, n) * Fraction(det_top * det_bottom, d**n)
+            det_s = shuffle_sign(sigma) * Fraction(det_top * det_bottom, d**n)
             sign_class = POSITIVE if det_s > 0 else NEGATIVE if det_s < 0 else DEGENERATE
             s_inv_rows = None
             if det_s:

@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -25,7 +26,7 @@ from fragtile import (
 # Imported here, not inside invoke: fragtile.cli binds grid_vector and its
 # other helpers by name on first import, so a first import under a test's
 # monkeypatch would keep the patched function after the test.
-from fragtile.cli import run
+from fragtile.cli import parse_matrix, run
 
 settings.register_profile("suite", deadline=None, max_examples=40, derandomize=True)
 settings.load_profile("suite")
@@ -187,6 +188,19 @@ def corpus_matrix(n: int, r: int, i: int, rational: bool = False):
     if rational:
         rows = [[Fraction(x, rng.choice((1, 2, 3, 4))) for x in row] for row in rows]
     return fragment_set(decompose(Matrix.from_rows(rows), Dimensions(r, n - r)))
+
+
+def corpus_files(max_n: int = 6) -> list[Path]:
+    """The benchmark corpus matrix files (perfbench/corpus) with n <= max_n,
+    sorted by name."""
+    corpus = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
+    return [p for p in sorted(corpus.glob("*.txt")) if parse_matrix(p.read_text())[0].n <= max_n]
+
+
+def corpus_set(path: Path):
+    """Fragment set of one corpus matrix file."""
+    dims, m = parse_matrix(path.read_text())
+    return fragment_set(decompose(m, dims))
 
 
 def random_dims(rng: random.Random, max_n: int = 6) -> Dimensions:
@@ -466,24 +480,21 @@ def brute_force_events(fs, w, start, reach, margin: int = 1):
 def reference_verify(fs, w, sample_count: int, seed: int):
     """verify_constancy through the rational path it replaced: each sample
     point is the Fraction product M u of the seeded grid vector u, located
-    with tiles_at, with the same redraw rule and report."""
-    from fragtile import GenericityError, TilingEngine, VerifyReport
-    from fragtile.tiling import BOUNDARY_REDRAWS, SAMPLE_DENOMINATOR, grid_vector
+    with tiles_at, which decides boundary samples by the w-rules; same
+    report."""
+    from fragtile import TilingEngine, VerifyReport
+    from fragtile.tiling import SAMPLE_DENOMINATOR, grid_vector
 
     engine = TilingEngine(fs, w)
     m = fs.decomposition.m
     histogram = {}
     values = set()
-    redraws = 0
+    boundary_samples = 0
     for index in range(sample_count):
-        for attempt in range(BOUNDARY_REDRAWS + 1):
-            u = grid_vector(f"sample:{seed}:{index}:{attempt}", fs.dims.n, 0, SAMPLE_DENOMINATOR)
-            tiles, boundary = engine.tiles_at(m.mat_vec(u))
-            if boundary == 0:
-                break
-            redraws += 1
-        else:
-            raise GenericityError(f"sample {index} of seed {seed} stayed on a tile boundary")
+        u = grid_vector(f"sample:{seed}:{index}:0", fs.dims.n, 0, SAMPLE_DENOMINATOR)
+        tiles, boundary = engine.tiles_at(m.mat_vec(u))
+        if boundary:
+            boundary_samples += 1
         pos = sum(1 for _, cls in tiles if cls == "positive")
         neg = sum(1 for _, cls in tiles if cls == "negative")
         values.add(pos - neg)
@@ -494,7 +505,7 @@ def reference_verify(fs, w, sample_count: int, seed: int):
         expected=engine.expected,
         distinct_f_values=frozenset(values),
         census_histogram=dict(sorted(histogram.items())),
-        boundary_redraws=redraws,
+        boundary_samples=boundary_samples,
         passed=values == {engine.expected},
     )
 
@@ -582,15 +593,15 @@ def facet_projections(fs, w, facet):
 def reference_double_cover(fs, w, index, z, sample_count: int, seed: int):
     """double_cover_check through the rational path it replaced: each sample
     is the Fraction point zonotope * coeffs + base, placed in every live
-    shadow by FacetGeometry.position, with the same redraw rule and report."""
+    shadow by FacetGeometry.position, whose w-rules decide boundary samples;
+    coefficients are drawn from the open grid, and the report is the same."""
     from fragtile import (
         DoubleCoverReport,
-        GenericityError,
         complement,
         facet_collection,
         up_down_partition,
     )
-    from fragtile.facets import BOUNDARY_REDRAWS, SAMPLE_DENOMINATOR, grid_vector
+    from fragtile.facets import SAMPLE_DENOMINATOR, grid_vector
 
     d = fs.decomposition
     index = tuple(sorted(index))
@@ -605,20 +616,16 @@ def reference_double_cover(fs, w, index, z, sample_count: int, seed: int):
     up = set(up_down_partition(fs, w, coll).up)
     live = coll.live_members()
     cells = [facet_projections(fs, w, facet)[shadow] for facet in live]
-    redraws = 0
+    boundary_samples = 0
     relative_points = []
     failures = []
     for idx in range(sample_count):
-        for attempt in range(BOUNDARY_REDRAWS + 1):
-            coeffs = grid_vector(f"cover:{seed}:{idx}:{attempt}", len(js), 0, SAMPLE_DENOMINATOR)
-            q_rel = zonotope.mat_vec(coeffs)
-            q_abs = tuple(a + b for a, b in zip(q_rel, base))
-            positions = [cell.position(q_abs) for cell in cells]
-            if not any(pos is not None and pos[1] for pos in positions):
-                break
-            redraws += 1
-        else:
-            raise GenericityError(f"sample {idx} of seed {seed} stayed on a shadow boundary")
+        coeffs = grid_vector(f"cover:{seed}:{idx}:0", len(js), 1, SAMPLE_DENOMINATOR)
+        q_rel = zonotope.mat_vec(coeffs)
+        q_abs = tuple(a + b for a, b in zip(q_rel, base))
+        positions = [cell.position(q_abs) for cell in cells]
+        if any(pos is not None and pos[1] for pos in positions):
+            boundary_samples += 1
         hits = [f in up for f, pos in zip(live, positions) if pos is not None and pos[0]]
         relative_points.append(q_rel)
         if (sum(hits), len(hits) - sum(hits)) != (1, 1):
@@ -628,7 +635,7 @@ def reference_double_cover(fs, w, index, z, sample_count: int, seed: int):
         index=index,
         z=z,
         sample_count=sample_count,
-        redraws=redraws,
+        boundary_samples=boundary_samples,
         relative_points=tuple(relative_points),
         failures=tuple(failures),
         passed=not failures,

@@ -6,6 +6,8 @@ import pytest
 
 from conftest import (
     brute_force_events,
+    corpus_files,
+    corpus_set,
     invoke,
     pip_contains,
     random_invertible,
@@ -46,9 +48,7 @@ from fragtile import facets
 from fragtile.facets import _collect_events
 from fragtile.linalg import DimensionError, normalize_integer_direction
 from fragtile.tiling import (
-    BOUNDARY_REDRAWS,
     SAMPLE_DENOMINATOR,
-    GenericityError,
     TilingEngine,
     grid_vector,
 )
@@ -448,7 +448,7 @@ class TestDoubleCover:
         moved = double_cover_check(mset, w_m, (2,), (1, -1, 0, 2), 40, 9)
         assert base.passed and moved.passed
         assert base.relative_points == moved.relative_points
-        assert base.redraws == moved.redraws
+        assert base.boundary_samples == moved.boundary_samples
 
     def test_degenerate_member_skipped(self):
         fs = fragment_set(decompose(Matrix.identity(2), Dimensions(1, 1)))
@@ -503,16 +503,36 @@ class TestDoubleCover:
         assert checked == {"tau", "gamma"}
 
     def test_matches_the_fraction_path_with_redraws(self, mset, w_m, monkeypatch):
-        # On a grid of step 1/4 many samples touch a shadow boundary, so the
-        # redraw rule is compared too.
+        # On the open grid of step 1/4 many samples touch a shadow boundary,
+        # where the w-rules decide them; the oracle decides them the same way.
         grid_vector = facets.grid_vector
-        monkeypatch.setattr(facets, "grid_vector", lambda tag, dim, lo, hi: grid_vector(tag, dim, 0, 4, 4))
-        redraws = 0
+        monkeypatch.setattr(facets, "grid_vector", lambda tag, dim, lo, hi: grid_vector(tag, dim, 1, 4, 4))
+        boundary_samples = 0
         for index in (*subsets(4, 1), *subsets(4, 3)):
             rep = double_cover_check(mset, w_m, index, (1, -1, 0, 2), 20, 2)
+            assert rep.passed
             assert rep == reference_double_cover(mset, w_m, index, (1, -1, 0, 2), 20, 2)
-            redraws += rep.redraws
-        assert redraws > 0
+            boundary_samples += rep.boundary_samples
+        assert boundary_samples > 0
+
+    def test_the_rules_match_the_fraction_path_on_the_corpus(self, monkeypatch):
+        # Every tau and gamma collection of the n <= 4 corpus matrices on the
+        # open grid of step 1/4, where the w-rules decide the shadow
+        # boundaries: both paths must decide each sample alike.
+        grid_vector = facets.grid_vector
+        monkeypatch.setattr(facets, "grid_vector", lambda tag, dim, lo, hi: grid_vector(tag, dim, 1, 4, 4))
+        collections = boundary_samples = 0
+        for path in corpus_files(4):
+            fs = corpus_set(path)
+            w = choose_generic_direction(fs, 0)
+            n, r = fs.dims.n, fs.dims.r
+            z = (0,) * n
+            for index in (*subsets(n, r - 1), *subsets(n, r + 1)):
+                rep = double_cover_check(fs, w, index, z, 20, 2)
+                assert rep == reference_double_cover(fs, w, index, z, 20, 2), (path.stem, index)
+                collections += 1
+                boundary_samples += rep.boundary_samples
+        assert collections == 137 and boundary_samples > collections
 
     def test_mat_vec_calls_do_not_grow_with_samples(self, mset, w_m, mat_vec_log):
         for index in ((2,), (1, 2, 3)):
@@ -523,19 +543,23 @@ class TestDoubleCover:
                 counts.append(len(mat_vec_log))
             assert counts[0] == counts[1]
 
-    def test_redraws_are_bounded(self, mset, w_m, tmp_path, monkeypatch):
+    def test_the_rules_decide_the_collection_base(self, mset, w_m, tmp_path, monkeypatch):
         # Zero coefficients give the collection's base point, a corner of
-        # every s=0 shadow, so every draw lands on a boundary.
+        # every s=0 shadow.  For tau {2} the rules cover it once from each
+        # side.  It is also a vertex of the zonotope, which the shadows'
+        # rules need not cover (tau {3}: neither side); hence the open grid.
         monkeypatch.setattr(facets, "grid_vector", lambda tag, dim, *rest: (Fraction(0),) * dim)
-        with pytest.raises(GenericityError, match="sample 0 of seed 5"):
-            double_cover_check(mset, w_m, (2,), (0, 0, 0, 0), 3, 5)
+        rep = double_cover_check(mset, w_m, (2,), (0, 0, 0, 0), 3, 5)
+        assert rep.passed and rep.boundary_samples == 3
+        rep = double_cover_check(mset, w_m, (3,), (0, 0, 0, 0), 3, 5)
+        assert [failure[1:] for failure in rep.failures] == [(0, 0)] * 3
         path = tmp_path / "M.txt"
         path.write_text("2 2\n3 2 -4 1\n1 0 2 2\n2 0 -1 1\n0 1 -2 3\n")
-        code, out, err = invoke(
+        code, out, _ = invoke(
             ["double-cover", "--matrix", str(path), "--tau", "2", "--w", "1,1,1,1", "--samples", "3"]
         )
-        assert (code, out) == (2, "")
-        assert f"after {BOUNDARY_REDRAWS} redraws" in err
+        assert code == 0
+        assert out.endswith("samples=3 redraws=3 failures=0 pass=true\n")
 
 
 class TestCrossing:

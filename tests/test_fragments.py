@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from conftest import (
     M_ROWS,
     Q_ROWS,
+    corpus_files,
     corpus_matrix,
     random_dims,
     random_int_matrix,
@@ -15,6 +16,7 @@ from conftest import (
 )
 from fragtile import (
     DEGENERATE,
+    BlockPermutation,
     NEGATIVE,
     POSITIVE,
     Dimensions,
@@ -29,6 +31,7 @@ from fragtile import (
     fragment_set,
     inverse,
     laplace_identity,
+    perm_sign,
     sandc_identity,
     shuffle_sign,
     solve,
@@ -171,11 +174,17 @@ class TestIdentities:
         c, cbar = c_submatrices(mset.decomposition, (3, 4))
         assert det(c) == -10
         assert det(cbar) == 2
-        assert shuffle_sign((3, 4), 4) == 1
+        assert shuffle_sign((3, 4)) == 1
         c, cbar = c_submatrices(mset.decomposition, (2, 4))
         assert det(c) == 4
         assert det(cbar) == -4
-        assert shuffle_sign((2, 4), 4) == -1
+        assert shuffle_sign((2, 4)) == -1
+        # the index-sum sign against the block permutation's inversions
+        for n in range(1, 9):
+            for r in range(n + 1):
+                for sigma in subsets(n, r):
+                    block = BlockPermutation((sigma, complement(sigma, n)))
+                    assert shuffle_sign(sigma) == perm_sign(block), sigma
 
     def test_factorization_all_sigmas(self, mset, kset, lset):
         for fs in (mset, kset, lset):
@@ -296,11 +305,9 @@ class TestEliminationGuard:
 def test_fragment_set_builds_no_matrix(monkeypatch):
     # Every corpus matrix: the family is built on integer rows alone, and
     # the fragment matrix s is assembled only when read.
-    from pathlib import Path
-
     from fragtile.cli import parse_matrix
 
-    corpus = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "corpus").glob("*.txt"))
+    corpus = corpus_files()
     assert len(corpus) > 50
     decompositions = [decompose(m, dims) for dims, m in map(parse_matrix, (p.read_text() for p in corpus))]
     built = []

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from conftest import (
     axis_box_volume,
     brute_force_tiles,
+    corpus_files,
     corpus_matrix,
+    corpus_set,
     invoke,
     pip_contains,
     random_invertible,
@@ -16,6 +19,7 @@ from conftest import (
     reference_verify,
 )
 from fragtile import (
+    DEGENERATE,
     Dimensions,
     GenericityError,
     Matrix,
@@ -526,6 +530,27 @@ class TestCoverage:
                 assert code == 2 and f"point has length {len(point)}" in err, command
 
 
+class TestFacePoints:
+    def test_the_rules_give_the_theorem_at_tile_faces(self):
+        # f = expected at every vertex and face midpoint S_sigma eps,
+        # eps in {0, 1/2, 1}^n, of every live fragment: the n <= 4 corpus
+        # matrices and z5r2-8.  All but the centres lie on their own tile's
+        # boundary, where the half-open w-rules decide membership.
+        paths = corpus_files(4) + [p for p in corpus_files(5) if p.stem == "z5r2-8"]
+        points = touching = 0
+        for path in paths:
+            fs = corpus_set(path)
+            engine = TilingEngine(fs, choose_generic_direction(fs, 0))
+            for frag in fs:
+                if frag.sign_class == DEGENERATE:
+                    continue
+                for eps in product((0, HALF, 1), repeat=fs.dims.n):
+                    report = engine.coverage(frag.s.mat_vec(eps))
+                    assert report.f_value == report.expected, (path.stem, frag.sigma, eps)
+                    points += 1
+        assert len(paths) == 25 and points == 6489
+
+
 class TestVerifyConstancy:
     def test_worked_4x4(self, mset, w_m):
         rep = verify_constancy(mset, w_m, 300, 7)
@@ -560,13 +585,14 @@ class TestVerifyConstancy:
                 assert verify_constancy(fs, w, 40, seed) == reference_verify(fs, w, 40, seed)
 
     def test_matches_the_fraction_path_with_redraws(self, mset, w_m, lset, w_l, monkeypatch):
-        # On a grid of step 1/8 many samples land on tile boundaries, so the
-        # redraw rule is compared too.
+        # On a grid of step 1/8 many samples land on tile boundaries, where
+        # the w-rules decide them; the oracle decides them the same way.
         grid_vector = tiling.grid_vector
         monkeypatch.setattr(tiling, "grid_vector", lambda tag, dim, lo, hi: grid_vector(tag, dim, 0, 8, 8))
         for fs, w in ((mset, w_m), (lset, w_l)):
             rep = verify_constancy(fs, w, 40, 1)
-            assert rep.boundary_redraws > 0
+            assert rep.boundary_samples > 0
+            assert rep.passed
             assert rep == reference_verify(fs, w, 40, 1)
 
     def test_mat_vec_calls_do_not_grow_with_samples(self, mset, w_m, mat_vec_log):
@@ -577,17 +603,17 @@ class TestVerifyConstancy:
             counts.append(len(mat_vec_log))
         assert counts[0] == counts[1]
 
-    def test_redraws_are_bounded(self, mset, w_m, tmp_path, monkeypatch):
-        # The lattice origin is a corner of every tile, so every draw lands
-        # on a boundary and the redraw budget runs out.
+    def test_the_rules_decide_the_lattice_origin(self, mset, w_m, tmp_path, monkeypatch):
+        # The lattice origin is a corner of every tile: every sample lies on
+        # a boundary, and the half-open rules still give f = expected there.
         monkeypatch.setattr(tiling, "grid_vector", lambda tag, dim, *rest: (Fraction(0),) * dim)
-        with pytest.raises(GenericityError, match="sample 0 of seed 7"):
-            verify_constancy(mset, w_m, 3, 7)
+        rep = verify_constancy(mset, w_m, 3, 7)
+        assert rep.passed and rep.boundary_samples == 3
         path = tmp_path / "M.txt"
         path.write_text("2 2\n3 2 -4 1\n1 0 2 2\n2 0 -1 1\n0 1 -2 3\n")
-        code, out, err = invoke(["verify", "--matrix", str(path), "--w", "1,1,1,1", "--samples", "3"])
-        assert (code, out) == (2, "")
-        assert f"after {tiling.BOUNDARY_REDRAWS} redraws" in err
+        code, out, _ = invoke(["verify", "--matrix", str(path), "--w", "1,1,1,1", "--samples", "3"])
+        assert code == 0
+        assert out.endswith("boundary_redraws=3 values=1 f=1 pass=true\n")
 
 
 class TestAverageIdentity:
