@@ -1,17 +1,12 @@
 """Signed tilings of R^(r+k) from fragment matrices, in exact rational arithmetic."""
 
 from .linalg import (
-    BlockPermutation,
-    BlockPermutationError,
     DimensionError,
     LinalgError,
     Matrix,
-    RankDeficiencyError,
     SingularMatrixError,
     det,
     inverse,
-    kernel_vector,
-    perm_sign,
     solve,
     vector,
 )

@@ -35,7 +35,7 @@ from .facets import (
     h_vector,
     up_down_partition,
 )
-from .linalg import LinalgError, Matrix, det
+from .linalg import LinalgError, Matrix
 from .render import RenderConfig, render_svg
 from .slices import SlicePreconditionError, slice_layout
 from .tiling import (
@@ -44,6 +44,7 @@ from .tiling import (
     TilingEngine,
     certify_direction,
     choose_generic_direction,
+    fundamental_point,
     grid_vector,
     verify_constancy,
 )
@@ -136,6 +137,8 @@ def _parse_vec(text: str, name: str) -> tuple[Fraction, ...]:
 
 
 def _parse_subset(text: str, name: str) -> tuple[int, ...]:
+    if not text.strip():  # the empty subset: tau of an r = 1 matrix
+        return ()
     try:
         return tuple(int(tok.strip()) for tok in text.split(","))
     except ValueError:
@@ -229,8 +232,13 @@ def _collection_index(args, fs: FragmentSet):
     if (args.tau is None) == (args.gamma is None):
         raise CliInputError("exactly one of --tau or --gamma is required")
     if args.tau is not None:
-        return TAU, _parse_subset(args.tau, "--tau")
-    return GAMMA, _parse_subset(args.gamma, "--gamma")
+        kind, text, size = TAU, args.tau, fs.dims.r - 1
+    else:
+        kind, text, size = GAMMA, args.gamma, fs.dims.r + 1
+    index = _parse_subset(text, f"--{kind}")
+    if len(index) != size:
+        raise CliInputError(f"--{kind} must have {size} entries")
+    return kind, index
 
 
 def _collection_z(args, fs: FragmentSet):
@@ -297,15 +305,10 @@ def cmd_crossing(args) -> int:
         reach = Fraction(args.reach)
     except (ValueError, ZeroDivisionError):
         raise CliInputError(f"malformed --reach value {args.reach!r}") from None
-    m = fs.decomposition.m
-    n = fs.dims.n
     if args.point is not None:
         points = [_parse_vec(args.point, "--point")]
     else:
-        points = [
-            m.mat_vec(grid_vector(f"ray:{args.seed}:{i}", n, 0, SAMPLE_DENOMINATOR))
-            for i in range(args.samples)
-        ]
+        points = [fundamental_point(fs, f"ray:{args.seed}:{i}") for i in range(args.samples)]
     print(f"w={_fmt_vec(w.w)} reach={reach}")
     engine = TilingEngine(fs, w)
     all_ok = True
@@ -351,7 +354,8 @@ def cmd_slice(args) -> int:
             f"offset_classes={len(cls.offsets)} expected_classes={expected_classes} "
             f"{'ok' if ok else 'FAIL'}"
         )
-    expected_balance = fs.expected_coverage() * abs(det(layout.b))
+    # M U = [[Bk | B], [I_k | 0]] with U unimodular, so |det B| = |det M|.
+    expected_balance = fs.expected_coverage() * abs(fs.det_m)
     balance_ok = balance == expected_balance
     all_ok = all_ok and balance_ok
     print(

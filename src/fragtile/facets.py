@@ -29,17 +29,15 @@ from .fragments import (
     SubsetIndex,
     complement,
     normalize_subset,
+    shuffle_sign,
 )
 from .linalg import (
-    BlockPermutation,
     DimensionError,
     LinalgError,
-    Matrix,
     clear_denominator,
-    det,
+    int_det,
     int_mat_mul,
     normalize_integer_direction,
-    perm_sign,
     rat,
     vec_add,
     vec_scale,
@@ -190,27 +188,28 @@ def h_vector(fs: FragmentSet, w: GenericDirection, tau: Sequence[int]) -> tuple[
 
     Entry j (over the complement of tau, ascending) is
     det([C_tau | w']) * det(Cbar off tau+j) * sgn(tau, j, rest), the closed
-    form of lambda_j times the fragment determinant; det(Cbar off tau+j) is
-    the stored det_cbar of the fragment tau+j.  The closed form stays
-    defined when a fragment is degenerate and always lands in the kernel,
-    which is verified exactly before returning.
+    form of lambda_j times the fragment determinant, on integers: with
+    M = A / d and w = wn / q, the first factor is int_det of A's top rows on
+    tau beside wn's, over d^(r-1) q; the second is the stored det_cbar of
+    sigma = tau+j; and (tau, j, rest) is (sigma, rest) once j passes the
+    indices of tau above it.  The closed form stays defined when a fragment
+    is degenerate and always lands in the kernel, checked on A's bottom rows.
     """
-    dims = fs.dims
-    tau = normalize_subset(tau, dims.n)
-    if len(tau) != dims.r - 1:
+    r, n = fs.dims.r, fs.dims.n
+    tau = normalize_subset(tau, n)
+    if len(tau) != r - 1:
         raise DimensionError(f"tau must have size r-1, got {tau}")
-    d = fs.decomposition
-    tau_hat = complement(tau, dims.n)
-    lead_cols = [d.c[i - 1] for i in tau] + [w.w_prime]
-    lead = det(Matrix.from_columns(lead_cols, rows=dims.r))
+    d, a = fs.m_rows
+    q, wn = clear_denominator(w.w)
+    tau_hat = complement(tau, n)
+    lead = int_det([[row[i - 1] for i in tau] + [x] for row, x in zip(a[:r], wn)])
+    scale = Fraction(lead, d ** (r - 1) * q)
     h = []
     for j in tau_hat:
-        rest = tuple(i for i in tau_hat if i != j)
-        sgn = perm_sign(BlockPermutation((tau, (j,), rest)))
-        h.append(lead * fs[tau + (j,)].det_cbar * sgn)
-    cbar_hat = Matrix.from_columns([d.cbar[i - 1] for i in tau_hat], rows=dims.k)
-    residual = cbar_hat.mat_vec(tuple(h))
-    if any(x != 0 for x in residual):
+        sigma = tuple(sorted(tau + (j,)))
+        sgn = shuffle_sign(sigma) * (-1) ** sum(t > j for t in tau)
+        h.append(sgn * scale * fs[sigma].det_cbar)
+    if any(sum(map(mul, (row[j - 1] for j in tau_hat), h)) for row in a[r:]):
         raise LinalgError("kernel certificate failed its exact check")
     return tuple(h)
 

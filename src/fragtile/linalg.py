@@ -3,15 +3,14 @@
 Entries and results are ``fractions.Fraction``, so predicates such as
 determinant signs are decided exactly; matrices are immutable, dense and
 row-major.  Every elimination is ``eliminate``, fraction-free Gauss-Jordan
-on integer rows: ``det``, ``inverse``, ``solve`` and ``kernel_vector`` clear
-a matrix to A / c, eliminate A and divide once; ``int_det``,
-``int_inverse`` and ``int_mat_mul`` serve callers that hold integer rows.
+on integer rows: ``det``, ``inverse`` and ``solve`` clear a matrix to
+A / c, eliminate A and divide once; ``int_det``, ``int_inverse`` and
+``int_mat_mul`` serve callers that hold integer rows.
 Intended scale is small systems (n <= ~10), with no sparsity or asymptotic
 cleverness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -29,14 +28,6 @@ class DimensionError(LinalgError):
 
 class SingularMatrixError(LinalgError):
     """A matrix required to be invertible has determinant zero."""
-
-
-class RankDeficiencyError(LinalgError):
-    """A matrix does not have the rank the operation requires."""
-
-
-class BlockPermutationError(LinalgError):
-    """Blocks do not form a valid ordered partition of {1..n}."""
 
 
 def rat(x: Scalar) -> Fraction:
@@ -282,62 +273,3 @@ def normalize_integer_direction(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
     if first < 0:
         ints = [-x for x in ints]
     return tuple(Fraction(x) for x in ints)
-
-
-def kernel_vector(v: Matrix) -> tuple[Fraction, ...]:
-    """Canonical nonzero kernel vector of a k x (k+1) matrix of rank k: the
-    elimination exposes the one free column, and the null space it spans is
-    returned as normalize_integer_direction gives it."""
-    if v.cols != v.rows + 1:
-        raise DimensionError(f"expected k x (k+1) matrix, got {v.rows}x{v.cols}")
-    _, m = clear_rows(v)
-    pivots, last, _ = eliminate(m, v.cols)
-    if len(pivots) < v.rows:
-        raise RankDeficiencyError("rank below row count: kernel dimension exceeds 1")
-    free = next(c for c in range(v.cols) if c not in pivots)
-    h = [0] * v.cols
-    h[free] = last
-    for r, col in enumerate(pivots):
-        h[col] = -m[r][free]
-    return normalize_integer_direction(h)
-
-
-@dataclass(frozen=True)
-class BlockPermutation:
-    """A permutation of {1..n} written as an ordered list of sorted blocks."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __init__(self, blocks: Iterable[Iterable[int]]):
-        object.__setattr__(self, "blocks", tuple(tuple(b) for b in blocks))
-        word = self.word
-        n = len(word)
-        if sorted(word) != list(range(1, n + 1)):
-            raise BlockPermutationError(
-                f"blocks {self.blocks} are overlapping or incomplete over [{n}]"
-            )
-        for b in self.blocks:
-            if list(b) != sorted(b):
-                raise BlockPermutationError(f"block {b} is not sorted ascending")
-
-    @property
-    def word(self) -> tuple[int, ...]:
-        return tuple(x for b in self.blocks for x in b)
-
-
-def word_sign(word: Sequence[int]) -> int:
-    """Sign of a permutation word of {1..n} by inversion count."""
-    inversions = sum(
-        1
-        for i in range(len(word))
-        for j in range(i + 1, len(word))
-        if word[i] > word[j]
-    )
-    return -1 if inversions % 2 else 1
-
-
-def perm_sign(p: BlockPermutation | Iterable[Iterable[int]]) -> int:
-    """Sign of the permutation obtained by concatenating the blocks in order."""
-    if not isinstance(p, BlockPermutation):
-        p = BlockPermutation(p)
-    return word_sign(p.word)

@@ -36,21 +36,18 @@ class GenericityError(Exception):
 
 @dataclass(frozen=True)
 class GenericDirection:
-    """A direction w together with the finite certificate that makes it generic.
+    """A direction w certified generic for the matrix m.
 
-    The certificate records, per checked matrix, how many coordinates of
-    N^-1 w were verified nonzero: all invertible fragment matrices plus M
-    itself.  That finite condition set also covers the restricted systems on
-    the top and bottom blocks, since their coordinate vectors are subvectors
-    of the fragment ones.  lambdas holds S^-1 w for every half-open rule and
-    facet sign, keyed by sigma; lambda_of reads it for the matrix m that w
-    was certified for and raises KeyError for any other.
+    Every coordinate of N^-1 w was verified nonzero, for every invertible
+    fragment matrix N and for M itself.  That finite condition set also
+    covers the restricted systems on the top and bottom blocks, since their
+    coordinate vectors are subvectors of the fragment ones.  lambdas holds
+    S^-1 w for every half-open rule and facet sign, keyed by sigma;
+    lambda_of reads it for the matrix m that w was certified for and raises
+    KeyError for any other.
     """
 
     w: tuple[Fraction, ...]
-    w_prime: tuple[Fraction, ...]
-    w_double_prime: tuple[Fraction, ...]
-    certificate: tuple[tuple[str, int], ...]
     lambdas: Mapping[SubsetIndex, tuple[Fraction, ...]] = field(compare=False, repr=False)
     m: Matrix = field(compare=False, repr=False)
 
@@ -83,7 +80,6 @@ def certify_direction(fs: FragmentSet, w: Sequence) -> GenericDirection:
         den = e * q
         return tuple(Fraction(sum(a * x for a, x in zip(row, wn)), den) for row in rows)
 
-    checks: list[tuple[str, int]] = []
     lambdas: dict[SubsetIndex, tuple[Fraction, ...]] = {}
     for frag in fs:
         if frag.sign_class == DEGENERATE:
@@ -91,12 +87,10 @@ def certify_direction(fs: FragmentSet, w: Sequence) -> GenericDirection:
         lam = times_w(frag.s_inv_rows)
         if any(x == 0 for x in lam):
             raise GenericityError(f"w is not generic: zero entry in {_sigma_label(frag.sigma)}^-1 w")
-        checks.append((_sigma_label(frag.sigma), dims.n))
         lambdas[frag.sigma] = lam
     if any(x == 0 for x in times_w(fs.m_inv_rows)):
         raise GenericityError("w is not generic: zero entry in M^-1 w")
-    checks.append(("M", dims.n))
-    return GenericDirection(w, w[: dims.r], w[dims.r :], tuple(checks), lambdas, fs.decomposition.m)
+    return GenericDirection(w, lambdas, fs.decomposition.m)
 
 
 def grid_vector(
@@ -109,6 +103,16 @@ def grid_vector(
     """
     rng = random.Random(tag)
     return tuple(Fraction(rng.randrange(lo, hi), denom) for _ in range(dim))
+
+
+def fundamental_point(fs: FragmentSet, tag: str) -> tuple[Fraction, ...]:
+    """M u for u = grid_vector(tag, n, 0, 2^31), a grid point of the
+    fundamental domain M [0,1)^n: with u = c / q and M = A / d (fs.m_rows),
+    M u = A c / (d q) is formed from integers, one Fraction per coordinate."""
+    m_den, m_rows = fs.m_rows
+    q, c = clear_denominator(grid_vector(tag, fs.dims.n, 0, SAMPLE_DENOMINATOR))
+    den = m_den * q
+    return tuple(Fraction(sum(map(mul, row, c)), den) for row in m_rows)
 
 
 def choose_generic_direction(fs: FragmentSet, seed: int) -> GenericDirection:
@@ -426,27 +430,20 @@ def verify_constancy(
 ) -> VerifyReport:
     """Sample the fundamental domain and check the cover count is constant.
 
-    Points are drawn as p = M u with u uniform on the 2^-31 grid of [0,1)^n;
-    by lattice periodicity of the tiling, constancy there is constancy
-    everywhere.  With u = c / q and M = A / d (fs.m_rows), p = A c / (d q)
-    is formed from integers, one Fraction per coordinate.  A sample on a
-    tile boundary is decided by the half-open w-rules like any other; such
-    samples are counted in boundary_samples.
+    Points are drawn by fundamental_point, p = M u with u uniform on the
+    2^-31 grid of [0,1)^n; by lattice periodicity of the tiling, constancy
+    there is constancy everywhere.  A sample on a tile boundary is decided
+    by the half-open w-rules like any other; such samples are counted in
+    boundary_samples.
     """
     engine = TilingEngine(fs, w)
-    n = fs.dims.n
-    m_den, m_rows = fs.m_rows
     expected = engine.expected
     histogram: dict[tuple[int, int], int] = {}
     values: set[int] = set()
     boundary_samples = 0
     for index in range(sample_count):
         # The fixed ":0" tag field keeps the sample streams of earlier reports.
-        u = grid_vector(f"sample:{seed}:{index}:0", n, 0, SAMPLE_DENOMINATOR)
-        q, c = clear_denominator(u)
-        den = m_den * q
-        p = tuple(Fraction(sum(a * x for a, x in zip(row, c)), den) for row in m_rows)
-        tiles, boundary = engine.tiles_at(p)
+        tiles, boundary = engine.tiles_at(fundamental_point(fs, f"sample:{seed}:{index}:0"))
         boundary_samples += boundary > 0
         pos, neg = _census(tiles)
         values.add(pos - neg)

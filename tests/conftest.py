@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's own code paths: cofactor
 expansion for determinants, the Cramer quotient for solving, signed maximal
 minors for kernels, and wide-box scans for tile location.  Expected values in
-the tests were frozen from these oracles.
+the tests were frozen from these oracles.  The permutation-word sign
+(BlockPermutation, perm_sign) and kernel_vector, which the library no longer
+uses, live here as oracles for its index-sum signs and kernel certificate.
 """
 from __future__ import annotations
 
@@ -12,17 +14,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import pytest
 from hypothesis import settings
 
 from fragtile import (
+    DimensionError,
     Dimensions,
+    LinalgError,
     Matrix,
     certify_direction,
     decompose,
     fragment_set,
 )
+from fragtile.linalg import clear_rows, eliminate, normalize_integer_direction
+
 # Imported here, not inside invoke: fragtile.cli binds grid_vector and its
 # other helpers by name on first import, so a first import under a test's
 # monkeypatch would keep the patched function after the test.
@@ -97,6 +104,95 @@ def mat_vec_log(monkeypatch):
 
     monkeypatch.setattr(Matrix, "mat_vec", logged)
     return log
+
+
+class RankDeficiencyError(LinalgError):
+    """A matrix does not have the rank the operation requires."""
+
+
+class BlockPermutationError(LinalgError):
+    """Blocks do not form a valid ordered partition of {1..n}."""
+
+
+def kernel_vector(v: Matrix) -> tuple[Fraction, ...]:
+    """Canonical nonzero kernel vector of a k x (k+1) matrix of rank k: the
+    elimination exposes the one free column, and the null space it spans is
+    returned as normalize_integer_direction gives it."""
+    if v.cols != v.rows + 1:
+        raise DimensionError(f"expected k x (k+1) matrix, got {v.rows}x{v.cols}")
+    _, m = clear_rows(v)
+    pivots, last, _ = eliminate(m, v.cols)
+    if len(pivots) < v.rows:
+        raise RankDeficiencyError("rank below row count: kernel dimension exceeds 1")
+    free = next(c for c in range(v.cols) if c not in pivots)
+    h = [0] * v.cols
+    h[free] = last
+    for r, col in enumerate(pivots):
+        h[col] = -m[r][free]
+    return normalize_integer_direction(h)
+
+
+@dataclass(frozen=True)
+class BlockPermutation:
+    """A permutation of {1..n} written as an ordered list of sorted blocks."""
+
+    blocks: tuple[tuple[int, ...], ...]
+
+    def __init__(self, blocks: Iterable[Iterable[int]]):
+        object.__setattr__(self, "blocks", tuple(tuple(b) for b in blocks))
+        word = self.word
+        n = len(word)
+        if sorted(word) != list(range(1, n + 1)):
+            raise BlockPermutationError(
+                f"blocks {self.blocks} are overlapping or incomplete over [{n}]"
+            )
+        for b in self.blocks:
+            if list(b) != sorted(b):
+                raise BlockPermutationError(f"block {b} is not sorted ascending")
+
+    @property
+    def word(self) -> tuple[int, ...]:
+        return tuple(x for b in self.blocks for x in b)
+
+
+def word_sign(word: Sequence[int]) -> int:
+    """Sign of a permutation word of {1..n} by inversion count."""
+    inversions = sum(
+        1
+        for i in range(len(word))
+        for j in range(i + 1, len(word))
+        if word[i] > word[j]
+    )
+    return -1 if inversions % 2 else 1
+
+
+def perm_sign(p: BlockPermutation | Iterable[Iterable[int]]) -> int:
+    """Sign of the permutation obtained by concatenating the blocks in order."""
+    if not isinstance(p, BlockPermutation):
+        p = BlockPermutation(p)
+    return word_sign(p.word)
+
+
+def reference_h_vector(fs, w, tau) -> tuple[Fraction, ...]:
+    """The kernel certificate as h_vector computed it on Fractions: the
+    determinant of the Fraction matrix [C_tau | w'], the stored det_cbar of
+    the fragment tau+j, and the inversion sign of the word (tau, j, rest);
+    Cbar_hat h = 0 is checked with a Fraction matrix."""
+    from fragtile import complement, det
+
+    d = fs.decomposition
+    r, n = fs.dims.r, fs.dims.n
+    tau = tuple(sorted(tau))
+    tau_hat = complement(tau, n)
+    lead = det(Matrix.from_columns([d.c[i - 1] for i in tau] + [w.w[:r]], rows=r))
+    h = []
+    for j in tau_hat:
+        rest = tuple(i for i in tau_hat if i != j)
+        h.append(lead * fs[tau + (j,)].det_cbar * perm_sign((tau, (j,), rest)))
+    cbar_hat = Matrix.from_columns([d.cbar[i - 1] for i in tau_hat], rows=fs.dims.k)
+    if any(x != 0 for x in cbar_hat.mat_vec(tuple(h))):
+        raise LinalgError("kernel certificate failed its exact check")
+    return tuple(h)
 
 
 def invoke(argv):
@@ -323,7 +419,7 @@ def solve_affine(a: Matrix, b):
     inconsistent (b outside the column span).  Raises RankDeficiencyError if
     the columns are dependent, since then no unique solution exists.
     """
-    from fragtile import DimensionError, RankDeficiencyError, vector
+    from fragtile import vector
 
     nrows, ncols = a.rows, a.cols
     if len(b) != nrows:
@@ -532,8 +628,6 @@ class FacetGeometry:
         space below them: a vector lies in the span exactly when those rows
         annihilate it.
         """
-        from fragtile import RankDeficiencyError
-
         dim = len(self.base)
         count = len(self.generators)
         aug = [

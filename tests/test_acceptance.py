@@ -32,7 +32,6 @@ from fragtile import (
     facet_collection,
     fragment_set,
     h_vector,
-    kernel_vector,
     laplace_identity,
     sandc_identity,
     slice_layout,

@@ -32,12 +32,13 @@ from fragtile.cli import MatrixParseError, format_matrix, parse_matrix
 K_TEXT = "1 1\n1 2\n-1 3\n"
 L_TEXT = "1 1\n1 2\n1 5\n"
 M_TEXT = "2 2\n3 2 -4 1\n1 0 2 2\n2 0 -1 1\n0 1 -2 3\n"
+Q_TEXT = "2 1\n0 3/2 3\n-1 1/3 3\n1/2 -3/2 -1\n"
 
 
 @pytest.fixture()
 def matrix_files(tmp_path):
     paths = {}
-    for name, text in (("K", K_TEXT), ("L", L_TEXT), ("M", M_TEXT)):
+    for name, text in (("K", K_TEXT), ("L", L_TEXT), ("M", M_TEXT), ("q3r2-1", Q_TEXT)):
         path = tmp_path / f"{name}.txt"
         path.write_text(text)
         paths[name] = str(path)
@@ -224,6 +225,50 @@ class TestSubcommands:
             assert ("pass=true" in out) == (code == 0)
 
 
+class TestFractionMatrixGuard:
+    """These commands run on the integer rows a fragment set holds: no
+    Fraction determinant, inverse, solve or matrix-vector product.  Left
+    out: fragments, whose sandc_identity takes an independent determinant
+    on purpose, and slice and render, which still reduce the lattice on
+    Fraction matrices."""
+
+    @pytest.mark.parametrize(
+        "matrix, argv",
+        [
+            ("M", ["facets", "--tau", "2"]),
+            ("q3r2-1", ["facets", "--tau", "3", "--seed", "4"]),
+            ("M", ["facets", "--gamma", "1,2,4"]),
+            ("M", ["crossing", "--samples", "2", "--reach", "2"]),
+            ("q3r2-1", ["crossing", "--samples", "2", "--reach", "2"]),
+            ("M", ["verify", "--samples", "20"]),
+            ("M", ["double-cover", "--tau", "4", "--samples", "10"]),
+            ("q3r2-1", ["double-cover", "--gamma", "1,2,3", "--samples", "10"]),
+            ("M", ["coverage", "--point", "-2,1,-1/2,-1/2"]),
+        ],
+    )
+    def test_no_fraction_matrix_arithmetic(self, matrix_files, monkeypatch, mat_vec_log, matrix, argv):
+        import sys
+
+        from fragtile import linalg
+
+        calls = []
+        for name in ("det", "inverse", "solve"):
+            original = getattr(linalg, name)
+
+            def logged(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            # every binding site, as the elimination guard patches eliminate
+            for key, module in list(sys.modules.items()):
+                if (key == "fragtile" or key.startswith("fragtile.")) and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, logged)
+        code, _, err = invoke(argv[:1] + ["--matrix", matrix_files[matrix]] + argv[1:])
+        assert code == 0, err
+        assert calls == []
+        assert mat_vec_log == []
+
+
 class TestInputErrors:
     def test_missing_file(self):
         code, _, err = invoke(["laplace", "--matrix", "/nonexistent/x.txt"])
@@ -273,6 +318,25 @@ class TestInputErrors:
         assert code == 2
         assert out == ""
         assert "--samples" in err
+
+    @pytest.mark.parametrize(
+        "matrix, argv, reason",
+        [
+            ("K", ["facets", "--gamma", ""], "--gamma must have 2 entries"),
+            ("K", ["double-cover", "--gamma", "", "--samples", "5"], "--gamma must have 2 entries"),
+            ("K", ["facets", "--tau", "", "--z", ""], "--z must have 2 entries"),
+            ("M", ["facets", "--tau", ""], "--tau must have 1 entries"),
+            # The flag names the kind: a tau-sized --gamma is not run as tau.
+            ("M", ["double-cover", "--gamma", "2", "--samples", "5"], "--gamma must have 3 entries"),
+            ("M", ["double-cover", "--tau", "1,2,3", "--samples", "5"], "--tau must have 1 entries"),
+        ],
+    )
+    def test_collection_values_meet_the_size_checks(self, matrix_files, matrix, argv, reason):
+        # An empty value is the empty subset, tau of an r = 1 matrix; where
+        # a subset has the wrong size for its flag, the size checks exit 2.
+        code, out, err = invoke(argv[:1] + ["--matrix", matrix_files[matrix]] + argv[1:])
+        assert (code, out) == (2, "")
+        assert reason in err
 
     def test_flag_foreign_to_command(self, matrix_files):
         code, out, err = invoke(["laplace", "--matrix", matrix_files["K"], "--samples", "5"])

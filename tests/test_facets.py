@@ -5,20 +5,23 @@ from itertools import product
 import pytest
 
 from conftest import (
+    BlockPermutation,
     brute_force_events,
     corpus_files,
     corpus_set,
     invoke,
+    kernel_vector,
+    perm_sign,
     pip_contains,
     random_invertible,
     corpus_matrix,
     facet_projections,
     random_rational_invertible,
     reference_double_cover,
+    reference_h_vector,
     solve_affine,
 )
 from fragtile import (
-    BlockPermutation,
     DegenerateFragmentError,
     Dimensions,
     FacetId,
@@ -36,9 +39,7 @@ from fragtile import (
     facet_signs,
     fragment_set,
     h_vector,
-    kernel_vector,
     lambda_vector,
-    perm_sign,
     solve,
     subsets,
     tilde_facet,
@@ -161,8 +162,8 @@ class TestLambdaVector:
             lam_sigma = tuple(lam[i - 1] for i in frag.sigma)
             lam_hat = tuple(lam[i - 1] for i in complement(frag.sigma, 4))
             c, cbar = c_submatrices(mset.decomposition, frag.sigma)
-            assert c.mat_vec(lam_sigma) == w_m.w_prime
-            assert cbar.mat_vec(lam_hat) == w_m.w_double_prime
+            assert c.mat_vec(lam_sigma) == w_m.w[:2]
+            assert cbar.mat_vec(lam_hat) == w_m.w[2:]
 
     def test_quotient_formula(self, mset, w_m):
         # lambda as a quotient of determinants with the block-shuffle sign ratio
@@ -173,7 +174,7 @@ class TestLambdaVector:
                 rest = tuple(i for i in complement(tau, 4) if i != j)
                 num = det(
                     Matrix.from_columns(
-                        [d.c[i - 1] for i in tau] + [w_m.w_prime], rows=2
+                        [d.c[i - 1] for i in tau] + [w_m.w[:2]], rows=2
                     )
                 )
                 den = det(Matrix.from_columns([d.c[i - 1] for i in sigma], rows=2))
@@ -301,6 +302,24 @@ class TestHVector:
                 cbar = Matrix.from_columns([d.cbar[i - 1] for i in hat], rows=n - r)
                 assert all(x == 0 for x in cbar.mat_vec(h))
 
+    def test_matches_the_fraction_closed_form_on_the_corpus(self):
+        # Every tau of every corpus matrix at three directions, degenerate
+        # fragments included: the integer certificate equals the Fraction
+        # determinant times the permutation-word sign.
+        cases = degenerate = 0
+        for path in corpus_files():
+            fs = corpus_set(path)
+            for seed in range(3):
+                w = choose_generic_direction(fs, seed)
+                for tau in subsets(fs.dims.n, fs.dims.r - 1):
+                    assert h_vector(fs, w, tau) == reference_h_vector(fs, w, tau), (path.name, seed, tau)
+                    cases += 1
+                    degenerate += any(
+                        fs[tau + (j,)].sign_class == "degenerate" for j in complement(tau, fs.dims.n)
+                    )
+        assert cases == 1233
+        assert degenerate > 0
+
 
 class TestFacetProjections:
     def test_common_relative_interior_tau(self, mset, w_m):
@@ -420,7 +439,7 @@ class TestKernelSelectionTiling:
                 covers = sum(
                     1
                     for sub, shift in cells
-                    if pip_contains(sub, w_m.w_double_prime, tuple(a - b for a, b in zip(q, shift)))
+                    if pip_contains(sub, w_m.w[2:], tuple(a - b for a, b in zip(q, shift)))
                 )
                 trials += 1
                 hits += covers

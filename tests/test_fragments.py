@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    BlockPermutation,
     M_ROWS,
     Q_ROWS,
     corpus_files,
     corpus_matrix,
+    perm_sign,
     random_dims,
     random_int_matrix,
     random_invertible,
@@ -16,7 +18,6 @@ from conftest import (
 )
 from fragtile import (
     DEGENERATE,
-    BlockPermutation,
     NEGATIVE,
     POSITIVE,
     Dimensions,
@@ -31,7 +32,6 @@ from fragtile import (
     fragment_set,
     inverse,
     laplace_identity,
-    perm_sign,
     sandc_identity,
     shuffle_sign,
     solve,
@@ -179,12 +179,20 @@ class TestIdentities:
         assert det(c) == 4
         assert det(cbar) == -4
         assert shuffle_sign((2, 4)) == -1
-        # the index-sum sign against the block permutation's inversions
+        # the index-sum sign against the block permutation's inversions, and
+        # h_vector's sign of the word (tau, j, rest): j passes the indices of
+        # tau above it to give (sigma, rest)
         for n in range(1, 9):
             for r in range(n + 1):
                 for sigma in subsets(n, r):
                     block = BlockPermutation((sigma, complement(sigma, n)))
                     assert shuffle_sign(sigma) == perm_sign(block), sigma
+                for tau in subsets(n, r):
+                    for j in complement(tau, n):
+                        sigma = tuple(sorted(tau + (j,)))
+                        rest = complement(sigma, n)
+                        sign = shuffle_sign(sigma) * (-1) ** sum(t > j for t in tau)
+                        assert sign == perm_sign((tau, (j,), rest)), (tau, j)
 
     def test_factorization_all_sigmas(self, mset, kset, lset):
         for fs in (mset, kset, lset):

@@ -4,10 +4,15 @@ Each file under ``tests/golden/`` holds one command's exit code on its first
 line ("exit=N") followed by its exact stdout.  The files were recorded once
 and are the output contract: refactors must keep them byte-identical.  Error
 cases pin exit code 2 and whatever stdout preceded the error; their messages
-go to stderr and are not part of the contract.
+go to stderr and are not part of the contract.  The benchmark's seed-0
+command lists are held to the same rule: each command's stdout must match
+the sha256 digest recorded in ``perfbench/digests.json``.
 """
 from __future__ import annotations
 
+import hashlib
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +20,7 @@ import pytest
 from conftest import invoke
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 MATRICES = {
     "K": "1 1\n1 2\n-1 3\n",
@@ -48,11 +54,14 @@ CASES = {
     "verify-M": ("verify", "M", ("--samples", "40", "--seed", "9")),
     "verify-q3r2-1": ("verify", "q3r2-1", ("--samples", "40", "--seed", "1")),
     "facets-K-gamma": ("facets", "K", ("--gamma", "1,2", "--seed", "2")),
+    # r = 1: the empty value names tau = {}, the only tau collection.
+    "facets-K-tau-empty": ("facets", "K", ("--tau", "", "--w", "1,1")),
     "facets-M-tau": ("facets", "M", ("--tau", "2", "--w", "1,1,1,1")),
     "facets-M-gamma-z": ("facets", "M", ("--gamma", "1,2,4", "--z", "1,0,-1,2")),
     "facets-q3r2-1-tau": ("facets", "q3r2-1", ("--tau", "3", "--seed", "4")),
     "facets-cover13-gamma": ("facets", "cover13", ("--gamma", "2,3")),
     "double-cover-K-gamma": ("double-cover", "K", ("--gamma", "1,2", "--samples", "30")),
+    "double-cover-K-tau-empty": ("double-cover", "K", ("--tau", "", "--samples", "50")),
     "double-cover-M-tau": ("double-cover", "M", ("--tau", "4", "--samples", "25", "--seed", "2")),
     "double-cover-M-gamma-z": (
         "double-cover", "M", ("--gamma", "1,3,4", "--z", "0,1,0,-1", "--samples", "25", "--w", "1,1,1,1"),
@@ -114,3 +123,20 @@ def run_case(name: str, tmp_path: Path) -> str:
 def test_golden_stdout(name, tmp_path):
     expected = (GOLDEN / f"{name}.out").read_text()
     assert run_case(name, tmp_path) == expected
+
+
+@pytest.mark.parametrize("workload", ["dense", "wide", "oneshot"])
+def test_perfbench_digests(workload):
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import workloads
+
+    commands = workloads.WORKLOADS[workload](0)
+    recorded = json.loads((PERFBENCH / "digests.json").read_text())[workload]
+    assert len(commands) == len(recorded)
+    changed = [
+        " ".join(cmd.argv)
+        for cmd, digest in zip(commands, recorded)
+        if hashlib.sha256(invoke(list(cmd.argv))[1].encode()).hexdigest() != digest
+    ]
+    assert changed == []

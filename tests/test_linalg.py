@@ -5,27 +5,28 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    BlockPermutation,
+    BlockPermutationError,
+    RankDeficiencyError,
     cramer_inverse,
     cramer_solve,
     det_cofactor,
     kernel_by_minors,
+    kernel_vector,
+    perm_sign,
     random_invertible,
     solve_affine,
+    word_sign,
 )
 from fragtile import (
-    BlockPermutation,
-    BlockPermutationError,
     DimensionError,
     Matrix,
-    RankDeficiencyError,
     SingularMatrixError,
     det,
     inverse,
-    kernel_vector,
-    perm_sign,
     solve,
 )
-from fragtile.linalg import normalize_integer_direction, word_sign
+from fragtile.linalg import normalize_integer_direction
 
 K = Matrix.from_rows([[1, 2], [-1, 3]])
 L = Matrix.from_rows([[1, 2], [1, 5]])

@@ -49,11 +49,10 @@ def _tile_ids(engine, p):
 
 class TestGenericDirection:
     def test_all_ones_certified(self, mset, w_m):
-        # one condition set per invertible fragment plus the matrix itself
-        assert len(w_m.certificate) == 7
-        assert all(count == 4 for _, count in w_m.certificate)
-        assert w_m.w_prime == (1, 1)
-        assert w_m.w_double_prime == (1, 1)
+        # one lambda vector per invertible fragment, keyed by sigma
+        assert set(w_m.lambdas) == set(mset.sigmas())
+        assert all(len(lam) == 4 for lam in w_m.lambdas.values())
+        assert w_m.w == (1, 1, 1, 1)
 
     def test_top_part_parallel_to_a_column_fails(self, mset):
         # w' proportional to the top part (1,2) of column 4 kills a lambda entry
