@@ -422,19 +422,24 @@ def _classify_events(engine: TilingEngine, events):
 def crossing_check(engine: TilingEngine, p: Sequence, reach, seed: int) -> CrossingReport:
     """Scan the ray p + t*w, t in (0, reach), and verify crossing invariance.
 
-    At every crossing time the signed cover count is evaluated just before
-    and just after (at half the gap to the nearest other crossing) and the
-    wsgn*tsgn contributions of the facets met there are summed.  A start on a
-    tile boundary is first nudged along w; rays whose crossing points hit
-    facet boundaries or several hyperplanes at once are resampled nearby,
-    since the pairing statement excludes those configurations.  The engine
-    is built once per (fragment set, w) and may serve many rays.
+    The crossing times cut (0, reach) into open pieces, and the signed cover
+    count is read once per piece, at its midpoint: constant compares f just
+    before and just after every crossing, and the wsgn*tsgn contributions
+    of the facets met at each crossing are summed.  A start on a tile
+    boundary needs no care: the half-open w-rules decide it, and only
+    crossings at t > 0 are scanned.  Rays whose crossing points hit facet
+    boundaries or several hyperplanes at once are resampled nearby, since
+    the pairing statement excludes those configurations; resamples counts
+    those moves.  The engine is built once per (fragment set, w) and may
+    serve many rays.
     """
     w = engine.w
     reach = rat(reach)
     if reach <= 0:
         raise DimensionError("reach must be positive")
     p0 = vector(p)
+    if len(p0) != engine.fs.dims.n:
+        raise DimensionError(f"point has length {len(p0)}, expected {engine.fs.dims.n}")
     for attempt in range(CROSSING_RESAMPLES + 1):
         if attempt == 0:
             start = p0
@@ -443,26 +448,13 @@ def crossing_check(engine: TilingEngine, p: Sequence, reach, seed: int) -> Cross
                 f"crossing:{seed}:{attempt}", len(p0), -(2**31 - 1), 2**31, 2**43
             )
             start = vec_add(p0, jitter)
-        _, boundary = engine.tiles_at(start)
-        events = _collect_events(engine, start, reach)
-        if boundary:
-            ts = sorted(events)
-            delta0 = ts[0] / 2 if ts else reach / 2
-            start = vec_add(start, vec_scale(delta0, w.w))
-            _, boundary = engine.tiles_at(start)
-            if boundary:
-                continue
-            events = _collect_events(engine, start, reach)
-        degenerate, crossings = _classify_events(engine, events)
+        degenerate, crossings = _classify_events(engine, _collect_events(engine, start, reach))
         if degenerate:
             continue
-        t_evals = [] if crossings else [reach / 4, 3 * reach / 4]
         ts = [Fraction(0)] + [c.t for c in crossings] + [reach]
-        for prev_t, t, next_t in zip(ts, ts[1:], ts[2:]):
-            delta = min(t - prev_t, next_t - t) / 2
-            t_evals += [t - delta, t + delta]
         f_values = [
-            engine.coverage(vec_add(start, vec_scale(t, w.w))).f_value for t in t_evals
+            engine.coverage(vec_add(start, vec_scale((a + b) / 2, w.w))).f_value
+            for a, b in zip(ts, ts[1:])
         ]
         cancellation_ok = all(c.sign_sum == 0 for c in crossings)
         constant = len(set(f_values)) == 1

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import floor, gcd
+from math import floor
 from operator import mul
 from typing import Sequence
 
@@ -27,7 +26,7 @@ from .fragments import (
     c_submatrices,
     complement,
 )
-from .linalg import DimensionError, Matrix, det, int_mat_mul, inverse
+from .linalg import DimensionError, Matrix, int_mat_mul, inverse
 from .tiling import GenericDirection, cell_hits
 
 
@@ -36,18 +35,13 @@ class SlicePreconditionError(Exception):
 
 
 def slice_precondition(d: Decomposition) -> bool:
-    """True when the bottom k rows of M are integer and the gcd of all
-    k x k minors of the bottom-block column family is 1."""
-    dims = d.dims
-    if any(x.denominator != 1 for col in d.cbar for x in col):
+    """True when the bottom k rows of M are integer with coprime k x k
+    minors, which is exactly when unimodular_reduce succeeds."""
+    try:
+        unimodular_reduce(d)
+    except SlicePreconditionError:
         return False
-    g = 0
-    for cols in combinations(range(1, dims.n + 1), dims.k):
-        minor = det(Matrix.from_columns([d.cbar[i - 1] for i in cols], rows=dims.k))
-        g = gcd(g, int(minor))
-        if g == 1:
-            return True
-    return g == 1
+    return True
 
 
 def unimodular_reduce(d: Decomposition) -> tuple[Matrix, Matrix, Matrix]:

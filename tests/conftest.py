@@ -249,6 +249,24 @@ def kernel_by_minors(v: Matrix) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def reference_slice_precondition(d) -> bool:
+    """The slice precondition by its definition: the bottom k rows of M are
+    integer and the gcd of all k x k minors of the bottom-block column
+    family is 1."""
+    from itertools import combinations
+    from math import gcd
+
+    k = d.dims.k
+    if any(x.denominator != 1 for col in d.cbar for x in col):
+        return False
+    g = 0
+    for cols in combinations(d.cbar, k):
+        g = gcd(g, int(det_cofactor(Matrix.from_columns(cols, rows=k))))
+        if g == 1:
+            return True
+    return False
+
+
 def random_int_matrix(rng: random.Random, n: int, lo: int = -5, hi: int = 5) -> Matrix:
     return Matrix.from_rows([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
 

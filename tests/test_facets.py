@@ -51,6 +51,7 @@ from fragtile.linalg import DimensionError, normalize_integer_direction
 from fragtile.tiling import (
     SAMPLE_DENOMINATOR,
     TilingEngine,
+    fundamental_point,
     grid_vector,
 )
 
@@ -610,12 +611,64 @@ class TestCrossing:
         assert rep.constant
         assert rep.f_value == 1
 
-    def test_boundary_start_perturbed(self, mset, w_m):
-        # a lattice image sits on tile corners; the scan must nudge it first
-        p = mset.decomposition.m.mat_vec((1, 0, -1, 0))
-        rep = crossing_check(TilingEngine(mset, w_m), p, 2, 4)
-        assert rep.passed
-        assert rep.f_value == 1
+    def test_boundary_start_scanned_as_given(self, kset, lset, mset, qset):
+        # A lattice image M z sits on tile corners.  The w-rules decide it,
+        # so the scan starts there unless a degenerate crossing moved the ray.
+        for fs in (kset, lset, mset, qset):
+            z = (1, 0, -1, 0)[: fs.dims.n]
+            p = fs.decomposition.m.mat_vec(tuple(Fraction(v) for v in z))
+            as_given = 0
+            for seed in range(3):
+                w = choose_generic_direction(fs, seed)
+                rep = crossing_check(TilingEngine(fs, w), p, 2, 4)
+                assert rep.passed
+                assert rep.f_value == fs.expected_coverage()
+                if rep.resamples == 0:
+                    assert rep.start == p
+                    as_given += 1
+                times = sorted(brute_force_events(fs, w, rep.start, 2))
+                assert [c.t for c in rep.crossings] == times
+                assert len(rep.f_values) == len(rep.crossings) + 1
+            assert as_given > 0
+
+
+class TestCrossingScanGuard:
+    """Each crossing attempt scans the segment once, from the start it was
+    given, and reads f once per open piece between crossings: no boundary
+    probe of the start and no second scan."""
+
+    def test_one_scan_and_one_location_per_piece(self, mset, w_m, monkeypatch):
+        engine = TilingEngine(mset, w_m)
+        scans = []
+        locations = []
+        collect, tiles_at = facets._collect_events, TilingEngine.tiles_at
+
+        def logged_collect(*args):
+            scans.append(args[1])
+            return collect(*args)
+
+        def logged_tiles_at(self, p):
+            locations.append(p)
+            return tiles_at(self, p)
+
+        monkeypatch.setattr(facets, "_collect_events", logged_collect)
+        monkeypatch.setattr(TilingEngine, "tiles_at", logged_tiles_at)
+        # Two lattice starts on tile corners, four generic starts, and the
+        # start of golden crossing-M-jittered, whose first ray is degenerate.
+        m = mset.decomposition.m
+        rays = [(m.mat_vec(tuple(map(Fraction, z))), 2) for z in ((0, 0, 0, 0), (1, 0, -1, 0))]
+        rays += [(fundamental_point(mset, f"guard:{i}"), 3) for i in range(4)]
+        rays.append(((1, 0, 0, 0), 2))
+        resampled = 0
+        for i, (p, reach) in enumerate(rays):
+            scans.clear()
+            locations.clear()
+            rep = crossing_check(engine, p, reach, i)
+            assert len(scans) == rep.resamples + 1
+            assert scans[-1] == rep.start
+            assert len(locations) == len(rep.crossings) + 1
+            resampled += rep.resamples > 0
+        assert 0 < resampled < len(rays)
 
 
 def _event_table(events):

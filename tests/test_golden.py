@@ -73,8 +73,10 @@ CASES = {
     "crossing-L-point": ("crossing", "L", ("--point", "-1/2,1/3", "--reach", "4", "--seed", "6")),
     "crossing-M": ("crossing", "M", ("--samples", "1", "--reach", "2", "--seed", "3")),
     "crossing-q3r2-1": ("crossing", "q3r2-1", ("--samples", "1", "--reach", "2")),
-    # Starts on a tile boundary: the nudge along w, and the seeded jitter.
-    "crossing-M-nudged": ("crossing", "M", ("--point", "0,0,0,0", "--reach", "2")),
+    # Starts on a tile boundary: the w-rules decide the start, which is
+    # scanned as given; a degenerate crossing moves the ray by the seeded
+    # jitter instead (resamples=1).
+    "crossing-M-lattice-start": ("crossing", "M", ("--point", "0,0,0,0", "--reach", "2")),
     "crossing-K-jittered": ("crossing", "K", ("--point", "0,0", "--w", "1,1", "--reach", "3")),
     "crossing-M-jittered": ("crossing", "M", ("--point", "1,0,0,0", "--w", "1,1,1,1", "--reach", "2")),
     "slice-K": ("slice", "K", ("--samples", "15", "--seed", "2")),

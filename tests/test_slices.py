@@ -1,9 +1,11 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from conftest import random_int_matrix
+from conftest import corpus_set, random_int_matrix, reference_slice_precondition
 from fragtile import (
     Dimensions,
     Matrix,
@@ -103,10 +105,19 @@ class TestUnimodularReduce:
                 reduced = True
             except SlicePreconditionError:
                 reduced = False
-            assert reduced == slice_precondition(d)
+            assert reduced == reference_slice_precondition(d) == slice_precondition(d)
             outcomes.add(reduced)
         assert not slice_precondition(cases[0]) and not slice_precondition(cases[1])
         assert outcomes == {True, False}
+
+    def test_corpus_records(self):
+        corpus = Path(__file__).resolve().parents[1] / "perfbench"
+        entries = json.loads((corpus / "corpus.json").read_text())["matrices"]
+        assert len(entries) == 58
+        for entry in entries:
+            d = corpus_set(corpus / entry["file"]).decomposition
+            recorded = entry["slice_precondition"]
+            assert reference_slice_precondition(d) == slice_precondition(d) == recorded, entry["name"]
 
 
 class TestSliceLayout:
