@@ -31,11 +31,11 @@ from typing import Iterable, Iterator, Mapping
 from .linalg import (
     DimensionError,
     Matrix,
-    SingularMatrixError,
     clear_rows,
     det,
     int_det,
     int_inverse,
+    inverse_rows,
 )
 
 SubsetIndex = tuple[int, ...]
@@ -207,12 +207,7 @@ class FragmentSet:
     def m_inv_rows(self) -> tuple[int, list[list[int]]]:
         """M^-1 = X / e as (e, X), e > 0, from A's adjugate on first use; det_m
         is a separate determinant, so laplace_identity does not rest on it."""
-        d, a = self.m_rows
-        det_a, adj = int_inverse(a)
-        if adj is None:
-            raise SingularMatrixError("matrix is singular")
-        f = d if det_a > 0 else -d
-        return abs(det_a), [[f * x for x in row] for row in adj]
+        return inverse_rows(*self.m_rows)
 
     def __iter__(self) -> Iterator[Fragment]:
         return iter(self.fragments.values())

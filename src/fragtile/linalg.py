@@ -4,8 +4,8 @@ Entries and results are ``fractions.Fraction``, so predicates such as
 determinant signs are decided exactly; matrices are immutable, dense and
 row-major.  Every elimination is ``eliminate``, fraction-free Gauss-Jordan
 on integer rows: ``det``, ``inverse`` and ``solve`` clear a matrix to
-A / c, eliminate A and divide once; ``int_det``, ``int_inverse`` and
-``int_mat_mul`` serve callers that hold integer rows.
+A / c, eliminate A and divide once; ``int_det``, ``int_inverse``,
+``inverse_rows`` and ``int_mat_mul`` serve callers that hold integer rows.
 Intended scale is small systems (n <= ~10), with no sparsity or asymptotic
 cleverness.
 """
@@ -129,12 +129,6 @@ class Matrix:
             raise DimensionError(f"vector length {len(v)} vs {self.cols} columns")
         return tuple(dot(self.row(i), v) for i in range(self.rows))
 
-    def mat_mul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise DimensionError(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols = [self.mat_vec(other.column(j)) for j in range(other.cols)]
-        return Matrix.from_columns(cols, rows=self.rows)
-
     def __eq__(self, other):
         return isinstance(other, Matrix) and (self.rows, self.cols, self._entries) == (
             other.rows, other.cols, other._entries
@@ -216,6 +210,16 @@ def int_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | N
     return sign * last, [[sign * x for x in row[n:]] for row in work]
 
 
+def inverse_rows(d: int, rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(A / d)^-1 = X / e as (e, X), e > 0, for integer rows A and d > 0:
+    d adj A / det A, signed so that e = |det A|."""
+    det_a, adj = int_inverse(rows)
+    if adj is None:
+        raise SingularMatrixError("matrix is singular")
+    f = d if det_a > 0 else -d
+    return abs(det_a), [[f * x for x in row] for row in adj]
+
+
 def int_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     """Product of two integer matrices given as rows."""
     cols = list(zip(*b))
@@ -246,15 +250,11 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 
 def inverse(a: Matrix) -> Matrix:
-    """Exact inverse of a square invertible matrix: a = A / c, so
-    a^-1 = c adj A / det A."""
+    """Exact inverse of a square invertible matrix, by inverse_rows."""
     if not a.is_square:
         raise DimensionError(f"inverse needs a square matrix, got {a.rows}x{a.cols}")
-    c, rows = clear_rows(a)
-    d, adj = int_inverse(rows)
-    if adj is None:
-        raise SingularMatrixError("matrix is singular")
-    return Matrix(a.rows, a.rows, [Fraction(c * x, d) for row in adj for x in row])
+    e, x = inverse_rows(*clear_rows(a))
+    return Matrix(a.rows, a.rows, [Fraction(v, e) for row in x for v in row])
 
 
 def normalize_integer_direction(v: Sequence[Fraction]) -> tuple[Fraction, ...]:

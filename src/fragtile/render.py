@@ -6,17 +6,19 @@ open parallelogram meets the open window: its offset lies strictly inside the
 four separating-axis strips, which tiling.cell_hits decides on integers, so
 the polygon census is reproducible.  Elements are grouped per fragment in
 lexicographic subset order, each group with its own fill shade, offsets
-ordered lexicographically.
+ordered lexicographically.  Translate boxes read the source's integer
+basis inverse, formed once: M^-1 for a tiling, B^-1 for a slice.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
+from operator import mul
 from typing import Sequence
 
 from .fragments import DEGENERATE, FragmentSet, SubsetIndex
-from .linalg import DimensionError, Matrix, clear_rows, inverse, rat, vec_add
+from .linalg import DimensionError, Matrix, clear_rows, rat
 from .slices import SliceLayout
 from .tiling import cell_hits
 
@@ -51,19 +53,14 @@ def dec6(q: Fraction) -> str:
     return f"{sign}{n // 10**6}.{n % 10**6:06d}"
 
 
-def _lattice_box(basis_inv: Matrix, lo: Sequence[Fraction], hi: Sequence[Fraction]):
-    """Integer coordinate bounds of all lattice points the box could map from."""
-    n = basis_inv.rows
+def _lattice_box(basis_inv_rows, lo: Sequence[Fraction], hi: Sequence[Fraction]):
+    """Integer bounds of (X / e) p over the box lo <= p <= hi, for (e, X)."""
+    e, x = basis_inv_rows
     bounds = []
-    for i in range(n):
-        low = Fraction(0)
-        high = Fraction(0)
-        for j in range(n):
-            a = basis_inv.entry(i, j) * lo[j]
-            b = basis_inv.entry(i, j) * hi[j]
-            low += min(a, b)
-            high += max(a, b)
-        bounds.append((ceil(low), floor(high)))
+    for row in x:
+        low = sum(min(a * p, a * q) for a, p, q in zip(row, lo, hi))
+        high = sum(max(a * p, a * q) for a, p, q in zip(row, lo, hi))
+        bounds.append((ceil(low / e), floor(high / e)))
     return bounds
 
 
@@ -87,9 +84,9 @@ def _corners(offset, g1, g2):
     )
 
 
-def _family_polygons(shape: Matrix, anchors, basis: Matrix, cfg: RenderConfig):
+def _family_polygons(shape: Matrix, anchors, basis: Matrix, basis_inv_rows, cfg: RenderConfig):
     """All translates anchor + basis*z whose open parallelogram meets the
-    open window.
+    open window; basis_inv_rows is the basis inverse as integer rows (e, X).
 
     W - P, the offsets where the parallelogram P meets the window W, is a
     zonotope bounded by four strips (separating axes): on the axes (1,0),
@@ -116,19 +113,19 @@ def _family_polygons(shape: Matrix, anchors, basis: Matrix, cfg: RenderConfig):
         low = min(along(a, rect)) - max(along(a, cell))
         width = max(along(a, rect)) - min(along(a, cell)) - low
         strips.append((a, low, width, [-x / width for x in along(a, columns)]))
-    basis_inv = inverse(basis)
     polygons = []
     for anchor in anchors:
         lo = (x0 - smax[0] - anchor[0], y0 - smax[1] - anchor[1])
         hi = (x1 - smin[0] - anchor[0], y1 - smin[1] - anchor[1])
-        one, rows = clear_rows([
+        one, cleared = clear_rows([
             [(a[0] * anchor[0] + a[1] * anchor[1] - low) / width, *h]
             for a, low, width, h in strips
         ])
-        u, h = [row[0] for row in rows], [row[1:] for row in rows]
-        for z, _, touching in cell_hits(u, h, one, (True,) * 4, _lattice_box(basis_inv, lo, hi)):
+        u, h = [row[0] for row in cleared], [row[1:] for row in cleared]
+        for z, _, touching in cell_hits(u, h, one, (True,) * 4, _lattice_box(basis_inv_rows, lo, hi)):
             if not touching:
-                polygons.append(_corners(vec_add(anchor, basis.mat_vec(z)), g1, g2))
+                offset = [o + sum(map(mul, row, z)) for o, row in zip(anchor, zip(*columns))]
+                polygons.append(_corners(offset, g1, g2))
     polygons.sort()
     return polygons
 
@@ -179,7 +176,7 @@ def render_svg(source, cfg: RenderConfig) -> str:
             for frag in source
             if frag.sign_class != DEGENERATE
         ]
-        basis = source.decomposition.m
+        basis, basis_inv_rows = source.decomposition.m, source.m_inv_rows
     elif isinstance(source, SliceLayout):
         if source.b.rows != 2:
             raise DimensionError("slice rendering needs r = 2")
@@ -188,7 +185,7 @@ def render_svg(source, cfg: RenderConfig) -> str:
             for cls in source.classes
             if cls.sign_class != DEGENERATE and cls.offsets
         ]
-        basis = source.b
+        basis, basis_inv_rows = source.b, source.b_inv_rows
     else:
         raise DimensionError(f"cannot render {type(source).__name__}")
 
@@ -201,6 +198,6 @@ def render_svg(source, cfg: RenderConfig) -> str:
         position = class_seen.get(sign_class, 0)
         class_seen[sign_class] = position + 1
         fill = _shade(PALETTE[sign_class], position, class_totals[sign_class])
-        polygons = _family_polygons(shape, anchors, basis, cfg)
+        polygons = _family_polygons(shape, anchors, basis, basis_inv_rows, cfg)
         groups.append((_group_id(sigma), fill, polygons))
     return _svg_document(groups, cfg)

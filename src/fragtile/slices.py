@@ -8,13 +8,13 @@ maximal minors, integer column operations bring M to a form whose last r
 columns lie in the slice plane; their top parts generate the lattice of
 slice-preserving translations, so the restricted tiling is periodic with
 finitely many translate classes per fragment.  The forced coordinates come
-from each fragment's integer S^-1 rows, and cell_hits scans the window.
+from each fragment's integer S^-1 rows, cell_hits scans the window, and
+families are keyed and reduced on the integer rows of M and of B^-1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor
 from operator import mul
 from typing import Sequence
 
@@ -26,7 +26,8 @@ from .fragments import (
     c_submatrices,
     complement,
 )
-from .linalg import DimensionError, Matrix, int_mat_mul, inverse
+# inverse is unused, but perfbench's tracer wraps it at this binding site.
+from .linalg import DimensionError, Matrix, clear_rows, int_mat_mul, inverse, inverse_rows
 from .tiling import GenericDirection, cell_hits
 
 
@@ -53,7 +54,8 @@ def unimodular_reduce(d: Decomposition) -> tuple[Matrix, Matrix, Matrix]:
     block over the zero-bottom columns, the slice-translation lattice basis,
     and Bk (r x k) the top block over the identity-bottom columns.  An
     integer bottom block reduces exactly when its maximal minors are coprime;
-    otherwise a rank or pivot check raises SlicePreconditionError.
+    otherwise a rank or pivot check, or the certificate that (d M) U has
+    bottom rows d [I_k | 0] for M cleared to d M, raises SlicePreconditionError.
     """
     if any(x.denominator != 1 for col in d.cbar for x in col):
         raise SlicePreconditionError("bottom block must be integer")
@@ -101,16 +103,13 @@ def unimodular_reduce(d: Decomposition) -> tuple[Matrix, Matrix, Matrix]:
             if c != t and bottom[t][c] != 0:
                 add_multiple(c, t, -bottom[t][c])
 
-    u_mat = Matrix.from_rows(u)
-    mu = d.m.mat_mul(u_mat)
-    for t in range(k):
-        for i in range(n):
-            want = 1 if i == t else 0
-            if mu.entry(r + t, i) != want:
-                raise SlicePreconditionError("column reduction failed to certify")
-    a = Matrix.from_rows([[mu.entry(i, k + j) for j in range(r)] for i in range(r)])
-    bk = Matrix.from_rows([[mu.entry(i, j) for j in range(k)] for i in range(r)])
-    return u_mat, a, bk
+    m_den, m_rows = clear_rows(d.m)
+    mu = int_mat_mul(m_rows, u)
+    if mu[r:] != [[m_den * (i == t) for i in range(n)] for t in range(k)]:
+        raise SlicePreconditionError("column reduction failed to certify")
+    a = Matrix.from_rows([[Fraction(x, m_den) for x in row[k:]] for row in mu[:r]])
+    bk = Matrix.from_rows([[Fraction(x, m_den) for x in row[:k]] for row in mu[:r]])
+    return Matrix.from_rows(u), a, bk
 
 
 @dataclass(frozen=True)
@@ -125,8 +124,11 @@ class SliceClass:
 
 @dataclass(frozen=True)
 class SliceLayout:
+    """Slice lattice basis B, B^-1 = X / e as (e, X), e > 0, and the families."""
+
     b: Matrix
     classes: tuple[SliceClass, ...]
+    b_inv_rows: tuple[int, list[list[int]]] = field(compare=False, repr=False)
 
     def by_sigma(self, sigma: Sequence[int]) -> SliceClass:
         key = tuple(sorted(sigma))
@@ -150,23 +152,27 @@ def slice_layout(
     Shifting z by a zero-bottom column of the reduction matrix U moves the
     offset by exactly one lattice basis vector and preserves the forced
     coordinates, so translate families are the valid-z classes modulo that
-    column sublattice, keyed by the first k coordinates of U^-1 z.  Families
-    are a multiset: distinct families can share a reduced offset, which is
-    how overlapping fragments show up in the slice (the family count is the
-    bottom-minor magnitude, not the number of distinct residues).
+    column sublattice, keyed by the first k coordinates of U^-1 z: by
+    M U = [[Bk | B], [I_k | 0]] these are bottom(M z), so the key is
+    A_bottom z for m_rows = (d, A) and U is never inverted.  Families are a
+    multiset: distinct families can share a reduced offset, which is how
+    overlapping fragments show up in the slice (the family count is the
+    bottom-minor magnitude, not the number of distinct residues).  With
+    t = A_top z and B = B_d / d, the offset is (t - B_d floor(B^-1 t / d)) / d.
     The forced coordinates are -Cbar_hat^-1 Cbar = X_hat A_bottom / (e d),
-    X_hat the rows of s_inv_rows off sigma on the bottom columns, A_bottom
-    the bottom rows of m_rows, so cell_hits scans them on integers.
+    X_hat the rows of s_inv_rows off sigma on the bottom columns, so
+    cell_hits scans them on integers.
     """
     d = fs.decomposition
     dims = fs.dims
     if len(window) != dims.n or any(lo > hi for lo, hi in window):
         raise DimensionError(f"window must be {dims.n} nonempty integer ranges")
-    u_mat, b_lattice, _ = unimodular_reduce(d)
-    b_inv = inverse(b_lattice)
-    u_inv_rows = [[int(x) for x in row] for row in inverse(u_mat).row_list()[: dims.k]]
-    c_full = Matrix.from_columns(d.c)
+    _, b_lattice, _ = unimodular_reduce(d)
     m_den, m_rows = fs.m_rows
+    # B is the top of M U over M's denominator, so d B is integer.
+    b_rows = [[int(m_den * x) for x in row] for row in b_lattice.row_list()]
+    b_inv_rows = e_b, x_b = inverse_rows(m_den, b_rows)
+    top, bottom = m_rows[: dims.r], m_rows[dims.r :]
     classes = []
     for frag in fs:
         shape = c_submatrices(d, frag.sigma)[0]
@@ -178,16 +184,17 @@ def slice_layout(
         lam = w.lambda_of(fs, frag.sigma)
         rules = tuple(lam[j - 1] > 0 for j in sigma_hat)
         e, x = frag.s_inv_rows
-        h = int_mat_mul([x[j - 1][dims.r :] for j in sigma_hat], m_rows[dims.r :])
+        h = int_mat_mul([x[j - 1][dims.r :] for j in sigma_hat], bottom)
         families: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
         for z, inside, _ in cell_hits([0] * dims.k, h, e * m_den, rules, window):
             if not inside:
                 continue
-            key = tuple(sum(map(mul, row, z)) for row in u_inv_rows)
+            key = tuple(sum(map(mul, row, z)) for row in bottom)
             if key not in families:
-                offset = c_full.mat_vec(z)
-                frac = tuple(y - floor(y) for y in b_inv.mat_vec(offset))
-                families[key] = b_lattice.mat_vec(frac)
+                t = [sum(map(mul, row, z)) for row in top]
+                cell = [sum(map(mul, row, t)) // (e_b * m_den) for row in x_b]
+                shift = [sum(map(mul, row, cell)) for row in b_rows]
+                families[key] = tuple(Fraction(a - b, m_den) for a, b in zip(t, shift))
         offsets = tuple(sorted(families.values()))
         classes.append(SliceClass(frag.sigma, shape, frag.sign_class, offsets))
-    return SliceLayout(b=b_lattice, classes=tuple(classes))
+    return SliceLayout(b=b_lattice, classes=tuple(classes), b_inv_rows=b_inv_rows)

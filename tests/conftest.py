@@ -267,6 +267,56 @@ def reference_slice_precondition(d) -> bool:
     return False
 
 
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Fraction matrix product, column by column; the library multiplies
+    integer rows only (linalg.int_mat_mul)."""
+    return Matrix.from_columns([a.mat_vec(b.column(j)) for j in range(b.cols)], rows=a.rows)
+
+
+def reference_slice_layout(fs, w, window):
+    """Slice translate families as slice_layout formed them on Fraction
+    matrices: each family keyed by the first k coordinates of U^-1 z, its
+    offset B frac(B^-1 p_r(M z)), with U and B inverted by reference_rref.
+    Returns (sigma, sign_class, offsets) per fragment."""
+    from math import floor
+    from operator import mul
+
+    from fragtile import DEGENERATE, complement, unimodular_reduce
+    from fragtile.linalg import int_mat_mul
+    from fragtile.tiling import cell_hits
+
+    def rref_inverse(a):
+        n = a.rows
+        aug = [list(a.row(i)) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        reference_rref(aug, n)
+        return Matrix.from_rows([row[n:] for row in aug])
+
+    dims = fs.dims
+    u_mat, b_lattice, _ = unimodular_reduce(fs.decomposition)
+    b_inv = rref_inverse(b_lattice)
+    u_inv_rows = [[int(x) for x in row] for row in rref_inverse(u_mat).row_list()[: dims.k]]
+    c_full = Matrix.from_columns(fs.decomposition.c)
+    m_den, m_rows = fs.m_rows
+    out = []
+    for frag in fs:
+        if frag.sign_class == DEGENERATE:
+            out.append((frag.sigma, frag.sign_class, ()))
+            continue
+        sigma_hat = complement(frag.sigma, dims.n)
+        lam = w.lambda_of(fs, frag.sigma)
+        rules = tuple(lam[j - 1] > 0 for j in sigma_hat)
+        e, x = frag.s_inv_rows
+        h = int_mat_mul([x[j - 1][dims.r :] for j in sigma_hat], m_rows[dims.r :])
+        families = {}
+        for z, inside, _ in cell_hits([0] * dims.k, h, e * m_den, rules, window):
+            key = tuple(sum(map(mul, row, z)) for row in u_inv_rows)
+            if inside and key not in families:
+                frac = tuple(y - floor(y) for y in b_inv.mat_vec(c_full.mat_vec(z)))
+                families[key] = b_lattice.mat_vec(frac)
+        out.append((frag.sigma, frag.sign_class, tuple(sorted(families.values()))))
+    return out
+
+
 def random_int_matrix(rng: random.Random, n: int, lo: int = -5, hi: int = 5) -> Matrix:
     return Matrix.from_rows([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
 
@@ -344,7 +394,7 @@ def _axis_boxes(fs, p, margin: int = 0):
     for frag in fs:
         if frag.sign_class == "degenerate":
             continue
-        g = m_inv.mat_mul(frag.s)
+        g = mat_mul(m_inv, frag.s)
         ranges = []
         for i in range(m.rows):
             pos = sum((x for x in g.row(i) if x > 0), Fraction(0))
@@ -567,7 +617,7 @@ def brute_force_events(fs, w, start, reach, margin: int = 1):
             continue
         s_inv = cramer_inverse(frag.s)
         lam = s_inv.mat_vec(w.w)
-        g = m_inv.mat_mul(frag.s)
+        g = mat_mul(m_inv, frag.s)
         ranges = []
         for i in range(n):
             pos = sum((x for x in g.row(i) if x > 0), Fraction(0))

@@ -226,11 +226,11 @@ class TestSubcommands:
 
 
 class TestFractionMatrixGuard:
-    """These commands run on the integer rows a fragment set holds: no
-    Fraction determinant, inverse, solve or matrix-vector product.  Left
-    out: fragments, whose sandc_identity takes an independent determinant
-    on purpose, and slice and render, which still reduce the lattice on
-    Fraction matrices."""
+    """These commands run on integer rows: those a fragment set holds, and
+    the slice lattice basis and its inverse, formed once per layout.  No
+    Fraction determinant, inverse, solve or matrix-vector product.  Only
+    fragments is left out: its sandc_identity takes an independent
+    determinant on purpose."""
 
     @pytest.mark.parametrize(
         "matrix, argv",
@@ -244,6 +244,12 @@ class TestFractionMatrixGuard:
             ("M", ["double-cover", "--tau", "4", "--samples", "10"]),
             ("q3r2-1", ["double-cover", "--gamma", "1,2,3", "--samples", "10"]),
             ("M", ["coverage", "--point", "-2,1,-1/2,-1/2"]),
+            ("K", ["slice", "--samples", "5"]),
+            ("L", ["slice", "--samples", "5"]),
+            ("M", ["slice", "--samples", "5"]),
+            ("K", ["render"]),
+            ("L", ["render"]),
+            ("M", ["render"]),
         ],
     )
     def test_no_fraction_matrix_arithmetic(self, matrix_files, monkeypatch, mat_vec_log, matrix, argv):
@@ -345,19 +351,32 @@ class TestInputErrors:
         assert "--samples" in err
 
     def test_singular_matrix(self, tmp_path):
-        # det M = 0: every command that needs a direction or an engine exits
-        # 2 naming the singular matrix; fragments and laplace still report.
+        # det M = 0: every command that needs a direction, an engine or a
+        # lattice inverse exits 2 naming the singular matrix; fragments and
+        # laplace still report.  The 2 x 2 files take render's full-tiling
+        # path, where M^-1 bounds the translate box, also when every
+        # fragment is degenerate and no family is drawn.
         path = tmp_path / "singular.txt"
         path.write_text("2 1\n1 2 0\n2 4 1\n0 0 3\n")
-        for argv in (
-            ["verify", "--samples", "3"],
-            ["coverage", "--point", "1/3,1/5,1/7"],
-            ["crossing", "--samples", "1"],
-            ["facets", "--gamma", "1,2,3"],
+        plane = tmp_path / "singular2.txt"
+        plane.write_text("1 1\n1 2\n2 4\n")
+        zero = tmp_path / "zero2.txt"
+        zero.write_text("1 1\n0 0\n0 0\n")
+        for matrix, argv in (
+            (path, ["verify", "--samples", "3"]),
+            (path, ["coverage", "--point", "1/3,1/5,1/7"]),
+            (path, ["crossing", "--samples", "1"]),
+            (path, ["facets", "--gamma", "1,2,3"]),
+            (path, ["double-cover", "--tau", "2", "--samples", "3"]),
+            (path, ["slice", "--samples", "3"]),
+            (path, ["render"]),
+            (plane, ["render"]),
+            (zero, ["render"]),
+            (plane, ["slice", "--samples", "3"]),
         ):
-            code, out, err = invoke([argv[0], "--matrix", str(path), *argv[1:]])
-            assert (code, out) == (2, ""), argv
-            assert "matrix is singular" in err, argv
+            code, out, err = invoke([argv[0], "--matrix", str(matrix), *argv[1:]])
+            assert (code, out) == (2, ""), (matrix.name, argv)
+            assert "matrix is singular" in err, (matrix.name, argv)
         code, out, _ = invoke(["laplace", "--matrix", str(path)])
         assert (code, out) == (0, "lhs=0 rhs=0 ok\n")
 

@@ -10,6 +10,7 @@ from conftest import (
     Q_ROWS,
     corpus_files,
     corpus_matrix,
+    invoke,
     perm_sign,
     random_dims,
     random_int_matrix,
@@ -36,6 +37,7 @@ from fragtile import (
     shuffle_sign,
     solve,
     subsets,
+    unimodular_reduce,
 )
 from fragtile.linalg import DimensionError, clear_rows
 
@@ -308,6 +310,20 @@ class TestEliminationGuard:
             assert all(rows == clear_rows(d.m)[1] for rows in full), seed
             # the block eliminations are logged too
             assert len(log) > 2
+
+    @pytest.mark.parametrize("argv", [["slice", "--samples", "5"], ["render"]])
+    def test_slice_and_render_invert_each_basis_once(self, monkeypatch, tmp_path, argv):
+        # On M: det M and M^-1 at full size, the slice basis B once; U is
+        # never inverted, nor B again per fragment family.
+        path = tmp_path / "M.txt"
+        path.write_text("2 2\n" + "".join(" ".join(map(str, row)) + "\n" for row in M_ROWS))
+        d = decompose(Matrix.from_rows(M_ROWS), Dimensions(2, 2))
+        b_rows = clear_rows(unimodular_reduce(d)[1])[1]
+        log = self._record(monkeypatch)
+        code, _, err = invoke([argv[0], "--matrix", str(path), *argv[1:]])
+        assert code == 0, err
+        assert [rows for ncols, rows in log if ncols == 4] == [clear_rows(d.m)[1]] * 2
+        assert [rows for ncols, rows in log if ncols == 2].count(b_rows) == 1
 
 
 def test_fragment_set_builds_no_matrix(monkeypatch):

@@ -13,6 +13,7 @@ from conftest import (
     det_cofactor,
     kernel_by_minors,
     kernel_vector,
+    mat_mul,
     perm_sign,
     random_invertible,
     solve_affine,
@@ -151,7 +152,7 @@ class TestInverse:
         rng = random.Random(5)
         for n in (2, 3, 4, 5):
             m = random_invertible(rng, n)
-            assert m.mat_mul(inverse(m)) == Matrix.identity(n)
+            assert mat_mul(m, inverse(m)) == Matrix.identity(n)
 
 
 class TestKernelVector:

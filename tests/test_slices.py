@@ -5,7 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import corpus_set, random_int_matrix, reference_slice_precondition
+from conftest import (
+    corpus_files,
+    corpus_set,
+    mat_mul,
+    random_int_matrix,
+    reference_slice_layout,
+    reference_slice_precondition,
+)
 from fragtile import (
     Dimensions,
     Matrix,
@@ -15,9 +22,11 @@ from fragtile import (
     decompose,
     det,
     fragment_set,
+    inverse,
     slice_layout,
     slice_precondition,
     unimodular_reduce,
+    vector,
 )
 from fragtile.slices import SlicePreconditionError
 
@@ -57,7 +66,7 @@ class TestUnimodularReduce:
     def test_worked_4x4(self, mset):
         d = mset.decomposition
         u, a, bk = unimodular_reduce(d)
-        mu = d.m.mat_mul(u)
+        mu = mat_mul(d.m, u)
         for t in range(2):
             for i in range(4):
                 assert mu.entry(2 + t, i) == (1 if i == t else 0)
@@ -66,6 +75,7 @@ class TestUnimodularReduce:
 
     def test_unimodular_on_random(self):
         rng = random.Random(3)
+        z_rng = random.Random(4)  # apart from rng, which draws the matrices
         done = 0
         while done < 8:
             n = rng.randint(2, 5)
@@ -75,10 +85,15 @@ class TestUnimodularReduce:
                 continue
             u, a, bk = unimodular_reduce(d)
             assert det(u) in (1, -1)
-            mu = d.m.mat_mul(u)
+            mu = mat_mul(d.m, u)
             for t in range(n - r):
                 for i in range(n):
                     assert mu.entry(r + t, i) == (1 if i == t else 0)
+            # the identity slice_layout's family key rests on
+            u_inv = inverse(u)
+            for _ in range(5):
+                z = vector(z_rng.randint(-9, 9) for _ in range(n))
+                assert d.m.mat_vec(z)[r:] == u_inv.mat_vec(z)[: n - r]
             done += 1
 
     def test_precondition_enforced(self):
@@ -152,15 +167,33 @@ class TestSliceLayout:
         assert abs(det(layout.b)) == 3
 
     def test_offsets_are_canonical(self, mset, w_m):
-        from fragtile import inverse
-
         layout = slice_layout(mset, w_m, WINDOW4)
         b_inv = inverse(layout.b)
+        e, x = layout.b_inv_rows
+        assert e > 0 and Matrix.from_rows([[Fraction(v, e) for v in row] for row in x]) == b_inv
         for cls in layout.classes:
             assert cls.offsets == tuple(sorted(cls.offsets))
             for offset in cls.offsets:
                 y = b_inv.mat_vec(offset)
                 assert all(0 <= yi < 1 for yi in y)
+
+    def test_matches_the_fraction_layout_on_the_corpus(self):
+        # Every corpus matrix that meets the precondition, seeds 0-1: the
+        # CLI's radius-6 window up to n = 4, radius 1 for n = 5 and 6.
+        checked = 0
+        for path in corpus_files():
+            fs = corpus_set(path)
+            if not slice_precondition(fs.decomposition):
+                continue
+            radius = 6 if fs.dims.n <= 4 else 1
+            window = tuple((-radius, radius) for _ in range(fs.dims.n))
+            for seed in (0, 1):
+                w = choose_generic_direction(fs, seed)
+                layout = slice_layout(fs, w, window)
+                got = [(cls.sigma, cls.sign_class, cls.offsets) for cls in layout.classes]
+                assert got == reference_slice_layout(fs, w, window), (path.name, seed)
+            checked += 1
+        assert checked > 30
 
     def test_degenerate_class_empty(self, w_m):
         fs = fragment_set(decompose(Matrix.identity(2), Dimensions(1, 1)))

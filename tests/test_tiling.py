@@ -11,6 +11,7 @@ from conftest import (
     corpus_matrix,
     corpus_set,
     invoke,
+    mat_mul,
     pip_contains,
     random_invertible,
     random_rational_invertible,
@@ -230,7 +231,7 @@ class TestSizeReduce:
             for frag in fs:
                 if frag.sign_class == "degenerate":
                     continue
-                _, g = clear_rows(m_inv.mat_mul(frag.s))
+                _, g = clear_rows(mat_mul(m_inv, frag.s))
                 red, w, w_inv = size_reduce(g)
                 assert int_mat_mul(w, w_inv) == _identity(n)
                 assert red == int_mat_mul(w, g)
@@ -251,7 +252,7 @@ class TestSizeReduce:
             for frame in engine.frames:
                 n = fs.dims.n
                 assert int_mat_mul(frame.to_x, frame.to_z) == _identity(n)
-                h = inverse(fs[frame.sigma].s).mat_mul(fs.decomposition.m)
+                h = mat_mul(inverse(fs[frame.sigma].s), fs.decomposition.m)
                 assert int_mat_mul(frame.h, frame.to_x) == [
                     [x * frame.denom for x in row] for row in h.row_list()
                 ]
