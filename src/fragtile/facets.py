@@ -50,6 +50,7 @@ from .tiling import (
     TilingEngine,
     cell_hits,
     cell_position,
+    grid_numerators,
     grid_vector,
 )
 
@@ -245,11 +246,12 @@ def double_cover_check(
 
     The shadow covered is full-dimensional: Cbar_hat for tau (j in sigma)
     and C_sigma for gamma (j off sigma), based at part(M z_f).  A sample
-    with coefficients c / q on the columns js is x = part(M (z -+ c / q))
-    (minus for tau), so its cell coordinates are the block rows of
-    S_sigma^-1 M (q (z - z_f) -+ c) over q.  With S_sigma^-1 = X / e and
-    M = A / d, each member keeps those rows of X A as integer rows on
-    v = (c, q) over e d, tested by cell_position.
+    with coefficients c / q (c from grid_numerators, q = 2^31) on the
+    columns js is x = part(M (z -+ c / q)) (minus for tau), so its cell
+    coordinates are the block rows of S_sigma^-1 M (q (z - z_f) -+ c) over
+    q.  With S_sigma^-1 = X / e and M = A / d, each member keeps those rows
+    of X A as integer rows on v = (c, q) over e d q, tested by
+    cell_position.
     """
     r, n = fs.dims.r, fs.dims.n
     index = normalize_subset(index, n)
@@ -267,6 +269,7 @@ def double_cover_check(
     coll = facet_collection(fs, kind, z, index)
     up = set(up_down_partition(fs, w, coll).up)
     live = coll.live_members()
+    q = SAMPLE_DENOMINATOR
     cells = []
     for facet in live:
         e, x = fs[facet.sigma].s_inv_rows
@@ -277,24 +280,23 @@ def double_cover_check(
             [sign * g[j - 1] for j in js] + [sum(map(mul, g, shift))]
             for g in int_mat_mul([x[i - 1] for i in block], a)
         ]
-        cells.append((rows, e * d, tuple(lam[i - 1] > 0 for i in block)))
+        cells.append((rows, e * d * q, tuple(lam[i - 1] > 0 for i in block)))
 
+    den = d * q
     boundary_samples = 0
     relative_points = []
     failures = []
     for idx in range(sample_count):
-        coeffs = grid_vector(f"cover:{seed}:{idx}:0", len(js), 1, SAMPLE_DENOMINATOR)
-        q, c = clear_denominator(coeffs)
+        c = grid_numerators(f"cover:{seed}:{idx}:0", len(js), 1, SAMPLE_DENOMINATOR)
         v = c + [q]
         positions = [
-            cell_position([sum(map(mul, row, v)) for row in rows], one * q, rules)
+            cell_position([sum(map(mul, row, v)) for row in rows], one, rules)
             for rows, one, rules in cells
         ]
         boundary_samples += any(pos is not None and pos[1] for pos in positions)
         hits = [facet in up for facet, pos in zip(live, positions) if pos is not None and pos[0]]
         up_count = sum(hits)
         down_count = len(hits) - up_count
-        den = d * q
         q_rel = tuple(Fraction(sum(map(mul, row, c)), den) for row in zono_rows)
         relative_points.append(q_rel)
         if (up_count, down_count) != (1, 1):
@@ -372,7 +374,7 @@ def _collect_events(engine: TilingEngine, start, reach):
         scale = lam_den * reach_den
         wide_u = [x + widen for x in u]
         for x, _, _ in cell_hits(wide_u, h, one + 2 * widen, frame.rules, ranges):
-            y = [u[i] - sum(hij * xj for hij, xj in zip(h[i], x)) for i in range(n)]
+            y = [ui - sum(map(mul, row, x)) for ui, row in zip(u, h)]
             z = frame.translate(x)
             for i in range(n):
                 for target in (0, 1):

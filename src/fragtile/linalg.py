@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
@@ -223,7 +224,7 @@ def inverse_rows(d: int, rows: Sequence[Sequence[int]]) -> tuple[int, list[list[
 def int_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     """Product of two integer matrices given as rows."""
     cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def det(a: Matrix) -> Fraction:

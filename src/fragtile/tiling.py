@@ -93,25 +93,32 @@ def certify_direction(fs: FragmentSet, w: Sequence) -> GenericDirection:
     return GenericDirection(w, lambdas, fs.decomposition.m)
 
 
-def grid_vector(
-    tag: str, dim: int, lo: int, hi: int, denom: int = SAMPLE_DENOMINATOR
-) -> tuple[Fraction, ...]:
-    """dim grid values numerator/denom, numerators uniform on [lo, hi).
+def grid_numerators(tag: str, dim: int, lo: int, hi: int) -> list[int]:
+    """dim integers uniform on [lo, hi): the numerators of a grid vector
+    whose denominator the caller fixes.
 
     The stream is seeded by the tag string alone, so every draw is
     reproducible from its tag.
     """
     rng = random.Random(tag)
-    return tuple(Fraction(rng.randrange(lo, hi), denom) for _ in range(dim))
+    return [rng.randrange(lo, hi) for _ in range(dim)]
+
+
+def grid_vector(
+    tag: str, dim: int, lo: int, hi: int, denom: int = SAMPLE_DENOMINATOR
+) -> tuple[Fraction, ...]:
+    """The Fraction view of grid_numerators: dim values numerator/denom."""
+    return tuple(Fraction(x, denom) for x in grid_numerators(tag, dim, lo, hi))
 
 
 def fundamental_point(fs: FragmentSet, tag: str) -> tuple[Fraction, ...]:
-    """M u for u = grid_vector(tag, n, 0, 2^31), a grid point of the
-    fundamental domain M [0,1)^n: with u = c / q and M = A / d (fs.m_rows),
-    M u = A c / (d q) is formed from integers, one Fraction per coordinate."""
+    """M u for u = c / 2^31 with c = grid_numerators(tag, n, 0, 2^31), a grid
+    point of the fundamental domain M [0,1)^n: with M = A / d (fs.m_rows),
+    M u = A c / (d 2^31) is formed from integers, one Fraction per
+    coordinate."""
     m_den, m_rows = fs.m_rows
-    q, c = clear_denominator(grid_vector(tag, fs.dims.n, 0, SAMPLE_DENOMINATOR))
-    den = m_den * q
+    c = grid_numerators(tag, fs.dims.n, 0, SAMPLE_DENOMINATOR)
+    den = m_den * SAMPLE_DENOMINATOR
     return tuple(Fraction(sum(map(mul, row, c)), den) for row in m_rows)
 
 
@@ -236,20 +243,43 @@ class VerifyReport:
     passed: bool
 
 
-def size_reduce(rows: Sequence[Sequence[int]]):
+def shifted_gram(
+    t: Sequence[Sequence[int]], gram: Sequence[Sequence[int]], sd: int, cols: Sequence[int]
+) -> list[list[int]]:
+    """Gram matrix of the rows of t - sd D, D the 0/1 diagonal on the
+    0-based cols, from the Gram matrix of t's rows: each j in cols moves row
+    and column j by -sd t_ij, and the diagonal entry by sd^2, in O(n)."""
+    gram = [list(row) for row in gram]
+    for j in cols:
+        for i, row in enumerate(t):
+            x = sd * row[j]
+            gram[i][j] -= x
+            gram[j][i] -= x
+        gram[j][j] += sd * sd
+    return gram
+
+
+def size_reduce(
+    rows: Sequence[Sequence[int]], gram: Sequence[Sequence[int]], h: Sequence[Sequence[int]]
+):
     """Pairwise size reduction of linearly independent integer rows.
 
-    Returns (R, W, W^-1) with R = W * rows and W unimodular, all as integer
-    rows.  While some pair has 2|<r_i, r_j>| > <r_j, r_j>, row i loses the
-    nearest integer multiple of row j; each such step strictly shortens row
-    i, so the loop ends and no row is ever longer than it started.  The
-    products <r_i, r_j> are read from the Gram matrix, whose row and column
-    i each step updates in O(n).
+    gram is the Gram matrix of rows, and h any integer rows of the same
+    width.  Returns (R, W, W^-1, H W^-1) with R = W * rows and W unimodular,
+    all as integer rows.  While some pair has 2|<r_i, r_j>| > <r_j, r_j>,
+    row i loses the nearest integer multiple k of row j; each such step
+    strictly shortens row i, so the loop ends and no row is ever longer than
+    it started.  A step subtracts k times row j from row i of R and of W,
+    adds k times column i to column j of W^-1 and of H W^-1, and updates
+    row and column i of the Gram matrix, each in O(n): no matrix product is
+    formed.
     """
-    n = len(rows)
-    w = [[int(i == j) for j in range(n)] for i in range(n)]
-    w_inv = [[int(i == j) for j in range(n)] for i in range(n)]
-    gram = [[sum(map(mul, a, b)) for b in rows] for a in rows]
+    n, m = len(rows), len(rows[0])
+    # The rows of R beside those of W, and the rows of W^-1 above those of
+    # H W^-1: a step is one row step on rw and one column step on cols.
+    rw = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    cols = [[int(i == j) for j in range(n)] for i in range(n)] + [list(row) for row in h]
+    gram = [list(row) for row in gram]
     changed = True
     while changed:
         changed = False
@@ -260,8 +290,8 @@ def size_reduce(rows: Sequence[Sequence[int]]):
                 if i == j or 2 * abs(d) <= nj:
                     continue
                 k = (2 * d + nj) // (2 * nj)
-                w[i] = [x - k * y for x, y in zip(w[i], w[j])]
-                for row in w_inv:
+                rw[i] = [x - k * y for x, y in zip(rw[i], rw[j])]
+                for row in cols:
                     row[j] += k * row[i]
                 # <r_i - k r_j, r_l> for every l; the diagonal last
                 norm = gi[i] - 2 * k * d + k * k * nj
@@ -269,7 +299,7 @@ def size_reduce(rows: Sequence[Sequence[int]]):
                     row[i] = gi[col] = gi[col] - k * gj[col]
                 gi[i] = norm
                 changed = True
-    return int_mat_mul(w, rows), w, w_inv
+    return [row[:m] for row in rw], [row[m:] for row in rw], cols[:n], cols[n:]
 
 
 class _Frame:
@@ -284,8 +314,13 @@ class _Frame:
     coordinate vector of p - M z in the fragment basis is u - H'x with
     u = S^-1 p and H' = S^-1 M W^-1, kept as integer rows over one frame
     denominator, and doubled for query; a hit maps back by z = W^-1 x.
-    S^-1 is the fragment's s_inv_rows, so a frame eliminates nothing; the
-    half-open rules are the signs of the certified lambda.
+
+    A frame forms no matrix product: G's Gram matrix is shifted_gram of
+    T's, which the engine shares; S^-1 is the fragment's block-diagonal
+    s_inv_rows, so row i of S^-1 M reads only M's top rows (i in sigma) or
+    its bottom rows; and size_reduce carries S^-1 M along to H'.  A frame
+    eliminates nothing; the half-open rules are the signs of the certified
+    lambda.
     """
 
     __slots__ = (
@@ -293,24 +328,33 @@ class _Frame:
         "to_x", "to_z", "slack_den", "slack_pos", "slack_neg",
     )
 
-    def __init__(self, frag, fs: FragmentSet, w: GenericDirection, top):
+    def __init__(self, frag, fs: FragmentSet, w: GenericDirection, shared):
         self.sigma = frag.sigma
         self.sign_class = frag.sign_class
         self.lam = w.lambda_of(fs, frag.sigma)
         self.rules = tuple(x > 0 for x in self.lam)
-        self.slack_den, t = top  # T = t / slack_den, and G = T - D over it
+        # T = t / slack_den, and G = T - D over it; the columns of M's top
+        # and bottom rows over m_den.
+        self.slack_den, t, t_gram, top_cols, bottom_cols = shared
+        hat = [j - 1 for j in complement(frag.sigma, fs.dims.n)]
         g = [list(row) for row in t]
-        for j in complement(frag.sigma, fs.dims.n):
-            g[j - 1][j - 1] -= self.slack_den
-        g, self.to_x, self.to_z = size_reduce(g)
+        for j in hat:
+            g[j][j] -= self.slack_den
+        si_den, si = frag.s_inv_rows
+        r = fs.dims.r
+        h = [
+            [sum(map(mul, row[r:], col)) for col in bottom_cols]
+            if i in hat
+            else [sum(map(mul, row[:r], col)) for col in top_cols]
+            for i, row in enumerate(si)
+        ]
+        g, self.to_x, self.to_z, h = size_reduce(g, shifted_gram(t, t_gram, self.slack_den, hat), h)
         self.slack_pos = [sum(x for x in row if x > 0) for row in g]
         self.slack_neg = [sum(x for x in row if x < 0) for row in g]
         # S^-1 = si / si_den and M = m / m_den share the denominator
         # si_den * m_den; dividing by the common gcd leaves the least one.
-        si_den, si = frag.s_inv_rows
-        m_den, m = fs.m_rows
+        m_den = fs.m_rows[0]
         s_inv = [[x * m_den for x in row] for row in si]
-        h = int_mat_mul(int_mat_mul(si, m), self.to_z)
         common = gcd(si_den * m_den, *(x for a in (s_inv, h) for row in a for x in row))
         self.denom = si_den * m_den // common
         self.s_inv, self.h = ([[x // common for x in row] for row in a] for a in (s_inv, h))
@@ -342,14 +386,14 @@ class _Frame:
         closed tile can hold p, where M^-1 p = num / den (den > 0)."""
         sd = self.slack_den
         scale = den * sd
-        b = [sum(e * v for e, v in zip(row, num)) * sd for row in self.to_x]
+        b = [sum(map(mul, row, num)) * sd for row in self.to_x]
         lo = [-((sp * den - bi) // scale) for bi, sp in zip(b, self.slack_pos)]
         hi = [(bi - sn * den) // scale for bi, sn in zip(b, self.slack_neg)]
         return lo, hi
 
     def translate(self, x: Sequence[int]) -> tuple[int, ...]:
         """The translate z = W^-1 x."""
-        return tuple(sum(e * v for e, v in zip(row, x)) for row in self.to_z)
+        return tuple(sum(map(mul, row, x)) for row in self.to_z)
 
 
 class TilingEngine:
@@ -361,7 +405,8 @@ class TilingEngine:
     is tested exactly with integer arithmetic.  Each fragment's tiles come
     out sorted by z, so results do not depend on the scan order.  The frames
     are built from the fragment set's cleared m_rows and m_inv_rows, and
-    share T = M^-1 P M, formed once here.
+    share T = M^-1 P M and its Gram matrix, formed once here: the only
+    matrix product of the build.
     """
 
     def __init__(self, fs: FragmentSet, w: GenericDirection):
@@ -371,8 +416,12 @@ class TilingEngine:
         self.w = w
         self.expected = fs.expected_coverage()
         (m_den, m), (e, m_inv), r = fs.m_rows, fs.m_inv_rows, fs.dims.r
-        top = e * m_den, int_mat_mul([row[:r] for row in m_inv], m[:r])
-        self.frames = [_Frame(frag, fs, w, top) for frag in fs if frag.sign_class != DEGENERATE]
+        t = int_mat_mul([row[:r] for row in m_inv], m[:r])
+        shared = (
+            e * m_den, t, [[sum(map(mul, a, b)) for b in t] for a in t],
+            list(zip(*m[:r])), list(zip(*m[r:])),
+        )
+        self.frames = [_Frame(frag, fs, w, shared) for frag in fs if frag.sign_class != DEGENERATE]
 
     @cached_property
     def m_inv(self) -> Matrix:
@@ -383,7 +432,7 @@ class TilingEngine:
     def lattice_coordinates(self, q: int, p_int: Sequence[int]) -> tuple[list[int], int]:
         """(num, den) with M^-1 p = num / den for the point p = p_int / q."""
         den, rows = self.fs.m_inv_rows
-        return [sum(e * x for e, x in zip(row, p_int)) for row in rows], den * q
+        return [sum(map(mul, row, p_int)) for row in rows], den * q
 
     def candidate_box(self, frame: _Frame, a: Sequence[Fraction]):
         """The box of x = W z that tiles_at scans in the frame at the point

@@ -763,7 +763,7 @@ def reference_double_cover(fs, w, index, z, sample_count: int, seed: int):
         facet_collection,
         up_down_partition,
     )
-    from fragtile.facets import SAMPLE_DENOMINATOR, grid_vector
+    from fragtile.facets import SAMPLE_DENOMINATOR, grid_numerators
 
     d = fs.decomposition
     index = tuple(sorted(index))
@@ -782,8 +782,8 @@ def reference_double_cover(fs, w, index, z, sample_count: int, seed: int):
     relative_points = []
     failures = []
     for idx in range(sample_count):
-        coeffs = grid_vector(f"cover:{seed}:{idx}:0", len(js), 1, SAMPLE_DENOMINATOR)
-        q_rel = zonotope.mat_vec(coeffs)
+        numerators = grid_numerators(f"cover:{seed}:{idx}:0", len(js), 1, SAMPLE_DENOMINATOR)
+        q_rel = zonotope.mat_vec([Fraction(x, SAMPLE_DENOMINATOR) for x in numerators])
         q_abs = tuple(a + b for a, b in zip(q_rel, base))
         positions = [cell.position(q_abs) for cell in cells]
         if any(pos is not None and pos[1] for pos in positions):

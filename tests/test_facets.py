@@ -525,8 +525,10 @@ class TestDoubleCover:
     def test_matches_the_fraction_path_with_redraws(self, mset, w_m, monkeypatch):
         # On the open grid of step 1/4 many samples touch a shadow boundary,
         # where the w-rules decide them; the oracle decides them the same way.
-        grid_vector = facets.grid_vector
-        monkeypatch.setattr(facets, "grid_vector", lambda tag, dim, lo, hi: grid_vector(tag, dim, 1, 4, 4))
+        grid_numerators = facets.grid_numerators
+        monkeypatch.setattr(
+            facets, "grid_numerators", lambda tag, dim, lo, hi: [x << 29 for x in grid_numerators(tag, dim, 1, 4)]
+        )
         boundary_samples = 0
         for index in (*subsets(4, 1), *subsets(4, 3)):
             rep = double_cover_check(mset, w_m, index, (1, -1, 0, 2), 20, 2)
@@ -539,8 +541,10 @@ class TestDoubleCover:
         # Every tau and gamma collection of the n <= 4 corpus matrices on the
         # open grid of step 1/4, where the w-rules decide the shadow
         # boundaries: both paths must decide each sample alike.
-        grid_vector = facets.grid_vector
-        monkeypatch.setattr(facets, "grid_vector", lambda tag, dim, lo, hi: grid_vector(tag, dim, 1, 4, 4))
+        grid_numerators = facets.grid_numerators
+        monkeypatch.setattr(
+            facets, "grid_numerators", lambda tag, dim, lo, hi: [x << 29 for x in grid_numerators(tag, dim, 1, 4)]
+        )
         collections = boundary_samples = 0
         for path in corpus_files(4):
             fs = corpus_set(path)
@@ -568,7 +572,7 @@ class TestDoubleCover:
         # every s=0 shadow.  For tau {2} the rules cover it once from each
         # side.  It is also a vertex of the zonotope, which the shadows'
         # rules need not cover (tau {3}: neither side); hence the open grid.
-        monkeypatch.setattr(facets, "grid_vector", lambda tag, dim, *rest: (Fraction(0),) * dim)
+        monkeypatch.setattr(facets, "grid_numerators", lambda tag, dim, *rest: [0] * dim)
         rep = double_cover_check(mset, w_m, (2,), (0, 0, 0, 0), 3, 5)
         assert rep.passed and rep.boundary_samples == 3
         rep = double_cover_check(mset, w_m, (3,), (0, 0, 0, 0), 3, 5)

@@ -37,7 +37,7 @@ from fragtile import (
     verify_constancy,
 )
 from fragtile.linalg import DimensionError, clear_denominator, clear_rows, int_mat_mul
-from fragtile.tiling import cell_hits, size_reduce
+from fragtile.tiling import cell_hits, shifted_gram, size_reduce
 
 HALF = Fraction(1, 2)
 WORKED_POINT = (Fraction(-2), Fraction(1), -HALF, -HALF)
@@ -202,6 +202,10 @@ def _identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+def _gram(rows):
+    return [[sum(x * y for x, y in zip(a, b)) for b in rows] for a in rows]
+
+
 def _verify_points(fs, count):
     """The first sample points verify_constancy draws at seed 0."""
     m = fs.decomposition.m
@@ -232,7 +236,7 @@ class TestSizeReduce:
                 if frag.sign_class == "degenerate":
                     continue
                 _, g = clear_rows(mat_mul(m_inv, frag.s))
-                red, w, w_inv = size_reduce(g)
+                red, w, w_inv, _ = size_reduce(g, _gram(g), [])
                 assert int_mat_mul(w, w_inv) == _identity(n)
                 assert red == int_mat_mul(w, g)
                 for before, after in zip(g, red):
@@ -243,6 +247,37 @@ class TestSizeReduce:
                         if i != j:
                             dot = sum(x * y for x, y in zip(red[i], red[j]))
                             assert 2 * abs(dot) <= sum(x * x for x in red[j])
+
+    def test_matches_the_reference_reduction(self):
+        # The Gram-matrix loop against the one that takes every inner
+        # product from the rows; H W^-1 against the product it replaces.
+        rng = random.Random(47)
+        for case in range(200):
+            n = 2 + case % 5
+            rows = clear_rows(random_invertible(rng, n, -6, 6))[1]
+            h = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
+            red, w, w_inv, h_w_inv = size_reduce(rows, _gram(rows), h)
+            assert (red, w, w_inv) == reference_size_reduce(rows), case
+            assert h_w_inv == int_mat_mul(h, w_inv), case
+
+    def test_shifted_gram_is_the_gram_of_g(self):
+        # Every frame of the corpus: G's Gram matrix from T's by the
+        # corrections off sigma equals the one of G's own rows.
+        frames = 0
+        for path in corpus_files():
+            fs = corpus_set(path)
+            if fs.det_m == 0:
+                continue
+            (m_den, m), (e, m_inv), r, n = fs.m_rows, fs.m_inv_rows, fs.dims.r, fs.dims.n
+            sd, t = e * m_den, int_mat_mul([row[:r] for row in m_inv], m[:r])
+            for frag in fs:
+                if frag.sign_class == DEGENERATE:
+                    continue
+                hat = [j - 1 for j in range(1, n + 1) if j not in frag.sigma]
+                g = [[x - sd * (i == j and i in hat) for j, x in enumerate(row)] for i, row in enumerate(t)]
+                assert shifted_gram(t, _gram(t), sd, hat) == _gram(g), (path.stem, frag.sigma)
+                frames += 1
+        assert frames == 469
 
     def test_frames_keep_the_translate_lattice(self):
         # H' = S^-1 M W^-1 over the frame denominator, so H' W is S^-1 M.
@@ -282,6 +317,31 @@ class TestSizeReduce:
                     lo = [-((sum(x for x in row if x > 0) * den - bi) // (den * sd)) for bi, row in zip(b, g)]
                     hi = [(bi - sum(x for x in row if x < 0) * den) // (den * sd) for bi, row in zip(b, g)]
                     assert frame.box(num, den) == (lo, hi)
+
+    def test_engine_build_forms_one_matrix_product(self, monkeypatch):
+        # T = M^-1 P M is the engine's one product, whatever the number of
+        # frames: a frame's Gram matrix, S^-1 M and H' come without one.
+        import sys
+
+        from fragtile import linalg
+
+        calls = []
+        original = linalg.int_mat_mul
+
+        def counted(a, b):
+            calls.append(len(a))
+            return original(a, b)
+
+        for key, module in list(sys.modules.items()):
+            if (key == "fragtile" or key.startswith("fragtile.")) and getattr(module, "int_mat_mul", None) is original:
+                monkeypatch.setattr(module, "int_mat_mul", counted)
+        for n, r, i in ((4, 1, 0), (5, 2, 10), (6, 3, 4), (6, 2, 1)):
+            fs = corpus_matrix(n, r, i)
+            w = choose_generic_direction(fs, 0)
+            del calls[:]
+            engine = TilingEngine(fs, w)
+            assert len(engine.frames) > 1
+            assert calls == [n], (n, r, i)
 
     def test_candidate_box_is_the_scanned_box(self, mset, w_m, monkeypatch):
         engine = TilingEngine(mset, w_m)
@@ -587,8 +647,10 @@ class TestVerifyConstancy:
     def test_matches_the_fraction_path_with_redraws(self, mset, w_m, lset, w_l, monkeypatch):
         # On a grid of step 1/8 many samples land on tile boundaries, where
         # the w-rules decide them; the oracle decides them the same way.
-        grid_vector = tiling.grid_vector
-        monkeypatch.setattr(tiling, "grid_vector", lambda tag, dim, lo, hi: grid_vector(tag, dim, 0, 8, 8))
+        grid_numerators = tiling.grid_numerators
+        monkeypatch.setattr(
+            tiling, "grid_numerators", lambda tag, dim, lo, hi: [x << 28 for x in grid_numerators(tag, dim, 0, 8)]
+        )
         for fs, w in ((mset, w_m), (lset, w_l)):
             rep = verify_constancy(fs, w, 40, 1)
             assert rep.boundary_samples > 0
@@ -606,7 +668,7 @@ class TestVerifyConstancy:
     def test_the_rules_decide_the_lattice_origin(self, mset, w_m, tmp_path, monkeypatch):
         # The lattice origin is a corner of every tile: every sample lies on
         # a boundary, and the half-open rules still give f = expected there.
-        monkeypatch.setattr(tiling, "grid_vector", lambda tag, dim, *rest: (Fraction(0),) * dim)
+        monkeypatch.setattr(tiling, "grid_numerators", lambda tag, dim, *rest: [0] * dim)
         rep = verify_constancy(mset, w_m, 3, 7)
         assert rep.passed and rep.boundary_samples == 3
         path = tmp_path / "M.txt"
