@@ -7,9 +7,10 @@ coordinates of M*z.  When the bottom block of M is integer with coprime
 maximal minors, integer column operations bring M to a form whose last r
 columns lie in the slice plane; their top parts generate the lattice of
 slice-preserving translations, so the restricted tiling is periodic with
-finitely many translate classes per fragment.  The forced coordinates come
-from each fragment's integer S^-1 rows, cell_hits scans the window, and
-families are keyed and reduced on the integer rows of M and of B^-1.
+finitely many translate classes per fragment.  A translate enters only
+through its key, the bottom rows of M times z, so cell_hits scans each
+fragment's keys on its integer S^-1 rows, the translate window only filters
+them, and offsets are reduced on the integer rows of B and of B^-1.
 """
 from __future__ import annotations
 
@@ -45,17 +46,21 @@ def slice_precondition(d: Decomposition) -> bool:
     return True
 
 
-def unimodular_reduce(d: Decomposition) -> tuple[Matrix, Matrix, Matrix]:
+def unimodular_reduce(
+    d: Decomposition,
+) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Integer column reduction of M to bottom block [I_k | 0].
 
     Only column swaps, sign flips and integer multiple additions are used, so
     the applied U is unimodular and M*U spans the same column lattice.
-    Returns (U, A, Bk) where M*U = [[Bk | A], [I_k | 0]]: A (r x r) is the top
-    block over the zero-bottom columns, the slice-translation lattice basis,
-    and Bk (r x k) the top block over the identity-bottom columns.  An
-    integer bottom block reduces exactly when its maximal minors are coprime;
-    otherwise a rank or pivot check, or the certificate that (d M) U has
-    bottom rows d [I_k | 0] for M cleared to d M, raises SlicePreconditionError.
+    Returns (U, A, Bk) as integer rows where M*U = [[Bk | A], [I_k | 0]] / c
+    for M = m_rows / c cleared by clear_rows (FragmentSet.m_rows): A (r x r)
+    is the top block over the zero-bottom columns, c times the
+    slice-translation lattice basis, and Bk (r x k) the top block over the
+    identity-bottom columns.  An integer bottom block reduces exactly when
+    its maximal minors are coprime; otherwise a rank or pivot check, or the
+    certificate that m_rows U has bottom rows c [I_k | 0], raises
+    SlicePreconditionError.
     """
     if any(x.denominator != 1 for col in d.cbar for x in col):
         raise SlicePreconditionError("bottom block must be integer")
@@ -107,9 +112,7 @@ def unimodular_reduce(d: Decomposition) -> tuple[Matrix, Matrix, Matrix]:
     mu = int_mat_mul(m_rows, u)
     if mu[r:] != [[m_den * (i == t) for i in range(n)] for t in range(k)]:
         raise SlicePreconditionError("column reduction failed to certify")
-    a = Matrix.from_rows([[Fraction(x, m_den) for x in row[k:]] for row in mu[:r]])
-    bk = Matrix.from_rows([[Fraction(x, m_den) for x in row[:k]] for row in mu[:r]])
-    return Matrix.from_rows(u), a, bk
+    return u, [row[k:] for row in mu[:r]], [row[:k] for row in mu[:r]]
 
 
 @dataclass(frozen=True)
@@ -141,60 +144,67 @@ class SliceLayout:
 def slice_layout(
     fs: FragmentSet, w: GenericDirection, window: Sequence[tuple[int, int]]
 ) -> SliceLayout:
-    """Enumerate slice tiles over a translate window, grouped into translate
+    """The slice tiles of the translates in a window, grouped into translate
     families modulo the slice lattice.
 
-    For each fragment, a translate z contributes exactly when the forced
-    bottom coordinates Cbar_hat^-1 (Cbar_full z) satisfy the fragment's
-    half-open rules (signs of the restricted orientation coordinates); the
-    contribution is the top-block parallelepiped at offset p_r(M z).
-
-    Shifting z by a zero-bottom column of the reduction matrix U moves the
-    offset by exactly one lattice basis vector and preserves the forced
-    coordinates, so translate families are the valid-z classes modulo that
-    column sublattice, keyed by the first k coordinates of U^-1 z: by
-    M U = [[Bk | B], [I_k | 0]] these are bottom(M z), so the key is
-    A_bottom z for m_rows = (d, A) and U is never inverted.  Families are a
-    multiset: distinct families can share a reduced offset, which is how
-    overlapping fragments show up in the slice (the family count is the
-    bottom-minor magnitude, not the number of distinct residues).  With
-    t = A_top z and B = B_d / d, the offset is (t - B_d floor(B^-1 t / d)) / d.
-    The forced coordinates are -Cbar_hat^-1 Cbar = X_hat A_bottom / (e d),
-    X_hat the rows of s_inv_rows off sigma on the bottom columns, so
-    cell_hits scans them on integers.
+    A translate z of a fragment meets the slice exactly when its forced
+    bottom coordinates -Cbar_hat^-1 y, y = M_bottom z, satisfy the
+    fragment's half-open rules; its tile in the slice is the top-block
+    parallelepiped at offset p_r(M z).  Two valid z with one key y differ by
+    an integer kernel vector of M_bottom, a combination of U's zero-bottom
+    columns, which moves the offset by a vector of the slice lattice B.  So
+    the families are the valid keys: the |det Cbar_hat| integer points
+    y = M_bottom[:, hat] x, x in the half-open unit cube, which cell_hits
+    scans over that parallelepiped's integer box with X_hat, the rows of
+    s_inv_rows off sigma on the bottom columns.  The window only filters: a
+    key counts when M_bottom z = y for some z in it, one lookup in the sums
+    over the window's first n - 1 coordinates per value of the last.  A
+    key's offset is that of z = U[:, :k] y, whose top is t = Bk y, reduced
+    into B's cell: with B = A / c, (t - A floor(B^-1 t / c)) / c.  Families
+    are a multiset: distinct families can share a reduced offset, which is
+    how overlapping fragments show up in the slice.
     """
     d = fs.decomposition
     dims = fs.dims
-    if len(window) != dims.n or any(lo > hi for lo, hi in window):
-        raise DimensionError(f"window must be {dims.n} nonempty integer ranges")
-    _, b_lattice, _ = unimodular_reduce(d)
+    n, r, k = dims.n, dims.r, dims.k
+    if len(window) != n or any(lo > hi for lo, hi in window):
+        raise DimensionError(f"window must be {n} nonempty integer ranges")
+    _, b_rows, bk_rows = unimodular_reduce(d)
     m_den, m_rows = fs.m_rows
-    # B is the top of M U over M's denominator, so d B is integer.
-    b_rows = [[int(m_den * x) for x in row] for row in b_lattice.row_list()]
     b_inv_rows = e_b, x_b = inverse_rows(m_den, b_rows)
-    top, bottom = m_rows[: dims.r], m_rows[dims.r :]
+    # The precondition makes M's bottom block integer.
+    bottom = [[x // m_den for x in row] for row in m_rows[r:]]
+    *head, (lo, hi) = window
+    sums = {(0,) * k}
+    for c, (a, b) in enumerate(head):
+        col = [row[c] for row in bottom]
+        sums = {tuple(s + t * v for s, v in zip(y, col)) for y in sums for t in range(a, b + 1)}
+    last = [row[-1] for row in bottom]
     classes = []
     for frag in fs:
         shape = c_submatrices(d, frag.sigma)[0]
         if frag.sign_class == DEGENERATE:
             classes.append(SliceClass(frag.sigma, shape, frag.sign_class, offsets=()))
             continue
-        # The bottom coordinates of lambda_sigma solve Cbar_hat x = w''.
-        sigma_hat = complement(frag.sigma, dims.n)
+        sigma_hat = complement(frag.sigma, n)
         lam = w.lambda_of(fs, frag.sigma)
         rules = tuple(lam[j - 1] > 0 for j in sigma_hat)
         e, x = frag.s_inv_rows
-        h = int_mat_mul([x[j - 1][dims.r :] for j in sigma_hat], bottom)
-        families: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
-        for z, inside, _ in cell_hits([0] * dims.k, h, e * m_den, rules, window):
-            if not inside:
+        x_hat = [x[j - 1][r:] for j in sigma_hat]
+        box = [
+            (sum(v for v in cols if v < 0), sum(v for v in cols if v > 0))
+            for cols in ([row[j - 1] for j in sigma_hat] for row in bottom)
+        ]
+        offsets = []
+        for y, inside, _ in cell_hits([0] * k, x_hat, e, rules, box):
+            if not inside or not any(
+                tuple(a - t * b for a, b in zip(y, last)) in sums for t in range(lo, hi + 1)
+            ):
                 continue
-            key = tuple(sum(map(mul, row, z)) for row in bottom)
-            if key not in families:
-                t = [sum(map(mul, row, z)) for row in top]
-                cell = [sum(map(mul, row, t)) // (e_b * m_den) for row in x_b]
-                shift = [sum(map(mul, row, cell)) for row in b_rows]
-                families[key] = tuple(Fraction(a - b, m_den) for a, b in zip(t, shift))
-        offsets = tuple(sorted(families.values()))
-        classes.append(SliceClass(frag.sigma, shape, frag.sign_class, offsets))
-    return SliceLayout(b=b_lattice, classes=tuple(classes), b_inv_rows=b_inv_rows)
+            t = [sum(map(mul, row, y)) for row in bk_rows]
+            cell = [sum(map(mul, row, t)) // (e_b * m_den) for row in x_b]
+            shift = [sum(map(mul, row, cell)) for row in b_rows]
+            offsets.append(tuple(Fraction(a - b, m_den) for a, b in zip(t, shift)))
+        classes.append(SliceClass(frag.sigma, shape, frag.sign_class, tuple(sorted(offsets))))
+    b = Matrix.from_rows([[Fraction(x, m_den) for x in row] for row in b_rows])
+    return SliceLayout(b=b, classes=tuple(classes), b_inv_rows=b_inv_rows)

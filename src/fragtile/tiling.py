@@ -269,7 +269,9 @@ def size_reduce(
     all as integer rows.  While some pair has 2|<r_i, r_j>| > <r_j, r_j>,
     row i loses the nearest integer multiple k of row j; each such step
     strictly shortens row i, so the loop ends and no row is ever longer than
-    it started.  A step subtracts k times row j from row i of R and of W,
+    it started; a step that does not give 0 < |r_i|^2 < its old value shows
+    that gram is no such Gram matrix, and raises ValueError instead of
+    looping.  A step subtracts k times row j from row i of R and of W,
     adds k times column i to column j of W^-1 and of H W^-1, and updates
     row and column i of the Gram matrix, each in O(n): no matrix product is
     formed.
@@ -295,6 +297,8 @@ def size_reduce(
                     row[j] += k * row[i]
                 # <r_i - k r_j, r_l> for every l; the diagonal last
                 norm = gi[i] - 2 * k * d + k * k * nj
+                if not 0 < norm < gi[i]:
+                    raise ValueError("gram is not the Gram matrix of independent rows")
                 for col, row in enumerate(gram):
                     row[i] = gi[col] = gi[col] - k * gj[col]
                 gi[i] = norm

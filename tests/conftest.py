@@ -9,7 +9,11 @@ uses, live here as oracles for its index-sum signs and kernel certificate.
 """
 from __future__ import annotations
 
+import faulthandler
+import os
 import random
+import signal
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -37,6 +41,43 @@ from fragtile.cli import parse_matrix, run
 
 settings.register_profile("suite", deadline=None, max_examples=40, derandomize=True)
 settings.load_profile("suite")
+
+# A test that runs longer than this fails; the slowest one takes about 5 s.
+TEST_TIMEOUT_S = 120
+_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # The terminal's stderr, duplicated before any test's output is captured.
+    config.stash[_STDERR] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR])
+
+
+@pytest.fixture(autouse=True)
+def _timeout(request):
+    """Fail the test once it has run TEST_TIMEOUT_S seconds.
+
+    The alarm's handler raises in the test's own frame, so the failure names
+    the test and shows where it stood.  A test stuck inside one C call never
+    lets that handler run; at twice the limit faulthandler writes every
+    thread's stack to the terminal and ends the run.
+    """
+
+    def expire(signum, frame):
+        pytest.fail(f"{request.node.nodeid} ran longer than {TEST_TIMEOUT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIMEOUT_S)
+    faulthandler.dump_traceback_later(2 * TEST_TIMEOUT_S, exit=True, file=request.config.stash[_STDERR])
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 K_ROWS = [[1, 2], [-1, 3]]
@@ -274,9 +315,10 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def reference_slice_layout(fs, w, window):
-    """Slice translate families as slice_layout formed them on Fraction
-    matrices: each family keyed by the first k coordinates of U^-1 z, its
-    offset B frac(B^-1 p_r(M z)), with U and B inverted by reference_rref.
+    """Slice translate families as slice_layout once formed them, by
+    scanning every translate z of the window on Fraction matrices: each
+    family keyed by the first k coordinates of U^-1 z, its offset
+    B frac(B^-1 p_r(M z)), with U and B inverted by reference_rref.
     Returns (sigma, sign_class, offsets) per fragment."""
     from math import floor
     from operator import mul
@@ -292,11 +334,12 @@ def reference_slice_layout(fs, w, window):
         return Matrix.from_rows([row[n:] for row in aug])
 
     dims = fs.dims
-    u_mat, b_lattice, _ = unimodular_reduce(fs.decomposition)
-    b_inv = rref_inverse(b_lattice)
-    u_inv_rows = [[int(x) for x in row] for row in rref_inverse(u_mat).row_list()[: dims.k]]
-    c_full = Matrix.from_columns(fs.decomposition.c)
     m_den, m_rows = fs.m_rows
+    u_rows, b_rows, _ = unimodular_reduce(fs.decomposition)
+    b_lattice = Matrix.from_rows([[Fraction(x, m_den) for x in row] for row in b_rows])
+    b_inv = rref_inverse(b_lattice)
+    u_inv_rows = [[int(x) for x in row] for row in rref_inverse(Matrix.from_rows(u_rows)).row_list()[: dims.k]]
+    c_full = Matrix.from_columns(fs.decomposition.c)
     out = []
     for frag in fs:
         if frag.sign_class == DEGENERATE:

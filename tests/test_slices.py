@@ -14,6 +14,7 @@ from conftest import (
     reference_slice_precondition,
 )
 from fragtile import (
+    DEGENERATE,
     Dimensions,
     Matrix,
     TilingEngine,
@@ -28,7 +29,10 @@ from fragtile import (
     unimodular_reduce,
     vector,
 )
+from fragtile import slices
+from fragtile.linalg import clear_rows
 from fragtile.slices import SlicePreconditionError
+from fragtile.tiling import cell_hits
 
 WINDOW4 = tuple((-6, 6) for _ in range(4))
 WINDOW2 = tuple((-8, 8) for _ in range(2))
@@ -55,23 +59,37 @@ class TestPrecondition:
         assert slice_precondition(lset.decomposition)
 
 
+def assert_reduces(d, reduction):
+    """M U = [[Bk | A], [I_k | 0]] with A and Bk over M's denominator c, and
+    |det U| = 1, checked on Fraction matrices."""
+    u, a, bk = reduction
+    c = clear_rows(d.m)[0]
+    n, k = d.dims.n, d.dims.k
+    top = [[Fraction(x, c) for x in row_bk + row_a] for row_bk, row_a in zip(bk, a)]
+    identity = [[int(i == t) for i in range(n)] for t in range(k)]
+    assert mat_mul(d.m, Matrix.from_rows(u)) == Matrix.from_rows(top + identity)
+    assert det(Matrix.from_rows(u)) in (1, -1)
+
+
 class TestUnimodularReduce:
     def test_already_reduced(self):
         m = Matrix.from_rows([[5, 7], [1, 0]])
         u, a, bk = unimodular_reduce(decompose(m, Dimensions(1, 1)))
-        assert u == Matrix.identity(2)
-        assert a == Matrix.from_rows([[7]])
-        assert bk == Matrix.from_rows([[5]])
+        assert (u, a, bk) == ([[1, 0], [0, 1]], [[7]], [[5]])
+
+    def test_rational_top_block(self):
+        # A and Bk are integer rows over M's denominator 6.
+        m = Matrix.from_rows([[Fraction(1, 2), Fraction(2, 3)], [1, 1]])
+        d = decompose(m, Dimensions(1, 1))
+        reduction = unimodular_reduce(d)
+        assert_reduces(d, reduction)
+        assert reduction == ([[1, -1], [0, 1]], [[1]], [[3]])
 
     def test_worked_4x4(self, mset):
         d = mset.decomposition
         u, a, bk = unimodular_reduce(d)
-        mu = mat_mul(d.m, u)
-        for t in range(2):
-            for i in range(4):
-                assert mu.entry(2 + t, i) == (1 if i == t else 0)
-        assert det(u) in (1, -1)
-        assert abs(det(a)) == abs(mset.det_m) == 37
+        assert_reduces(d, (u, a, bk))
+        assert abs(det(Matrix.from_rows(a))) == abs(mset.det_m) == 37
 
     def test_unimodular_on_random(self):
         rng = random.Random(3)
@@ -84,13 +102,9 @@ class TestUnimodularReduce:
             if not slice_precondition(d):
                 continue
             u, a, bk = unimodular_reduce(d)
-            assert det(u) in (1, -1)
-            mu = mat_mul(d.m, u)
-            for t in range(n - r):
-                for i in range(n):
-                    assert mu.entry(r + t, i) == (1 if i == t else 0)
+            assert_reduces(d, (u, a, bk))
             # the identity slice_layout's family key rests on
-            u_inv = inverse(u)
+            u_inv = inverse(Matrix.from_rows(u))
             for _ in range(5):
                 z = vector(z_rng.randint(-9, 9) for _ in range(n))
                 assert d.m.mat_vec(z)[r:] == u_inv.mat_vec(z)[: n - r]
@@ -178,20 +192,26 @@ class TestSliceLayout:
                 assert all(0 <= yi < 1 for yi in y)
 
     def test_matches_the_fraction_layout_on_the_corpus(self):
-        # Every corpus matrix that meets the precondition, seeds 0-1: the
-        # CLI's radius-6 window up to n = 4, radius 1 for n = 5 and 6.
+        # Every corpus matrix that meets the precondition, seeds 0-1, against
+        # the scan of every translate: radii 1 to 6 (the CLI's) up to n = 4,
+        # radii 1 and 2 for n = 5 and radius 1 for n = 6, where the
+        # reference scans 5^6 translates per fragment at radius 2, and one
+        # asymmetric window.
+        asymmetric = ((-3, 1), (-1, 4), (0, 2), (-2, 1), (0, 1), (0, 0))
+        max_radius = {2: 6, 3: 6, 4: 6, 5: 2, 6: 1}
         checked = 0
         for path in corpus_files():
             fs = corpus_set(path)
             if not slice_precondition(fs.decomposition):
                 continue
-            radius = 6 if fs.dims.n <= 4 else 1
-            window = tuple((-radius, radius) for _ in range(fs.dims.n))
+            n = fs.dims.n
+            windows = [((-r, r),) * n for r in range(1, max_radius[n] + 1)] + [asymmetric[:n]]
             for seed in (0, 1):
                 w = choose_generic_direction(fs, seed)
-                layout = slice_layout(fs, w, window)
-                got = [(cls.sigma, cls.sign_class, cls.offsets) for cls in layout.classes]
-                assert got == reference_slice_layout(fs, w, window), (path.name, seed)
+                for window in windows:
+                    layout = slice_layout(fs, w, window)
+                    got = [(cls.sigma, cls.sign_class, cls.offsets) for cls in layout.classes]
+                    assert got == reference_slice_layout(fs, w, window), (path.name, seed, window)
             checked += 1
         assert checked > 30
 
@@ -200,6 +220,66 @@ class TestSliceLayout:
         w = choose_generic_direction(fs, 1)
         layout = slice_layout(fs, w, WINDOW2)
         assert layout.by_sigma((2,)).offsets == ()
+
+
+def scanned_keys(monkeypatch, fs, w, window):
+    """What cell_hits yields in each slice_layout scan, one list per live
+    fragment in fragment order."""
+    scans = []
+
+    def recorded(*args):
+        scans.append(list(cell_hits(*args)))
+        return iter(scans[-1])
+
+    monkeypatch.setattr(slices, "cell_hits", recorded)
+    slice_layout(fs, w, window)
+    monkeypatch.undo()
+    return scans
+
+
+class TestKeyScan:
+    def test_each_fragment_has_its_bottom_minor_of_keys(self, monkeypatch):
+        # Before the window filter, a live fragment's scan finds exactly
+        # |det Cbar_hat| keys inside its half-open cell, the number of its
+        # translate classes.
+        live = 0
+        for path in corpus_files():
+            fs = corpus_set(path)
+            if not slice_precondition(fs.decomposition):
+                continue
+            window = tuple((0, 0) for _ in range(fs.dims.n))
+            for seed in (0, 1):
+                scans = scanned_keys(monkeypatch, fs, choose_generic_direction(fs, seed), window)
+                frags = [f for f in fs if f.sign_class != DEGENERATE]
+                assert len(scans) == len(frags), path.name
+                for frag, scan in zip(frags, scans):
+                    assert sum(inside for _, inside, _ in scan) == abs(frag.det_cbar), path.name
+                    live += 1
+        assert live > 500
+
+    def test_the_scan_does_not_grow_with_the_window(self, monkeypatch):
+        # The keys each fragment scans are the same at radius 3 and 6, whose
+        # windows hold 7^n and 13^n translates.
+        for path in corpus_files(4):
+            fs = corpus_set(path)
+            if not slice_precondition(fs.decomposition):
+                continue
+            w = choose_generic_direction(fs, 0)
+            small = scanned_keys(monkeypatch, fs, w, ((-3, 3),) * fs.dims.n)
+            assert small == scanned_keys(monkeypatch, fs, w, ((-6, 6),) * fs.dims.n), path.name
+
+    def test_the_radius_6_window_misses_classes_on_slice13(self):
+        # The witness of the window: 13 of 15 and 3 of 4 classes are
+        # reached, while the key scan finds all 15 and 4.
+        fs = corpus_set(Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "slice13.txt")
+        w = choose_generic_direction(fs, 0)
+        layout = slice_layout(fs, w, ((-6, 6),) * 3)
+        found = [
+            (len(cls.offsets), abs(fs[cls.sigma].det_cbar))
+            for cls in layout.classes
+            if cls.sign_class != DEGENERATE
+        ]
+        assert found == [(13, 15), (3, 4)]
 
 
 class TestSliceCoverage:

@@ -260,10 +260,10 @@ class TestSizeReduce:
             assert (red, w, w_inv) == reference_size_reduce(rows), case
             assert h_w_inv == int_mat_mul(h, w_inv), case
 
-    def test_shifted_gram_is_the_gram_of_g(self):
-        # Every frame of the corpus: G's Gram matrix from T's by the
-        # corrections off sigma equals the one of G's own rows.
-        frames = 0
+    @staticmethod
+    def _corpus_frames():
+        """(label, T, sd, hat, G) for every frame of the corpus: G = T - sd D
+        over the frame's slack denominator sd, D the identity on hat."""
         for path in corpus_files():
             fs = corpus_set(path)
             if fs.det_m == 0:
@@ -275,9 +275,27 @@ class TestSizeReduce:
                     continue
                 hat = [j - 1 for j in range(1, n + 1) if j not in frag.sigma]
                 g = [[x - sd * (i == j and i in hat) for j, x in enumerate(row)] for i, row in enumerate(t)]
-                assert shifted_gram(t, _gram(t), sd, hat) == _gram(g), (path.stem, frag.sigma)
-                frames += 1
+                yield (path.stem, frag.sigma), t, sd, hat, g
+
+    def test_shifted_gram_is_the_gram_of_g(self):
+        # Every frame of the corpus: G's Gram matrix from T's by the
+        # corrections off sigma equals the one of G's own rows.
+        frames = 0
+        for label, t, sd, hat, g in self._corpus_frames():
+            assert shifted_gram(t, _gram(t), sd, hat) == _gram(g), label
+            frames += 1
         assert frames == 469
+
+    def test_an_inconsistent_gram_matrix_raises(self):
+        # Without the sd^2 diagonal term the shortening argument fails: the
+        # loop would run forever, and instead the first step that does not
+        # shorten its row raises, on every frame of the corpus.
+        for label, t, sd, hat, g in self._corpus_frames():
+            gram = shifted_gram(t, _gram(t), sd, hat)
+            for j in hat:
+                gram[j][j] -= sd * sd
+            with pytest.raises(ValueError, match="Gram matrix"):
+                size_reduce(g, gram, [])
 
     def test_frames_keep_the_translate_lattice(self):
         # H' = S^-1 M W^-1 over the frame denominator, so H' W is S^-1 M.
