@@ -10,15 +10,11 @@ kept sorted; families are enumerated in lexicographic order so every report is
 deterministic.
 
 Up to the column shuffle of (sigma, complement), S_sigma = diag(C_sigma,
-Cbar_hat): det S_sigma = sgn(sigma, hat) det C_sigma det Cbar_hat, and
-S_sigma^-1 comes from the two block inverses.  Only this module eliminates
-a fragment's blocks, on integers: M is cleared once to A / d, one
-int_inverse per block of A gives its determinant and adjugate, det M is
-int_det(A), and M^-1 is A's adjugate, taken on first use.  A fragment keeps
-S_sigma^-1 as integer rows, which every cell test reads, and no Fraction
-matrix.  The checks stay independent of this: sandc_identity takes a fresh
-n x n determinant of S_sigma, and laplace_identity sums the block products
-against det M.
+Cbar_hat), so det S_sigma = sgn(sigma, hat) det C_sigma det Cbar_hat.
+BlockMinors holds every block determinant, a maximal minor of M's top or
+negated bottom rows found by minor_table's Laplace expansion, and forms a
+live S_sigma^-1 from cofactor tables on first read.  The checks stay
+independent of the tables: sandc_identity and det M are int_det eliminations.
 """
 from __future__ import annotations
 
@@ -28,17 +24,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
-from .linalg import (
-    DimensionError,
-    Matrix,
-    clear_rows,
-    det,
-    int_det,
-    int_inverse,
-    inverse_rows,
-)
+from .linalg import DimensionError, Matrix, clear_rows, int_det, inverse_rows
 
 SubsetIndex = tuple[int, ...]
+MinorTable = dict[SubsetIndex, int]
 
 POSITIVE = "positive"
 NEGATIVE = "negative"
@@ -102,6 +91,59 @@ def shuffle_sign(sigma: SubsetIndex) -> int:
     return (-1) ** (sum(sigma) - r * (r + 1) // 2)
 
 
+def minor_table(rows: list[list[int]], n: int) -> MinorTable:
+    """{tau: det of the integer rows on columns tau} for every len(rows)-subset
+    tau of {1..n}.  Level t's minors, of the first t rows, expand along row t
+    into level t-1's; only two levels are held at a time."""
+    table: MinorTable = {(): 1}
+    for t, row in enumerate(rows):
+        prev, table = table, {}
+        for tau in combinations(range(1, n + 1), t + 1):
+            total = 0
+            for p, j in enumerate(tau):
+                if x := row[j - 1]:
+                    total += (-x if (t + p) & 1 else x) * prev[tau[:p] + tau[p + 1 :]]
+            table[tau] = total
+    return table
+
+
+def adjugate(deleted: list[MinorTable], cols: SubsetIndex, scale: int) -> list[list[int]]:
+    """scale * adj B for a side's block B on columns cols, from its "row j
+    deleted" tables: adj B[i][j] is (-1)^(i+j) times B's minor off row j and column cols[i]."""
+    return [
+        [(-1) ** (i + j) * scale * table[cols[:i] + cols[i + 1 :]] for j, table in enumerate(deleted)]
+        for i in range(len(cols))
+    ]
+
+
+class BlockMinors:
+    """The block sides of M = A / d as integer rows, A's top rows and its
+    negated bottom rows; minors holds each side's maximal minors, the block
+    determinants, and deleted its "row j deleted" tables, on first read."""
+
+    def __init__(self, d: int, a: list[list[int]], r: int):
+        self.d, self.r, self.n = d, r, len(a)
+        self.rows = a[:r], [[-x for x in row] for row in a[r:]]
+        self.minors = tuple(minor_table(rows, self.n) for rows in self.rows)
+
+    @cached_property
+    def deleted(self) -> tuple[list[MinorTable], ...]:
+        n = self.n
+        return tuple([minor_table(b[:j] + b[j + 1 :], n) for j in range(len(b))] for b in self.rows)
+
+    def inverse_rows(self, sigma: SubsetIndex) -> tuple[int, list[list[int]]]:
+        """S_sigma^-1 = X / e as (e, X), e > 0, for a live sigma.  A block B / d
+        of M has inverse d adj B / det B: row i of X comes from adj C_sigma for
+        i in sigma and from adj Cbar_hat off sigma, zero-padded."""
+        (r, n), hat = (self.r, self.n), complement(sigma, self.n)
+        det_top, det_bottom = self.minors[0][sigma], self.minors[1][hat]
+        f = self.d if det_top * det_bottom > 0 else -self.d
+        top = iter(row + [0] * (n - r) for row in adjugate(self.deleted[0], sigma, f * det_bottom))
+        bottom = iter([0] * r + row for row in adjugate(self.deleted[1], hat, f * det_top))
+        rows = [next(top) if i in sigma else next(bottom) for i in range(1, n + 1)]
+        return abs(det_top * det_bottom), rows
+
+
 def decompose(m: Matrix, dims: Dimensions) -> Decomposition:
     """Split M into the c_i / cbar_i column pieces (bottom parts negated)."""
     n = dims.n
@@ -146,33 +188,32 @@ def c_submatrices(d: Decomposition, sigma: Iterable[int]) -> tuple[Matrix, Matri
 
 @dataclass(frozen=True)
 class Fragment:
-    """One member of the indexed fragment family.
-
-    det_s = sgn(sigma, hat) * det_c * det_cbar.  A live fragment keeps
-    S_sigma^-1 = X / e as s_inv_rows = (e, X), e > 0, row i of X from
-    C_sigma^-1 for i in sigma and from Cbar_hat^-1 off sigma, zero-padded;
-    every cell test reads these rows.  The fragment matrix s itself is
-    assembled from the decomposition on first read.
-    """
+    """One member of the indexed fragment family, det_s = sgn(sigma, hat) *
+    det_c * det_cbar; the fragment matrix s and s_inv_rows are formed on first read."""
 
     sigma: SubsetIndex
     det_c: Fraction
     det_cbar: Fraction
     det_s: Fraction
     sign_class: str
-    s_inv_rows: tuple[int, list[list[int]]] | None = field(compare=False, repr=False)
     decomposition: Decomposition = field(repr=False)
+    blocks: BlockMinors = field(compare=False, repr=False)
 
     @cached_property
     def s(self) -> Matrix:
         return fragment_matrix(self.decomposition, self.sigma)
+
+    @cached_property
+    def s_inv_rows(self) -> tuple[int, list[list[int]]] | None:
+        """S_sigma^-1 = X / e as (e, X), e > 0, or None if degenerate."""
+        return None if self.sign_class == DEGENERATE else self.blocks.inverse_rows(self.sigma)
 
 
 class FragmentSet:
     """The full fragment family of one decomposition, indexed by sigma.
 
     Iteration and the ``fragments`` mapping follow lexicographic subset
-    order.  Instances are immutable after construction.  m_rows is (d, A).
+    order.  m_rows is (d, A), and blocks its BlockMinors.
     """
 
     def __init__(self, decomposition: Decomposition):
@@ -181,26 +222,14 @@ class FragmentSet:
         r, k, n = dims.r, dims.k, dims.n
         self.m_rows = d, a = clear_rows(decomposition.m)
         self.det_m = Fraction(int_det(a), d**n)
+        self.blocks = blocks = BlockMinors(d, a, r)
         frags: dict[SubsetIndex, Fragment] = {}
         for sigma in subsets(n, r):
-            det_top, adj_top = int_inverse([[row[i - 1] for i in sigma] for row in a[:r]])
-            det_bottom, adj_bottom = int_inverse(
-                [[-row[j - 1] for j in complement(sigma, n)] for row in a[r:]]
-            )
+            det_top, det_bottom = blocks.minors[0][sigma], blocks.minors[1][complement(sigma, n)]
             det_s = shuffle_sign(sigma) * Fraction(det_top * det_bottom, d**n)
             sign_class = POSITIVE if det_s > 0 else NEGATIVE if det_s < 0 else DEGENERATE
-            s_inv_rows = None
-            if det_s:
-                # C^-1 = d adj_top / det_top, Cbar^-1 = d adj_bottom / det_bottom
-                f = d if det_top * det_bottom > 0 else -d
-                top = iter([f * det_bottom * x for x in row] + [0] * k for row in adj_top)
-                bottom = iter([0] * r + [f * det_top * x for x in row] for row in adj_bottom)
-                rows = [next(top) if i in sigma else next(bottom) for i in range(1, n + 1)]
-                s_inv_rows = abs(det_top * det_bottom), rows
-            frags[sigma] = Fragment(
-                sigma, Fraction(det_top, d**r), Fraction(det_bottom, d**k), det_s, sign_class,
-                s_inv_rows, decomposition,
-            )
+            det_c, det_cbar = Fraction(det_top, d**r), Fraction(det_bottom, d**k)
+            frags[sigma] = Fragment(sigma, det_c, det_cbar, det_s, sign_class, decomposition, blocks)
         self.fragments: Mapping[SubsetIndex, Fragment] = frags
 
     @cached_property
@@ -234,11 +263,12 @@ def fragment_set(d: Decomposition) -> FragmentSet:
 
 
 def sandc_identity(fs: FragmentSet, sigma: Iterable[int]) -> tuple[Fraction, Fraction]:
-    """Both sides of det(S_sigma) = sgn(sigma, hat) * det(C_sigma) * det(Cbar_hat):
-    a fresh n x n determinant of the assembled fragment matrix against the
-    stored block product."""
-    frag = fs[sigma]
-    return det(frag.s), frag.det_s
+    """Both sides of det(S_sigma) = sgn(sigma, hat) det(C_sigma) det(Cbar_hat): a
+    fresh int_det of d S_sigma, assembled from m_rows, against the block product."""
+    frag, (d, a), r = fs[sigma], fs.m_rows, fs.dims.r
+    rows = [[x if j in frag.sigma else 0 for j, x in enumerate(row, 1)] for row in a[:r]]
+    rows += [[0 if j in frag.sigma else -x for j, x in enumerate(row, 1)] for row in a[r:]]
+    return Fraction(int_det(rows), d ** len(a)), frag.det_s
 
 
 def laplace_identity(fs: FragmentSet) -> tuple[Fraction, Fraction]:

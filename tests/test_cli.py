@@ -228,9 +228,7 @@ class TestSubcommands:
 class TestFractionMatrixGuard:
     """These commands run on integer rows: those a fragment set holds, and
     the slice lattice basis and its inverse, formed once per layout.  No
-    Fraction determinant, inverse, solve or matrix-vector product.  Only
-    fragments is left out: its sandc_identity takes an independent
-    determinant on purpose."""
+    Fraction determinant, inverse, solve or matrix-vector product."""
 
     @pytest.mark.parametrize(
         "matrix, argv",
@@ -250,6 +248,10 @@ class TestFractionMatrixGuard:
             ("K", ["render"]),
             ("L", ["render"]),
             ("M", ["render"]),
+            ("M", ["fragments"]),
+            ("q3r2-1", ["fragments"]),
+            ("M", ["laplace"]),
+            ("q3r2-1", ["laplace"]),
         ],
     )
     def test_no_fraction_matrix_arithmetic(self, matrix_files, monkeypatch, mat_vec_log, matrix, argv):

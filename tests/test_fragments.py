@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,7 @@ from conftest import (
     Q_ROWS,
     corpus_files,
     corpus_matrix,
+    corpus_set,
     invoke,
     perm_sign,
     random_dims,
@@ -39,7 +42,9 @@ from fragtile import (
     subsets,
     unimodular_reduce,
 )
-from fragtile.linalg import DimensionError, clear_rows
+from fragtile import fragments
+from fragtile.fragments import BlockMinors, Fragment, adjugate
+from fragtile.linalg import DimensionError, clear_rows, int_inverse, int_mat_mul
 
 
 class TestDecompose:
@@ -276,7 +281,8 @@ class TestBlockFactorization:
 
 class TestEliminationGuard:
     """Building a fragment set, certifying a direction and building an
-    engine eliminate M and the fragments' blocks, never a whole fragment."""
+    engine eliminate M alone: the blocks' determinants and adjugates come
+    from minor tables, and no whole fragment is eliminated."""
 
     def _record(self, monkeypatch):
         """Patch the one integer elimination loop wherever it is bound, so
@@ -305,11 +311,11 @@ class TestEliminationGuard:
             fs = fragment_set(d)
             TilingEngine(fs, choose_generic_direction(fs, seed))
             full = [rows for ncols, rows in log if ncols == d.dims.n]
-            # det M and M^-1, which serves M^-1 w and the engine alike
+            # det M and M^-1, which serves M^-1 w and the engine alike, and
+            # nothing else: no block is eliminated
             assert len(full) == 2, seed
             assert all(rows == clear_rows(d.m)[1] for rows in full), seed
-            # the block eliminations are logged too
-            assert len(log) > 2
+            assert len(log) == 2, seed
 
     @pytest.mark.parametrize("argv", [["slice", "--samples", "5"], ["render"]])
     def test_slice_and_render_invert_each_basis_once(self, monkeypatch, tmp_path, argv):
@@ -348,3 +354,149 @@ def test_fragment_set_builds_no_matrix(monkeypatch):
     frag = fs.fragments[fs.sigmas()[0]]
     assert frag.s == fragment_matrix(d, frag.sigma)
     assert built
+
+
+def _check_tables(fs):
+    """Every block's determinant and adjugate from the minor tables against
+    int_inverse of the block, and every live s_inv_rows against inverse(s).
+    B adj B = det B I holds for a singular block too, where int_inverse
+    gives no adjugate."""
+    (d, a), (r, k, n) = fs.m_rows, (fs.dims.r, fs.dims.k, fs.dims.n)
+    upper, lower = fs.blocks.deleted
+    singular = 0
+    for frag in fs:
+        sides = (
+            (frag.sigma, a[:r], upper, frag.det_c * d**r),
+            (complement(frag.sigma, n), [[-x for x in row] for row in a[r:]], lower, frag.det_cbar * d**k),
+        )
+        for cols, rows, deleted, det_table in sides:
+            block = [[row[j - 1] for j in cols] for row in rows]
+            det_block, adj = int_inverse(block)
+            assert det_table == det_block, (frag.sigma, cols)
+            table_adj = adjugate(deleted, cols, 1)
+            assert adj is None or table_adj == adj, (frag.sigma, cols)
+            identity = [[det_block * (i == j) for j in range(len(cols))] for i in range(len(cols))]
+            assert int_mat_mul(block, table_adj) == identity, (frag.sigma, cols)
+            singular += adj is None
+        if frag.sign_class == DEGENERATE:
+            assert frag.s_inv_rows is None, frag.sigma
+        else:
+            e, x = frag.s_inv_rows
+            assert Matrix.from_rows([[Fraction(v, e) for v in row] for row in x]) == inverse(frag.s), frag.sigma
+    return singular
+
+
+@st.composite
+def singular_prone_matrices(draw):
+    """(M, dims), n <= 6, entries a/b with |a| <= 3, b <= 4; some columns
+    zeroed and some top or bottom parts copied from another column, so
+    blocks (and M itself) are often singular."""
+    n = draw(st.integers(2, 6))
+    r = draw(st.integers(1, n - 1))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        for row in rows:
+            row[j] = Fraction(0)
+    for _ in range(draw(st.integers(0, 2))):
+        src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        for row in rows[:r] if draw(st.booleans()) else rows[r:]:
+            row[dst] = row[src]
+    return Matrix.from_rows(rows), Dimensions(r, n - r)
+
+
+class TestMinorTables:
+    """The block determinants and adjugates that the minor tables give,
+    against a fresh elimination of each block."""
+
+    def test_corpus(self):
+        corpus = corpus_files()
+        assert len(corpus) == 58
+        singular = sum(_check_tables(corpus_set(path)) for path in corpus)
+        assert singular > 0
+
+    @given(singular_prone_matrices())
+    def test_random_rational_matrices(self, case):
+        m, dims = case
+        _check_tables(fragment_set(decompose(m, dims)))
+
+    def test_tables_hold_the_block_minors(self, mset):
+        d, a = mset.m_rows
+        top = fragments.minor_table(a[:2], 4)
+        assert top == {(1, 2): -2, (1, 3): 10, (1, 4): 5, (2, 3): 4, (2, 4): 4, (3, 4): -10}
+        assert fragments.minor_table([], 4) == {(): 1}
+
+    def test_patched_top_table_fails_both_identities(self, monkeypatch, tmp_path):
+        # The identities are checked by eliminations that do not read the
+        # tables: one wrong minor of M's top rows fails sigma={1,3} in
+        # fragments and the sum in laplace.
+        path = tmp_path / "M.txt"
+        path.write_text("2 2\n" + "".join(" ".join(map(str, row)) + "\n" for row in M_ROWS))
+        build = fragments.minor_table
+
+        def patched(rows, n):
+            table = build(rows, n)
+            if rows == M_ROWS[:2]:
+                table[(1, 3)] += 1
+            return table
+
+        monkeypatch.setattr(fragments, "minor_table", patched)
+        code, out, _ = invoke(["fragments", "--matrix", str(path)])
+        assert code == 1
+        failing = [line for line in out.splitlines() if line.endswith(" FAIL")]
+        assert failing == ["sigma={1,3} detC=11 detCbar=-1 sign=-1 detS=11 class=positive FAIL"]
+        assert out.splitlines()[-1].endswith("pass=false")
+        code, out, _ = invoke(["laplace", "--matrix", str(path)])
+        assert code == 1
+        assert out == "lhs=37 rhs=38 FAIL\n"
+
+
+def _count_first_reads(monkeypatch, cls, name):
+    """Replace the cached property cls.name by one that logs the instance
+    on each first read; return the log."""
+    log = []
+    func = cls.__dict__[name].func
+
+    def logged(self):
+        log.append(self)
+        return func(self)
+
+    prop = cached_property(logged)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+    return log
+
+
+class TestLazyInverses:
+    """S_sigma^-1 is formed only when a command reads it, never for a
+    degenerate fragment, and each set builds its "row deleted" tables once."""
+
+    def _logs(self, monkeypatch):
+        return (
+            _count_first_reads(monkeypatch, Fragment, "s_inv_rows"),
+            _count_first_reads(monkeypatch, BlockMinors, "deleted"),
+        )
+
+    def test_determinant_commands_invert_nothing(self, monkeypatch):
+        inverses, tables = self._logs(monkeypatch)
+        for path in corpus_files():
+            for command in ("fragments", "laplace"):
+                code, _, err = invoke([command, "--matrix", str(path)])
+                assert code == 0, (path.name, command, err)
+        assert inverses == [] and tables == []
+
+    @pytest.mark.parametrize("name", ["cover13", "z4r2-1", "z5r2-0", "z5r3-3", "q4r2-1"])
+    def test_no_degenerate_fragment_is_inverted(self, monkeypatch, name):
+        path = corpus_files()[0].parent / f"{name}.txt"
+        dims = corpus_set(path).dims
+        point = ",".join(f"1/{p}" for p in (3, 5, 7, 11, 13, 17)[: dims.n])
+        tau = ",".join(map(str, range(1, dims.r)))
+        inverses, tables = self._logs(monkeypatch)
+        for argv in (["verify", "--samples", "5"], ["coverage", "--point", point], ["facets", "--tau", tau]):
+            del inverses[:], tables[:]
+            code, _, err = invoke([argv[0], "--matrix", str(path), *argv[1:]])
+            assert code == 0, (argv, err)
+            assert inverses, argv
+            assert all(frag.sign_class != DEGENERATE for frag in inverses), argv
+            assert len(set(map(id, inverses))) == len(inverses), argv
+            assert Counter(map(id, tables)) == Counter({id(inverses[0].blocks): 1}), argv
