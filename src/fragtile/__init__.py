@@ -19,10 +19,10 @@ from .fragments import (
     Dimensions,
     Fragment,
     FragmentSet,
-    c_submatrices,
     complement,
     decompose,
     fragment_matrix,
+    fragment_rows,
     fragment_set,
     laplace_identity,
     sandc_identity,

@@ -335,7 +335,8 @@ def cmd_slice(args) -> int:
     fs = _load_fs(args)
     w = _direction(args, fs)
     layout = slice_layout(fs, w, _slice_window(fs))
-    print("B=" + ";".join(_fmt_vec(layout.b.row(i)) for i in range(layout.b.rows)))
+    b_den, b_rows = layout.b_rows
+    print("B=" + ";".join(_fmt_vec(Fraction(x, b_den) for x in row) for row in b_rows))
     all_ok = True
     balance = Fraction(0)
     for cls in layout.classes:

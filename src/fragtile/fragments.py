@@ -9,12 +9,14 @@ multi-row Laplace expansion of (-1)^k det(M).  Subsets are 1-based and always
 kept sorted; families are enumerated in lexicographic order so every report is
 deterministic.
 
-Up to the column shuffle of (sigma, complement), S_sigma = diag(C_sigma,
-Cbar_hat), so det S_sigma = sgn(sigma, hat) det C_sigma det Cbar_hat.
-BlockMinors holds every block determinant, a maximal minor of M's top or
-negated bottom rows found by minor_table's Laplace expansion, and forms a
-live S_sigma^-1 from cofactor tables on first read.  The checks stay
-independent of the tables: sandc_identity and det M are int_det eliminations.
+decompose clears M once, to m_rows = (d, A) with M = A / d, and every layer
+reads those integer rows; fragment_rows assembles d S_sigma from them.  Up to
+the column shuffle of (sigma, complement), S_sigma = diag(C_sigma, Cbar_hat),
+so det S_sigma = sgn(sigma, hat) det C_sigma det Cbar_hat.  BlockMinors holds
+every block determinant, a maximal minor of A's top or negated bottom rows
+found by minor_table's Laplace expansion, and forms a live S_sigma^-1 from
+cofactor tables on first read.  The checks stay independent of the tables:
+sandc_identity and det M are int_det eliminations.
 """
 from __future__ import annotations
 
@@ -56,12 +58,12 @@ class Dimensions:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Columnwise split of M into top parts c_i and negated bottom parts cbar_i."""
+    """M split into r top and k bottom rows, cleared once: m_rows = (d, A)
+    with M = A / d, d the least common denominator."""
 
     dims: Dimensions
     m: Matrix
-    c: tuple[tuple[Fraction, ...], ...]
-    cbar: tuple[tuple[Fraction, ...], ...]
+    m_rows: tuple[int, list[list[int]]] = field(compare=False, repr=False)
 
 
 def subsets(n: int, size: int) -> Iterator[SubsetIndex]:
@@ -145,45 +147,30 @@ class BlockMinors:
 
 
 def decompose(m: Matrix, dims: Dimensions) -> Decomposition:
-    """Split M into the c_i / cbar_i column pieces (bottom parts negated)."""
+    """Check M's shape against dims and clear it to m_rows."""
     n = dims.n
     if m.rows != n or m.cols != n:
         raise DimensionError(f"matrix is {m.rows}x{m.cols}, expected {n}x{n}")
-    cols = [m.column(i) for i in range(n)]
-    c = tuple(col[: dims.r] for col in cols)
-    cbar = tuple(tuple(-x for x in col[dims.r :]) for col in cols)
-    return Decomposition(dims=dims, m=m, c=c, cbar=cbar)
+    return Decomposition(dims, m, clear_rows(m))
 
 
-def fragment_matrix(d: Decomposition, sigma: Iterable[int]) -> Matrix:
-    """The fragment matrix for an r-subset sigma.
-
-    Column i is the zero-padded top part c_i when i is in sigma and the
-    zero-padded bottom part cbar_i otherwise.
-    """
+def fragment_rows(d: Decomposition, sigma: Iterable[int]) -> list[list[int]]:
+    """d S_sigma as integer rows, for M = A / d (m_rows) and an r-subset sigma:
+    A's top rows on the columns in sigma, its negated bottom rows on the
+    others, and zero elsewhere."""
     dims = d.dims
     sigma = normalize_subset(sigma, dims.n)
     if len(sigma) != dims.r:
         raise DimensionError(f"subset {sigma} must have size r={dims.r}")
-    zeros_r, zeros_k = (Fraction(0),) * dims.r, (Fraction(0),) * dims.k
-    return Matrix.from_columns([
-        d.c[i - 1] + zeros_k if i in sigma else zeros_r + d.cbar[i - 1]
-        for i in range(1, dims.n + 1)
-    ])
+    a, r = d.m_rows[1], dims.r
+    rows = [[x if j in sigma else 0 for j, x in enumerate(row, 1)] for row in a[:r]]
+    return rows + [[0 if j in sigma else -x for j, x in enumerate(row, 1)] for row in a[r:]]
 
 
-def c_submatrices(d: Decomposition, sigma: Iterable[int]) -> tuple[Matrix, Matrix]:
-    """(C_sigma, Cbar_complement): top columns on sigma, bottom columns off it.
-
-    sigma may have any size; the facet machinery needs sizes r-1 and r+1 as
-    well as the fragment case r.
-    """
-    dims = d.dims
-    sigma = normalize_subset(sigma, dims.n)
-    sigma_hat = complement(sigma, dims.n)
-    c = Matrix.from_columns([d.c[i - 1] for i in sigma], rows=dims.r)
-    cbar = Matrix.from_columns([d.cbar[j - 1] for j in sigma_hat], rows=dims.k)
-    return c, cbar
+def fragment_matrix(d: Decomposition, sigma: Iterable[int]) -> Matrix:
+    """S_sigma as Fractions: fragment_rows over M's denominator."""
+    den = d.m_rows[0]
+    return Matrix.from_rows([[Fraction(x, den) for x in row] for row in fragment_rows(d, sigma)])
 
 
 @dataclass(frozen=True)
@@ -213,14 +200,14 @@ class FragmentSet:
     """The full fragment family of one decomposition, indexed by sigma.
 
     Iteration and the ``fragments`` mapping follow lexicographic subset
-    order.  m_rows is (d, A), and blocks its BlockMinors.
+    order.  m_rows is the decomposition's (d, A), and blocks its BlockMinors.
     """
 
     def __init__(self, decomposition: Decomposition):
         self.decomposition = decomposition
         self.dims = dims = decomposition.dims
         r, k, n = dims.r, dims.k, dims.n
-        self.m_rows = d, a = clear_rows(decomposition.m)
+        self.m_rows = d, a = decomposition.m_rows
         self.det_m = Fraction(int_det(a), d**n)
         self.blocks = blocks = BlockMinors(d, a, r)
         frags: dict[SubsetIndex, Fragment] = {}
@@ -264,11 +251,9 @@ def fragment_set(d: Decomposition) -> FragmentSet:
 
 def sandc_identity(fs: FragmentSet, sigma: Iterable[int]) -> tuple[Fraction, Fraction]:
     """Both sides of det(S_sigma) = sgn(sigma, hat) det(C_sigma) det(Cbar_hat): a
-    fresh int_det of d S_sigma, assembled from m_rows, against the block product."""
-    frag, (d, a), r = fs[sigma], fs.m_rows, fs.dims.r
-    rows = [[x if j in frag.sigma else 0 for j, x in enumerate(row, 1)] for row in a[:r]]
-    rows += [[0 if j in frag.sigma else -x for j, x in enumerate(row, 1)] for row in a[r:]]
-    return Fraction(int_det(rows), d ** len(a)), frag.det_s
+    fresh int_det of fragment_rows against the block product."""
+    frag, (d, a) = fs[sigma], fs.m_rows
+    return Fraction(int_det(fragment_rows(fs.decomposition, frag.sigma)), d ** len(a)), frag.det_s
 
 
 def laplace_identity(fs: FragmentSet) -> tuple[Fraction, Fraction]:

@@ -6,8 +6,10 @@ open parallelogram meets the open window: its offset lies strictly inside the
 four separating-axis strips, which tiling.cell_hits decides on integers, so
 the polygon census is reproducible.  Elements are grouped per fragment in
 lexicographic subset order, each group with its own fill shade, offsets
-ordered lexicographically.  Translate boxes read the source's integer
-basis inverse, formed once: M^-1 for a tiling, B^-1 for a slice.
+ordered lexicographically.  Both kinds of source hand over integer rows
+over one denominator: the shapes (S_sigma for a tiling, C_sigma for a slice)
+and the lattice basis (M or B), whose inverse, formed once, bounds the
+translate boxes.
 """
 from __future__ import annotations
 
@@ -17,8 +19,8 @@ from math import ceil, floor
 from operator import mul
 from typing import Sequence
 
-from .fragments import DEGENERATE, FragmentSet, SubsetIndex
-from .linalg import DimensionError, Matrix, clear_rows, rat
+from .fragments import DEGENERATE, FragmentSet, SubsetIndex, fragment_rows
+from .linalg import DimensionError, clear_rows, rat
 from .slices import SliceLayout
 from .tiling import cell_hits
 
@@ -84,9 +86,10 @@ def _corners(offset, g1, g2):
     )
 
 
-def _family_polygons(shape: Matrix, anchors, basis: Matrix, basis_inv_rows, cfg: RenderConfig):
-    """All translates anchor + basis*z whose open parallelogram meets the
-    open window; basis_inv_rows is the basis inverse as integer rows (e, X).
+def _family_polygons(den: int, shape, anchors, basis, basis_inv_rows, cfg: RenderConfig):
+    """All translates anchor + (basis / den) z whose open parallelogram, the
+    columns of shape / den, meets the open window; shape and basis are
+    integer rows, and basis_inv_rows is the basis inverse as (e, X).
 
     W - P, the offsets where the parallelogram P meets the window W, is a
     zonotope bounded by four strips (separating axes): on the axes (1,0),
@@ -97,8 +100,7 @@ def _family_polygons(shape: Matrix, anchors, basis: Matrix, basis_inv_rows, cfg:
     strip's edge.
     """
     x0, x1, y0, y1 = cfg.window
-    g1 = shape.column(0)
-    g2 = shape.column(1)
+    g1, g2 = ([Fraction(x, den) for x in col] for col in zip(*shape))
     smin = [min(0, g1[i]) + min(0, g2[i]) for i in range(2)]
     smax = [max(0, g1[i]) + max(0, g2[i]) for i in range(2)]
 
@@ -107,7 +109,7 @@ def _family_polygons(shape: Matrix, anchors, basis: Matrix, basis_inv_rows, cfg:
 
     rect = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
     cell = _corners((0, 0), g1, g2)
-    columns = list(zip(*basis.row_list()))
+    columns = [[Fraction(x, den) for x in col] for col in zip(*basis)]
     strips = []
     for a in ((1, 0), (0, 1), (-g1[1], g1[0]), (-g2[1], g2[0])):
         low = min(along(a, rect)) - max(along(a, cell))
@@ -172,20 +174,20 @@ def render_svg(source, cfg: RenderConfig) -> str:
             raise DimensionError("full tiling rendering needs r+k = 2")
         zero = (Fraction(0), Fraction(0))
         families = [
-            (frag.sigma, frag.sign_class, frag.s, (zero,))
+            (frag.sigma, frag.sign_class, fragment_rows(source.decomposition, frag.sigma), (zero,))
             for frag in source
             if frag.sign_class != DEGENERATE
         ]
-        basis, basis_inv_rows = source.decomposition.m, source.m_inv_rows
+        (den, basis), basis_inv_rows = source.m_rows, source.m_inv_rows
     elif isinstance(source, SliceLayout):
-        if source.b.rows != 2:
+        if len(source.b_rows[1]) != 2:
             raise DimensionError("slice rendering needs r = 2")
         families = [
             (cls.sigma, cls.sign_class, cls.shape, cls.offsets)
             for cls in source.classes
             if cls.sign_class != DEGENERATE and cls.offsets
         ]
-        basis, basis_inv_rows = source.b, source.b_inv_rows
+        (den, basis), basis_inv_rows = source.b_rows, source.b_inv_rows
     else:
         raise DimensionError(f"cannot render {type(source).__name__}")
 
@@ -198,6 +200,6 @@ def render_svg(source, cfg: RenderConfig) -> str:
         position = class_seen.get(sign_class, 0)
         class_seen[sign_class] = position + 1
         fill = _shade(PALETTE[sign_class], position, class_totals[sign_class])
-        polygons = _family_polygons(shape, anchors, basis, basis_inv_rows, cfg)
+        polygons = _family_polygons(den, shape, anchors, basis, basis_inv_rows, cfg)
         groups.append((_group_id(sigma), fill, polygons))
     return _svg_document(groups, cfg)

@@ -10,7 +10,9 @@ slice-preserving translations, so the restricted tiling is periodic with
 finitely many translate classes per fragment.  A translate enters only
 through its key, the bottom rows of M times z, so cell_hits scans each
 fragment's keys on its integer S^-1 rows, the translate window only filters
-them, and offsets are reduced on the integer rows of B and of B^-1.
+them, and offsets are reduced on the integer rows of B and of B^-1.  The
+layout holds B, B^-1 and each fragment's shape C_sigma as integer rows over
+M's denominator, read from the decomposition's m_rows.
 """
 from __future__ import annotations
 
@@ -19,16 +21,9 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .fragments import (
-    DEGENERATE,
-    Decomposition,
-    FragmentSet,
-    SubsetIndex,
-    c_submatrices,
-    complement,
-)
+from .fragments import DEGENERATE, Decomposition, FragmentSet, SubsetIndex, complement
 # inverse is unused, but perfbench's tracer wraps it at this binding site.
-from .linalg import DimensionError, Matrix, clear_rows, int_mat_mul, inverse, inverse_rows
+from .linalg import DimensionError, int_mat_mul, inverse, inverse_rows
 from .tiling import GenericDirection, cell_hits
 
 
@@ -54,19 +49,20 @@ def unimodular_reduce(
     Only column swaps, sign flips and integer multiple additions are used, so
     the applied U is unimodular and M*U spans the same column lattice.
     Returns (U, A, Bk) as integer rows where M*U = [[Bk | A], [I_k | 0]] / c
-    for M = m_rows / c cleared by clear_rows (FragmentSet.m_rows): A (r x r)
+    for M = m_rows / c, the decomposition's cleared rows: A (r x r)
     is the top block over the zero-bottom columns, c times the
     slice-translation lattice basis, and Bk (r x k) the top block over the
-    identity-bottom columns.  An integer bottom block reduces exactly when
-    its maximal minors are coprime; otherwise a rank or pivot check, or the
-    certificate that m_rows U has bottom rows c [I_k | 0], raises
-    SlicePreconditionError.
+    identity-bottom columns.  The bottom block is integer when c divides
+    m_rows' bottom rows, and then reduces exactly when its maximal minors
+    are coprime; otherwise a rank or pivot check, or the certificate that
+    m_rows U has bottom rows c [I_k | 0], raises SlicePreconditionError.
     """
-    if any(x.denominator != 1 for col in d.cbar for x in col):
-        raise SlicePreconditionError("bottom block must be integer")
     dims = d.dims
     n, r, k = dims.n, dims.r, dims.k
-    bottom = [[int(d.m.entry(r + t, i)) for i in range(n)] for t in range(k)]
+    m_den, m_rows = d.m_rows
+    if any(x % m_den for row in m_rows[r:] for x in row):
+        raise SlicePreconditionError("bottom block must be integer")
+    bottom = [[x // m_den for x in row] for row in m_rows[r:]]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     # Each column operation acts on the bottom block and records itself in U.
     rows = bottom + u
@@ -108,7 +104,6 @@ def unimodular_reduce(
             if c != t and bottom[t][c] != 0:
                 add_multiple(c, t, -bottom[t][c])
 
-    m_den, m_rows = clear_rows(d.m)
     mu = int_mat_mul(m_rows, u)
     if mu[r:] != [[m_den * (i == t) for i in range(n)] for t in range(k)]:
         raise SlicePreconditionError("column reduction failed to certify")
@@ -117,19 +112,21 @@ def unimodular_reduce(
 
 @dataclass(frozen=True)
 class SliceClass:
-    """Translate family of one fragment inside the slice plane."""
+    """Translate family of one fragment inside the slice plane; shape holds
+    C_sigma as integer rows over the layout's denominator."""
 
     sigma: SubsetIndex
-    shape: Matrix
+    shape: list[list[int]]
     sign_class: str
     offsets: tuple[tuple[Fraction, ...], ...]
 
 
 @dataclass(frozen=True)
 class SliceLayout:
-    """Slice lattice basis B, B^-1 = X / e as (e, X), e > 0, and the families."""
+    """Slice lattice basis B = X / d as b_rows (d, X), d M's denominator,
+    B^-1 = Y / e as b_inv_rows (e, Y), e > 0, and the families."""
 
-    b: Matrix
+    b_rows: tuple[int, list[list[int]]]
     classes: tuple[SliceClass, ...]
     b_inv_rows: tuple[int, list[list[int]]] = field(compare=False, repr=False)
 
@@ -182,7 +179,7 @@ def slice_layout(
     last = [row[-1] for row in bottom]
     classes = []
     for frag in fs:
-        shape = c_submatrices(d, frag.sigma)[0]
+        shape = [[row[j - 1] for j in frag.sigma] for row in m_rows[:r]]
         if frag.sign_class == DEGENERATE:
             classes.append(SliceClass(frag.sigma, shape, frag.sign_class, offsets=()))
             continue
@@ -206,5 +203,4 @@ def slice_layout(
             shift = [sum(map(mul, row, cell)) for row in b_rows]
             offsets.append(tuple(Fraction(a - b, m_den) for a, b in zip(t, shift)))
         classes.append(SliceClass(frag.sigma, shape, frag.sign_class, tuple(sorted(offsets))))
-    b = Matrix.from_rows([[Fraction(x, m_den) for x in row] for row in b_rows])
-    return SliceLayout(b=b, classes=tuple(classes), b_inv_rows=b_inv_rows)
+    return SliceLayout(b_rows=(m_den, b_rows), classes=tuple(classes), b_inv_rows=b_inv_rows)

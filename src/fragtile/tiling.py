@@ -43,18 +43,18 @@ class GenericDirection:
     covers the restricted systems on the top and bottom blocks, since their
     coordinate vectors are subvectors of the fragment ones.  lambdas holds
     S^-1 w for every half-open rule and facet sign, keyed by sigma;
-    lambda_of reads it for the matrix m that w was certified for and raises
-    KeyError for any other.
+    lambda_of reads it for the matrix that w was certified for, whose
+    cleared rows m_rows holds, and raises KeyError for any other.
     """
 
     w: tuple[Fraction, ...]
     lambdas: Mapping[SubsetIndex, tuple[Fraction, ...]] = field(compare=False, repr=False)
-    m: Matrix = field(compare=False, repr=False)
+    m_rows: tuple[int, list[list[int]]] = field(compare=False, repr=False)
 
     def lambda_of(self, fs: FragmentSet, sigma: SubsetIndex) -> tuple[Fraction, ...]:
         """lambda_sigma = S_sigma^-1 w of a live fragment of fs."""
-        m = fs.decomposition.m
-        if m is not self.m and m != self.m:
+        m_rows = fs.m_rows
+        if m_rows is not self.m_rows and m_rows != self.m_rows:
             raise KeyError(f"w was not certified for the matrix of {_sigma_label(sigma)}")
         return self.lambdas[sigma]
 
@@ -90,7 +90,7 @@ def certify_direction(fs: FragmentSet, w: Sequence) -> GenericDirection:
         lambdas[frag.sigma] = lam
     if any(x == 0 for x in times_w(fs.m_inv_rows)):
         raise GenericityError("w is not generic: zero entry in M^-1 w")
-    return GenericDirection(w, lambdas, fs.decomposition.m)
+    return GenericDirection(w, lambdas, fs.m_rows)
 
 
 def grid_numerators(tag: str, dim: int, lo: int, hi: int) -> list[int]:

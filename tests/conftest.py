@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from fragtile import (
     DimensionError,
@@ -221,16 +221,16 @@ def reference_h_vector(fs, w, tau) -> tuple[Fraction, ...]:
     Cbar_hat h = 0 is checked with a Fraction matrix."""
     from fragtile import complement, det
 
-    d = fs.decomposition
+    c, cbar = column_parts(fs.decomposition)
     r, n = fs.dims.r, fs.dims.n
     tau = tuple(sorted(tau))
     tau_hat = complement(tau, n)
-    lead = det(Matrix.from_columns([d.c[i - 1] for i in tau] + [w.w[:r]], rows=r))
+    lead = det(Matrix.from_columns([c[i - 1] for i in tau] + [w.w[:r]], rows=r))
     h = []
     for j in tau_hat:
         rest = tuple(i for i in tau_hat if i != j)
         h.append(lead * fs[tau + (j,)].det_cbar * perm_sign((tau, (j,), rest)))
-    cbar_hat = Matrix.from_columns([d.cbar[i - 1] for i in tau_hat], rows=fs.dims.k)
+    cbar_hat = Matrix.from_columns([cbar[i - 1] for i in tau_hat], rows=fs.dims.k)
     if any(x != 0 for x in cbar_hat.mat_vec(tuple(h))):
         raise LinalgError("kernel certificate failed its exact check")
     return tuple(h)
@@ -290,6 +290,34 @@ def kernel_by_minors(v: Matrix) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def column_parts(d) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[tuple[Fraction, ...], ...]]:
+    """(c, cbar): the top parts c_i and the negated bottom parts cbar_i of
+    M's columns, split from the parsed Matrix by d.m.column, apart from the
+    cleared m_rows that the library reads."""
+    r = d.dims.r
+    cols = [d.m.column(i) for i in range(d.dims.n)]
+    return tuple(col[:r] for col in cols), tuple(tuple(-x for x in col[r:]) for col in cols)
+
+
+def rows_matrix(den: int, rows) -> Matrix:
+    """The Fraction matrix of integer rows over a denominator."""
+    return Matrix.from_rows([[Fraction(x, den) for x in row] for row in rows])
+
+
+def c_submatrices(d, sigma) -> tuple[Matrix, Matrix]:
+    """(C_sigma, Cbar_complement) as Fraction matrices, from column_parts:
+    top columns on sigma, bottom columns off it.  sigma may have any size;
+    the facet checks need sizes r-1 and r+1 as well as the fragment case r."""
+    from fragtile import complement
+
+    c, cbar = column_parts(d)
+    sigma = tuple(sorted(sigma))
+    return (
+        Matrix.from_columns([c[i - 1] for i in sigma], rows=d.dims.r),
+        Matrix.from_columns([cbar[j - 1] for j in complement(sigma, d.dims.n)], rows=d.dims.k),
+    )
+
+
 def reference_slice_precondition(d) -> bool:
     """The slice precondition by its definition: the bottom k rows of M are
     integer and the gcd of all k x k minors of the bottom-block column
@@ -298,10 +326,11 @@ def reference_slice_precondition(d) -> bool:
     from math import gcd
 
     k = d.dims.k
-    if any(x.denominator != 1 for col in d.cbar for x in col):
+    cbar = column_parts(d)[1]
+    if any(x.denominator != 1 for col in cbar for x in col):
         return False
     g = 0
-    for cols in combinations(d.cbar, k):
+    for cols in combinations(cbar, k):
         g = gcd(g, int(det_cofactor(Matrix.from_columns(cols, rows=k))))
         if g == 1:
             return True
@@ -339,7 +368,7 @@ def reference_slice_layout(fs, w, window):
     b_lattice = Matrix.from_rows([[Fraction(x, m_den) for x in row] for row in b_rows])
     b_inv = rref_inverse(b_lattice)
     u_inv_rows = [[int(x) for x in row] for row in rref_inverse(Matrix.from_rows(u_rows)).row_list()[: dims.k]]
-    c_full = Matrix.from_columns(fs.decomposition.c)
+    c_full = Matrix.from_columns(column_parts(fs.decomposition)[0])
     out = []
     for frag in fs:
         if frag.sign_class == DEGENERATE:
@@ -383,6 +412,18 @@ def random_rational_invertible(rng: random.Random, n: int, lo: int = -3, hi: int
         )
         if abs(det_cofactor(m)) >= 1:
             return m
+
+
+@st.composite
+def split_matrices(draw):
+    """(M, dims), n <= 5, entries a/b with |a| <= 3 and b <= 4; in about
+    half the draws the bottom k rows are integer, in the rest rational."""
+    n = draw(st.integers(2, 5))
+    r = draw(st.integers(1, n - 1))
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    bottom = st.integers(-3, 3).map(Fraction) if draw(st.booleans()) else rational
+    rows = [[draw(rational if i < r else bottom) for _ in range(n)] for i in range(n)]
+    return Matrix.from_rows(rows), Dimensions(r, n - r)
 
 
 def corpus_matrix(n: int, r: int, i: int, rational: bool = False):
@@ -776,13 +817,14 @@ def facet_projections(fs, w, facet):
 
     dims = fs.dims
     d = fs.decomposition
+    c, cbar = column_parts(d)
     lam = lambda_vector(fs, w, facet.sigma)
     mz = d.m.mat_vec(tuple(Fraction(x) for x in facet.z))
     in_sigma = facet.j in facet.sigma
     shadows = []
     for idx, base, parts, holds_j in (
-        (facet.sigma, mz[: dims.r], d.c, in_sigma),
-        (complement(facet.sigma, dims.n), mz[dims.r :], d.cbar, not in_sigma),
+        (facet.sigma, mz[: dims.r], c, in_sigma),
+        (complement(facet.sigma, dims.n), mz[dims.r :], cbar, not in_sigma),
     ):
         gens = [i for i in idx if i != facet.j]
         if facet.s == 1 and holds_j:
@@ -809,13 +851,14 @@ def reference_double_cover(fs, w, index, z, sample_count: int, seed: int):
     from fragtile.facets import SAMPLE_DENOMINATOR, grid_numerators
 
     d = fs.decomposition
+    c, cbar = column_parts(d)
     index = tuple(sorted(index))
     z = tuple(z)
     mz = d.m.mat_vec(tuple(Fraction(x) for x in z))
     if len(index) == fs.dims.r - 1:
-        kind, js, gens, base, shadow = "tau", complement(index, fs.dims.n), d.cbar, mz[fs.dims.r :], 1
+        kind, js, gens, base, shadow = "tau", complement(index, fs.dims.n), cbar, mz[fs.dims.r :], 1
     else:
-        kind, js, gens, base, shadow = "gamma", index, d.c, mz[: fs.dims.r], 0
+        kind, js, gens, base, shadow = "gamma", index, c, mz[: fs.dims.r], 0
     zonotope = Matrix.from_columns([gens[j - 1] for j in js], rows=len(base))
     coll = facet_collection(fs, kind, z, index)
     up = set(up_down_partition(fs, w, coll).up)

@@ -16,7 +16,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import facet_projections, invoke, random_dims, random_int_matrix, random_invertible
+from conftest import (
+    column_parts,
+    facet_projections,
+    invoke,
+    random_dims,
+    random_int_matrix,
+    random_invertible,
+    rows_matrix,
+)
 from fragtile import (
     Dimensions,
     Matrix,
@@ -152,10 +160,11 @@ def test_criterion_06_kernel_certificate(mset, w_m):
         fs = fragment_set(decompose(random_invertible(rng, n), Dimensions(r, n - r)))
         w = choose_generic_direction(fs, trial)
         d = fs.decomposition
+        cbar_cols = column_parts(d)[1]
         for tau in subsets(n, r - 1):
             h = h_vector(fs, w, tau)
             hat = complement(tau, n)
-            cbar = Matrix.from_columns([d.cbar[i - 1] for i in hat], rows=n - r)
+            cbar = Matrix.from_columns([cbar_cols[i - 1] for i in hat], rows=n - r)
             ok = ok and all(x == 0 for x in cbar.mat_vec(h))
     _report("6", "kernel certificate", ok)
     assert ok
@@ -219,7 +228,8 @@ def test_criterion_07b_worked_partition_display(mset, w_m):
     # display covers it twice from above and not at all from below, failing
     # the once-each cover that criterion 7a samples.
     d = mset.decomposition
-    zonotope = Matrix.from_columns([d.cbar[i - 1] for i in (1, 3, 4)], rows=2)
+    cbar_cols = column_parts(d)[1]
+    zonotope = Matrix.from_columns([cbar_cols[i - 1] for i in (1, 3, 4)], rows=2)
     q = zonotope.mat_vec((Fraction(1, 3), Fraction(1, 3), Fraction(2, 3)))
     positions = {
         facet: facet_projections(mset, w_m, facet)[1].position(q)
@@ -276,7 +286,7 @@ def test_criterion_08_crossing_constancy(mset, w_m):
 def test_criterion_09_slice_structure(mset, w_m):
     layout = slice_layout(mset, w_m, tuple((-6, 6) for _ in range(4)))
     counts = [len(cls.offsets) for cls in layout.classes]
-    areas = [abs(det(cls.shape)) for cls in layout.classes]
+    areas = [abs(det(rows_matrix(layout.b_rows[0], cls.shape))) for cls in layout.classes]
     ok = counts == [1, 1, 1, 6, 4, 2] and areas == [2, 10, 5, 4, 4, 10]
     engine = TilingEngine(mset, w_m)
     rng = random.Random(909)

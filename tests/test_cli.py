@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from conftest import (
     random_invertible,
     random_rational_invertible,
     reference_family_polygons,
+    rows_matrix,
 )
 from fragtile import (
     Dimensions,
@@ -33,6 +35,7 @@ K_TEXT = "1 1\n1 2\n-1 3\n"
 L_TEXT = "1 1\n1 2\n1 5\n"
 M_TEXT = "2 2\n3 2 -4 1\n1 0 2 2\n2 0 -1 1\n0 1 -2 3\n"
 Q_TEXT = "2 1\n0 3/2 3\n-1 1/3 3\n1/2 -3/2 -1\n"
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
 
 
 @pytest.fixture()
@@ -42,6 +45,8 @@ def matrix_files(tmp_path):
         path = tmp_path / f"{name}.txt"
         path.write_text(text)
         paths[name] = str(path)
+    for name in ("z3r2-1", "z4r3-1"):
+        paths[name] = str(CORPUS / f"{name}.txt")
     return paths
 
 
@@ -225,35 +230,68 @@ class TestSubcommands:
             assert ("pass=true" in out) == (code == 0)
 
 
+# (matrix, argv) of commands that read integer rows alone.
+GUARD_COMMANDS = [
+    ("M", ["facets", "--tau", "2"]),
+    ("q3r2-1", ["facets", "--tau", "3", "--seed", "4"]),
+    ("M", ["facets", "--gamma", "1,2,4"]),
+    ("M", ["crossing", "--samples", "2", "--reach", "2"]),
+    ("q3r2-1", ["crossing", "--samples", "2", "--reach", "2"]),
+    ("M", ["verify", "--samples", "20"]),
+    ("M", ["double-cover", "--tau", "4", "--samples", "10"]),
+    ("q3r2-1", ["double-cover", "--gamma", "1,2,3", "--samples", "10"]),
+    ("M", ["coverage", "--point", "-2,1,-1/2,-1/2"]),
+    ("K", ["slice", "--samples", "5"]),
+    ("L", ["slice", "--samples", "5"]),
+    ("M", ["slice", "--samples", "5"]),
+    ("K", ["render"]),
+    ("L", ["render"]),
+    ("M", ["render"]),
+    ("M", ["fragments"]),
+    ("q3r2-1", ["fragments"]),
+    ("M", ["laplace"]),
+    ("q3r2-1", ["laplace"]),
+    ("z4r3-1", ["slice", "--samples", "5"]),
+    ("z3r2-1", ["render"]),
+]
+
+
 class TestFractionMatrixGuard:
     """These commands run on integer rows: those a fragment set holds, and
     the slice lattice basis and its inverse, formed once per layout.  No
-    Fraction determinant, inverse, solve or matrix-vector product."""
+    Fraction determinant, inverse, solve or matrix-vector product, and no
+    Matrix but the one the parse returns."""
 
-    @pytest.mark.parametrize(
-        "matrix, argv",
-        [
-            ("M", ["facets", "--tau", "2"]),
-            ("q3r2-1", ["facets", "--tau", "3", "--seed", "4"]),
-            ("M", ["facets", "--gamma", "1,2,4"]),
-            ("M", ["crossing", "--samples", "2", "--reach", "2"]),
-            ("q3r2-1", ["crossing", "--samples", "2", "--reach", "2"]),
-            ("M", ["verify", "--samples", "20"]),
-            ("M", ["double-cover", "--tau", "4", "--samples", "10"]),
-            ("q3r2-1", ["double-cover", "--gamma", "1,2,3", "--samples", "10"]),
-            ("M", ["coverage", "--point", "-2,1,-1/2,-1/2"]),
-            ("K", ["slice", "--samples", "5"]),
-            ("L", ["slice", "--samples", "5"]),
-            ("M", ["slice", "--samples", "5"]),
-            ("K", ["render"]),
-            ("L", ["render"]),
-            ("M", ["render"]),
-            ("M", ["fragments"]),
-            ("q3r2-1", ["fragments"]),
-            ("M", ["laplace"]),
-            ("q3r2-1", ["laplace"]),
-        ],
-    )
+    @pytest.mark.parametrize("matrix, argv", GUARD_COMMANDS)
+    def test_the_parse_builds_the_only_matrix(self, matrix_files, monkeypatch, matrix, argv):
+        # decompose clears the parsed Matrix, and nothing clears it again.
+        import sys
+
+        from fragtile import linalg
+
+        n = parse_matrix(Path(matrix_files[matrix]).read_text())[0].n
+        built, cleared = [], []
+        init, clear_rows = linalg.Matrix.__init__, linalg.clear_rows
+
+        def counting_init(self, rows, cols, entries):
+            built.append((rows, cols))
+            init(self, rows, cols, entries)
+
+        def counting_clear_rows(a):
+            if isinstance(a, linalg.Matrix):
+                cleared.append((a.rows, a.cols))
+            return clear_rows(a)
+
+        monkeypatch.setattr(linalg.Matrix, "__init__", counting_init)
+        for key, module in list(sys.modules.items()):
+            if (key == "fragtile" or key.startswith("fragtile.")) and getattr(module, "clear_rows", None) is clear_rows:
+                monkeypatch.setattr(module, "clear_rows", counting_clear_rows)
+        code, _, err = invoke(argv[:1] + ["--matrix", matrix_files[matrix]] + argv[1:])
+        assert code == 0, err
+        assert built == [(n, n)]
+        assert cleared == [(n, n)]
+
+    @pytest.mark.parametrize("matrix, argv", GUARD_COMMANDS)
     def test_no_fraction_matrix_arithmetic(self, matrix_files, monkeypatch, mat_vec_log, matrix, argv):
         import sys
 
@@ -521,9 +559,9 @@ class TestRenderAgainstSeparatingAxes:
             basis = source.decomposition.m
             families = [(f.sigma, f.s, (zero,)) for f in source if f.sign_class != "degenerate"]
         else:
-            basis = source.b
+            basis = rows_matrix(*source.b_rows)
             families = [
-                (c.sigma, c.shape, c.offsets)
+                (c.sigma, rows_matrix(source.b_rows[0], c.shape), c.offsets)
                 for c in source.classes
                 if c.sign_class != "degenerate" and c.offsets
             ]

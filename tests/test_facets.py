@@ -7,6 +7,8 @@ import pytest
 from conftest import (
     BlockPermutation,
     brute_force_events,
+    c_submatrices,
+    column_parts,
     corpus_files,
     corpus_set,
     invoke,
@@ -26,7 +28,6 @@ from fragtile import (
     Dimensions,
     FacetId,
     Matrix,
-    c_submatrices,
     collection_of,
     complement,
     crossing_check,
@@ -169,16 +170,17 @@ class TestLambdaVector:
     def test_quotient_formula(self, mset, w_m):
         # lambda as a quotient of determinants with the block-shuffle sign ratio
         d = mset.decomposition
+        c_cols = column_parts(d)[0]
         for tau in subsets(4, 1):
             for j in complement(tau, 4):
                 sigma = tuple(sorted(tau + (j,)))
                 rest = tuple(i for i in complement(tau, 4) if i != j)
                 num = det(
                     Matrix.from_columns(
-                        [d.c[i - 1] for i in tau] + [w_m.w[:2]], rows=2
+                        [c_cols[i - 1] for i in tau] + [w_m.w[:2]], rows=2
                     )
                 )
-                den = det(Matrix.from_columns([d.c[i - 1] for i in sigma], rows=2))
+                den = det(Matrix.from_columns([c_cols[i - 1] for i in sigma], rows=2))
                 ratio = Fraction(
                     perm_sign(BlockPermutation((tau, (j,), rest))),
                     perm_sign(BlockPermutation((sigma, rest))),
@@ -264,18 +266,20 @@ class TestHVector:
 
     def test_kernel_for_all_tau(self, mset, w_m):
         d = mset.decomposition
+        cbar_cols = column_parts(d)[1]
         for tau in subsets(4, 1):
             h = h_vector(mset, w_m, tau)
             hat = complement(tau, 4)
-            cbar = Matrix.from_columns([d.cbar[i - 1] for i in hat], rows=2)
+            cbar = Matrix.from_columns([cbar_cols[i - 1] for i in hat], rows=2)
             assert all(x == 0 for x in cbar.mat_vec(h))
 
     def test_parallel_to_kernel_vector(self, mset, w_m):
         d = mset.decomposition
+        cbar_cols = column_parts(d)[1]
         for tau in subsets(4, 1):
             h = h_vector(mset, w_m, tau)
             hat = complement(tau, 4)
-            cbar = Matrix.from_columns([d.cbar[i - 1] for i in hat], rows=2)
+            cbar = Matrix.from_columns([cbar_cols[i - 1] for i in hat], rows=2)
             assert normalize_integer_direction(h) == kernel_vector(cbar)
 
     def test_matches_lambda_times_determinant(self, mset, w_m):
@@ -297,10 +301,11 @@ class TestHVector:
             fs = fragment_set(decompose(m, Dimensions(r, n - r)))
             w = choose_generic_direction(fs, trial)
             d = fs.decomposition
+            cbar_cols = column_parts(d)[1]
             for tau in subsets(n, r - 1):
                 h = h_vector(fs, w, tau)
                 hat = complement(tau, n)
-                cbar = Matrix.from_columns([d.cbar[i - 1] for i in hat], rows=n - r)
+                cbar = Matrix.from_columns([cbar_cols[i - 1] for i in hat], rows=n - r)
                 assert all(x == 0 for x in cbar.mat_vec(h))
 
     def test_matches_the_fraction_closed_form_on_the_corpus(self):
@@ -330,7 +335,8 @@ class TestFacetProjections:
             for top in (facet_projections(mset, w_m, f)[0] for f in coll.members)
         }
         d = mset.decomposition
-        assert tops == {((Fraction(0), Fraction(0)), (d.c[1],))}
+        c_cols = column_parts(d)[0]
+        assert tops == {((Fraction(0), Fraction(0)), (c_cols[1],))}
 
     def test_common_relative_interior_gamma(self, mset, w_m):
         coll = facet_collection(mset, "gamma", (0, 0, 0, 0), (1, 2, 3))
@@ -339,7 +345,8 @@ class TestFacetProjections:
             for g in (facet_projections(mset, w_m, f)[1] for f in coll.members)
         }
         d = mset.decomposition
-        assert bottoms == {((Fraction(0), Fraction(0)), (d.cbar[3],))}
+        cbar_cols = column_parts(d)[1]
+        assert bottoms == {((Fraction(0), Fraction(0)), (cbar_cols[3],))}
 
     def test_top_unchanged_by_side_when_inside(self, mset, w_m):
         a = facet_projections(mset, w_m, tilde_facet((0, 0, 0, 0), (2, 3), 3, 0))
@@ -413,18 +420,19 @@ class TestKernelSelectionTiling:
         # third route to the double cover: select shifted/unshifted cells by
         # the sign pattern of the canonical kernel vector and check one-cover
         d = mset.decomposition
+        cbar_cols = column_parts(d)[1]
         rng = random.Random(31)
         for tau in subsets(4, 1):
             hat = complement(tau, 4)
-            v = Matrix.from_columns([d.cbar[i - 1] for i in hat], rows=2)
+            v = Matrix.from_columns([cbar_cols[i - 1] for i in hat], rows=2)
             h = kernel_vector(v)
             cells = []
             for pos, j in enumerate(hat):
                 rest = [i for i in hat if i != j]
-                sub = Matrix.from_columns([d.cbar[i - 1] for i in rest], rows=2)
+                sub = Matrix.from_columns([cbar_cols[i - 1] for i in rest], rows=2)
                 if det(sub) == 0:
                     continue
-                shift = d.cbar[j - 1] if h[pos] > 0 else (Fraction(0), Fraction(0))
+                shift = cbar_cols[j - 1] if h[pos] > 0 else (Fraction(0), Fraction(0))
                 cells.append((sub, shift))
             hits = 0
             trials = 0
@@ -434,7 +442,7 @@ class TestKernelSelectionTiling:
                     for _ in hat
                 ]
                 q = tuple(
-                    sum(c * d.cbar[j - 1][i] for c, j in zip(coeffs, hat))
+                    sum(c * cbar_cols[j - 1][i] for c, j in zip(coeffs, hat))
                     for i in range(2)
                 )
                 covers = sum(

@@ -10,6 +10,8 @@ from conftest import (
     BlockPermutation,
     M_ROWS,
     Q_ROWS,
+    c_submatrices,
+    column_parts,
     corpus_files,
     corpus_matrix,
     corpus_set,
@@ -19,6 +21,8 @@ from conftest import (
     random_int_matrix,
     random_invertible,
     random_rational_invertible,
+    rows_matrix,
+    split_matrices,
 )
 from fragtile import (
     DEGENERATE,
@@ -27,12 +31,12 @@ from fragtile import (
     Dimensions,
     Matrix,
     TilingEngine,
-    c_submatrices,
     choose_generic_direction,
     complement,
     decompose,
     det,
     fragment_matrix,
+    fragment_rows,
     fragment_set,
     inverse,
     laplace_identity,
@@ -43,6 +47,7 @@ from fragtile import (
     unimodular_reduce,
 )
 from fragtile import fragments
+from fragtile.cli import parse_matrix
 from fragtile.fragments import BlockMinors, Fragment, adjugate
 from fragtile.linalg import DimensionError, clear_rows, int_inverse, int_mat_mul
 
@@ -50,18 +55,28 @@ from fragtile.linalg import DimensionError, clear_rows, int_inverse, int_mat_mul
 class TestDecompose:
     def test_worked_4x4_column_one(self, mset):
         d = mset.decomposition
-        assert d.c[0] == (3, 1)
-        assert d.cbar[0] == (-2, 0)
+        c, cbar = column_parts(d)
+        assert c[0] == (3, 1)
+        assert cbar[0] == (-2, 0)
+        assert d.m_rows == (1, M_ROWS)
+        assert mset.m_rows is d.m_rows
 
     def test_2x2_column_two(self, kset):
         d = kset.decomposition
-        assert d.c[1] == (2,)
-        assert d.cbar[1] == (-3,)
+        c, cbar = column_parts(d)
+        assert c[1] == (2,)
+        assert cbar[1] == (-3,)
+        assert [row[1] for row in d.m_rows[1]] == [2, 3]
 
     def test_zero_bottom_rows(self):
         m = Matrix.from_rows([[1, 2], [0, 0]])
         d = decompose(m, Dimensions(1, 1))
-        assert d.cbar == ((0,), (0,))
+        assert column_parts(d)[1] == ((0,), (0,))
+        assert d.m_rows == (1, [[1, 2], [0, 0]])
+
+    def test_rational_rows_clear_to_the_least_denominator(self):
+        m = Matrix.from_rows([["1/2", 1], ["-2/3", "1/6"]])
+        assert decompose(m, Dimensions(1, 1)).m_rows == (6, [[3, 6], [-4, 1]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -101,7 +116,45 @@ class TestFragmentMatrix:
                     assert col[:2] == (0, 0)
 
 
+class TestFragmentRows:
+    """fragment_rows over M's denominator against S_sigma assembled from the
+    parsed Matrix's columns (conftest.column_parts)."""
+
+    @staticmethod
+    def _check(d):
+        c, cbar = column_parts(d)
+        (r, k, n), den = (d.dims.r, d.dims.k, d.dims.n), d.m_rows[0]
+        for sigma in subsets(n, r):
+            expected = Matrix.from_columns(
+                [c[i - 1] + (0,) * k if i in sigma else (0,) * r + cbar[i - 1] for i in range(1, n + 1)]
+            )
+            assert rows_matrix(den, fragment_rows(d, sigma)) == expected, sigma
+            assert fragment_matrix(d, sigma) == expected, sigma
+
+    def test_worked_4x4(self, mset):
+        rows = fragment_rows(mset.decomposition, (4, 1))
+        assert rows == [[3, 0, 0, 1], [1, 0, 0, 2], [0, 0, 1, 0], [0, -1, 2, 0]]
+
+    def test_wrong_subset_size(self, mset):
+        with pytest.raises(DimensionError):
+            fragment_rows(mset.decomposition, (1, 2, 3))
+
+    def test_corpus(self):
+        corpus = corpus_files()
+        assert len(corpus) == 58
+        for path in corpus:
+            dims, m = parse_matrix(path.read_text())
+            self._check(decompose(m, dims))
+
+    @given(split_matrices())
+    def test_random_rational_matrices(self, case):
+        m, dims = case
+        self._check(decompose(m, dims))
+
+
 class TestCSubmatrices:
+    """The conftest oracle that splits M's columns, on the worked matrix."""
+
     def test_worked_4x4(self, mset):
         c, cbar = c_submatrices(mset.decomposition, (1, 4))
         assert c == Matrix.from_rows([[3, 1], [1, 2]])
@@ -335,8 +388,6 @@ class TestEliminationGuard:
 def test_fragment_set_builds_no_matrix(monkeypatch):
     # Every corpus matrix: the family is built on integer rows alone, and
     # the fragment matrix s is assembled only when read.
-    from fragtile.cli import parse_matrix
-
     corpus = corpus_files()
     assert len(corpus) > 50
     decompositions = [decompose(m, dims) for dims, m in map(parse_matrix, (p.read_text() for p in corpus))]

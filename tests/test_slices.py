@@ -4,21 +4,26 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
 
 from conftest import (
+    c_submatrices,
+    column_parts,
     corpus_files,
     corpus_set,
+    invoke,
     mat_mul,
     random_int_matrix,
     reference_slice_layout,
     reference_slice_precondition,
+    rows_matrix,
+    split_matrices,
 )
 from fragtile import (
     DEGENERATE,
     Dimensions,
     Matrix,
     TilingEngine,
-    c_submatrices,
     choose_generic_direction,
     decompose,
     det,
@@ -36,6 +41,18 @@ from fragtile.tiling import cell_hits
 
 WINDOW4 = tuple((-6, 6) for _ in range(4))
 WINDOW2 = tuple((-8, 8) for _ in range(2))
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
+# The first FAIL line of `slice --samples 1` at seed 0 per corpus matrix on
+# which the radius-6 window misses classes.
+WINDOW_MISSES = {
+    "z5r2-0": "sigma={1,2} class=negative area=4 offset_classes=15 expected_classes=27 FAIL",
+    "z5r2-9": "sigma={1,2} class=negative area=2 offset_classes=50 expected_classes=60 FAIL",
+    "z5r2-10": "sigma={1,2} class=positive area=9 offset_classes=11 expected_classes=24 FAIL",
+    "z6r2-0": "sigma={1,2} class=negative area=8 offset_classes=2 expected_classes=4 FAIL",
+    "z6r2-1": "sigma={1,2} class=positive area=11 offset_classes=44 expected_classes=82 FAIL",
+    "z6r2-2": "sigma={1,4} class=negative area=6 offset_classes=2 expected_classes=5 FAIL",
+    "z6r2-3": "sigma={1,2} class=negative area=7 offset_classes=23 expected_classes=39 FAIL",
+}
 
 
 class TestPrecondition:
@@ -57,6 +74,29 @@ class TestPrecondition:
     def test_k_and_l(self, kset, lset):
         assert slice_precondition(kset.decomposition)
         assert slice_precondition(lset.decomposition)
+
+    @staticmethod
+    def _integer_test_agrees(d):
+        # unimodular_reduce tests d | A[r:] on m_rows = (d, A); the Fraction
+        # rule reads the bottom parts of M's columns.
+        integer = all(x.denominator == 1 for col in column_parts(d)[1] for x in col)
+        try:
+            unimodular_reduce(d)
+        except SlicePreconditionError as exc:
+            assert (str(exc) == "bottom block must be integer") == (not integer)
+        else:
+            assert integer
+
+    def test_integer_bottom_test_on_the_corpus(self):
+        corpus = corpus_files()
+        assert len(corpus) == 58
+        for path in corpus:
+            self._integer_test_agrees(corpus_set(path).decomposition)
+
+    @given(split_matrices())
+    def test_integer_bottom_test_on_random_rational_matrices(self, case):
+        m, dims = case
+        self._integer_test_agrees(decompose(m, dims))
 
 
 def assert_reduces(d, reduction):
@@ -159,30 +199,43 @@ class TestSliceLayout:
 
     def test_worked_4x4_areas(self, mset, w_m):
         layout = slice_layout(mset, w_m, WINDOW4)
-        areas = [abs(det(cls.shape)) for cls in layout.classes]
+        den = layout.b_rows[0]
+        areas = [abs(det(rows_matrix(den, cls.shape))) for cls in layout.classes]
         assert areas == [2, 10, 5, 4, 4, 10]
+        for cls in layout.classes:
+            assert rows_matrix(den, cls.shape) == c_submatrices(mset.decomposition, cls.sigma)[0]
+
+    def test_rational_top_rows_keep_the_denominator_of_m(self):
+        # C_sigma's integer rows and B's over M's denominator, here 6.
+        m = Matrix.from_rows([["1/2", 1, 0], [0, "1/3", 1], [1, 2, 3]])
+        fs = fragment_set(decompose(m, Dimensions(2, 1)))
+        layout = slice_layout(fs, choose_generic_direction(fs, 0), ((-3, 3),) * 3)
+        assert layout.b_rows[0] == fs.m_rows[0] == 6
+        assert abs(det(rows_matrix(*layout.b_rows))) == abs(fs.det_m) == Fraction(1, 2)
+        for cls in layout.classes:
+            assert rows_matrix(6, cls.shape) == c_submatrices(fs.decomposition, cls.sigma)[0]
 
     def test_signed_area_balance(self, mset, w_m):
         layout = slice_layout(mset, w_m, WINDOW4)
         total = Fraction(0)
         for cls in layout.classes:
             sign = {"positive": 1, "negative": -1, "degenerate": 0}[cls.sign_class]
-            total += sign * abs(det(cls.shape)) * len(cls.offsets)
-        assert total == mset.expected_coverage() * abs(det(layout.b))
+            total += sign * abs(det(rows_matrix(layout.b_rows[0], cls.shape))) * len(cls.offsets)
+        assert total == mset.expected_coverage() * abs(det(rows_matrix(*layout.b_rows)))
 
     def test_k_class_counts(self, kset, w_k):
         layout = slice_layout(kset, w_k, WINDOW2)
         assert [len(c.offsets) for c in layout.classes] == [3, 1]
-        assert abs(det(layout.b)) == 5
+        assert abs(det(rows_matrix(*layout.b_rows))) == 5
 
     def test_l_class_counts(self, lset, w_l):
         layout = slice_layout(lset, w_l, WINDOW2)
         assert [len(c.offsets) for c in layout.classes] == [5, 1]
-        assert abs(det(layout.b)) == 3
+        assert abs(det(rows_matrix(*layout.b_rows))) == 3
 
     def test_offsets_are_canonical(self, mset, w_m):
         layout = slice_layout(mset, w_m, WINDOW4)
-        b_inv = inverse(layout.b)
+        b_inv = inverse(rows_matrix(*layout.b_rows))
         e, x = layout.b_inv_rows
         assert e > 0 and Matrix.from_rows([[Fraction(v, e) for v in row] for row in x]) == b_inv
         for cls in layout.classes:
@@ -271,7 +324,7 @@ class TestKeyScan:
     def test_the_radius_6_window_misses_classes_on_slice13(self):
         # The witness of the window: 13 of 15 and 3 of 4 classes are
         # reached, while the key scan finds all 15 and 4.
-        fs = corpus_set(Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "slice13.txt")
+        fs = corpus_set(CORPUS / "slice13.txt")
         w = choose_generic_direction(fs, 0)
         layout = slice_layout(fs, w, ((-6, 6),) * 3)
         found = [
@@ -280,6 +333,17 @@ class TestKeyScan:
             if cls.sign_class != DEGENERATE
         ]
         assert found == [(13, 15), (3, 4)]
+
+    @pytest.mark.parametrize("name", sorted(WINDOW_MISSES))
+    def test_the_radius_6_window_misses_classes_on_the_corpus(self, name):
+        """Asserted witness: beside slice13 and z4r1-0, the CLI's radius-6
+        window misses translate classes on seven corpus matrices that no
+        perfbench command runs, so `slice` prints FAIL and exits 1 at seed 0.
+        Dropping the window filter (ROADMAP item 2) must flip these cases
+        deliberately, to exit 0 with no FAIL line; no other change may."""
+        code, out, err = invoke(["slice", "--matrix", str(CORPUS / f"{name}.txt"), "--samples", "1"])
+        assert code == 1, err
+        assert next(line for line in out.splitlines() if line.endswith("FAIL")) == WINDOW_MISSES[name]
 
 
 class TestSliceCoverage:
