@@ -52,7 +52,6 @@ from .facets import (
     facet_collection,
     facet_signs,
     h_vector,
-    lambda_vector,
     tilde_facet,
     up_down_partition,
 )

@@ -66,13 +66,22 @@ class CliInputError(Exception):
     """Bad command-line input (missing files, malformed values, bad w)."""
 
 
-def _rational_token(tok: str, line: int, col: int) -> Fraction:
+def _rational(tok: str) -> Fraction:
+    """An integer or p/q, the one numeric grammar of matrix files and flags;
+    ValueError for any other token, or one with more digits than int takes."""
     if not _RATIONAL.match(tok):
-        raise MatrixParseError(f"malformed rational {tok!r}", line, col)
+        raise ValueError(f"malformed rational {tok[:40]!r}")
     try:
         return Fraction(tok)
     except ZeroDivisionError:
-        raise MatrixParseError(f"zero denominator in {tok!r}", line, col) from None
+        raise ValueError(f"zero denominator in {tok!r}") from None
+
+
+def _rational_token(tok: str, line: int, col: int) -> Fraction:
+    try:
+        return _rational(tok)
+    except ValueError as exc:
+        raise MatrixParseError(str(exc), line, col) from None
 
 
 def parse_matrix(text: str) -> tuple[Dimensions, Matrix]:
@@ -131,9 +140,9 @@ def _fmt_subset(s) -> str:
 
 def _parse_vec(text: str, name: str) -> tuple[Fraction, ...]:
     try:
-        return tuple(Fraction(tok.strip()) for tok in text.split(","))
-    except (ValueError, ZeroDivisionError):
-        raise CliInputError(f"malformed {name} value {text!r}") from None
+        return tuple(_rational(tok.strip()) for tok in text.split(","))
+    except ValueError:
+        raise CliInputError(f"malformed {name} value {text[:40]!r}") from None
 
 
 def _parse_subset(text: str, name: str) -> tuple[int, ...]:
@@ -161,6 +170,7 @@ def _direction(args, fs: FragmentSet):
 
 
 def cmd_fragments(args) -> int:
+    """fragment family, sign classes, factor identity"""
     fs = _load_fs(args)
     dims = fs.dims
     print(f"r={dims.r} k={dims.k} detM={fs.det_m}")
@@ -184,6 +194,7 @@ def cmd_fragments(args) -> int:
 
 
 def cmd_laplace(args) -> int:
+    """multi-row Laplace determinant identity"""
     fs = _load_fs(args)
     lhs, rhs = laplace_identity(fs)
     ok = lhs == rhs
@@ -192,6 +203,7 @@ def cmd_laplace(args) -> int:
 
 
 def cmd_coverage(args) -> int:
+    """tiles containing a point and the signed count"""
     fs = _load_fs(args)
     if args.point is None:
         raise CliInputError("coverage requires --point")
@@ -212,6 +224,7 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """sampled constancy of the signed cover count"""
     fs = _load_fs(args)
     w = _direction(args, fs)
     report = verify_constancy(fs, w, args.samples, args.seed)
@@ -228,7 +241,8 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _collection_index(args, fs: FragmentSet):
+def _collection(args, fs: FragmentSet):
+    """(index, z) of the collection that --tau or --gamma and --z name."""
     if (args.tau is None) == (args.gamma is None):
         raise CliInputError("exactly one of --tau or --gamma is required")
     if args.tau is not None:
@@ -238,27 +252,22 @@ def _collection_index(args, fs: FragmentSet):
     index = _parse_subset(text, f"--{kind}")
     if len(index) != size:
         raise CliInputError(f"--{kind} must have {size} entries")
-    return kind, index
-
-
-def _collection_z(args, fs: FragmentSet):
     if args.z is None:
-        return (0,) * fs.dims.n
+        return index, (0,) * fs.dims.n
     z = _parse_subset(args.z, "--z")
     if len(z) != fs.dims.n:
         raise CliInputError(f"--z must have {fs.dims.n} entries")
-    return z
+    return index, z
 
 
 def cmd_facets(args) -> int:
+    """facet collection, up/down split, kernel certificate"""
     fs = _load_fs(args)
     w = _direction(args, fs)
-    kind, index = _collection_index(args, fs)
-    z = _collection_z(args, fs)
-    coll = facet_collection(fs, kind, z, index)
+    coll = facet_collection(fs, *_collection(args, fs))
     partition = up_down_partition(fs, w, coll)
-    print(f"kind={kind} index={_fmt_subset(coll.index)} z={_fmt_vec(coll.z)}")
-    if kind == TAU:
+    print(f"kind={coll.kind} index={_fmt_subset(coll.index)} z={_fmt_vec(coll.z)}")
+    if coll.kind == TAU:
         print(f"h={_fmt_vec(h_vector(fs, w, coll.index))}")
     up_set = set(partition.up)
     consistent = True
@@ -284,10 +293,10 @@ def cmd_facets(args) -> int:
 
 
 def cmd_double_cover(args) -> int:
+    """sampled once-each cover by up and down facets"""
     fs = _load_fs(args)
     w = _direction(args, fs)
-    kind, index = _collection_index(args, fs)
-    z = _collection_z(args, fs)
+    index, z = _collection(args, fs)
     report = double_cover_check(fs, w, index, z, args.samples, args.seed)
     # Old key name kept: stdout is the contract, and perfbench/checks.py parses it.
     print(
@@ -299,12 +308,13 @@ def cmd_double_cover(args) -> int:
 
 
 def cmd_crossing(args) -> int:
+    """cover count across facet crossings along rays"""
     fs = _load_fs(args)
     w = _direction(args, fs)
     try:
-        reach = Fraction(args.reach)
-    except (ValueError, ZeroDivisionError):
-        raise CliInputError(f"malformed --reach value {args.reach!r}") from None
+        reach = _rational(args.reach.strip())
+    except ValueError:
+        raise CliInputError(f"malformed --reach value {args.reach[:40]!r}") from None
     if args.point is not None:
         points = [_parse_vec(args.point, "--point")]
     else:
@@ -332,6 +342,7 @@ def _slice_window(fs: FragmentSet):
 
 
 def cmd_slice(args) -> int:
+    """periodic structure of the last-k-zero slice"""
     fs = _load_fs(args)
     w = _direction(args, fs)
     layout = slice_layout(fs, w, _slice_window(fs))
@@ -381,6 +392,7 @@ def cmd_slice(args) -> int:
 
 
 def cmd_render(args) -> int:
+    """SVG of a 2-D tiling or 2-D slice"""
     fs = _load_fs(args)
     window = _parse_vec(args.window, "--window")
     if len(window) != 4:
@@ -428,17 +440,18 @@ _FLAGS = {
     "--out": dict(default=None, help="output path for SVG"),
 }
 
-# The flags each subcommand reads besides --matrix.
-_COMMAND_FLAGS = {
-    "fragments": (),
-    "laplace": (),
-    "coverage": ("--w", "--seed", "--point"),
-    "verify": ("--w", "--seed", "--samples"),
-    "facets": ("--w", "--seed", "--tau", "--gamma", "--z"),
-    "double-cover": ("--w", "--seed", "--samples", "--tau", "--gamma", "--z"),
-    "crossing": ("--w", "--seed", "--samples", "--point", "--reach"),
-    "slice": ("--w", "--seed", "--samples"),
-    "render": ("--w", "--seed", "--window", "--out"),
+# Each subcommand's handler, whose docstring is its help line, and the flags
+# it reads besides --matrix.
+_COMMANDS = {
+    "fragments": (cmd_fragments, ()),
+    "laplace": (cmd_laplace, ()),
+    "coverage": (cmd_coverage, ("--w", "--seed", "--point")),
+    "verify": (cmd_verify, ("--w", "--seed", "--samples")),
+    "facets": (cmd_facets, ("--w", "--seed", "--tau", "--gamma", "--z")),
+    "double-cover": (cmd_double_cover, ("--w", "--seed", "--samples", "--tau", "--gamma", "--z")),
+    "crossing": (cmd_crossing, ("--w", "--seed", "--samples", "--point", "--reach")),
+    "slice": (cmd_slice, ("--w", "--seed", "--samples")),
+    "render": (cmd_render, ("--w", "--seed", "--window", "--out")),
 }
 
 
@@ -450,20 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Signed tilings from fragment matrices: verify and render.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = [
-        ("fragments", cmd_fragments, "fragment family, sign classes, factor identity"),
-        ("laplace", cmd_laplace, "multi-row Laplace determinant identity"),
-        ("coverage", cmd_coverage, "tiles containing a point and the signed count"),
-        ("verify", cmd_verify, "sampled constancy of the signed cover count"),
-        ("facets", cmd_facets, "facet collection, up/down split, kernel certificate"),
-        ("double-cover", cmd_double_cover, "sampled once-each cover by up and down facets"),
-        ("crossing", cmd_crossing, "cover count across facet crossings along rays"),
-        ("slice", cmd_slice, "periodic structure of the last-k-zero slice"),
-        ("render", cmd_render, "SVG of a 2-D tiling or 2-D slice"),
-    ]
-    for name, func, help_text in specs:
-        p = sub.add_parser(name, help=help_text)
-        for flag in ("--matrix", *_COMMAND_FLAGS[name]):
+    for name, (func, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=func.__doc__)
+        for flag in ("--matrix", *flags):
             p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(func=func)
     return parser

@@ -24,7 +24,6 @@ from typing import Sequence
 
 from .fragments import (
     DEGENERATE,
-    DegenerateFragmentError,
     FragmentSet,
     SubsetIndex,
     complement,
@@ -51,7 +50,6 @@ from .tiling import (
     cell_hits,
     cell_position,
     grid_numerators,
-    grid_vector,
 )
 
 TAU = "tau"
@@ -112,22 +110,19 @@ class FacetCollection:
         return tuple(f for f in self.members if f not in self.degenerate)
 
 
-def facet_collection(
-    fs: FragmentSet, kind: str, z: Sequence[int], index: Sequence[int]
-) -> FacetCollection:
-    dims = fs.dims
-    index = normalize_subset(index, dims.n)
+def facet_collection(fs: FragmentSet, index: Sequence[int], z: Sequence[int]) -> FacetCollection:
+    """The collection anchored at z: tau when |index| = r-1, gamma when r+1."""
+    r, n = fs.dims.r, fs.dims.n
+    index = normalize_subset(index, n)
     z = tuple(int(x) for x in z)
-    if kind == TAU:
-        if len(index) != dims.r - 1:
-            raise DimensionError(f"tau index must have size r-1, got {index}")
-        pairs = [(j, tuple(sorted(index + (j,)))) for j in complement(index, dims.n)]
-    elif kind == GAMMA:
-        if len(index) != dims.r + 1:
-            raise DimensionError(f"gamma index must have size r+1, got {index}")
+    if len(index) == r - 1:
+        kind = TAU
+        pairs = [(j, tuple(sorted(index + (j,)))) for j in complement(index, n)]
+    elif len(index) == r + 1:
+        kind = GAMMA
         pairs = [(j, tuple(i for i in index if i != j)) for j in index]
     else:
-        raise DimensionError(f"unknown collection kind {kind!r}")
+        raise DimensionError(f"index size {len(index)} is neither r-1={r - 1} nor r+1={r + 1}")
     members = []
     dead = []
     for j, sigma in pairs:
@@ -141,14 +136,6 @@ def facet_collection(
     )
 
 
-def lambda_vector(fs: FragmentSet, w: GenericDirection, sigma: Sequence[int]) -> tuple[Fraction, ...]:
-    """Coordinates of w in the basis of the sigma fragment matrix (certified)."""
-    frag = fs[sigma]
-    if frag.sign_class == DEGENERATE:
-        raise DegenerateFragmentError(f"fragment {frag.sigma} is degenerate")
-    return w.lambda_of(fs, frag.sigma)
-
-
 def facet_signs(fs: FragmentSet, w: GenericDirection, facet: FacetId) -> tuple[int, int]:
     """(wsgn, tsgn) of a facet.
 
@@ -158,7 +145,7 @@ def facet_signs(fs: FragmentSet, w: GenericDirection, facet: FacetId) -> tuple[i
     determinant sign of the tile's fragment.
     """
     frag = fs[facet.sigma]
-    lam_j = lambda_vector(fs, w, facet.sigma)[facet.j - 1]
+    lam_j = w.lambda_of(fs, facet.sigma)[facet.j - 1]
     wsgn = (1 if lam_j > 0 else -1) * (1 if facet.s == 0 else -1)
     tsgn = 1 if frag.det_s > 0 else -1
     return wsgn, tsgn
@@ -254,28 +241,23 @@ def double_cover_check(
     cell_position.
     """
     r, n = fs.dims.r, fs.dims.n
-    index = normalize_subset(index, n)
-    z = tuple(int(x) for x in z)
-    if len(index) == r - 1:
-        kind, js, sign = TAU, complement(index, n), -1
-    elif len(index) == r + 1:
-        kind, js, sign = GAMMA, index, 1
-    else:
-        raise DimensionError(f"index size {len(index)} is neither r-1={r - 1} nor r+1={r + 1}")
+    coll = facet_collection(fs, index, z)
     d, a = fs.m_rows
     # The zonotope's columns are sign * part(M e_j): A's part rows over d.
-    part = a[:r] if kind == GAMMA else a[r:]
+    if coll.kind == TAU:
+        js, sign, part = complement(coll.index, n), -1, a[r:]
+    else:
+        js, sign, part = coll.index, 1, a[:r]
     zono_rows = [[sign * row[j - 1] for j in js] for row in part]
-    coll = facet_collection(fs, kind, z, index)
     up = set(up_down_partition(fs, w, coll).up)
     live = coll.live_members()
     q = SAMPLE_DENOMINATOR
     cells = []
     for facet in live:
         e, x = fs[facet.sigma].s_inv_rows
-        block = facet.sigma if kind == GAMMA else complement(facet.sigma, n)
-        lam = lambda_vector(fs, w, facet.sigma)
-        shift = [zi - fi for zi, fi in zip(z, facet.z)]
+        block = facet.sigma if coll.kind == GAMMA else complement(facet.sigma, n)
+        lam = w.lambda_of(fs, facet.sigma)
+        shift = [zi - fi for zi, fi in zip(coll.z, facet.z)]
         rows = [
             [sign * g[j - 1] for j in js] + [sum(map(mul, g, shift))]
             for g in int_mat_mul([x[i - 1] for i in block], a)
@@ -302,9 +284,9 @@ def double_cover_check(
         if (up_count, down_count) != (1, 1):
             failures.append((q_rel, up_count, down_count))
     return DoubleCoverReport(
-        kind=kind,
-        index=index,
-        z=z,
+        kind=coll.kind,
+        index=coll.index,
+        z=coll.z,
         sample_count=sample_count,
         boundary_samples=boundary_samples,
         relative_points=tuple(relative_points),
@@ -446,10 +428,8 @@ def crossing_check(engine: TilingEngine, p: Sequence, reach, seed: int) -> Cross
         if attempt == 0:
             start = p0
         else:
-            jitter = grid_vector(
-                f"crossing:{seed}:{attempt}", len(p0), -(2**31 - 1), 2**31, 2**43
-            )
-            start = vec_add(p0, jitter)
+            jitter = grid_numerators(f"crossing:{seed}:{attempt}", len(p0), -(2**31 - 1), 2**31)
+            start = tuple(p + Fraction(x, 2**43) for p, x in zip(p0, jitter))
         degenerate, crossings = _classify_events(engine, _collect_events(engine, start, reach))
         if degenerate:
             continue

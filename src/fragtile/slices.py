@@ -62,48 +62,35 @@ def unimodular_reduce(
     m_den, m_rows = d.m_rows
     if any(x % m_den for row in m_rows[r:] for x in row):
         raise SlicePreconditionError("bottom block must be integer")
+    # Column c of the working matrix is the bottom block's column c over U's,
+    # so each column operation is one list assignment.
     bottom = [[x // m_den for x in row] for row in m_rows[r:]]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    # Each column operation acts on the bottom block and records itself in U.
-    rows = bottom + u
-
-    def swap_cols(a: int, b: int) -> None:
-        for row in rows:
-            row[a], row[b] = row[b], row[a]
-
-    def negate_col(a: int) -> None:
-        for row in rows:
-            row[a] = -row[a]
-
-    def add_multiple(dst: int, src: int, mult: int) -> None:
-        for row in rows:
-            row[dst] += mult * row[src]
-
+    cols = [list(col) + [int(i == c) for i in range(n)] for c, col in enumerate(zip(*bottom))]
     for t in range(k):
         while True:
-            nz = [c for c in range(t, n) if bottom[t][c] != 0]
+            nz = [c for c in range(t, n) if cols[c][t] != 0]
             if not nz:
                 raise SlicePreconditionError("bottom block is rank deficient")
             if len(nz) == 1:
                 pivot_col = nz[0]
                 break
-            smallest = min(nz, key=lambda c: abs(bottom[t][c]))
+            small = min(nz, key=lambda c: abs(cols[c][t]))
             for c in nz:
-                if c == smallest:
-                    continue
-                add_multiple(c, smallest, -(bottom[t][c] // bottom[t][smallest]))
-        if pivot_col != t:
-            swap_cols(pivot_col, t)
-        if bottom[t][t] < 0:
-            negate_col(t)
-        if bottom[t][t] != 1:
+                if c != small:
+                    mult = cols[c][t] // cols[small][t]
+                    cols[c] = [x - mult * y for x, y in zip(cols[c], cols[small])]
+        cols[pivot_col], cols[t] = cols[t], cols[pivot_col]
+        if cols[t][t] < 0:
+            cols[t] = [-x for x in cols[t]]
+        if cols[t][t] != 1:
             raise SlicePreconditionError(
-                f"pivot {bottom[t][t]} exceeds 1: maximal minors share a factor"
+                f"pivot {cols[t][t]} exceeds 1: maximal minors share a factor"
             )
         for c in range(n):
-            if c != t and bottom[t][c] != 0:
-                add_multiple(c, t, -bottom[t][c])
-
+            if c != t and cols[c][t] != 0:
+                mult = cols[c][t]
+                cols[c] = [x - mult * y for x, y in zip(cols[c], cols[t])]
+    u = [list(row) for row in zip(*(col[k:] for col in cols))]
     mu = int_mat_mul(m_rows, u)
     if mu[r:] != [[m_den * (i == t) for i in range(n)] for t in range(k)]:
         raise SlicePreconditionError("column reduction failed to certify")

@@ -23,7 +23,7 @@ from math import gcd
 from operator import mul
 from typing import Mapping, Sequence
 
-from .fragments import DEGENERATE, FragmentSet, SubsetIndex, complement
+from .fragments import DEGENERATE, DegenerateFragmentError, FragmentSet, SubsetIndex, complement
 from .linalg import DimensionError, Matrix, SingularMatrixError, clear_denominator, int_mat_mul, vector
 
 SAMPLE_DENOMINATOR = 2**31
@@ -52,10 +52,13 @@ class GenericDirection:
     m_rows: tuple[int, list[list[int]]] = field(compare=False, repr=False)
 
     def lambda_of(self, fs: FragmentSet, sigma: SubsetIndex) -> tuple[Fraction, ...]:
-        """lambda_sigma = S_sigma^-1 w of a live fragment of fs."""
+        """lambda_sigma = S_sigma^-1 w of a live fragment of fs; a degenerate
+        sigma raises DegenerateFragmentError."""
         m_rows = fs.m_rows
         if m_rows is not self.m_rows and m_rows != self.m_rows:
             raise KeyError(f"w was not certified for the matrix of {_sigma_label(sigma)}")
+        if sigma not in self.lambdas and fs[sigma].sign_class == DEGENERATE:
+            raise DegenerateFragmentError(f"fragment {sigma} is degenerate")
         return self.lambdas[sigma]
 
 
@@ -104,11 +107,9 @@ def grid_numerators(tag: str, dim: int, lo: int, hi: int) -> list[int]:
     return [rng.randrange(lo, hi) for _ in range(dim)]
 
 
-def grid_vector(
-    tag: str, dim: int, lo: int, hi: int, denom: int = SAMPLE_DENOMINATOR
-) -> tuple[Fraction, ...]:
-    """The Fraction view of grid_numerators: dim values numerator/denom."""
-    return tuple(Fraction(x, denom) for x in grid_numerators(tag, dim, lo, hi))
+def grid_vector(tag: str, dim: int, lo: int, hi: int) -> tuple[Fraction, ...]:
+    """The Fraction view of grid_numerators: dim values numerator/2^31."""
+    return tuple(Fraction(x, SAMPLE_DENOMINATOR) for x in grid_numerators(tag, dim, lo, hi))
 
 
 def fundamental_point(fs: FragmentSet, tag: str) -> tuple[Fraction, ...]:

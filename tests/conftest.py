@@ -337,6 +337,64 @@ def reference_slice_precondition(d) -> bool:
     return False
 
 
+def reference_unimodular_reduce(d):
+    """slices.unimodular_reduce as it stood when it worked on rows, through
+    three closures that each loop over the rows of the bottom block stacked
+    over U; the library now holds that matrix as a list of columns.  Same
+    pivots, same U, same (U, A, Bk) return and the same errors."""
+    from fragtile.slices import SlicePreconditionError
+
+    n, r, k = d.dims.n, d.dims.r, d.dims.k
+    m_den, m_rows = d.m_rows
+    if any(x % m_den for row in m_rows[r:] for x in row):
+        raise SlicePreconditionError("bottom block must be integer")
+    bottom = [[x // m_den for x in row] for row in m_rows[r:]]
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rows = bottom + u
+
+    def swap_cols(a: int, b: int) -> None:
+        for row in rows:
+            row[a], row[b] = row[b], row[a]
+
+    def negate_col(a: int) -> None:
+        for row in rows:
+            row[a] = -row[a]
+
+    def add_multiple(dst: int, src: int, mult: int) -> None:
+        for row in rows:
+            row[dst] += mult * row[src]
+
+    for t in range(k):
+        while True:
+            nz = [c for c in range(t, n) if bottom[t][c] != 0]
+            if not nz:
+                raise SlicePreconditionError("bottom block is rank deficient")
+            if len(nz) == 1:
+                pivot_col = nz[0]
+                break
+            smallest = min(nz, key=lambda c: abs(bottom[t][c]))
+            for c in nz:
+                if c == smallest:
+                    continue
+                add_multiple(c, smallest, -(bottom[t][c] // bottom[t][smallest]))
+        if pivot_col != t:
+            swap_cols(pivot_col, t)
+        if bottom[t][t] < 0:
+            negate_col(t)
+        if bottom[t][t] != 1:
+            raise SlicePreconditionError(
+                f"pivot {bottom[t][t]} exceeds 1: maximal minors share a factor"
+            )
+        for c in range(n):
+            if c != t and bottom[t][c] != 0:
+                add_multiple(c, t, -bottom[t][c])
+
+    mu = [[sum(a * b for a, b in zip(row, col)) for col in zip(*u)] for row in m_rows]
+    if mu[r:] != [[m_den * (i == t) for i in range(n)] for t in range(k)]:
+        raise SlicePreconditionError("column reduction failed to certify")
+    return u, [row[k:] for row in mu[:r]], [row[:k] for row in mu[:r]]
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Fraction matrix product, column by column; the library multiplies
     integer rows only (linalg.int_mat_mul)."""
@@ -813,12 +871,12 @@ def facet_projections(fs, w, facet):
     shadows by whether they carry a top or a bottom part, with half-open
     rules given by the matching lambda coordinates.
     """
-    from fragtile import complement, lambda_vector
+    from fragtile import complement
 
     dims = fs.dims
     d = fs.decomposition
     c, cbar = column_parts(d)
-    lam = lambda_vector(fs, w, facet.sigma)
+    lam = w.lambda_of(fs, facet.sigma)
     mz = d.m.mat_vec(tuple(Fraction(x) for x in facet.z))
     in_sigma = facet.j in facet.sigma
     shadows = []
@@ -860,7 +918,7 @@ def reference_double_cover(fs, w, index, z, sample_count: int, seed: int):
     else:
         kind, js, gens, base, shadow = "gamma", index, c, mz[: fs.dims.r], 0
     zonotope = Matrix.from_columns([gens[j - 1] for j in js], rows=len(base))
-    coll = facet_collection(fs, kind, z, index)
+    coll = facet_collection(fs, index, z)
     up = set(up_down_partition(fs, w, coll).up)
     live = coll.live_members()
     cells = [facet_projections(fs, w, facet)[shadow] for facet in live]

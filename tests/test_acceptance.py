@@ -191,7 +191,7 @@ def test_criterion_07b_worked_partition_display(mset, w_m):
     # w = (1,1,1,1), h = (2, 12, 8) and the up set is the three side-0 members.
     z = (0, 0, 0, 0)
     tau = (2,)
-    coll = facet_collection(mset, "tau", z, tau)
+    coll = facet_collection(mset, tau, z)
     part = up_down_partition(mset, w_m, coll)
     h = h_vector(mset, w_m, tau)
     expected_up = set()

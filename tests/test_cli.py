@@ -420,6 +420,33 @@ class TestInputErrors:
         code, out, _ = invoke(["laplace", "--matrix", str(path)])
         assert (code, out) == (0, "lhs=0 rhs=0 ok\n")
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            # An exponent names a 50,001-digit point; the grammar has none.
+            (["coverage", "--point", "1e50000,0"], "--point"),
+            (["coverage", "--point", "1e5000000,0"], "--point"),
+            # An integer past int's 4,300-digit string limit.
+            (["coverage", "--point", "1" + "0" * 4300 + ",0"], "--point"),
+            (["coverage", "--point", "0,0", "--w", "0.5,1"], "--w"),
+            (["crossing", "--samples", "1", "--reach", "1e3"], "--reach"),
+            (["crossing", "--samples", "1", "--reach", "2.5"], "--reach"),
+            (["render", "--window", "-5,5,-5,5.0"], "--window"),
+        ],
+    )
+    def test_numeric_flags_take_the_matrix_grammar(self, matrix_files, argv, flag):
+        code, out, err = invoke(argv[:1] + ["--matrix", matrix_files["K"]] + argv[1:])
+        assert (code, out) == (2, "")
+        assert f"malformed {flag} value" in err
+        assert len(err) < 200
+
+    def test_matrix_token_past_the_digit_limit(self, tmp_path):
+        big = tmp_path / "big.txt"
+        big.write_text("1 1\n1 2\n3 " + "7" * 4301 + "\n")
+        code, out, err = invoke(["laplace", "--matrix", str(big)])
+        assert (code, out) == (2, "")
+        assert "line 3 col 3" in err
+
     def test_runs_share_one_parser(self, matrix_files, monkeypatch):
         import argparse
 
@@ -442,6 +469,29 @@ class TestInputErrors:
         assert len(built) == after_first
         assert first == third and first[0] == 0
         assert second[0] == 2 and "--samples" in second[2]
+
+
+def test_readme_flag_table_matches_the_parser():
+    # README's "flags besides --matrix" table against every subparser.
+    from fragtile import cli
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| command        | flags besides `--matrix`")[1].split("\n\n")[0]
+    documented = {}
+    for line in table.splitlines()[2:]:
+        name, flags = (cell.strip() for cell in line.strip("|").split("|"))
+        documented[name.strip("`")] = [] if flags == "none" else [f.strip("` ") for f in flags.split(",")]
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    parsed = {
+        name: [
+            opt
+            for action in sub._actions
+            for opt in action.option_strings
+            if opt not in ("-h", "--help", "--matrix")
+        ]
+        for name, sub in subparsers.choices.items()
+    }
+    assert documented == parsed
 
 
 def expected_polygon_count(fs, cfg):

@@ -40,7 +40,6 @@ from fragtile import (
     facet_signs,
     fragment_set,
     h_vector,
-    lambda_vector,
     solve,
     subsets,
     tilde_facet,
@@ -61,6 +60,11 @@ from fragtile.tiling import (
 COVER13_ROWS = [[3, -1, 1, 0], [1, 2, 2, -1], [0, -3, -3, 2], [3, -2, 0, 1]]
 
 
+@pytest.fixture(scope="module")
+def cover13_set():
+    return fragment_set(decompose(Matrix.from_rows(COVER13_ROWS), Dimensions(1, 3)))
+
+
 class TestTildeFacet:
     def test_s_zero_is_plain(self):
         f = tilde_facet((1, -2, 0, 3), (2, 3), 3, 0)
@@ -77,7 +81,7 @@ class TestTildeFacet:
 
 class TestFacetCollection:
     def test_tau_has_two_per_missing_index(self, mset):
-        coll = facet_collection(mset, "tau", (0, 0, 0, 0), (2,))
+        coll = facet_collection(mset, (2,), (0, 0, 0, 0))
         assert len(coll.members) == 6
         assert not coll.degenerate
         assert {(f.sigma, f.j) for f in coll.members} == {
@@ -87,7 +91,7 @@ class TestFacetCollection:
         }
 
     def test_gamma_has_two_per_member_index(self, mset):
-        coll = facet_collection(mset, "gamma", (0, 0, 0, 0), (1, 2, 3))
+        coll = facet_collection(mset, (1, 2, 3), (0, 0, 0, 0))
         assert len(coll.members) == 6
         assert {(f.sigma, f.j) for f in coll.members} == {
             ((2, 3), 1),
@@ -97,16 +101,43 @@ class TestFacetCollection:
 
     def test_wrong_index_size(self, mset):
         with pytest.raises(DimensionError):
-            facet_collection(mset, "tau", (0, 0, 0, 0), (1, 2))
+            facet_collection(mset, (1, 2), (0, 0, 0, 0))
         with pytest.raises(DimensionError):
-            facet_collection(mset, "gamma", (0, 0, 0, 0), (1, 2))
+            facet_collection(mset, (1, 2, 3, 4), (0, 0, 0, 0))
+
+    @pytest.mark.parametrize("fixture", ["kset", "mset", "qset", "cover13_set"])
+    def test_kind_follows_the_index_size(self, request, fixture):
+        # |index| = r-1 names a tau collection and r+1 a gamma one; the
+        # members are the r-subsets one index away from it.
+        fs = request.getfixturevalue(fixture)
+        r, n = fs.dims.r, fs.dims.n
+        z = tuple(range(n))
+        for kind, size in (("tau", r - 1), ("gamma", r + 1)):
+            for index in subsets(n, size):
+                coll = facet_collection(fs, index, z)
+                assert (coll.kind, coll.index, coll.z) == (kind, index, z)
+                for f in coll.members:
+                    assert len(set(f.sigma) ^ set(index)) == 1
+                    assert collection_of(f, n) == (kind, z, index)
+
+    @pytest.mark.parametrize("fixture", ["kset", "mset", "qset", "cover13_set"])
+    def test_size_r_index_rejected_like_double_cover(self, request, fixture):
+        fs = request.getfixturevalue(fixture)
+        w = choose_generic_direction(fs, 0)
+        index, z = next(subsets(fs.dims.n, fs.dims.r)), (0,) * fs.dims.n
+        with pytest.raises(DimensionError) as from_collection:
+            facet_collection(fs, index, z)
+        with pytest.raises(DimensionError) as from_cover:
+            double_cover_check(fs, w, index, z, 1, 0)
+        assert str(from_collection.value) == str(from_cover.value)
+        assert "neither r-1" in str(from_cover.value)
 
     def test_asymmetric_slot_counts(self):
         # r=2, k=1: tau collections carry 2(k+1)=4 slots, gamma ones 2(r+1)=6
         m = Matrix.from_rows([[1, 0, 2], [0, 1, 1], [1, 2, 3]])
         fs = fragment_set(decompose(m, Dimensions(2, 1)))
-        assert len(facet_collection(fs, "tau", (0, 0, 0), (2,)).members) == 4
-        assert len(facet_collection(fs, "gamma", (0, 0, 0), (1, 2, 3)).members) == 6
+        assert len(facet_collection(fs, (2,), (0, 0, 0)).members) == 4
+        assert len(facet_collection(fs, (1, 2, 3), (0, 0, 0)).members) == 6
 
     def test_membership_round_trip(self, mset):
         # a plain facet keeping its omitted index lands in the tau collection
@@ -125,7 +156,7 @@ class TestFacetCollection:
                 else:
                     assert kind == "gamma"
                     assert index == tuple(sorted(sigma + (j,)))
-                coll = facet_collection(mset, kind, z, index)
+                coll = facet_collection(mset, index, z)
                 assert plain in coll.members
 
     def test_partition_is_injective_over_window(self, kset):
@@ -143,24 +174,36 @@ class TestFacetCollection:
 
 class TestLambdaVector:
     def test_worked_entries(self, mset, w_m):
-        assert lambda_vector(mset, w_m, (2, 3))[1] == Fraction(3, 2)
-        assert lambda_vector(mset, w_m, (3, 4))[3] == Fraction(3, 5)
+        assert w_m.lambda_of(mset, (2, 3))[1] == Fraction(3, 2)
+        assert w_m.lambda_of(mset, (3, 4))[3] == Fraction(3, 5)
 
     def test_defining_equation(self, mset, w_m):
         for frag in mset:
-            lam = lambda_vector(mset, w_m, frag.sigma)
+            lam = w_m.lambda_of(mset, frag.sigma)
             assert frag.s.mat_vec(lam) == w_m.w
 
     def test_degenerate_raises(self):
         fs = fragment_set(decompose(Matrix.identity(2), Dimensions(1, 1)))
         w = choose_generic_direction(fs, 0)
+        assert fs[(2,)].sign_class == "degenerate"
         with pytest.raises(DegenerateFragmentError):
-            lambda_vector(fs, w, (2,))
+            w.lambda_of(fs, (2,))
+
+    def test_foreign_matrix_raises_key_error(self, kset, lset, w_k, w_l):
+        # (1,) is live in both matrices; each w is certified for one of them.
+        with pytest.raises(KeyError):
+            w_k.lambda_of(lset, (1,))
+        with pytest.raises(KeyError):
+            w_l.lambda_of(kset, (1,))
+        # a degenerate sigma of another matrix is still that matrix's error
+        identity = fragment_set(decompose(Matrix.identity(2), Dimensions(1, 1)))
+        with pytest.raises(KeyError):
+            w_k.lambda_of(identity, (2,))
 
     def test_restricted_systems(self, mset, w_m):
         # the top and bottom blocks solve their own restricted systems
         for frag in mset:
-            lam = lambda_vector(mset, w_m, frag.sigma)
+            lam = w_m.lambda_of(mset, frag.sigma)
             lam_sigma = tuple(lam[i - 1] for i in frag.sigma)
             lam_hat = tuple(lam[i - 1] for i in complement(frag.sigma, 4))
             c, cbar = c_submatrices(mset.decomposition, frag.sigma)
@@ -186,7 +229,7 @@ class TestLambdaVector:
                     perm_sign(BlockPermutation((sigma, rest))),
                 )
                 expected = (num / den) * ratio
-                assert lambda_vector(mset, w_m, sigma)[j - 1] == expected
+                assert w_m.lambda_of(mset, sigma)[j - 1] == expected
 
 
 class TestFacetSigns:
@@ -208,7 +251,7 @@ class TestFacetSigns:
 
 class TestUpDownPartition:
     def test_worked_collection(self, mset, w_m):
-        coll = facet_collection(mset, "tau", (0, 0, 0, 0), (2,))
+        coll = facet_collection(mset, (2,), (0, 0, 0, 0))
         part = up_down_partition(mset, w_m, coll)
         assert set(part.up) == {
             tilde_facet((0, 0, 0, 0), (1, 2), 1, 0),
@@ -225,7 +268,8 @@ class TestUpDownPartition:
         indices = [("tau", tau) for tau in subsets(4, 1)]
         indices += [("gamma", gamma) for gamma in subsets(4, 3)]
         for kind, index in indices:
-            coll = facet_collection(mset, kind, (0, 0, 0, 0), index)
+            coll = facet_collection(mset, index, (0, 0, 0, 0))
+            assert coll.kind == kind
             part = up_down_partition(mset, w_m, coll)
             assert set(part.up) | set(part.down) == set(coll.live_members())
             assert not set(part.up) & set(part.down)
@@ -240,7 +284,7 @@ class TestUpDownPartition:
         minus_w = certify_direction(mset, [-x for x in w_m.w])
         others = [choose_generic_direction(mset, seed) for seed in range(5)]
         for tau in subsets(4, 1):
-            coll = facet_collection(mset, "tau", (0, 0, 0, 0), tau)
+            coll = facet_collection(mset, tau, (0, 0, 0, 0))
             up = set(up_down_partition(mset, w_m, coll).up)
             flipped = {tilde_facet(coll.z, f.sigma, f.j, 1 - f.s) for f in up}
             assert set(up_down_partition(mset, minus_w, coll).up) == flipped, tau
@@ -250,7 +294,7 @@ class TestUpDownPartition:
     def test_degenerate_member_excluded(self):
         fs = fragment_set(decompose(Matrix.identity(2), Dimensions(1, 1)))
         w = choose_generic_direction(fs, 0)
-        coll = facet_collection(fs, "tau", (0, 0), ())
+        coll = facet_collection(fs, (), (0, 0))
         assert len(coll.members) == 4
         assert len(coll.degenerate) == 2
         part = up_down_partition(fs, w, coll)
@@ -289,7 +333,7 @@ class TestHVector:
                 sigma = tuple(sorted(tau + (j,)))
                 frag = mset[sigma]
                 if frag.sign_class != "degenerate":
-                    lam = lambda_vector(mset, w_m, sigma)
+                    lam = w_m.lambda_of(mset, sigma)
                     assert h[pos] == lam[j - 1] * frag.det_s
 
     def test_random_matrices(self):
@@ -329,7 +373,7 @@ class TestHVector:
 
 class TestFacetProjections:
     def test_common_relative_interior_tau(self, mset, w_m):
-        coll = facet_collection(mset, "tau", (0, 0, 0, 0), (2,))
+        coll = facet_collection(mset, (2,), (0, 0, 0, 0))
         tops = {
             (top.base, top.generators)
             for top in (facet_projections(mset, w_m, f)[0] for f in coll.members)
@@ -339,7 +383,7 @@ class TestFacetProjections:
         assert tops == {((Fraction(0), Fraction(0)), (c_cols[1],))}
 
     def test_common_relative_interior_gamma(self, mset, w_m):
-        coll = facet_collection(mset, "gamma", (0, 0, 0, 0), (1, 2, 3))
+        coll = facet_collection(mset, (1, 2, 3), (0, 0, 0, 0))
         bottoms = {
             (g.base, g.generators)
             for g in (facet_projections(mset, w_m, f)[1] for f in coll.members)
@@ -381,7 +425,7 @@ class TestFacetProjections:
         xs = (-Fraction(1, 2), 0, Fraction(1, 3), 1, Fraction(3, 2))
         seen = set()
         for kind, index, shadow in (("tau", (2,), 0), ("gamma", (1, 2, 3), 1)):
-            coll = facet_collection(mset, kind, (1, 0, -1, 0), index)
+            coll = facet_collection(mset, index, (1, 0, -1, 0))
             for facet in coll.live_members():
                 geom = facet_projections(mset, w_m, facet)[shadow]
                 dim = len(geom.base)

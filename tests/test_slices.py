@@ -16,6 +16,7 @@ from conftest import (
     random_int_matrix,
     reference_slice_layout,
     reference_slice_precondition,
+    reference_unimodular_reduce,
     rows_matrix,
     split_matrices,
 )
@@ -178,6 +179,30 @@ class TestUnimodularReduce:
             outcomes.add(reduced)
         assert not slice_precondition(cases[0]) and not slice_precondition(cases[1])
         assert outcomes == {True, False}
+
+    @staticmethod
+    def _agrees_with_reference(d):
+        # U fixes the B= bytes of `slice`, and the goldens hold five matrices.
+        try:
+            expected = reference_unimodular_reduce(d)
+        except SlicePreconditionError as exc:
+            with pytest.raises(SlicePreconditionError) as raised:
+                unimodular_reduce(d)
+            assert str(raised.value) == str(exc)
+            return False
+        assert unimodular_reduce(d) == expected
+        return True
+
+    def test_same_reduction_as_the_row_form_on_the_corpus(self):
+        corpus = corpus_files()
+        assert len(corpus) == 58
+        reduced = [self._agrees_with_reference(corpus_set(path).decomposition) for path in corpus]
+        assert 0 < sum(reduced) < len(reduced)
+
+    @given(split_matrices())
+    def test_same_reduction_as_the_row_form_on_random_matrices(self, case):
+        m, dims = case
+        self._agrees_with_reference(decompose(m, dims))
 
     def test_corpus_records(self):
         corpus = Path(__file__).resolve().parents[1] / "perfbench"
