@@ -11,12 +11,15 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
 from .fragments import (
     DEGENERATE,
+    NEGATIVE,
+    POSITIVE,
     Dimensions,
     FragmentSet,
     decompose,
@@ -169,28 +172,30 @@ def _direction(args, fs: FragmentSet):
     return choose_generic_direction(fs, args.seed)
 
 
+@contextmanager
+def _printable():
+    """A report value past CPython's int-to-str digit limit is bad input."""
+    try:
+        yield
+    except ValueError:
+        raise CliInputError("a report value has too many digits to print") from None
+
+
 def cmd_fragments(args) -> int:
     """fragment family, sign classes, factor identity"""
     fs = _load_fs(args)
-    dims = fs.dims
-    print(f"r={dims.r} k={dims.k} detM={fs.det_m}")
-    all_ok = True
-    counts = {"positive": 0, "negative": 0, "degenerate": 0}
-    for frag in fs:
-        counts[frag.sign_class] += 1
-        lhs, rhs = sandc_identity(fs, frag.sigma)
-        ok = lhs == rhs
-        all_ok = all_ok and ok
-        print(
-            f"sigma={_fmt_subset(frag.sigma)} detC={frag.det_c} "
-            f"detCbar={frag.det_cbar} sign={shuffle_sign(frag.sigma)} "
-            f"detS={frag.det_s} class={frag.sign_class} {'ok' if ok else 'FAIL'}"
-        )
-    print(
-        f"positive={counts['positive']} negative={counts['negative']} "
-        f"degenerate={counts['degenerate']} pass={'true' if all_ok else 'false'}"
-    )
-    return 0 if all_ok else 1
+    oks = [lhs == rhs for lhs, rhs in (sandc_identity(fs, frag.sigma) for frag in fs)]
+    with _printable():
+        lines = [f"r={fs.dims.r} k={fs.dims.k} detM={fs.det_m}"]
+        for frag, ok in zip(fs, oks):
+            lines.append(
+                f"sigma={_fmt_subset(frag.sigma)} detC={frag.det_c} "
+                f"detCbar={frag.det_cbar} sign={shuffle_sign(frag.sigma)} "
+                f"detS={frag.det_s} class={frag.sign_class} {'ok' if ok else 'FAIL'}"
+            )
+    counts = " ".join(f"{c}={len(fs.by_class(c))}" for c in (POSITIVE, NEGATIVE, DEGENERATE))
+    print(*lines, f"{counts} pass={'true' if all(oks) else 'false'}", sep="\n")
+    return 0 if all(oks) else 1
 
 
 def cmd_laplace(args) -> int:
@@ -198,7 +203,8 @@ def cmd_laplace(args) -> int:
     fs = _load_fs(args)
     lhs, rhs = laplace_identity(fs)
     ok = lhs == rhs
-    print(f"lhs={lhs} rhs={rhs} {'ok' if ok else 'FAIL'}")
+    with _printable():
+        print(f"lhs={lhs} rhs={rhs} {'ok' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 

@@ -38,8 +38,6 @@ from .linalg import (
     int_mat_mul,
     normalize_integer_direction,
     rat,
-    vec_add,
-    vec_scale,
     vector,
 )
 from .tiling import (
@@ -336,7 +334,7 @@ def _collect_events(engine: TilingEngine, start, reach):
     n = engine.fs.dims.n
     reach_num, reach_den = reach.numerator, reach.denominator
     q, p_int = clear_denominator(start)
-    end = vec_add(start, vec_scale(reach, engine.w.w))
+    end = tuple(si + reach * wi for si, wi in zip(start, engine.w.w))
     ends = [engine.lattice_coordinates(q, p_int), engine.lattice_coordinates(*clear_denominator(end))]
     events: dict[Fraction, list[tuple[FacetId, bool]]] = {}
     for frame in engine.frames:
@@ -435,8 +433,8 @@ def crossing_check(engine: TilingEngine, p: Sequence, reach, seed: int) -> Cross
             continue
         ts = [Fraction(0)] + [c.t for c in crossings] + [reach]
         f_values = [
-            engine.coverage(vec_add(start, vec_scale((a + b) / 2, w.w))).f_value
-            for a, b in zip(ts, ts[1:])
+            engine.coverage(tuple(si + mid * wi for si, wi in zip(start, w.w))).f_value
+            for mid in ((a + b) / 2 for a, b in zip(ts, ts[1:]))
         ]
         cancellation_ok = all(c.sign_sum == 0 for c in crossings)
         constant = len(set(f_values)) == 1

@@ -231,9 +231,6 @@ class FragmentSet:
     def __getitem__(self, sigma: Iterable[int]) -> Fragment:
         return self.fragments[normalize_subset(sigma, self.dims.n)]
 
-    def sigmas(self) -> tuple[SubsetIndex, ...]:
-        return tuple(self.fragments.keys())
-
     def by_class(self, sign_class: str) -> tuple[SubsetIndex, ...]:
         return tuple(f.sigma for f in self if f.sign_class == sign_class)
 

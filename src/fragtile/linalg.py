@@ -44,23 +44,6 @@ def vector(entries: Iterable[Scalar]) -> tuple[Fraction, ...]:
     return tuple(rat(x) for x in entries)
 
 
-def vec_add(u: Sequence[Fraction], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    if len(u) != len(v):
-        raise DimensionError(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c: Scalar, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    c = rat(c)
-    return tuple(c * x for x in v)
-
-
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    if len(u) != len(v):
-        raise DimensionError(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
 class Matrix:
     """Immutable dense matrix of Fractions, row-major.
 
@@ -107,10 +90,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
 
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def entry(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise DimensionError(f"index ({i},{j}) outside {self.rows}x{self.cols}")
@@ -128,7 +107,7 @@ class Matrix:
     def mat_vec(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(v) != self.cols:
             raise DimensionError(f"vector length {len(v)} vs {self.cols} columns")
-        return tuple(dot(self.row(i), v) for i in range(self.rows))
+        return tuple(sum(map(mul, self.row(i), v), Fraction(0)) for i in range(self.rows))
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and (self.rows, self.cols, self._entries) == (
@@ -229,7 +208,7 @@ def int_mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[
 
 def det(a: Matrix) -> Fraction:
     """Exact determinant: a = A / c with integer A, so det a = det A / c^n."""
-    if not a.is_square:
+    if a.rows != a.cols:
         raise DimensionError(f"determinant of non-square {a.rows}x{a.cols} matrix")
     c, rows = clear_rows(a)
     return Fraction(int_det(rows), c**a.rows)
@@ -238,7 +217,7 @@ def det(a: Matrix) -> Fraction:
 def solve(a: Matrix, b: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Exact solution x of a*x = b for square invertible a: [a | b] is cleared
     and eliminated, and x is the last column over the last pivot."""
-    if not a.is_square:
+    if a.rows != a.cols:
         raise DimensionError(f"solve needs a square matrix, got {a.rows}x{a.cols}")
     n = a.rows
     if len(b) != n:
@@ -252,7 +231,7 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 def inverse(a: Matrix) -> Matrix:
     """Exact inverse of a square invertible matrix, by inverse_rows."""
-    if not a.is_square:
+    if a.rows != a.cols:
         raise DimensionError(f"inverse needs a square matrix, got {a.rows}x{a.cols}")
     e, x = inverse_rows(*clear_rows(a))
     return Matrix(a.rows, a.rows, [Fraction(v, e) for row in x for v in row])

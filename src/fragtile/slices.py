@@ -117,13 +117,6 @@ class SliceLayout:
     classes: tuple[SliceClass, ...]
     b_inv_rows: tuple[int, list[list[int]]] = field(compare=False, repr=False)
 
-    def by_sigma(self, sigma: Sequence[int]) -> SliceClass:
-        key = tuple(sorted(sigma))
-        for cls in self.classes:
-            if cls.sigma == key:
-                return cls
-        raise KeyError(key)
-
 
 def slice_layout(
     fs: FragmentSet, w: GenericDirection, window: Sequence[tuple[int, int]]

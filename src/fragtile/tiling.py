@@ -172,15 +172,10 @@ def cell_hits(u: Sequence[int], h: Sequence[Sequence[int]], one: int, rules, ran
     caller clears denominators).  Yields (z, inside, touching), the
     cell_position of u - h z, for every z with u - h z in the closed cell
     [0, one]^m, m = len(u).  As in Fincke-Pohst enumeration, only the first
-    c - 1 of the c = len(ranges) coordinates are enumerated: per prefix, each
-    row's residual r_i is formed once, and 0 <= r_i - a_i t <= one
+    c - 1 of the c = len(ranges) >= 1 coordinates are enumerated: per
+    prefix, each row's residual r_i is formed once, and 0 <= r_i - a_i t <= one
     (a_i = h[i][c-1]) cuts the last range by floor division to its members.
     """
-    if not ranges:
-        pos = cell_position(u, one, rules)
-        if pos is not None:
-            yield (), *pos
-        return
     *head, (lo, hi) = ranges
     last = [row[len(head)] for row in h]
     for prefix in product(*(range(a, b + 1) for a, b in head)):

@@ -97,7 +97,7 @@ def test_criterion_01_laplace_identity(corpus, mset):
 def test_criterion_02_factorization_identity(corpus):
     ok = True
     for fs in corpus:
-        for sigma in fs.sigmas():
+        for sigma in fs.fragments:
             lhs, rhs = sandc_identity(fs, sigma)
             ok = ok and lhs == rhs
     _report("2", "fragment determinant factorization", ok)

@@ -447,6 +447,19 @@ class TestInputErrors:
         assert (code, out) == (2, "")
         assert "line 3 col 3" in err
 
+    def test_derived_value_past_the_digit_limit(self, tmp_path):
+        # Every token has 2,501 digits, but det M = 10^5000 - 6 has 5,000.
+        big = tmp_path / "big.txt"
+        big.write_text(f"1 1\n{10**2500} 2\n3 {10**2500}\n")
+        for command in ("fragments", "laplace"):
+            code, out, err = invoke([command, "--matrix", str(big)])
+            assert (code, out) == (2, ""), command
+            assert err == "error: a report value has too many digits to print\n"
+        code, out, _ = invoke(["coverage", "--matrix", str(big), "--point", "1/2,1/3"])
+        assert code == 0 and out.endswith(" ok\n")
+        code, out, _ = invoke(["verify", "--matrix", str(big), "--samples", "20"])
+        assert code == 0 and out.endswith(" pass=true\n")
+
     def test_runs_share_one_parser(self, matrix_files, monkeypatch):
         import argparse
 

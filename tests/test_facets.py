@@ -24,6 +24,7 @@ from conftest import (
     solve_affine,
 )
 from fragtile import (
+    DEGENERATE,
     DegenerateFragmentError,
     Dimensions,
     FacetId,
@@ -783,3 +784,27 @@ class TestEventScan:
             w = choose_generic_direction(fs, trial)
             self.check(fs, w, self.grid_start(fs, f"events:{trial}"), Fraction(3, 2))
             self.check(fs, w, self.lattice_start(fs), 1)
+
+
+class TestClassifyEvents:
+    """A crossing time is degenerate when its facets lie on non-parallel
+    hyperplanes, even when no crossing touches a facet boundary."""
+
+    def test_non_parallel_normals(self, mset, w_m):
+        engine = TilingEngine(mset, w_m)
+        sigma = next(f.sigma for f in mset if f.sign_class != DEGENERATE)
+        # Rows 1 and 2 of an invertible S_sigma^-1 are not parallel; sides
+        # 0 and 1 of one generator share a normal.
+        normals = mset[sigma].s_inv_rows[1]
+        assert normalize_integer_direction(normals[0]) != normalize_integer_direction(normals[1])
+        zero = (0,) * 4
+        first, across, parallel = (
+            FacetId(z=zero, sigma=sigma, j=j, s=s) for j, s in ((1, 0), (2, 0), (1, 1))
+        )
+        t = Fraction(1, 2)
+        assert facets._classify_events(engine, {t: [(first, False), (across, False)]}) == (True, [])
+        degenerate, crossings = facets._classify_events(
+            engine, {t: [(first, False), (parallel, False)]}
+        )
+        assert not degenerate
+        assert [(c.t, c.facets) for c in crossings] == [(t, (first, parallel))]

@@ -202,8 +202,8 @@ class TestFragmentSet:
             | set(mset.by_class(NEGATIVE))
             | set(mset.by_class(DEGENERATE))
         )
-        assert everything == set(mset.sigmas())
-        assert len(mset.sigmas()) == 6
+        assert everything == set(mset.fragments)
+        assert len(mset.fragments) == 6
 
 
 class TestIdentities:
@@ -256,7 +256,7 @@ class TestIdentities:
 
     def test_factorization_all_sigmas(self, mset, kset, lset):
         for fs in (mset, kset, lset):
-            for sigma in fs.sigmas():
+            for sigma in fs.fragments:
                 lhs, rhs = sandc_identity(fs, sigma)
                 assert lhs == rhs
 
@@ -268,7 +268,7 @@ class TestIdentities:
         fs = fragment_set(decompose(m, dims))
         lhs, rhs = laplace_identity(fs)
         assert lhs == rhs
-        for sigma in fs.sigmas():
+        for sigma in fs.fragments:
             a, b = sandc_identity(fs, sigma)
             assert a == b
 
@@ -402,7 +402,7 @@ def test_fragment_set_builds_no_matrix(monkeypatch):
     for path, d in zip(corpus, decompositions):
         fs = fragment_set(d)
         assert built == [], path.name
-    frag = fs.fragments[fs.sigmas()[0]]
+    frag = next(iter(fs))
     assert frag.s == fragment_matrix(d, frag.sigma)
     assert built
 

@@ -297,7 +297,7 @@ class TestSliceLayout:
         fs = fragment_set(decompose(Matrix.identity(2), Dimensions(1, 1)))
         w = choose_generic_direction(fs, 1)
         layout = slice_layout(fs, w, WINDOW2)
-        assert layout.by_sigma((2,)).offsets == ()
+        assert [cls.offsets for cls in layout.classes if cls.sigma == (2,)] == [()]
 
 
 def scanned_keys(monkeypatch, fs, w, window):
