@@ -207,7 +207,6 @@ class DoubleCoverReport:
     z: tuple[int, ...]
     sample_count: int
     boundary_samples: int
-    relative_points: tuple[tuple[Fraction, ...], ...]
     failures: tuple[tuple[tuple[Fraction, ...], int, int], ...]
     passed: bool
 
@@ -236,7 +235,7 @@ def double_cover_check(
     coordinates are the block rows of S_sigma^-1 M (q (z - z_f) -+ c) over
     q.  With S_sigma^-1 = X / e and M = A / d, each member keeps those rows
     of X A as integer rows on v = (c, q) over e d q, tested by
-    cell_position.
+    cell_position.  Only a failing sample's point is formed as Fractions.
     """
     r, n = fs.dims.r, fs.dims.n
     coll = facet_collection(fs, index, z)
@@ -262,9 +261,7 @@ def double_cover_check(
         ]
         cells.append((rows, e * d * q, tuple(lam[i - 1] > 0 for i in block)))
 
-    den = d * q
     boundary_samples = 0
-    relative_points = []
     failures = []
     for idx in range(sample_count):
         c = grid_numerators(f"cover:{seed}:{idx}:0", len(js), 1, SAMPLE_DENOMINATOR)
@@ -277,9 +274,8 @@ def double_cover_check(
         hits = [facet in up for facet, pos in zip(live, positions) if pos is not None and pos[0]]
         up_count = sum(hits)
         down_count = len(hits) - up_count
-        q_rel = tuple(Fraction(sum(map(mul, row, c)), den) for row in zono_rows)
-        relative_points.append(q_rel)
         if (up_count, down_count) != (1, 1):
+            q_rel = tuple(Fraction(sum(map(mul, row, c)), d * q) for row in zono_rows)
             failures.append((q_rel, up_count, down_count))
     return DoubleCoverReport(
         kind=coll.kind,
@@ -287,7 +283,6 @@ def double_cover_check(
         z=coll.z,
         sample_count=sample_count,
         boundary_samples=boundary_samples,
-        relative_points=tuple(relative_points),
         failures=tuple(failures),
         passed=not failures,
     )
@@ -318,8 +313,9 @@ def _collect_events(engine: TilingEngine, start, reach):
 
     Fragment coordinates y0 + t*lambda meet the closed unit cell along the
     segment only if y0 lies within reach*max|lambda_i| of it, so cell_hits
-    scans the segment's box in each frame's reduced basis (the one tiles_at
-    scans) against the cell widened by an integer bound on that.  For each
+    scans the union of the candidate_boxes at the two ends (the bounds are
+    monotone in M^-1 p) at the start's exact cell_coordinates, in the cell
+    widened by a bound on that.  For each
     translate it yields, every coordinate hitting 0 or 1 gives a rational
     crossing time; the hit is kept when the crossing point lies in the
     closed facet, and flagged when it touches the facet's own boundary.
@@ -336,15 +332,14 @@ def _collect_events(engine: TilingEngine, start, reach):
     q, p_int = clear_denominator(start)
     end = tuple(si + reach * wi for si, wi in zip(start, engine.w.w))
     ends = [engine.lattice_coordinates(q, p_int), engine.lattice_coordinates(*clear_denominator(end))]
+    (lo0, hi0), (lo1, hi1) = (engine.candidate_boxes(num, den) for num, den in ends)
+    boxes = list(zip(map(min, lo0, lo1), map(max, hi0, hi1)))
+    cells = engine.cell_coordinates(p_int)
     events: dict[Fraction, list[tuple[FacetId, bool]]] = {}
     for frame in engine.frames:
         lam_den, lam = clear_denominator(frame.lam)
-        u, h, one = frame.exact_query(q, p_int)
+        u, h, one = cells[frame.rows], [[e * q for e in row] for row in frame.h], frame.denom * q
         widen = ceil(reach * max(abs(x) for x in frame.lam)) * one
-        # The translates met anywhere along the segment: the box bounds are
-        # monotone in M^-1 p, so the union of the end boxes covers the segment.
-        (lo0, hi0), (lo1, hi1) = (frame.box(num, den) for num, den in ends)
-        ranges = list(zip(map(min, lo0, lo1), map(max, hi0, hi1)))
         other_rules = [frame.rules[:i] + frame.rules[i + 1 :] for i in range(n)]
         # Per coordinate i: |l_i|, the corner one*|l_i| of the cell the other
         # coordinates are tested in, and the bound one*|l_i|*rn on a*d*rd.
@@ -353,7 +348,7 @@ def _collect_events(engine: TilingEngine, start, reach):
         limit = [reach_num * x for x in corner]
         scale = lam_den * reach_den
         wide_u = [x + widen for x in u]
-        for x, _, _ in cell_hits(wide_u, h, one + 2 * widen, frame.rules, ranges):
+        for x, _, _ in cell_hits(wide_u, h, one + 2 * widen, frame.rules, boxes[frame.rows]):
             y = [ui - sum(map(mul, row, x)) for ui, row in zip(u, h)]
             z = frame.translate(x)
             for i in range(n):

@@ -101,10 +101,19 @@ def grid_numerators(tag: str, dim: int, lo: int, hi: int) -> list[int]:
     whose denominator the caller fixes.
 
     The stream is seeded by the tag string alone, so every draw is
-    reproducible from its tag.
+    reproducible from its tag.  The values are random.Random(tag).randrange
+    (lo, hi)'s, drawn as it draws them: getrandbits, redrawn while >= width.
     """
-    rng = random.Random(tag)
-    return [rng.randrange(lo, hi) for _ in range(dim)]
+    width = hi - lo
+    if width <= 0:
+        raise ValueError(f"empty range [{lo}, {hi})")
+    bits, getrandbits = width.bit_length(), random.Random(tag).getrandbits
+    values = []
+    while len(values) < dim:
+        x = getrandbits(bits)
+        if x < width:
+            values.append(lo + x)
+    return values
 
 
 def grid_vector(tag: str, dim: int, lo: int, hi: int) -> tuple[Fraction, ...]:
@@ -313,7 +322,7 @@ class _Frame:
     W M^-1 p - G' [0, 1]^n stays close to the parallelepiped it covers.  The
     coordinate vector of p - M z in the fragment basis is u - H'x with
     u = S^-1 p and H' = S^-1 M W^-1, kept as integer rows over one frame
-    denominator, and doubled for query; a hit maps back by z = W^-1 x.
+    denominator, and doubled for tiles_at; a hit maps back by z = W^-1 x.
 
     A frame forms no matrix product: G's Gram matrix is shifted_gram of
     T's, which the engine shares; S^-1 is the fragment's block-diagonal
@@ -325,21 +334,22 @@ class _Frame:
 
     __slots__ = (
         "sigma", "sign_class", "lam", "rules", "denom", "s_inv", "h", "h2", "one2",
-        "to_x", "to_z", "slack_den", "slack_pos", "slack_neg",
+        "to_x", "to_z", "slack_pos", "slack_neg", "rows",
     )
 
-    def __init__(self, frag, fs: FragmentSet, w: GenericDirection, shared):
+    def __init__(self, frag, fs: FragmentSet, w: GenericDirection, shared, rows: slice):
+        self.rows = rows
         self.sigma = frag.sigma
         self.sign_class = frag.sign_class
         self.lam = w.lambda_of(fs, frag.sigma)
         self.rules = tuple(x > 0 for x in self.lam)
         # T = t / slack_den, and G = T - D over it; the columns of M's top
         # and bottom rows over m_den.
-        self.slack_den, t, t_gram, top_cols, bottom_cols = shared
+        slack_den, t, t_gram, top_cols, bottom_cols = shared
         hat = [j - 1 for j in complement(frag.sigma, fs.dims.n)]
         g = [list(row) for row in t]
         for j in hat:
-            g[j][j] -= self.slack_den
+            g[j][j] -= slack_den
         si_den, si = frag.s_inv_rows
         r = fs.dims.r
         h = [
@@ -348,7 +358,7 @@ class _Frame:
             else [sum(map(mul, row[:r], col)) for col in top_cols]
             for i, row in enumerate(si)
         ]
-        g, self.to_x, self.to_z, h = size_reduce(g, shifted_gram(t, t_gram, self.slack_den, hat), h)
+        g, self.to_x, self.to_z, h = size_reduce(g, shifted_gram(t, t_gram, slack_den, hat), h)
         self.slack_pos = [sum(x for x in row if x > 0) for row in g]
         self.slack_neg = [sum(x for x in row if x < 0) for row in g]
         # S^-1 = si / si_den and M = m / m_den share the denominator
@@ -361,36 +371,6 @@ class _Frame:
         self.h2 = [[2 * x for x in row] for row in self.h]
         self.one2 = 2 * self.denom
 
-    def exact_query(self, q: int, p_int: Sequence[int]):
-        """(u, h, one) for cell_hits at the point p_int / q: the cell
-        coordinates of p - M W^-1 x are exactly (u - h x) / one."""
-        u = [sum(map(mul, row, p_int)) for row in self.s_inv]
-        return u, [[e * q for e in row] for row in self.h], self.denom * q
-
-    def query(self, q: int, p_int: Sequence[int]):
-        """(u', 2 H', 2 denom), on which cell_hits yields what it yields for
-        exact_query, on integers that do not grow with q.
-
-        With u = S^-1 p_int, row i tests v = u_i / q - (H'x)_i against
-        [0, denom], and u'_i = 2 (u_i // q) + (u_i % q > 0).  Where q divides
-        u_i, u'_i - 2 (H'x)_i = 2 v.  Elsewhere v is no integer, so never 0 or
-        denom, and lies in the cell exactly when floor(v) lies in
-        [0, denom - 1]; then u'_i - 2 (H'x)_i = 2 floor(v) + 1 is odd, never
-        0 or 2 denom, and lies in [0, 2 denom] exactly when floor(v) does.
-        """
-        u = [sum(map(mul, row, p_int)) for row in self.s_inv]
-        return [2 * (x // q) + (x % q > 0) for x in u], self.h2, self.one2
-
-    def box(self, num: Sequence[int], den: int):
-        """Inclusive bounds (lo, hi) on x = W z over the translates z whose
-        closed tile can hold p, where M^-1 p = num / den (den > 0)."""
-        sd = self.slack_den
-        scale = den * sd
-        b = [sum(map(mul, row, num)) * sd for row in self.to_x]
-        lo = [-((sp * den - bi) // scale) for bi, sp in zip(b, self.slack_pos)]
-        hi = [(bi - sn * den) // scale for bi, sn in zip(b, self.slack_neg)]
-        return lo, hi
-
     def translate(self, x: Sequence[int]) -> tuple[int, ...]:
         """The translate z = W^-1 x."""
         return tuple(sum(map(mul, row, x)) for row in self.to_z)
@@ -400,13 +380,10 @@ class TilingEngine:
     """Point location for the signed tiling of one fragment set.
 
     Per fragment, the candidate translates for a query point p are scanned
-    in the frame's size-reduced basis, over the integer box that interval
-    arithmetic on the reduced rows of M^-1 S_sigma gives, and each candidate
-    is tested exactly with integer arithmetic.  Each fragment's tiles come
-    out sorted by z, so results do not depend on the scan order.  The frames
-    are built from the fragment set's cleared m_rows and m_inv_rows, and
-    share T = M^-1 P M and its Gram matrix, formed once here: the only
-    matrix product of the build.
+    in the frame's size-reduced basis and tested exactly on integers.  The
+    frames share T = M^-1 P M and its Gram matrix, the build's only matrix
+    product, and one denominator of G, so their rows stack into one query
+    (cell_coordinates, candidate_boxes), of which frame.rows are the frame's.
     """
 
     def __init__(self, fs: FragmentSet, w: GenericDirection):
@@ -415,13 +392,19 @@ class TilingEngine:
         self.fs = fs
         self.w = w
         self.expected = fs.expected_coverage()
-        (m_den, m), (e, m_inv), r = fs.m_rows, fs.m_inv_rows, fs.dims.r
+        (m_den, m), (e, m_inv), (r, n) = fs.m_rows, fs.m_inv_rows, (fs.dims.r, fs.dims.n)
         t = int_mat_mul([row[:r] for row in m_inv], m[:r])
         shared = (
             e * m_den, t, [[sum(map(mul, a, b)) for b in t] for a in t],
             list(zip(*m[:r])), list(zip(*m[r:])),
         )
-        self.frames = [_Frame(frag, fs, w, shared) for frag in fs if frag.sign_class != DEGENERATE]
+        live = [frag for frag in fs if frag.sign_class != DEGENERATE]
+        self.frames = [_Frame(f, fs, w, shared, slice(i * n, i * n + n)) for i, f in enumerate(live)]
+        self._slack_den = shared[0]
+        self._s_inv, self._to_x, self._slack_pos, self._slack_neg = (
+            [x for frame in self.frames for x in getattr(frame, name)]
+            for name in ("s_inv", "to_x", "slack_pos", "slack_neg")
+        )
 
     @cached_property
     def m_inv(self) -> Matrix:
@@ -434,11 +417,26 @@ class TilingEngine:
         den, rows = self.fs.m_inv_rows
         return [sum(map(mul, row, p_int)) for row in rows], den * q
 
+    def cell_coordinates(self, p_int: Sequence[int]) -> list[int]:
+        """u = S^-1 p_int of every frame, stacked: the cell coordinates of
+        p - M W^-1 x, p = p_int / q, are (u[frame.rows] - q h x) / (q denom)."""
+        return [sum(map(mul, row, p_int)) for row in self._s_inv]
+
+    def candidate_boxes(self, num: Sequence[int], den: int) -> tuple[list[int], list[int]]:
+        """Inclusive bounds (lo, hi) of every frame, stacked, on x = W z over
+        the z whose closed tile can hold p, M^-1 p = num / den (den > 0)."""
+        sd = self._slack_den
+        scale = den * sd
+        b = [sum(map(mul, row, num)) * sd for row in self._to_x]
+        lo = [-((sp * den - bi) // scale) for bi, sp in zip(b, self._slack_pos)]
+        hi = [(bi - sn * den) // scale for bi, sn in zip(b, self._slack_neg)]
+        return lo, hi
+
     def candidate_box(self, frame: _Frame, a: Sequence[Fraction]):
-        """The box of x = W z that tiles_at scans in the frame at the point
-        whose lattice coordinates M^-1 p are a."""
+        """The frame's rows of candidate_boxes at lattice coordinates a = M^-1 p."""
         den, num = clear_denominator(a)
-        return frame.box(num, den)
+        lo, hi = self.candidate_boxes(num, den)
+        return lo[frame.rows], hi[frame.rows]
 
     def tiles_at(self, p: Sequence[Fraction]) -> tuple[list[tuple[TileId, str]], int]:
         """All tiles containing p, plus a count of closed-boundary incidences.
@@ -447,19 +445,25 @@ class TilingEngine:
         the closed unit box with some coordinate exactly 0 or 1; the half-open
         rules still decide membership, the count only flags the event.  Tiles
         come in frame order and, within a frame, sorted by z.
+
+        The test runs on integers that do not grow with q: with u the cell
+        coordinates, 2 (u_i // q) + (u_i % q > 0) replaces u_i / q in the
+        doubled frame.  Where q divides u_i that is exact; elsewhere
+        v = u_i / q - (h x)_i is no integer, so touches no face, and the odd
+        2 floor(v) + 1 is in [0, 2 denom] exactly when v is in [0, denom].
         """
         p = vector(p)
         if len(p) != self.fs.dims.n:
             raise DimensionError(f"point has length {len(p)}, expected {self.fs.dims.n}")
         q, p_int = clear_denominator(p)
-        num, den = self.lattice_coordinates(q, p_int)
+        ranges = list(zip(*self.candidate_boxes(*self.lattice_coordinates(q, p_int))))
+        u = [2 * (x // q) + (x % q > 0) for x in self.cell_coordinates(p_int)]
         found: list[tuple[TileId, str]] = []
         boundary = 0
         for frame in self.frames:
-            u, h, one = frame.query(q, p_int)
-            ranges = list(zip(*frame.box(num, den)))
             hits = []
-            for x, inside, touching in cell_hits(u, h, one, frame.rules, ranges):
+            scan = cell_hits(u[frame.rows], frame.h2, frame.one2, frame.rules, ranges[frame.rows])
+            for x, inside, touching in scan:
                 if touching:
                     boundary += 1
                 if inside:

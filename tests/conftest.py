@@ -923,7 +923,6 @@ def reference_double_cover(fs, w, index, z, sample_count: int, seed: int):
     live = coll.live_members()
     cells = [facet_projections(fs, w, facet)[shadow] for facet in live]
     boundary_samples = 0
-    relative_points = []
     failures = []
     for idx in range(sample_count):
         numerators = grid_numerators(f"cover:{seed}:{idx}:0", len(js), 1, SAMPLE_DENOMINATOR)
@@ -933,7 +932,6 @@ def reference_double_cover(fs, w, index, z, sample_count: int, seed: int):
         if any(pos is not None and pos[1] for pos in positions):
             boundary_samples += 1
         hits = [f in up for f, pos in zip(live, positions) if pos is not None and pos[0]]
-        relative_points.append(q_rel)
         if (sum(hits), len(hits) - sum(hits)) != (1, 1):
             failures.append((q_rel, sum(hits), len(hits) - sum(hits)))
     return DoubleCoverReport(
@@ -942,7 +940,6 @@ def reference_double_cover(fs, w, index, z, sample_count: int, seed: int):
         z=z,
         sample_count=sample_count,
         boundary_samples=boundary_samples,
-        relative_points=tuple(relative_points),
         failures=tuple(failures),
         passed=not failures,
     )

@@ -516,12 +516,17 @@ class TestDoubleCover:
         for gamma in subsets(4, 3):
             assert double_cover_check(mset, w_m, gamma, (0, 0, 0, 0), 60, 5).passed
 
-    def test_translation_equivalence(self, mset, w_m):
+    def test_translation_equivalence(self, mset, w_m, cover13_set):
         base = double_cover_check(mset, w_m, (2,), (0, 0, 0, 0), 40, 9)
         moved = double_cover_check(mset, w_m, (2,), (1, -1, 0, 2), 40, 9)
         assert base.passed and moved.passed
-        assert base.relative_points == moved.relative_points
+        assert base.failures == moved.failures
         assert base.boundary_samples == moved.boundary_samples
+        # A failure's point is relative to the collection's base, so the
+        # failing witness reports the same points at every translate.
+        w_c = choose_generic_direction(cover13_set, 0)
+        base, moved = (double_cover_check(cover13_set, w_c, (2, 3), z, 20, 9) for z in ((0,) * 4, (1, -1, 0, 2)))
+        assert len(base.failures) == 20 and base.failures == moved.failures
 
     def test_degenerate_member_skipped(self):
         fs = fragment_set(decompose(Matrix.identity(2), Dimensions(1, 1)))

@@ -39,7 +39,7 @@ from fragtile import (
     verify_constancy,
 )
 from fragtile.linalg import DimensionError, clear_denominator, clear_rows, int_mat_mul
-from fragtile.tiling import cell_hits, fundamental_point, shifted_gram, size_reduce
+from fragtile.tiling import cell_hits, fundamental_point, grid_numerators, shifted_gram, size_reduce
 
 HALF = Fraction(1, 2)
 WORKED_POINT = (Fraction(-2), Fraction(1), -HALF, -HALF)
@@ -87,6 +87,26 @@ class TestGenericDirection:
         # the all-ones vector has a zero coordinate in this matrix's basis
         with pytest.raises(GenericityError):
             certify_direction(lset, (1, 1))
+
+
+class TestGridNumerators:
+    def test_draws_what_randrange_draws(self):
+        # The widths of the sample, direction and jitter grids, and small
+        # widths, where most getrandbits draws are redrawn.
+        ranges = [(0, 2**31), (1, 2**31), (-(2**31 - 1), 2**31), (0, 1), (1, 4), (-2, 3)]
+        for i in range(200):
+            tag = f"sample:{i}:{i % 7}:0"
+            dim = 1 + i % 6
+            for lo, hi in ranges:
+                rng = random.Random(tag)
+                expected = [rng.randrange(lo, hi) for _ in range(dim)]
+                assert grid_numerators(tag, dim, lo, hi) == expected, (tag, lo, hi)
+
+    def test_an_empty_range_raises(self):
+        # getrandbits(0) is always 0, so a width-0 rejection loop never ends.
+        for lo, hi in ((0, 0), (5, 4), (2**31, 1)):
+            with pytest.raises(ValueError, match="empty range"):
+                grid_numerators("sample:0:0:0", 3, lo, hi)
 
 
 class TestPipContains:
@@ -346,17 +366,19 @@ class TestSizeReduce:
                 m.mat_vec([Fraction(rng.randint(-40, 40), rng.choice((1, 3, 8))) for _ in range(fs.dims.n)])
                 for _ in range(3)
             ]
+            boxes = [engine.candidate_boxes(*engine.lattice_coordinates(*clear_denominator(p))) for p in points]
             for frame in engine.frames:
                 s_den, s_rows = clear_rows(fs[frame.sigma].s)
                 g, to_x, to_z = reference_size_reduce(int_mat_mul(m_inv, s_rows))
                 assert (frame.to_x, frame.to_z) == (to_x, to_z)
                 sd = e * s_den
-                for p in points:
+                for p, (lo_all, hi_all) in zip(points, boxes):
                     num, den = engine.lattice_coordinates(*clear_denominator(p))
                     b = [sum(x * v for x, v in zip(row, num)) * sd for row in to_x]
                     lo = [-((sum(x for x in row if x > 0) * den - bi) // (den * sd)) for bi, row in zip(b, g)]
                     hi = [(bi - sum(x for x in row if x < 0) * den) // (den * sd) for bi, row in zip(b, g)]
-                    assert frame.box(num, den) == (lo, hi)
+                    assert (lo_all[frame.rows], hi_all[frame.rows]) == (lo, hi)
+            assert len(boxes[0][0]) == len(engine.frames) * fs.dims.n
 
     def test_engine_build_forms_one_matrix_product(self, monkeypatch):
         # T = M^-1 P M is the engine's one product, whatever the number of
@@ -398,6 +420,8 @@ class TestSizeReduce:
         a = engine.m_inv.mat_vec(p)
         boxes = [list(zip(*engine.candidate_box(frame, a))) for frame in engine.frames]
         assert scanned == boxes
+        lo, hi = engine.candidate_boxes(*engine.lattice_coordinates(*clear_denominator(p)))
+        assert scanned == [list(zip(lo[frame.rows], hi[frame.rows])) for frame in engine.frames]
 
 
 class TestCellHits:
@@ -491,7 +515,7 @@ class TestCellHits:
 class TestHalvedQuery:
     """tiles_at's small-integer query against the exact one."""
 
-    def test_matches_the_exact_query(self, mset, w_m, qset):
+    def test_matches_the_exact_query(self, mset, w_m, qset, monkeypatch):
         rng = random.Random(55)
         sets = [(mset, w_m), (qset, choose_generic_direction(qset, 0))]
         sets += [(fs, choose_generic_direction(fs, 0)) for fs in (corpus_matrix(3, 1, 2), corpus_matrix(5, 2, 0))]
@@ -513,14 +537,24 @@ class TestHalvedQuery:
                     s_y = fs[frame.sigma].s.mat_vec(y)
                     points.append(tuple(a + b for a, b in zip(s_y, m.mat_vec(z))))
             for p in points:
+                # The scans tiles_at makes, one per frame, and what they yield.
+                scans = []
+
+                def recording(*args):
+                    scans.append((args, list(cell_hits(*args))))
+                    return scans[-1][1]
+
+                monkeypatch.setattr(tiling, "cell_hits", recording)
+                engine.tiles_at(p)
+                monkeypatch.undo()
                 q, p_int = clear_denominator(p)
-                num, den = engine.lattice_coordinates(q, p_int)
-                for frame in engine.frames:
-                    ranges = list(zip(*frame.box(num, den)))
-                    exact = frame.exact_query(q, p_int)
-                    got = list(cell_hits(*frame.query(q, p_int), frame.rules, ranges))
-                    assert got == list(cell_hits(*exact, frame.rules, ranges)), (p, frame.sigma)
-                    if q > 1 and any(x % q == 0 for x in exact[0]):
+                cells = engine.cell_coordinates(p_int)
+                assert len(scans) == len(engine.frames)
+                for frame, ((_, _, _, rules, ranges), got) in zip(engine.frames, scans):
+                    u = cells[frame.rows]
+                    h = [[x * q for x in row] for row in frame.h]
+                    assert got == list(cell_hits(u, h, frame.denom * q, rules, ranges)), (p, frame.sigma)
+                    if q > 1 and any(x % q == 0 for x in u):
                         on_boundary += 1
                     members += len(got)
                     touching += sum(1 for _, _, t in got if t)
@@ -645,6 +679,26 @@ class TestFacePoints:
                     assert report.f_value == report.expected, (path.stem, frag.sigma, eps)
                     points += 1
         assert len(paths) == 25 and points == 6489
+
+    @settings(deadline=None, max_examples=40)
+    @given(split_matrices(), st.integers(0, 3), st.data())
+    def test_fuzz_at_face_points(self, case, seed, data):
+        # Random rational matrices with n <= 5: f = expected at a grid point
+        # of the fundamental domain and at S_sigma y + M z for a live sigma,
+        # with one y_i drawn from {0, 1}, on a face of the tile (z, sigma),
+        # where the w-rules decide membership.
+        m, dims = case
+        fs = fragment_set(decompose(m, dims))
+        assume(fs.det_m != 0)
+        engine = TilingEngine(fs, choose_generic_direction(fs, seed))
+        n = dims.n
+        frag = data.draw(st.sampled_from([f for f in fs if f.sign_class != DEGENERATE]))
+        y = data.draw(st.lists(st.fractions(0, 1, max_denominator=6), min_size=n, max_size=n))
+        y[data.draw(st.integers(0, n - 1))] = Fraction(data.draw(st.integers(0, 1)))
+        z = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        face = tuple(a + b for a, b in zip(frag.s.mat_vec(y), m.mat_vec(z)))
+        for p in (fundamental_point(fs, f"face:{seed}"), face):
+            assert engine.coverage(p).f_value == fs.expected_coverage(), p
 
 
 class TestVerifyConstancy:
