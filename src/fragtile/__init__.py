@@ -46,7 +46,6 @@ from .facets import (
     FacetCollection,
     FacetId,
     UpDownPartition,
-    collection_of,
     crossing_check,
     double_cover_check,
     facet_collection,

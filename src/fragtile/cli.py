@@ -53,7 +53,7 @@ from .tiling import (
 )
 
 _TOKEN = re.compile(r"\S+")
-_RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+_RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?\Z", re.ASCII)
 
 DEFAULT_SLICE_WINDOW_RADIUS = 6
 
@@ -70,14 +70,22 @@ class CliInputError(Exception):
 
 
 def _rational(tok: str) -> Fraction:
-    """An integer or p/q, the one numeric grammar of matrix files and flags;
-    ValueError for any other token, or one with more digits than int takes."""
+    """An integer or p/q in ASCII digits, the one numeric grammar of matrix
+    files and flags; ValueError for any other token, or one with more digits
+    than int takes."""
     if not _RATIONAL.match(tok):
         raise ValueError(f"malformed rational {tok[:40]!r}")
     try:
         return Fraction(tok)
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {tok!r}") from None
+        raise ValueError(f"zero denominator in {tok[:40]!r}") from None
+
+
+def _integer(tok: str) -> int:
+    """An integer of the grammar of _rational: int rejects its p/q form."""
+    if not _RATIONAL.match(tok):
+        raise ValueError(f"malformed integer {tok[:40]!r}")
+    return int(tok)
 
 
 def _rational_token(tok: str, line: int, col: int) -> Fraction:
@@ -102,8 +110,8 @@ def parse_matrix(text: str) -> tuple[Dimensions, Matrix]:
                     "expected dimension line 'r k'", line_no, tokens[0][1]
                 )
             try:
-                r = int(tokens[0][0])
-                k = int(tokens[1][0])
+                r = _integer(tokens[0][0])
+                k = _integer(tokens[1][0])
             except ValueError:
                 raise MatrixParseError("dimensions must be integers", line_no, 1) from None
             if r < 1 or k < 1:
@@ -152,9 +160,9 @@ def _parse_subset(text: str, name: str) -> tuple[int, ...]:
     if not text.strip():  # the empty subset: tau of an r = 1 matrix
         return ()
     try:
-        return tuple(int(tok.strip()) for tok in text.split(","))
+        return tuple(_integer(tok.strip()) for tok in text.split(","))
     except ValueError:
-        raise CliInputError(f"malformed {name} value {text!r}") from None
+        raise CliInputError(f"malformed {name} value {text[:40]!r}") from None
 
 
 def _load_fs(args) -> FragmentSet:
@@ -421,11 +429,15 @@ def cmd_render(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
+def _int_value(text: str) -> int:
     try:
-        value = int(text)
+        return _integer(text.strip())
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text[:40]!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int_value(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -435,7 +447,7 @@ def _positive_int(text: str) -> int:
 _FLAGS = {
     "--matrix": dict(required=True, help="matrix file path"),
     "--w": dict(default=None, help="orientation vector 'a,b,...' (certified)"),
-    "--seed": dict(type=int, default=0, help="seed for derived randomness"),
+    "--seed": dict(type=_int_value, default=0, help="seed for derived randomness"),
     "--samples": dict(type=_positive_int, default=1000, help="sample count, at least 1"),
     "--point": dict(default=None, help="query point 'a,b,...'"),
     "--tau": dict(default=None, help="size r-1 index subset 'i,j,...'"),

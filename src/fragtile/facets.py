@@ -85,15 +85,6 @@ def tilde_facet(z: Sequence[int], sigma: Sequence[int], j: int, s: int) -> Facet
     return FacetId(z=_unit_step(z, j, +s), sigma=sigma, j=j, s=s)
 
 
-def collection_of(facet: FacetId, n: int) -> tuple[str, tuple[int, ...], SubsetIndex]:
-    """The unique hyperplane collection containing a plain facet."""
-    if facet.j in facet.sigma:
-        tau = tuple(i for i in facet.sigma if i != facet.j)
-        return TAU, _unit_step(facet.z, facet.j, facet.s), tau
-    gamma = tuple(sorted(facet.sigma + (facet.j,)))
-    return GAMMA, _unit_step(facet.z, facet.j, -facet.s), gamma
-
-
 @dataclass(frozen=True)
 class FacetCollection:
     """All tilde facets sharing one hyperplane, with degenerate members flagged."""
@@ -331,9 +322,8 @@ def _collect_events(engine: TilingEngine, start, reach):
     reach_num, reach_den = reach.numerator, reach.denominator
     q, p_int = clear_denominator(start)
     end = tuple(si + reach * wi for si, wi in zip(start, engine.w.w))
-    ends = [engine.lattice_coordinates(q, p_int), engine.lattice_coordinates(*clear_denominator(end))]
-    (lo0, hi0), (lo1, hi1) = (engine.candidate_boxes(num, den) for num, den in ends)
-    boxes = list(zip(map(min, lo0, lo1), map(max, hi0, hi1)))
+    ends = zip(engine.candidate_boxes(q, p_int), engine.candidate_boxes(*clear_denominator(end)))
+    boxes = [(min(lo0, lo1), max(hi0, hi1)) for (lo0, hi0), (lo1, hi1) in ends]
     cells = engine.cell_coordinates(p_int)
     events: dict[Fraction, list[tuple[FacetId, bool]]] = {}
     for frame in engine.frames:

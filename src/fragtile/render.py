@@ -17,12 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 from operator import mul
-from typing import Sequence
 
 from .fragments import DEGENERATE, FragmentSet, SubsetIndex, fragment_rows
 from .linalg import DimensionError, clear_rows, rat
 from .slices import SliceLayout
-from .tiling import cell_hits
+from .tiling import cell_hits, cube_extents
 
 # Pixels per drawing unit, fill color per sign class, fill opacity.
 SCALE = Fraction(40)
@@ -55,17 +54,6 @@ def dec6(q: Fraction) -> str:
     return f"{sign}{n // 10**6}.{n % 10**6:06d}"
 
 
-def _lattice_box(basis_inv_rows, lo: Sequence[Fraction], hi: Sequence[Fraction]):
-    """Integer bounds of (X / e) p over the box lo <= p <= hi, for (e, X)."""
-    e, x = basis_inv_rows
-    bounds = []
-    for row in x:
-        low = sum(min(a * p, a * q) for a, p, q in zip(row, lo, hi))
-        high = sum(max(a * p, a * q) for a, p, q in zip(row, lo, hi))
-        bounds.append((ceil(low / e), floor(high / e)))
-    return bounds
-
-
 def _shade(color: str, position: int, count: int) -> str:
     """Blend a base color toward white; distinct shade per position."""
     r = int(color[1:3], 16)
@@ -95,14 +83,13 @@ def _family_polygons(den: int, shape, anchors, basis, basis_inv_rows, cfg: Rende
     zonotope bounded by four strips (separating axes): on the axes (1,0),
     (0,1) and the two edge normals a, a.offset must lie strictly inside
     (min a.W - max a.P, max a.W - min a.P).  Each strip is scaled to [0, 1]
-    and the four rows are cleared once per anchor; cell_hits then scans
-    _lattice_box's ranges, and a translate is drawn when it touches no
-    strip's edge.
+    and the four rows are cleared once per anchor.  The axis strips put the
+    offset in lo + diag(width) [0, 1]^2, so with basis^-1 = X / e cell_hits
+    scans the lattice box X (lo - anchor) / e plus the cube_extents of
+    X diag(width) / e, and draws a translate when it touches no strip's edge.
     """
     x0, x1, y0, y1 = cfg.window
     g1, g2 = ([Fraction(x, den) for x in col] for col in zip(*shape))
-    smin = [min(0, g1[i]) + min(0, g2[i]) for i in range(2)]
-    smax = [max(0, g1[i]) + max(0, g2[i]) for i in range(2)]
 
     def along(a, points):
         return [a[0] * px + a[1] * py for px, py in points]
@@ -115,18 +102,19 @@ def _family_polygons(den: int, shape, anchors, basis, basis_inv_rows, cfg: Rende
         low = min(along(a, rect)) - max(along(a, cell))
         width = max(along(a, rect)) - min(along(a, cell)) - low
         strips.append((a, low, width, [-x / width for x in along(a, columns)]))
+    (_, low_x, width_x, _), (_, low_y, width_y, _) = strips[:2]
+    e, basis_inv = basis_inv_rows
+    extents = cube_extents([[a * width_x, b * width_y] for a, b in basis_inv])
     polygons = []
-    for anchor in anchors:
-        lo = (x0 - smax[0] - anchor[0], y0 - smax[1] - anchor[1])
-        hi = (x1 - smin[0] - anchor[0], y1 - smin[1] - anchor[1])
-        one, cleared = clear_rows([
-            [(a[0] * anchor[0] + a[1] * anchor[1] - low) / width, *h]
-            for a, low, width, h in strips
-        ])
+    for ax, ay in anchors:
+        corner = (a * (low_x - ax) + b * (low_y - ay) for a, b in basis_inv)
+        box = [(ceil((c + lo) / e), floor((c + hi) / e)) for c, (lo, hi) in zip(corner, extents)]
+        rows = [[(a[0] * ax + a[1] * ay - low) / width, *h] for a, low, width, h in strips]
+        one, cleared = clear_rows(rows)
         u, h = [row[0] for row in cleared], [row[1:] for row in cleared]
-        for z, _, touching in cell_hits(u, h, one, (True,) * 4, _lattice_box(basis_inv_rows, lo, hi)):
+        for z, _, touching in cell_hits(u, h, one, (True,) * 4, box):
             if not touching:
-                offset = [o + sum(map(mul, row, z)) for o, row in zip(anchor, zip(*columns))]
+                offset = [o + sum(map(mul, row, z)) for o, row in zip((ax, ay), zip(*columns))]
                 polygons.append(_corners(offset, g1, g2))
     polygons.sort()
     return polygons

@@ -24,7 +24,7 @@ from typing import Sequence
 from .fragments import DEGENERATE, Decomposition, FragmentSet, SubsetIndex, complement
 # inverse is unused, but perfbench's tracer wraps it at this binding site.
 from .linalg import DimensionError, int_mat_mul, inverse, inverse_rows
-from .tiling import GenericDirection, cell_hits
+from .tiling import GenericDirection, cell_hits, cube_extents
 
 
 class SlicePreconditionError(Exception):
@@ -132,7 +132,7 @@ def slice_layout(
     columns, which moves the offset by a vector of the slice lattice B.  So
     the families are the valid keys: the |det Cbar_hat| integer points
     y = M_bottom[:, hat] x, x in the half-open unit cube, which cell_hits
-    scans over that parallelepiped's integer box with X_hat, the rows of
+    scans over the box of Cbar_hat's cube_extents with X_hat, the rows of
     s_inv_rows off sigma on the bottom columns.  The window only filters: a
     key counts when M_bottom z = y for some z in it, one lookup in the sums
     over the window's first n - 1 coordinates per value of the last.  A
@@ -168,10 +168,7 @@ def slice_layout(
         rules = tuple(lam[j - 1] > 0 for j in sigma_hat)
         e, x = frag.s_inv_rows
         x_hat = [x[j - 1][r:] for j in sigma_hat]
-        box = [
-            (sum(v for v in cols if v < 0), sum(v for v in cols if v > 0))
-            for cols in ([row[j - 1] for j in sigma_hat] for row in bottom)
-        ]
+        box = cube_extents([[row[j - 1] for j in sigma_hat] for row in bottom])
         offsets = []
         for y, inside, _ in cell_hits([0] * k, x_hat, e, rules, box):
             if not inside or not any(

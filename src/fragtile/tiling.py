@@ -173,6 +173,14 @@ def cell_position(y: Sequence, one, rules: Sequence[bool]) -> tuple[bool, bool] 
     return inside, touching
 
 
+def cube_extents(rows: Sequence[Sequence]) -> list[tuple]:
+    """The extent (low, high) of row . y over the unit cube y in [0, 1]^m,
+    for each row: the sum of its negative entries and the sum of its
+    positive ones.  Every lattice box that cell_hits scans is built from
+    these extents."""
+    return [(sum(x for x in row if x < 0), sum(x for x in row if x > 0)) for row in rows]
+
+
 def cell_hits(u: Sequence[int], h: Sequence[Sequence[int]], one: int, rules, ranges):
     """Integer translates z whose vector u - h z meets the closed cell.
 
@@ -334,7 +342,7 @@ class _Frame:
 
     __slots__ = (
         "sigma", "sign_class", "lam", "rules", "denom", "s_inv", "h", "h2", "one2",
-        "to_x", "to_z", "slack_pos", "slack_neg", "rows",
+        "to_x", "to_z", "extents", "rows",
     )
 
     def __init__(self, frag, fs: FragmentSet, w: GenericDirection, shared, rows: slice):
@@ -359,8 +367,7 @@ class _Frame:
             for i, row in enumerate(si)
         ]
         g, self.to_x, self.to_z, h = size_reduce(g, shifted_gram(t, t_gram, slack_den, hat), h)
-        self.slack_pos = [sum(x for x in row if x > 0) for row in g]
-        self.slack_neg = [sum(x for x in row if x < 0) for row in g]
+        self.extents = cube_extents(g)
         # S^-1 = si / si_den and M = m / m_den share the denominator
         # si_den * m_den; dividing by the common gcd leaves the least one.
         m_den = fs.m_rows[0]
@@ -401,9 +408,9 @@ class TilingEngine:
         live = [frag for frag in fs if frag.sign_class != DEGENERATE]
         self.frames = [_Frame(f, fs, w, shared, slice(i * n, i * n + n)) for i, f in enumerate(live)]
         self._slack_den = shared[0]
-        self._s_inv, self._to_x, self._slack_pos, self._slack_neg = (
+        self._s_inv, self._to_x, self._extents = (
             [x for frame in self.frames for x in getattr(frame, name)]
-            for name in ("s_inv", "to_x", "slack_pos", "slack_neg")
+            for name in ("s_inv", "to_x", "extents")
         )
 
     @cached_property
@@ -412,31 +419,33 @@ class TilingEngine:
         e, rows = self.fs.m_inv_rows
         return Matrix.from_rows([[Fraction(x, e) for x in row] for row in rows])
 
-    def lattice_coordinates(self, q: int, p_int: Sequence[int]) -> tuple[list[int], int]:
-        """(num, den) with M^-1 p = num / den for the point p = p_int / q."""
-        den, rows = self.fs.m_inv_rows
-        return [sum(map(mul, row, p_int)) for row in rows], den * q
-
     def cell_coordinates(self, p_int: Sequence[int]) -> list[int]:
         """u = S^-1 p_int of every frame, stacked: the cell coordinates of
         p - M W^-1 x, p = p_int / q, are (u[frame.rows] - q h x) / (q denom)."""
         return [sum(map(mul, row, p_int)) for row in self._s_inv]
 
-    def candidate_boxes(self, num: Sequence[int], den: int) -> tuple[list[int], list[int]]:
-        """Inclusive bounds (lo, hi) of every frame, stacked, on x = W z over
-        the z whose closed tile can hold p, M^-1 p = num / den (den > 0)."""
-        sd = self._slack_den
+    def candidate_boxes(self, q: int, p_int: Sequence[int]) -> list[tuple[int, int]]:
+        """Inclusive ranges (lo, hi) of every frame, stacked, on x = W z over
+        the z whose closed tile can hold p = p_int / q (q > 0): x is
+        W M^-1 p - G' y for y in the unit cube, so W M^-1 p less the
+        cube_extents of G' = g / slack_den."""
+        e, m_inv = self.fs.m_inv_rows
+        num = [sum(map(mul, row, p_int)) for row in m_inv]
+        den, sd = e * q, self._slack_den
         scale = den * sd
-        b = [sum(map(mul, row, num)) * sd for row in self._to_x]
-        lo = [-((sp * den - bi) // scale) for bi, sp in zip(b, self._slack_pos)]
-        hi = [(bi - sn * den) // scale for bi, sn in zip(b, self._slack_neg)]
-        return lo, hi
+        b = (sum(map(mul, row, num)) * sd for row in self._to_x)
+        return [
+            (-((high * den - bi) // scale), (bi - low * den) // scale)
+            for bi, (low, high) in zip(b, self._extents)
+        ]
 
     def candidate_box(self, frame: _Frame, a: Sequence[Fraction]):
-        """The frame's rows of candidate_boxes at lattice coordinates a = M^-1 p."""
+        """The frame's rows of candidate_boxes at lattice coordinates
+        a = M^-1 p, as the tuples (lo, hi)."""
         den, num = clear_denominator(a)
-        lo, hi = self.candidate_boxes(num, den)
-        return lo[frame.rows], hi[frame.rows]
+        m_den, m = self.fs.m_rows
+        p_int = [sum(map(mul, row, num)) for row in m]
+        return tuple(zip(*self.candidate_boxes(den * m_den, p_int)[frame.rows]))
 
     def tiles_at(self, p: Sequence[Fraction]) -> tuple[list[tuple[TileId, str]], int]:
         """All tiles containing p, plus a count of closed-boundary incidences.
@@ -456,7 +465,7 @@ class TilingEngine:
         if len(p) != self.fs.dims.n:
             raise DimensionError(f"point has length {len(p)}, expected {self.fs.dims.n}")
         q, p_int = clear_denominator(p)
-        ranges = list(zip(*self.candidate_boxes(*self.lattice_coordinates(q, p_int))))
+        ranges = self.candidate_boxes(q, p_int)
         u = [2 * (x // q) + (x % q > 0) for x in self.cell_coordinates(p_int)]
         found: list[tuple[TileId, str]] = []
         boundary = 0

@@ -236,6 +236,19 @@ def reference_h_vector(fs, w, tau) -> tuple[Fraction, ...]:
     return tuple(h)
 
 
+def collection_of(facet, n: int) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
+    """The one hyperplane collection holding a plain facet, as (kind, z,
+    index): keeping the omitted j in sigma gives the tau collection
+    sigma - j anchored s steps up along e_j, and a j off sigma gives the
+    gamma collection sigma + j anchored s steps down."""
+    step = [int(i == facet.j - 1) for i in range(n)]
+    if facet.j in facet.sigma:
+        tau = tuple(i for i in facet.sigma if i != facet.j)
+        return "tau", tuple(a + facet.s * b for a, b in zip(facet.z, step)), tau
+    gamma = tuple(sorted(facet.sigma + (facet.j,)))
+    return "gamma", tuple(a - facet.s * b for a, b in zip(facet.z, step)), gamma
+
+
 def invoke(argv):
     """Run the CLI in-process, capturing (exit code, stdout, stderr)."""
     import io
@@ -997,6 +1010,66 @@ def reference_family_polygons(shape, anchors, basis, window, margin: int = 1):
             )
             (drawn if meets(corners) else skipped).append(corners)
     return sorted(drawn), sorted(skipped)
+
+
+def reference_key_box(fs, sigma) -> list[tuple[int, int]]:
+    """The box slice_layout scanned for sigma's keys when it summed the signs
+    inline: per bottom row of M (integer), over the columns off sigma, the
+    sum of the negative and the sum of the positive entries."""
+    from fragtile import complement
+
+    m_den, m_rows = fs.m_rows
+    bottom = [[x // m_den for x in row] for row in m_rows[fs.dims.r :]]
+    hat = complement(sigma, fs.dims.n)
+    return [
+        (sum(v for v in cols if v < 0), sum(v for v in cols if v > 0))
+        for cols in ([row[j - 1] for j in hat] for row in bottom)
+    ]
+
+
+def reference_lattice_box(basis_inv_rows, lo, hi) -> list[tuple[int, int]]:
+    """Integer bounds of (X / e) p over the box lo <= p <= hi, for (e, X):
+    per row, the least and the greatest a_i p_i at each coordinate's ends."""
+    from math import ceil, floor
+
+    e, x = basis_inv_rows
+    bounds = []
+    for row in x:
+        low = sum(min(a * p, a * q) for a, p, q in zip(row, lo, hi))
+        high = sum(max(a * p, a * q) for a, p, q in zip(row, lo, hi))
+        bounds.append((ceil(low / e), floor(high / e)))
+    return bounds
+
+
+def reference_render_boxes(source, cfg) -> list[list[tuple[int, int]]]:
+    """The ranges render_svg hands cell_hits, in scan order, from the box
+    formula it used before cube_extents: per family and anchor, the
+    reference_lattice_box of the basis inverse over the axis box of offsets
+    whose parallelogram can meet the window."""
+    from fragtile import DEGENERATE, FragmentSet, fragment_rows
+
+    x0, x1, y0, y1 = cfg.window
+    if isinstance(source, FragmentSet):
+        zero = (Fraction(0), Fraction(0))
+        families = [
+            (fragment_rows(source.decomposition, f.sigma), (zero,))
+            for f in source
+            if f.sign_class != DEGENERATE
+        ]
+        den, basis_inv_rows = source.m_rows[0], source.m_inv_rows
+    else:
+        families = [(c.shape, c.offsets) for c in source.classes if c.sign_class != DEGENERATE and c.offsets]
+        den, basis_inv_rows = source.b_rows[0], source.b_inv_rows
+    boxes = []
+    for shape, anchors in families:
+        g1, g2 = ([Fraction(x, den) for x in col] for col in zip(*shape))
+        smin = [min(0, g1[i]) + min(0, g2[i]) for i in range(2)]
+        smax = [max(0, g1[i]) + max(0, g2[i]) for i in range(2)]
+        for ax, ay in anchors:
+            lo = (x0 - smax[0] - ax, y0 - smax[1] - ay)
+            hi = (x1 - smin[0] - ax, y1 - smin[1] - ay)
+            boxes.append(reference_lattice_box(basis_inv_rows, lo, hi))
+    return boxes
 
 
 def clip_polygon_area(subject, window) -> Fraction:

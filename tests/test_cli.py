@@ -440,6 +440,51 @@ class TestInputErrors:
         assert f"malformed {flag} value" in err
         assert len(err) < 200
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            # int() reads "1_0" as 10 and an Arabic-Indic digit as 3; the
+            # grammar takes ASCII digits only, and an index no "/".
+            (["facets", "--tau", "1_0"], "--tau"),
+            (["facets", "--tau", "1", "--z", "0,0,0,1_0"], "--z"),
+            (["double-cover", "--gamma", "1,2,\u0663", "--samples", "5"], "--gamma"),
+            (["facets", "--tau", "1/1"], "--tau"),
+            (["facets", "--tau", "1", "--z", "0,0,0," + "9" * 5000], "--z"),
+            (["facets", "--gamma", "1,2," + "3" * 5000], "--gamma"),
+            (["coverage", "--point", "\u0663,0,0,0"], "--point"),
+        ],
+    )
+    def test_index_flags_take_the_integer_grammar(self, matrix_files, argv, flag):
+        code, out, err = invoke(argv[:1] + ["--matrix", matrix_files["M"]] + argv[1:])
+        assert (code, out) == (2, "")
+        assert f"malformed {flag} value" in err
+        assert len(err) < 200
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["verify", "--seed", "1_0"], "--seed"),
+            (["verify", "--seed", "\u0663"], "--seed"),
+            (["verify", "--seed", "9" * 5000], "--seed"),
+            (["verify", "--samples", "1_0"], "--samples"),
+            (["verify", "--samples", "9" * 5000], "--samples"),
+        ],
+    )
+    def test_int_flags_take_the_integer_grammar(self, matrix_files, argv, flag):
+        # argparse prints its usage line first; the error line quotes at
+        # most 40 characters of the value.
+        code, out, err = invoke(argv[:1] + ["--matrix", matrix_files["K"]] + argv[1:])
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: invalid int value" in err
+        assert len(err.splitlines()[-1]) < 200
+
+    def test_dimension_line_takes_the_integer_grammar(self, tmp_path):
+        path = tmp_path / "dims.txt"
+        path.write_text("1_0 1\n" + "1 0\n" * 11)
+        code, out, err = invoke(["laplace", "--matrix", str(path)])
+        assert (code, out) == (2, "")
+        assert "dimensions must be integers" in err
+
     def test_matrix_token_past_the_digit_limit(self, tmp_path):
         big = tmp_path / "big.txt"
         big.write_text("1 1\n1 2\n3 " + "7" * 4301 + "\n")

@@ -3,11 +3,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from conftest import (
     BlockPermutation,
     brute_force_events,
     c_submatrices,
+    collection_of,
     column_parts,
     corpus_files,
     corpus_set,
@@ -22,6 +24,7 @@ from conftest import (
     reference_double_cover,
     reference_h_vector,
     solve_affine,
+    split_matrices,
 )
 from fragtile import (
     DEGENERATE,
@@ -29,7 +32,6 @@ from fragtile import (
     Dimensions,
     FacetId,
     Matrix,
-    collection_of,
     complement,
     crossing_check,
     certify_direction,
@@ -579,6 +581,23 @@ class TestDoubleCover:
                     assert rep == reference_double_cover(fs, w, index, z, 12, trial), (n, index)
                     checked.add(rep.kind)
         assert checked == {"tau", "gamma"}
+
+    @given(split_matrices(), st.integers(0, 3))
+    def test_fuzz_against_the_fraction_path(self, case, seed):
+        # Random rational matrices with n <= 4 and det M != 0: every tau and
+        # gamma collection at z = 0 fails and meets a boundary on the same
+        # samples as the Fraction path.
+        m, dims = case
+        assume(dims.n <= 4)
+        fs = fragment_set(decompose(m, dims))
+        assume(fs.det_m != 0)
+        w = choose_generic_direction(fs, seed)
+        n, r = dims.n, dims.r
+        z = (0,) * n
+        for index in (*subsets(n, r - 1), *subsets(n, r + 1)):
+            rep = double_cover_check(fs, w, index, z, 8, seed)
+            ref = reference_double_cover(fs, w, index, z, 8, seed)
+            assert (rep.failures, rep.boundary_samples) == (ref.failures, ref.boundary_samples), index
 
     def test_matches_the_fraction_path_with_redraws(self, mset, w_m, monkeypatch):
         # On the open grid of step 1/4 many samples touch a shadow boundary,

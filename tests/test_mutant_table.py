@@ -1,0 +1,21 @@
+"""The mutation table in tests/mutants.py stays applicable to src/."""
+from __future__ import annotations
+
+from mutants import MUTANTS, ROOT, SRC
+
+
+def test_each_old_text_occurs_once():
+    for mutant in MUTANTS:
+        text = (SRC / "fragtile" / f"{mutant.module}.py").read_text()
+        assert text.count(mutant.old) == 1, mutant.old
+        assert mutant.new != mutant.old
+
+
+def test_each_named_test_is_defined():
+    # A node id's file exists and defines its last name.
+    for mutant in MUTANTS:
+        assert mutant.tests
+        for node in mutant.tests:
+            path, *names = node.split("::")
+            source = (ROOT / path).read_text()
+            assert not names or f"def {names[-1]}(" in source, node

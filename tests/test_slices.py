@@ -14,6 +14,8 @@ from conftest import (
     invoke,
     mat_mul,
     random_int_matrix,
+    reference_key_box,
+    reference_render_boxes,
     reference_slice_layout,
     reference_slice_precondition,
     reference_unimodular_reduce,
@@ -24,18 +26,20 @@ from fragtile import (
     DEGENERATE,
     Dimensions,
     Matrix,
+    RenderConfig,
     TilingEngine,
     choose_generic_direction,
     decompose,
     det,
     fragment_set,
     inverse,
+    render_svg,
     slice_layout,
     slice_precondition,
     unimodular_reduce,
     vector,
 )
-from fragtile import slices
+from fragtile import render, slices
 from fragtile.linalg import clear_rows
 from fragtile.slices import SlicePreconditionError
 from fragtile.tiling import cell_hits
@@ -369,6 +373,45 @@ class TestKeyScan:
         code, out, err = invoke(["slice", "--matrix", str(CORPUS / f"{name}.txt"), "--samples", "1"])
         assert code == 1, err
         assert next(line for line in out.splitlines() if line.endswith("FAIL")) == WINDOW_MISSES[name]
+
+
+class TestScannedBoxes:
+    def test_slice_and_render_scan_the_reference_boxes(self, monkeypatch):
+        # Every cell_hits range that slice_layout and render_svg scan on the
+        # corpus is the box their earlier formulas give: the key box of
+        # each live fragment, and render's lattice box per family and anchor,
+        # for the full tilings of K and L and the r = 2 slices, in two
+        # windows.  The key box does not depend on the translate window, so
+        # a radius-2 one keeps the n = 6 layouts cheap.
+        scanned = []
+
+        def recording(u, h, one, rules, ranges):
+            scanned.append([tuple(r) for r in ranges])
+            return cell_hits(u, h, one, rules, ranges)
+
+        monkeypatch.setattr(slices, "cell_hits", recording)
+        monkeypatch.setattr(render, "cell_hits", recording)
+        windows = [RenderConfig(window=(-5, 5, -5, 5)), RenderConfig(window=(-3, Fraction(7, 2), -2, Fraction(9, 4)))]
+        layouts = renders = 0
+        for path in corpus_files():
+            fs = corpus_set(path)
+            n = fs.dims.n
+            sources = [fs] if n == 2 else []
+            if slice_precondition(fs.decomposition):
+                del scanned[:]
+                layout = slice_layout(fs, choose_generic_direction(fs, 0), tuple((-2, 2) for _ in range(n)))
+                live = [f for f in fs if f.sign_class != DEGENERATE]
+                assert scanned == [reference_key_box(fs, f.sigma) for f in live], path.stem
+                layouts += 1
+                if fs.dims.r == 2:
+                    sources.append(layout)
+            for source in sources:
+                for cfg in windows:
+                    del scanned[:]
+                    render_svg(source, cfg)
+                    assert scanned == reference_render_boxes(source, cfg), path.stem
+                    renders += len(scanned)
+        assert layouts == 41 and renders > 0
 
 
 class TestSliceCoverage:

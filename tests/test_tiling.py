@@ -39,7 +39,14 @@ from fragtile import (
     verify_constancy,
 )
 from fragtile.linalg import DimensionError, clear_denominator, clear_rows, int_mat_mul
-from fragtile.tiling import cell_hits, fundamental_point, grid_numerators, shifted_gram, size_reduce
+from fragtile.tiling import (
+    cell_hits,
+    cube_extents,
+    fundamental_point,
+    grid_numerators,
+    shifted_gram,
+    size_reduce,
+)
 
 HALF = Fraction(1, 2)
 WORKED_POINT = (Fraction(-2), Fraction(1), -HALF, -HALF)
@@ -366,19 +373,20 @@ class TestSizeReduce:
                 m.mat_vec([Fraction(rng.randint(-40, 40), rng.choice((1, 3, 8))) for _ in range(fs.dims.n)])
                 for _ in range(3)
             ]
-            boxes = [engine.candidate_boxes(*engine.lattice_coordinates(*clear_denominator(p))) for p in points]
+            boxes = [engine.candidate_boxes(*clear_denominator(p)) for p in points]
             for frame in engine.frames:
                 s_den, s_rows = clear_rows(fs[frame.sigma].s)
                 g, to_x, to_z = reference_size_reduce(int_mat_mul(m_inv, s_rows))
                 assert (frame.to_x, frame.to_z) == (to_x, to_z)
                 sd = e * s_den
-                for p, (lo_all, hi_all) in zip(points, boxes):
-                    num, den = engine.lattice_coordinates(*clear_denominator(p))
+                for p, box in zip(points, boxes):
+                    q, p_int = clear_denominator(p)
+                    num, den = [sum(x * v for x, v in zip(row, p_int)) for row in m_inv], e * q
                     b = [sum(x * v for x, v in zip(row, num)) * sd for row in to_x]
                     lo = [-((sum(x for x in row if x > 0) * den - bi) // (den * sd)) for bi, row in zip(b, g)]
                     hi = [(bi - sum(x for x in row if x < 0) * den) // (den * sd) for bi, row in zip(b, g)]
-                    assert (lo_all[frame.rows], hi_all[frame.rows]) == (lo, hi)
-            assert len(boxes[0][0]) == len(engine.frames) * fs.dims.n
+                    assert box[frame.rows] == list(zip(lo, hi))
+            assert len(boxes[0]) == len(engine.frames) * fs.dims.n
 
     def test_engine_build_forms_one_matrix_product(self, monkeypatch):
         # T = M^-1 P M is the engine's one product, whatever the number of
@@ -420,8 +428,21 @@ class TestSizeReduce:
         a = engine.m_inv.mat_vec(p)
         boxes = [list(zip(*engine.candidate_box(frame, a))) for frame in engine.frames]
         assert scanned == boxes
-        lo, hi = engine.candidate_boxes(*engine.lattice_coordinates(*clear_denominator(p)))
-        assert scanned == [list(zip(lo[frame.rows], hi[frame.rows])) for frame in engine.frames]
+        box = engine.candidate_boxes(*clear_denominator(p))
+        assert scanned == [box[frame.rows] for frame in engine.frames]
+
+
+class TestCubeExtents:
+    @given(st.lists(st.lists(st.integers(-50, 50) | st.fractions(-50, 50, max_denominator=7), max_size=6), max_size=6))
+    def test_the_extremes_over_the_corners(self, rows):
+        # Each row's extent is the least and the greatest row . y over the
+        # 2^m corners y of the unit cube, m <= 6, for integer rows and for
+        # render's Fraction ones; an empty row spans (0, 0).
+        expected = [
+            (min(dots), max(dots))
+            for dots in ([sum(a * y for a, y in zip(row, c)) for c in product((0, 1), repeat=len(row))] for row in rows)
+        ]
+        assert cube_extents(rows) == expected
 
 
 class TestCellHits:
