@@ -6,8 +6,7 @@ copies src/ to a temporary directory, applies one mutant there, runs only the
 named tests against the copy, and lists the mutants that survive (every
 named test passed).  The repository's own files are never changed.
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py 0 3        # rows 0 and 3
+    python tests/mutants.py
 
 It exits 1 when a mutant survives or cannot be applied, and 0 otherwise.
 tests/test_mutant_table.py checks in the tier-1 suite that each old text
@@ -130,17 +129,15 @@ def run(mutant: Mutant) -> str:
     return f"error: pytest exit {result.returncode}: {result.stdout.strip().splitlines()[-1:]}"
 
 
-def main(argv: list[str]) -> int:
-    rows = [int(a) for a in argv] or range(len(MUTANTS))
+def main() -> int:
     failed = 0
-    for index in rows:
-        mutant = MUTANTS[index]
+    for index, mutant in enumerate(MUTANTS):
         outcome = run(mutant)
         failed += outcome != "killed"
         print(f"{index} {mutant.module}: {outcome}", flush=True)
-    print(f"mutants={len(rows)} not_killed={failed}")
+    print(f"mutants={len(MUTANTS)} not_killed={failed}")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

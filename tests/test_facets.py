@@ -163,14 +163,16 @@ class TestFacetCollection:
                 assert plain in coll.members
 
     def test_partition_is_injective_over_window(self, kset):
-        # every plain facet maps to exactly one collection slot, no slot reused
+        # every plain facet is a member of the collection it is keyed to,
+        # and no (collection, j, s) slot is used twice
         seen = {}
         for z in product(range(-1, 2), repeat=2):
             for sigma in subsets(2, 1):
                 for j, s in product((1, 2), (0, 1)):
                     plain = FacetId(z=z, sigma=sigma, j=j, s=s)
-                    key = collection_of(plain, 2)
-                    slot = (key, j, s)
+                    kind, key_z, index = collection_of(plain, 2)
+                    assert plain in facet_collection(kset, index, key_z).members
+                    slot = ((kind, key_z, index), j, s)
                     assert slot not in seen
                     seen[slot] = plain
 
