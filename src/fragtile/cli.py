@@ -280,28 +280,27 @@ def cmd_facets(args) -> int:
     w = _direction(args, fs)
     coll = facet_collection(fs, *_collection(args, fs))
     partition = up_down_partition(fs, w, coll)
-    print(f"kind={coll.kind} index={_fmt_subset(coll.index)} z={_fmt_vec(coll.z)}")
-    if coll.kind == TAU:
-        print(f"h={_fmt_vec(h_vector(fs, w, coll.index))}")
     up_set = set(partition.up)
-    consistent = True
-    for facet in coll.members:
-        if facet in coll.degenerate:
-            print(
-                f"facet sigma={_fmt_subset(facet.sigma)} j={facet.j} s={facet.s} "
-                f"plain_z={_fmt_vec(facet.z)} side=degenerate"
-            )
-            continue
-        wsgn, tsgn = facet_signs(fs, w, facet)
-        side = "up" if facet in up_set else "down"
-        consistent = consistent and (side == "up") == (wsgn * tsgn > 0)
-        print(
-            f"facet sigma={_fmt_subset(facet.sigma)} j={facet.j} s={facet.s} "
-            f"plain_z={_fmt_vec(facet.z)} wsgn={wsgn} tsgn={tsgn} side={side}"
-        )
+    h = h_vector(fs, w, coll.index) if coll.kind == TAU else None
+    signs = {f: facet_signs(fs, w, f) for f in coll.members if f not in coll.degenerate}
+    consistent = all((f in up_set) == (wsgn * tsgn > 0) for f, (wsgn, tsgn) in signs.items())
+    with _printable():
+        lines = [f"kind={coll.kind} index={_fmt_subset(coll.index)} z={_fmt_vec(coll.z)}"]
+        if h is not None:
+            lines.append(f"h={_fmt_vec(h)}")
+        for facet in coll.members:
+            head = f"facet sigma={_fmt_subset(facet.sigma)} j={facet.j} s={facet.s} plain_z={_fmt_vec(facet.z)}"
+            if facet in coll.degenerate:
+                lines.append(f"{head} side=degenerate")
+            else:
+                wsgn, tsgn = signs[facet]
+                side = "up" if facet in up_set else "down"
+                lines.append(f"{head} wsgn={wsgn} tsgn={tsgn} side={side}")
     print(
+        *lines,
         f"up={len(partition.up)} down={len(partition.down)} "
-        f"degenerate={len(coll.degenerate)} pass={'true' if consistent else 'false'}"
+        f"degenerate={len(coll.degenerate)} pass={'true' if consistent else 'false'}",
+        sep="\n",
     )
     return 0 if consistent else 1
 

@@ -1,36 +1,38 @@
 """Deterministic SVG rendering of 2-D tilings and 2-D slices.
 
-All geometry arrives exact; decimals appear only in the emitted document
-(6 fractional digits, round half to even).  A tile translate is drawn when its
-open parallelogram meets the open window: its offset lies strictly inside the
-four separating-axis strips, which tiling.cell_hits decides on integers, so
-the polygon census is reproducible.  Elements are grouped per fragment in
-lexicographic subset order, each group with its own fill shade, offsets
-ordered lexicographically.  Both kinds of source hand over integer rows
-over one denominator: the shapes (S_sigma for a tiling, C_sigma for a slice)
-and the lattice basis (M or B), whose inverse, formed once, bounds the
-translate boxes.
+All geometry is integer: render_svg picks one denominator q for the source's
+rows, the window and the anchors, and every coordinate from there on is an
+integer numerator over q.  Decimals appear only in the emitted document, from
+the integer dec6 (6 fractional digits, round half to even).  A tile translate
+is drawn when its open parallelogram meets the open window: its offset lies
+strictly inside the four separating-axis strips, on integer normals, which
+tiling.cell_hits decides, so the polygon census is reproducible.  Elements
+are grouped per fragment in lexicographic subset order, each group with its
+own fill shade, polygons in lexicographic order of their integer corners.  Both
+kinds of source hand over integer rows over one denominator: the shapes
+(S_sigma for a tiling, C_sigma for a slice) and the lattice basis (M or B),
+whose inverse, formed once, bounds the translate boxes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import lcm
 from operator import mul
 
 from .fragments import DEGENERATE, FragmentSet, SubsetIndex, fragment_rows
-from .linalg import DimensionError, clear_rows, rat
+from .linalg import DimensionError, rat
 from .slices import SliceLayout
 from .tiling import cell_hits, cube_extents
 
 # Pixels per drawing unit, fill color per sign class, fill opacity.
-SCALE = Fraction(40)
+SCALE = 40
 PALETTE = {
     "positive": "#d95f2b",
     "negative": "#3b6fb6",
     "degenerate": "#bbbbbb",
 }
-OPACITY = Fraction(1, 2)
+OPACITY = "0.500000"
 
 
 @dataclass(frozen=True)
@@ -46,9 +48,12 @@ class RenderConfig:
         object.__setattr__(self, "window", (x0, x1, y0, y1))
 
 
-def dec6(q: Fraction) -> str:
-    """Exact decimal rendering with 6 fractional digits (half to even)."""
-    n = round(q * 10**6)
+def dec6(num: int, den: int) -> str:
+    """num / den, den > 0, as an exact decimal with 6 fractional digits,
+    rounded half to even."""
+    n, rem = divmod(num * 10**6, den)
+    if 2 * rem > den or (2 * rem == den and n % 2):
+        n += 1
     sign = "-" if n < 0 else ""
     n = abs(n)
     return f"{sign}{n // 10**6}.{n % 10**6:06d}"
@@ -59,90 +64,76 @@ def _shade(color: str, position: int, count: int) -> str:
     r = int(color[1:3], 16)
     g = int(color[3:5], 16)
     b = int(color[5:7], 16)
-    mix = Fraction(position, max(count + 1, 2))
-    channel = lambda c: int(c + (255 - c) * mix)
+    channel = lambda c: c + (255 - c) * position // max(count + 1, 2)
     return f"#{channel(r):02x}{channel(g):02x}{channel(b):02x}"
 
 
-def _corners(offset, g1, g2):
-    o = offset
-    return (
-        (o[0], o[1]),
-        (o[0] + g1[0], o[1] + g1[1]),
-        (o[0] + g1[0] + g2[0], o[1] + g1[1] + g2[1]),
-        (o[0] + g2[0], o[1] + g2[1]),
-    )
-
-
-def _family_polygons(den: int, shape, anchors, basis, basis_inv_rows, cfg: RenderConfig):
-    """All translates anchor + (basis / den) z whose open parallelogram, the
-    columns of shape / den, meets the open window; shape and basis are
-    integer rows, and basis_inv_rows is the basis inverse as (e, X).
+def _family_polygons(q: int, shape, anchors, basis, basis_inv_rows, window):
+    """All translates anchor + basis z whose open parallelogram, the columns
+    of shape, meets the open window; every coordinate is an integer over q,
+    and basis_inv_rows is (e, X) with (basis / q)^-1 = X / e, e > 0.
 
     W - P, the offsets where the parallelogram P meets the window W, is a
     zonotope bounded by four strips (separating axes): on the axes (1,0),
-    (0,1) and the two edge normals a, a.offset must lie strictly inside
-    (min a.W - max a.P, max a.W - min a.P).  Each strip is scaled to [0, 1]
-    and the four rows are cleared once per anchor.  The axis strips put the
-    offset in lo + diag(width) [0, 1]^2, so with basis^-1 = X / e cell_hits
-    scans the lattice box X (lo - anchor) / e plus the cube_extents of
-    X diag(width) / e, and draws a translate when it touches no strip's edge.
+    (0,1) and the two integer edge normals a = (-g_y, g_x), a.offset must
+    lie strictly inside (min a.W - max a.P, max a.W - min a.P).  Each strip
+    is scaled to [0, one], one the lcm of the four widths.  The axis strips
+    put the offset in lo + diag(width) [0, 1]^2, so with basis^-1 = X / (e q)
+    cell_hits scans the lattice box X (lo - anchor) / (e q) plus the
+    cube_extents of X diag(width) / (e q), and draws a translate when it
+    touches no strip's edge.  Returns the corner tuples, sorted.
     """
-    x0, x1, y0, y1 = cfg.window
-    g1, g2 = ([Fraction(x, den) for x in col] for col in zip(*shape))
-
-    def along(a, points):
-        return [a[0] * px + a[1] * py for px, py in points]
-
+    x0, x1, y0, y1 = window
+    g1, g2 = zip(*shape)
     rect = ((x0, y0), (x1, y0), (x1, y1), (x0, y1))
-    cell = _corners((0, 0), g1, g2)
-    columns = [[Fraction(x, den) for x in col] for col in zip(*basis)]
+    cell = ((0, 0), g1, (g1[0] + g2[0], g1[1] + g2[1]), g2)
     strips = []
-    for a in ((1, 0), (0, 1), (-g1[1], g1[0]), (-g2[1], g2[0])):
-        low = min(along(a, rect)) - max(along(a, cell))
-        width = max(along(a, rect)) - min(along(a, cell)) - low
-        strips.append((a, low, width, [-x / width for x in along(a, columns)]))
-    (_, low_x, width_x, _), (_, low_y, width_y, _) = strips[:2]
+    for a, b in ((1, 0), (0, 1), (-g1[1], g1[0]), (-g2[1], g2[0])):
+        on_rect = [a * x + b * y for x, y in rect]
+        on_cell = [a * x + b * y for x, y in cell]
+        low = min(on_rect) - max(on_cell)
+        strips.append((a, b, low, max(on_rect) - min(on_cell) - low))
+    one = lcm(*(width for *_, width in strips))
+    (_, _, low_x, width_x), (_, _, low_y, width_y) = strips[:2]
+    strips = [(a, b, low, one // width) for a, b, low, width in strips]
+    h = [[-(a * x + b * y) * f for x, y in zip(*basis)] for a, b, _, f in strips]
     e, basis_inv = basis_inv_rows
+    eq = e * q
     extents = cube_extents([[a * width_x, b * width_y] for a, b in basis_inv])
     polygons = []
     for ax, ay in anchors:
         corner = (a * (low_x - ax) + b * (low_y - ay) for a, b in basis_inv)
-        box = [(ceil((c + lo) / e), floor((c + hi) / e)) for c, (lo, hi) in zip(corner, extents)]
-        rows = [[(a[0] * ax + a[1] * ay - low) / width, *h] for a, low, width, h in strips]
-        one, cleared = clear_rows(rows)
-        u, h = [row[0] for row in cleared], [row[1:] for row in cleared]
+        box = [(-((-c - lo) // eq), (c + hi) // eq) for c, (lo, hi) in zip(corner, extents)]
+        u = [(a * ax + b * ay - low) * f for a, b, low, f in strips]
         for z, _, touching in cell_hits(u, h, one, (True,) * 4, box):
             if not touching:
-                offset = [o + sum(map(mul, row, z)) for o, row in zip((ax, ay), zip(*columns))]
-                polygons.append(_corners(offset, g1, g2))
+                x, y = (o + sum(map(mul, row, z)) for o, row in zip((ax, ay), basis))
+                polygons.append(tuple((x + cx, y + cy) for cx, cy in cell))
     polygons.sort()
     return polygons
 
 
-def _svg_document(groups, cfg: RenderConfig) -> str:
-    x0, x1, y0, y1 = cfg.window
-    width = (x1 - x0) * SCALE
-    height = (y1 - y0) * SCALE
-
-    def to_px(pt):
-        return (pt[0] - x0) * SCALE, (y1 - pt[1]) * SCALE
-
+def _svg_document(groups, q: int, window) -> str:
+    """The document for window (x0, x1, y0, y1) and corners (X, Y), all
+    integers over q: a corner's pixel is (SCALE (X - x0) / q, SCALE (y1 - Y) / q)."""
+    x0, x1, y0, y1 = window
+    width = dec6(SCALE * (x1 - x0), q)
+    height = dec6(SCALE * (y1 - y0), q)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{dec6(width)}" height="{dec6(height)}" '
-        f'viewBox="0 0 {dec6(width)} {dec6(height)}">',
-        f'<rect width="{dec6(width)}" height="{dec6(height)}" fill="#ffffff"/>',
+        f'width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
     ]
     for group_id, fill, polygons in groups:
         lines.append(
-            f'<g id="{group_id}" fill="{fill}" fill-opacity="{dec6(OPACITY)}" '
+            f'<g id="{group_id}" fill="{fill}" fill-opacity="{OPACITY}" '
             f'stroke="#222222" stroke-width="0.800000">'
         )
         for corners in polygons:
             pts = " ".join(
-                f"{dec6(px)},{dec6(py)}" for px, py in (to_px(c) for c in corners)
+                f"{dec6(SCALE * (x - x0), q)},{dec6(SCALE * (y1 - y), q)}" for x, y in corners
             )
             lines.append(f'<polygon points="{pts}"/>')
         lines.append("</g>")
@@ -160,9 +151,8 @@ def render_svg(source, cfg: RenderConfig) -> str:
     if isinstance(source, FragmentSet):
         if source.dims.n != 2:
             raise DimensionError("full tiling rendering needs r+k = 2")
-        zero = (Fraction(0), Fraction(0))
         families = [
-            (frag.sigma, frag.sign_class, fragment_rows(source.decomposition, frag.sigma), (zero,))
+            (frag.sigma, frag.sign_class, fragment_rows(source.decomposition, frag.sigma), ((0, 0),))
             for frag in source
             if frag.sign_class != DEGENERATE
         ]
@@ -179,6 +169,15 @@ def render_svg(source, cfg: RenderConfig) -> str:
     else:
         raise DimensionError(f"cannot render {type(source).__name__}")
 
+    # One denominator q for the rows, the window and the anchors; from here
+    # on every coordinate is an integer over q.
+    points = [cfg.window, *(anchor for *_, anchors in families for anchor in anchors)]
+    q = lcm(den, *(v.denominator for point in points for v in point))
+    over_q = lambda point: tuple(v.numerator * (q // v.denominator) for v in point)
+    scale = q // den
+    basis = [[x * scale for x in row] for row in basis]
+    window = over_q(cfg.window)
+
     class_totals: dict[str, int] = {}
     for _, sign_class, _, _ in families:
         class_totals[sign_class] = class_totals.get(sign_class, 0) + 1
@@ -188,6 +187,8 @@ def render_svg(source, cfg: RenderConfig) -> str:
         position = class_seen.get(sign_class, 0)
         class_seen[sign_class] = position + 1
         fill = _shade(PALETTE[sign_class], position, class_totals[sign_class])
-        polygons = _family_polygons(den, shape, anchors, basis, basis_inv_rows, cfg)
+        shape = [[x * scale for x in row] for row in shape]
+        anchors = [over_q(anchor) for anchor in anchors]
+        polygons = _family_polygons(q, shape, anchors, basis, basis_inv_rows, window)
         groups.append((_group_id(sigma), fill, polygons))
-    return _svg_document(groups, cfg)
+    return _svg_document(groups, q, window)

@@ -958,13 +958,25 @@ def reference_double_cover(fs, w, index, z, sample_count: int, seed: int):
     )
 
 
+def reference_dec6(q: Fraction) -> str:
+    """The decimal render printed before it moved to integers: round() of
+    the Fraction q * 10^6 (half to even), then 6 fractional digits."""
+    n = round(q * 10**6)
+    sign = "-" if n < 0 else ""
+    n = abs(n)
+    return f"{sign}{n // 10**6}.{n % 10**6:06d}"
+
+
 def reference_family_polygons(shape, anchors, basis, window, margin: int = 1):
-    """The translate scan render ran before it went through cell_hits: every
-    lattice point of a box widened by margin, each parallelogram tested
+    """A translate scan apart from cell_hits, each parallelogram tested
     against the window by an exact separating-axis test on Fraction
-    projections.  Returns (drawn, skipped), the sorted corner tuples of the
-    translates whose open parallelogram meets the open window and of the
-    other translates scanned."""
+    projections.  A translate can meet the window only if its offset lies
+    in the axis box [lo, hi] of the window minus the parallelogram's
+    extent, so z_1 runs over the bounds of basis^-1 [lo, hi] and, per z_1,
+    z_2 over the Fraction interval that keeps both offset coordinates in
+    [lo, hi], each widened by margin.  Returns (drawn, skipped), the sorted
+    corner tuples of the translates whose open parallelogram meets the open
+    window and of the other translates scanned."""
     from itertools import product
     from math import ceil, floor
 
@@ -979,12 +991,12 @@ def reference_family_polygons(shape, anchors, basis, window, margin: int = 1):
         values = [px * axis[0] + py * axis[1] for px, py in points]
         return min(values), max(values)
 
+    axes = [a for a in ((1, 0), (0, 1), (-g1[1], g1[0]), (-g2[1], g2[0])) if a != (0, 0)]
+    window_spans = [span(rect, axis) for axis in axes]
+
     def meets(corners):
-        axes = [(1, 0), (0, 1), (-g1[1], g1[0]), (-g2[1], g2[0])]
-        for axis in axes:
-            if axis == (0, 0):
-                continue
-            (a0, a1), (b0, b1) = span(corners, axis), span(rect, axis)
+        for axis, (b0, b1) in zip(axes, window_spans):
+            a0, a1 = span(corners, axis)
             if not (a0 < b1 and b0 < a1):
                 return False
         return True
@@ -993,22 +1005,26 @@ def reference_family_polygons(shape, anchors, basis, window, margin: int = 1):
     for anchor in anchors:
         lo = (x0 - smax[0] - anchor[0], y0 - smax[1] - anchor[1])
         hi = (x1 - smin[0] - anchor[0], y1 - smin[1] - anchor[1])
-        ranges = []
-        for i in range(2):
-            values = [
-                sum(basis_inv.entry(i, j) * c[j] for j in range(2))
-                for c in product((lo[0], hi[0]), (lo[1], hi[1]))
-            ]
-            ranges.append(range(ceil(min(values)) - margin, floor(max(values)) + margin + 1))
-        for z in product(*ranges):
-            o = tuple(anchor[i] + sum(basis.entry(i, j) * z[j] for j in range(2)) for i in range(2))
-            corners = (
-                (o[0], o[1]),
-                (o[0] + g1[0], o[1] + g1[1]),
-                (o[0] + g1[0] + g2[0], o[1] + g1[1] + g2[1]),
-                (o[0] + g2[0], o[1] + g2[1]),
-            )
-            (drawn if meets(corners) else skipped).append(corners)
+        box = product((lo[0], hi[0]), (lo[1], hi[1]))
+        ends = [basis_inv.entry(0, 0) * p + basis_inv.entry(0, 1) * q for p, q in box]
+        for z1 in range(ceil(min(ends)) - margin, floor(max(ends)) + margin + 1):
+            # lo_i <= basis[i][0] z_1 + basis[i][1] z_2 <= hi_i on both axes
+            shifted = [(basis.entry(i, 0) * z1, basis.entry(i, 1)) for i in range(2)]
+            if any(b == 0 and not lo[i] <= a <= hi[i] for i, (a, b) in enumerate(shifted)):
+                continue
+            cuts = [sorted(((lo[i] - a) / b, (hi[i] - a) / b)) for i, (a, b) in enumerate(shifted) if b]
+            low, high = max(c[0] for c in cuts), min(c[1] for c in cuts)
+            if low > high:
+                continue
+            for z in product((z1,), range(ceil(low) - margin, floor(high) + margin + 1)):
+                o = tuple(anchor[i] + sum(basis.entry(i, j) * z[j] for j in range(2)) for i in range(2))
+                corners = (
+                    (o[0], o[1]),
+                    (o[0] + g1[0], o[1] + g1[1]),
+                    (o[0] + g1[0] + g2[0], o[1] + g1[1] + g2[1]),
+                    (o[0] + g2[0], o[1] + g2[1]),
+                )
+                (drawn if meets(corners) else skipped).append(corners)
     return sorted(drawn), sorted(skipped)
 
 

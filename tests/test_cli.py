@@ -5,13 +5,17 @@ from math import ceil, floor
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import (
     clip_polygon_area,
+    corpus_files,
+    corpus_set,
     invoke,
     random_int_matrix,
     random_invertible,
     random_rational_invertible,
+    reference_dec6,
     reference_family_polygons,
     rows_matrix,
 )
@@ -24,6 +28,7 @@ from fragtile import (
     det,
     fragment_set,
     inverse,
+    render,
     render_svg,
     slice_layout,
     slice_precondition,
@@ -505,6 +510,16 @@ class TestInputErrors:
         code, out, _ = invoke(["verify", "--matrix", str(big), "--samples", "20"])
         assert code == 0 and out.endswith(" pass=true\n")
 
+    def test_facets_member_past_the_digit_limit(self, matrix_files):
+        # z has 4,300 digits, which parse; a gamma member's plain z is
+        # z_j + 1, with 4,301.  The whole report is refused, none printed.
+        z = "0,0,0," + "9" * 4300
+        code, out, err = invoke(["facets", "--matrix", matrix_files["M"], "--gamma", "1,2,4", "--z", z])
+        assert (code, out) == (2, "")
+        assert err == "error: a report value has too many digits to print\n"
+        code, out, _ = invoke(["facets", "--matrix", matrix_files["M"], "--tau", "1", "--z", z])
+        assert code == 0 and out.endswith(" pass=true\n")
+
     def test_runs_share_one_parser(self, matrix_files, monkeypatch):
         import argparse
 
@@ -644,6 +659,34 @@ class TestRender:
         assert out.startswith('<?xml version="1.0"')
 
 
+class TestDec6:
+    """render.dec6(num, den) against round() of the Fraction num / den."""
+
+    @given(st.integers(-(10**30), 10**30), st.integers(1, 10**15))
+    @example(0, 1)
+    @example(-1, 3 * 10**6)
+    def test_matches_the_fraction_rounding(self, num, den):
+        assert render.dec6(num, den) == reference_dec6(Fraction(num, den))
+
+    @given(st.integers(0, 6), st.integers(-(10**9), 10**9), st.integers(1, 10**6))
+    @example(0, 0, 1)
+    @example(0, 1, 1)
+    @example(0, -1, 1)
+    @example(0, -2, 1)
+    def test_exact_ties_round_to_even(self, j, half, m):
+        # num 10^6 / den = t / 2 with t = (2 half + 1) 5^j odd, so
+        # num 10^6 = den / 2 (mod den): a tie between t // 2 and t // 2 + 1.
+        # The examples are t = 1, 3, -1, -3: they round down to 0, up to 2,
+        # up to 0 and down to -2 (in units of 10^-6).
+        t = (2 * half + 1) * 5**j
+        num, den = (2 * half + 1) * m, 2**7 * 5 ** (6 - j) * m
+        assert 2 * num * 10**6 == t * den
+        text = render.dec6(num, den)
+        assert text == reference_dec6(Fraction(num, den))
+        rounded = int(text.replace(".", ""))
+        assert rounded % 2 == 0 and rounded in (t // 2, t // 2 + 1)
+
+
 def svg_groups(doc):
     """{group id: [polygon points text, ...]} of an SVG document."""
     groups = {}
@@ -659,7 +702,7 @@ class TestRenderAgainstSeparatingAxes:
     window clips from it."""
 
     def _check(self, source, cfg):
-        from fragtile import FragmentSet, render
+        from fragtile import FragmentSet
 
         x0, x1, y0, y1 = cfg.window
         if isinstance(source, FragmentSet):
@@ -680,7 +723,7 @@ class TestRenderAgainstSeparatingAxes:
             drawn, skipped = reference_family_polygons(shape, anchors, basis, cfg.window)
             expected = [
                 " ".join(
-                    f"{render.dec6((px - x0) * render.SCALE)},{render.dec6((y1 - py) * render.SCALE)}"
+                    f"{reference_dec6((px - x0) * render.SCALE)},{reference_dec6((y1 - py) * render.SCALE)}"
                     for px, py in corners
                 )
                 for corners in drawn
@@ -727,6 +770,26 @@ class TestRenderAgainstSeparatingAxes:
             layout = slice_layout(fs, choose_generic_direction(fs, checked), ((-3, 3),) * 3)
             self._check(layout, RenderConfig(window=(-3, 3, -2, 4)))
             checked += 1
+
+    def test_corpus(self):
+        # Every n = 2 corpus tiling and every r = 2 corpus slice that slice
+        # accepts, in the default window and one whose denominators divide
+        # no matrix's.  A radius-2 translate window keeps the n = 6 layouts
+        # and the oracle's scan cheap; it still leaves 3 to 123 offsets.
+        tilings = slices = 0
+        for path in corpus_files():
+            fs = corpus_set(path)
+            n = fs.dims.n
+            if n == 2:
+                source, tilings = fs, tilings + 1
+            elif fs.dims.r == 2 and slice_precondition(fs.decomposition):
+                source = slice_layout(fs, choose_generic_direction(fs, 0), ((-2, 2),) * n)
+                slices += 1
+            else:
+                continue
+            for box in ((-5, 5, -5, 5), (-3, 1, Fraction(-1, 2), Fraction(7, 3))):
+                self._check(source, RenderConfig(window=box))
+        assert (tilings, slices) == (2, 18)
 
     def test_integer_windows_touch_tile_edges_and_corners(self, kset, lset):
         # The tiles of K and L have integer corners, so integer windows meet
