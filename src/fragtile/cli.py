@@ -224,16 +224,17 @@ def cmd_coverage(args) -> int:
     w = _direction(args, fs)
     point = _parse_vec(args.point, "--point")
     report = TilingEngine(fs, w).coverage(point)
-    print(f"point={_fmt_vec(report.point)}")
-    print(f"w={_fmt_vec(w.w)}")
-    for tile, sign_class in report.tiles:
-        print(f"tile z={_fmt_vec(tile.z)} sigma={_fmt_subset(tile.sigma)} class={sign_class}")
     pos, neg = report.census
     ok = report.f_value == report.expected
-    print(
-        f"positive={pos} negative={neg} f={report.f_value} "
-        f"expected={report.expected} {'ok' if ok else 'FAIL'}"
-    )
+    with _printable():
+        lines = [f"point={_fmt_vec(report.point)}", f"w={_fmt_vec(w.w)}"]
+        for tile, sign_class in report.tiles:
+            lines.append(f"tile z={_fmt_vec(tile.z)} sigma={_fmt_subset(tile.sigma)} class={sign_class}")
+        lines.append(
+            f"positive={pos} negative={neg} f={report.f_value} "
+            f"expected={report.expected} {'ok' if ok else 'FAIL'}"
+        )
+    print(*lines, sep="\n")
     return 0 if ok else 1
 
 
@@ -360,33 +361,34 @@ def cmd_slice(args) -> int:
     w = _direction(args, fs)
     layout = slice_layout(fs, w, _slice_window(fs))
     b_den, b_rows = layout.b_rows
-    print("B=" + ";".join(_fmt_vec(Fraction(x, b_den) for x in row) for row in b_rows))
     all_ok = True
     balance = Fraction(0)
-    for cls in layout.classes:
-        if cls.sign_class == DEGENERATE:
-            print(f"sigma={_fmt_subset(cls.sigma)} class=degenerate offset_classes=0")
-            continue
-        frag = fs[cls.sigma]
-        area = abs(frag.det_c)
-        expected_classes = abs(frag.det_cbar)
-        ok = len(cls.offsets) == expected_classes
-        all_ok = all_ok and ok
-        sign = 1 if cls.sign_class == "positive" else -1
-        balance += sign * area * len(cls.offsets)
-        print(
-            f"sigma={_fmt_subset(cls.sigma)} class={cls.sign_class} area={area} "
-            f"offset_classes={len(cls.offsets)} expected_classes={expected_classes} "
-            f"{'ok' if ok else 'FAIL'}"
+    with _printable():
+        lines = ["B=" + ";".join(_fmt_vec(Fraction(x, b_den) for x in row) for row in b_rows)]
+        for cls in layout.classes:
+            if cls.sign_class == DEGENERATE:
+                lines.append(f"sigma={_fmt_subset(cls.sigma)} class=degenerate offset_classes=0")
+                continue
+            frag = fs[cls.sigma]
+            area = abs(frag.det_c)
+            expected_classes = abs(frag.det_cbar)
+            ok = len(cls.offsets) == expected_classes
+            all_ok = all_ok and ok
+            sign = 1 if cls.sign_class == "positive" else -1
+            balance += sign * area * len(cls.offsets)
+            lines.append(
+                f"sigma={_fmt_subset(cls.sigma)} class={cls.sign_class} area={area} "
+                f"offset_classes={len(cls.offsets)} expected_classes={expected_classes} "
+                f"{'ok' if ok else 'FAIL'}"
+            )
+        # M U = [[Bk | B], [I_k | 0]] with U unimodular, so |det B| = |det M|.
+        expected_balance = fs.expected_coverage() * abs(fs.det_m)
+        balance_ok = balance == expected_balance
+        all_ok = all_ok and balance_ok
+        lines.append(
+            f"balance_lhs={balance} balance_rhs={expected_balance} "
+            f"{'ok' if balance_ok else 'FAIL'}"
         )
-    # M U = [[Bk | B], [I_k | 0]] with U unimodular, so |det B| = |det M|.
-    expected_balance = fs.expected_coverage() * abs(fs.det_m)
-    balance_ok = balance == expected_balance
-    all_ok = all_ok and balance_ok
-    print(
-        f"balance_lhs={balance} balance_rhs={expected_balance} "
-        f"{'ok' if balance_ok else 'FAIL'}"
-    )
     engine = TilingEngine(fs, w)
     zeros = (Fraction(0),) * fs.dims.k
     f_ok = True
@@ -398,8 +400,10 @@ def cmd_slice(args) -> int:
         f_ok = f_ok and report.f_value == report.expected
     all_ok = all_ok and f_ok
     print(
+        *lines,
         f"coverage_samples={args.samples} coverage_pass={'true' if f_ok else 'false'} "
-        f"pass={'true' if all_ok else 'false'}"
+        f"pass={'true' if all_ok else 'false'}",
+        sep="\n",
     )
     return 0 if all_ok else 1
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
 from operator import mul
 from typing import Sequence
 
@@ -104,6 +103,8 @@ def facet_collection(fs: FragmentSet, index: Sequence[int], z: Sequence[int]) ->
     r, n = fs.dims.r, fs.dims.n
     index = normalize_subset(index, n)
     z = tuple(int(x) for x in z)
+    if len(z) != n:
+        raise DimensionError(f"z has length {len(z)}, expected {n}")
     if len(index) == r - 1:
         kind = TAU
         pairs = [(j, tuple(sorted(index + (j,)))) for j in complement(index, n)]
@@ -306,15 +307,17 @@ def _collect_events(engine: TilingEngine, start, reach):
     segment only if y0 lies within reach*max|lambda_i| of it, so cell_hits
     scans the union of the candidate_boxes at the two ends (the bounds are
     monotone in M^-1 p) at the start's exact cell_coordinates, in the cell
-    widened by a bound on that.  For each
-    translate it yields, every coordinate hitting 0 or 1 gives a rational
+    widened by a bound on that; a residual it yields, less the widening, is
+    y0's numerator y.  Every coordinate hitting 0 or 1 gives a rational
     crossing time; the hit is kept when the crossing point lies in the
     closed facet, and flagged when it touches the facet's own boundary.
 
-    All of it runs on integers: y0 = y / one, lambda = l / d and reach =
-    rn / rd, and the crossing of coordinate i at target T has
-    t = a*d / (one*|l_i|) with a = sign(l_i)*(T*one - y_i).  So 0 < t < reach
-    is 0 < a with a*d*rd < one*|l_i|*rn, and the other coordinates there are
+    All of it runs on integers, in the frame's doubled cell scaled by the
+    start's denominator: y0 = y / one, lambda = l / d (frame.lam), reach =
+    rn / rd, the widening is one*ceil(rn*max|l_i| / (d*rd)), and the crossing
+    of coordinate i at target T has t = a*d / (one*|l_i|) with
+    a = sign(l_i)*(T*one - y_i).  So 0 < t < reach is 0 < a with
+    a*d*rd < one*|l_i|*rn, and the other coordinates there are
     (y_m*|l_i| + a*l_m) / (one*|l_i|).  A Fraction t is built only for the
     crossings kept.
     """
@@ -327,9 +330,8 @@ def _collect_events(engine: TilingEngine, start, reach):
     cells = engine.cell_coordinates(p_int)
     events: dict[Fraction, list[tuple[FacetId, bool]]] = {}
     for frame in engine.frames:
-        lam_den, lam = clear_denominator(frame.lam)
-        u, h, one = cells[frame.rows], [[e * q for e in row] for row in frame.h], frame.denom * q
-        widen = ceil(reach * max(abs(x) for x in frame.lam)) * one
+        lam_den, lam = frame.lam
+        h, one = [[e * q for e in row] for row in frame.h2], frame.one2 * q
         other_rules = [frame.rules[:i] + frame.rules[i + 1 :] for i in range(n)]
         # Per coordinate i: |l_i|, the corner one*|l_i| of the cell the other
         # coordinates are tested in, and the bound one*|l_i|*rn on a*d*rd.
@@ -337,9 +339,10 @@ def _collect_events(engine: TilingEngine, start, reach):
         corner = [one * x for x in abs_lam]
         limit = [reach_num * x for x in corner]
         scale = lam_den * reach_den
-        wide_u = [x + widen for x in u]
-        for x, _, _ in cell_hits(wide_u, h, one + 2 * widen, frame.rules, boxes[frame.rows]):
-            y = [ui - sum(map(mul, row, x)) for ui, row in zip(u, h)]
+        widen = -(-reach_num * max(abs_lam) // scale) * one
+        wide_u = [2 * x + widen for x in cells[frame.rows]]
+        for x, wide_y in cell_hits(wide_u, h, one + 2 * widen, boxes[frame.rows]):
+            y = [v - widen for v in wide_y]
             z = frame.translate(x)
             for i in range(n):
                 for target in (0, 1):

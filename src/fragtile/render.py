@@ -5,8 +5,8 @@ rows, the window and the anchors, and every coordinate from there on is an
 integer numerator over q.  Decimals appear only in the emitted document, from
 the integer dec6 (6 fractional digits, round half to even).  A tile translate
 is drawn when its open parallelogram meets the open window: its offset lies
-strictly inside the four separating-axis strips, on integer normals, which
-tiling.cell_hits decides, so the polygon census is reproducible.  Elements
+strictly inside the four separating-axis strips, on integer normals, as
+cell_hits' residuals show, so the polygon census is reproducible.  Elements
 are grouped per fragment in lexicographic subset order, each group with its
 own fill shade, polygons in lexicographic order of their integer corners.  Both
 kinds of source hand over integer rows over one denominator: the shapes
@@ -42,6 +42,8 @@ class RenderConfig:
     window: tuple[Fraction, Fraction, Fraction, Fraction]
 
     def __post_init__(self):
+        if len(self.window) != 4:
+            raise DimensionError(f"window has {len(self.window)} bounds, expected 4")
         x0, x1, y0, y1 = (rat(v) for v in self.window)
         if not (x0 < x1 and y0 < y1):
             raise DimensionError("window must be a nonempty box")
@@ -80,8 +82,8 @@ def _family_polygons(q: int, shape, anchors, basis, basis_inv_rows, window):
     is scaled to [0, one], one the lcm of the four widths.  The axis strips
     put the offset in lo + diag(width) [0, 1]^2, so with basis^-1 = X / (e q)
     cell_hits scans the lattice box X (lo - anchor) / (e q) plus the
-    cube_extents of X diag(width) / (e q), and draws a translate when it
-    touches no strip's edge.  Returns the corner tuples, sorted.
+    cube_extents of X diag(width) / (e q), and draws a translate when its
+    residual is strictly inside all four strips.  Returns the corners, sorted.
     """
     x0, x1, y0, y1 = window
     g1, g2 = zip(*shape)
@@ -105,8 +107,8 @@ def _family_polygons(q: int, shape, anchors, basis, basis_inv_rows, window):
         corner = (a * (low_x - ax) + b * (low_y - ay) for a, b in basis_inv)
         box = [(-((-c - lo) // eq), (c + hi) // eq) for c, (lo, hi) in zip(corner, extents)]
         u = [(a * ax + b * ay - low) * f for a, b, low, f in strips]
-        for z, _, touching in cell_hits(u, h, one, (True,) * 4, box):
-            if not touching:
+        for z, v in cell_hits(u, h, one, box):
+            if 0 < min(v) and max(v) < one:
                 x, y = (o + sum(map(mul, row, z)) for o, row in zip((ax, ay), basis))
                 polygons.append(tuple((x + cx, y + cy) for cx, cy in cell))
     polygons.sort()

@@ -24,7 +24,7 @@ from typing import Sequence
 from .fragments import DEGENERATE, Decomposition, FragmentSet, SubsetIndex, complement
 # inverse is unused, but perfbench's tracer wraps it at this binding site.
 from .linalg import DimensionError, int_mat_mul, inverse, inverse_rows
-from .tiling import GenericDirection, cell_hits, cube_extents
+from .tiling import GenericDirection, cell_hits, cell_position, cube_extents
 
 
 class SlicePreconditionError(Exception):
@@ -170,8 +170,8 @@ def slice_layout(
         x_hat = [x[j - 1][r:] for j in sigma_hat]
         box = cube_extents([[row[j - 1] for j in sigma_hat] for row in bottom])
         offsets = []
-        for y, inside, _ in cell_hits([0] * k, x_hat, e, rules, box):
-            if not inside or not any(
+        for y, v in cell_hits([0] * k, x_hat, e, box):
+            if not cell_position(v, e, rules)[0] or not any(
                 tuple(a - t * b for a, b in zip(y, last)) in sums for t in range(lo, hi + 1)
             ):
                 continue

@@ -181,17 +181,17 @@ def cube_extents(rows: Sequence[Sequence]) -> list[tuple]:
     return [(sum(x for x in row if x < 0), sum(x for x in row if x > 0)) for row in rows]
 
 
-def cell_hits(u: Sequence[int], h: Sequence[Sequence[int]], one: int, rules, ranges):
-    """Integer translates z whose vector u - h z meets the closed cell.
+def cell_hits(u: Sequence[int], h: Sequence[Sequence[int]], one: int, ranges):
+    """Integer translates z whose residual y = u - h z lies in the closed cell.
 
     z runs over the box given by the inclusive (lo, hi) ranges, in
     lexicographic order; u, h and the cell corner one are integers (the
-    caller clears denominators).  Yields (z, inside, touching), the
-    cell_position of u - h z, for every z with u - h z in the closed cell
-    [0, one]^m, m = len(u).  As in Fincke-Pohst enumeration, only the first
-    c - 1 of the c = len(ranges) >= 1 coordinates are enumerated: per
-    prefix, each row's residual r_i is formed once, and 0 <= r_i - a_i t <= one
-    (a_i = h[i][c-1]) cuts the last range by floor division to its members.
+    caller clears denominators).  Yields (z, y) for every z with y in
+    [0, one]^m, m = len(u); the caller classifies y.  As in Fincke-Pohst
+    enumeration, only the first c - 1 of the c = len(ranges) >= 1
+    coordinates are enumerated: per prefix, each row's residual r_i is formed
+    once, and 0 <= r_i - a_i t <= one (a_i = h[i][c-1]) cuts the last range
+    by floor division to its members.
     """
     *head, (lo, hi) = ranges
     last = [row[len(head)] for row in h]
@@ -215,7 +215,7 @@ def cell_hits(u: Sequence[int], h: Sequence[Sequence[int]], one: int, rules, ran
             res.append(r)
         else:
             for t in range(t0, t1 + 1):
-                yield (*prefix, t), *cell_position([r - a * t for r, a in zip(res, last)], one, rules)
+                yield (*prefix, t), [r - a * t for r, a in zip(res, last)]
 
 
 @dataclass(frozen=True)
@@ -329,19 +329,19 @@ class _Frame:
     unimodular), and the scan runs over x = W z, whose box
     W M^-1 p - G' [0, 1]^n stays close to the parallelepiped it covers.  The
     coordinate vector of p - M z in the fragment basis is u - H'x with
-    u = S^-1 p and H' = S^-1 M W^-1, kept as integer rows over one frame
-    denominator, and doubled for tiles_at; a hit maps back by z = W^-1 x.
+    u = S^-1 p and H' = S^-1 M W^-1, kept for the least integer e as e S^-1
+    and the doubled cell (h2, one2) = (2 e H', 2 e); hits map by z = W^-1 x.
 
     A frame forms no matrix product: G's Gram matrix is shifted_gram of
     T's, which the engine shares; S^-1 is the fragment's block-diagonal
     s_inv_rows, so row i of S^-1 M reads only M's top rows (i in sigma) or
     its bottom rows; and size_reduce carries S^-1 M along to H'.  A frame
-    eliminates nothing; the half-open rules are the signs of the certified
-    lambda.
+    eliminates nothing.  lam is the certified lambda as one (den, nums)
+    pair, and the half-open rules are the signs of nums.
     """
 
     __slots__ = (
-        "sigma", "sign_class", "lam", "rules", "denom", "s_inv", "h", "h2", "one2",
+        "sigma", "sign_class", "lam", "rules", "s_inv", "h2", "one2",
         "to_x", "to_z", "extents", "rows",
     )
 
@@ -349,8 +349,8 @@ class _Frame:
         self.rows = rows
         self.sigma = frag.sigma
         self.sign_class = frag.sign_class
-        self.lam = w.lambda_of(fs, frag.sigma)
-        self.rules = tuple(x > 0 for x in self.lam)
+        self.lam = clear_denominator(w.lambda_of(fs, frag.sigma))
+        self.rules = tuple(x > 0 for x in self.lam[1])
         # T = t / slack_den, and G = T - D over it; the columns of M's top
         # and bottom rows over m_den.
         slack_den, t, t_gram, top_cols, bottom_cols = shared
@@ -373,10 +373,9 @@ class _Frame:
         m_den = fs.m_rows[0]
         s_inv = [[x * m_den for x in row] for row in si]
         common = gcd(si_den * m_den, *(x for a in (s_inv, h) for row in a for x in row))
-        self.denom = si_den * m_den // common
-        self.s_inv, self.h = ([[x // common for x in row] for row in a] for a in (s_inv, h))
-        self.h2 = [[2 * x for x in row] for row in self.h]
-        self.one2 = 2 * self.denom
+        self.s_inv = [[x // common for x in row] for row in s_inv]
+        self.h2 = [[2 * x // common for x in row] for row in h]
+        self.one2 = 2 * si_den * m_den // common
 
     def translate(self, x: Sequence[int]) -> tuple[int, ...]:
         """The translate z = W^-1 x."""
@@ -420,8 +419,8 @@ class TilingEngine:
         return Matrix.from_rows([[Fraction(x, e) for x in row] for row in rows])
 
     def cell_coordinates(self, p_int: Sequence[int]) -> list[int]:
-        """u = S^-1 p_int of every frame, stacked: the cell coordinates of
-        p - M W^-1 x, p = p_int / q, are (u[frame.rows] - q h x) / (q denom)."""
+        """u = e S^-1 p_int of every frame, stacked: the cell coordinates of
+        p - M W^-1 x, p = p_int / q, are (2 u[frame.rows] - q h2 x) / (q one2)."""
         return [sum(map(mul, row, p_int)) for row in self._s_inv]
 
     def candidate_boxes(self, q: int, p_int: Sequence[int]) -> list[tuple[int, int]]:
@@ -450,16 +449,16 @@ class TilingEngine:
     def tiles_at(self, p: Sequence[Fraction]) -> tuple[list[tuple[TileId, str]], int]:
         """All tiles containing p, plus a count of closed-boundary incidences.
 
-        A boundary incidence is a candidate whose coordinate vector lies in
-        the closed unit box with some coordinate exactly 0 or 1; the half-open
-        rules still decide membership, the count only flags the event.  Tiles
-        come in frame order and, within a frame, sorted by z.
+        A boundary incidence is a residual of cell_hits with some coordinate
+        exactly 0 or 1; the half-open rules still decide membership, by
+        cell_position, and the count only flags the event.  Tiles come in
+        frame order and, within a frame, sorted by z.
 
         The test runs on integers that do not grow with q: with u the cell
-        coordinates, 2 (u_i // q) + (u_i % q > 0) replaces u_i / q in the
-        doubled frame.  Where q divides u_i that is exact; elsewhere
-        v = u_i / q - (h x)_i is no integer, so touches no face, and the odd
-        2 floor(v) + 1 is in [0, 2 denom] exactly when v is in [0, denom].
+        coordinates, 2 (u_i // q) + (u_i % q > 0) replaces 2 u_i / q in the
+        doubled cell.  Where q divides u_i that is exact; elsewhere the exact
+        residual lies strictly between two even integers, and the odd one
+        between them touches no face and is in [0, one2] exactly when it is.
         """
         p = vector(p)
         if len(p) != self.fs.dims.n:
@@ -471,10 +470,9 @@ class TilingEngine:
         boundary = 0
         for frame in self.frames:
             hits = []
-            scan = cell_hits(u[frame.rows], frame.h2, frame.one2, frame.rules, ranges[frame.rows])
-            for x, inside, touching in scan:
-                if touching:
-                    boundary += 1
+            for x, y in cell_hits(u[frame.rows], frame.h2, frame.one2, ranges[frame.rows]):
+                inside, touching = cell_position(y, frame.one2, frame.rules)
+                boundary += touching
                 if inside:
                     hits.append(frame.translate(x))
             hits.sort()

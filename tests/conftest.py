@@ -425,7 +425,7 @@ def reference_slice_layout(fs, w, window):
 
     from fragtile import DEGENERATE, complement, unimodular_reduce
     from fragtile.linalg import int_mat_mul
-    from fragtile.tiling import cell_hits
+    from fragtile.tiling import cell_hits, cell_position
 
     def rref_inverse(a):
         n = a.rows
@@ -451,9 +451,9 @@ def reference_slice_layout(fs, w, window):
         e, x = frag.s_inv_rows
         h = int_mat_mul([x[j - 1][dims.r :] for j in sigma_hat], m_rows[dims.r :])
         families = {}
-        for z, inside, _ in cell_hits([0] * dims.k, h, e * m_den, rules, window):
+        for z, y in cell_hits([0] * dims.k, h, e * m_den, window):
             key = tuple(sum(map(mul, row, z)) for row in u_inv_rows)
-            if inside and key not in families:
+            if cell_position(y, e * m_den, rules)[0] and key not in families:
                 frac = tuple(y - floor(y) for y in b_inv.mat_vec(c_full.mat_vec(z)))
                 families[key] = b_lattice.mat_vec(frac)
         out.append((frag.sigma, frag.sign_class, tuple(sorted(families.values()))))

@@ -103,6 +103,44 @@ MUTANTS = [
         "(lo0, hi0)",
         ("tests/test_facets.py::TestEventScan::test_worked_matrices",),
     ),
+    # The crossing scan reads the widened residual as the start's
+    # coordinates: every crossing time is off by the widening.
+    Mutant(
+        "facets",
+        "y = [v - widen for v in wide_y]",
+        "y = list(wide_y)",
+        (
+            "tests/test_facets.py::TestEventScan::test_worked_matrices",
+            "tests/test_facets.py::TestCrossingScanGuard::test_cell_position_runs_only_at_crossings",
+            "tests/test_facets.py::TestCrossing::test_boundary_start_scanned_as_given",
+            "tests/test_golden.py",
+        ),
+    ),
+    # Render's open-strip test admits a residual on a strip's lower edge: a
+    # parallelogram that only touches the window is drawn.
+    Mutant(
+        "render",
+        "if 0 < min(v) and max(v) < one:",
+        "if 0 <= min(v) and max(v) < one:",
+        (
+            "tests/test_cli.py::TestRender::test_k_polygon_census",
+            "tests/test_cli.py::TestRenderAgainstSeparatingAxes::test_seeded_2x2_matrices",
+            "tests/test_cli.py::TestRenderAgainstSeparatingAxes::test_integer_windows_touch_tile_edges_and_corners",
+            "tests/test_golden.py",
+        ),
+    ),
+    # tiles_at classifies with the rules negated, the rules of -w: the cover
+    # count stays constant, so only the oracles with w's own rules see it.
+    Mutant(
+        "tiling",
+        "inside, touching = cell_position(y, frame.one2, frame.rules)",
+        "inside, touching = cell_position(y, frame.one2, [not r for r in frame.rules])",
+        (
+            "tests/test_tiling.py::TestEnumerate::test_worked_point_memberships",
+            "tests/test_tiling.py::TestEnumerate::test_matches_brute_force_rational",
+            "tests/test_golden.py",
+        ),
+    ),
     # The grammar without re.ASCII reads an Arabic-Indic digit as 3.
     Mutant(
         "cli",

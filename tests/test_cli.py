@@ -35,6 +35,7 @@ from fragtile import (
     choose_generic_direction,
 )
 from fragtile.cli import MatrixParseError, format_matrix, parse_matrix
+from fragtile.linalg import DimensionError
 
 K_TEXT = "1 1\n1 2\n-1 3\n"
 L_TEXT = "1 1\n1 2\n1 5\n"
@@ -520,6 +521,24 @@ class TestInputErrors:
         code, out, _ = invoke(["facets", "--matrix", matrix_files["M"], "--tau", "1", "--z", z])
         assert code == 0 and out.endswith(" pass=true\n")
 
+    def test_slice_value_past_the_digit_limit(self, tmp_path):
+        # B= prints, but area = |det C| = 10^4400 has 4,401 digits.  The
+        # whole report is refused, none printed.
+        big = tmp_path / "big.txt"
+        big.write_text(f"2 1\n{10**2200} 1 0\n0 {10**2200} 1\n1 0 1\n")
+        code, out, err = invoke(["slice", "--matrix", str(big), "--samples", "2"])
+        assert (code, out) == (2, "")
+        assert err == "error: a report value has too many digits to print\n"
+
+    def test_coverage_tile_past_the_digit_limit(self, tmp_path):
+        # The point and w print, but the tile holding (0, 10^4000) in the
+        # lattice of M = diag(1, 10^-4000) has a z of 8,001 digits.
+        big = tmp_path / "big.txt"
+        big.write_text(f"1 1\n1 0\n0 1/{10**4000}\n")
+        code, out, err = invoke(["coverage", "--matrix", str(big), "--point", f"0,{10**4000}"])
+        assert (code, out) == (2, "")
+        assert err == "error: a report value has too many digits to print\n"
+
     def test_runs_share_one_parser(self, matrix_files, monkeypatch):
         import argparse
 
@@ -611,6 +630,14 @@ class TestRender:
         produced = doc.count("<polygon ")
         assert produced >= 1
         assert produced == expected_polygon_count(kset, cfg)
+
+    def test_window_of_the_wrong_length(self, matrix_files):
+        # The library names the length; the CLI keeps its flag-named message.
+        for window in ((0, 1, 2), (0, 1, 0, 1, 2)):
+            with pytest.raises(DimensionError, match=f"window has {len(window)} bounds, expected 4"):
+                RenderConfig(window=window)
+        code, out, err = invoke(["render", "--matrix", matrix_files["K"], "--window", "0,1,2"])
+        assert (code, out, err) == (2, "", "error: --window must be x0,x1,y0,y1\n")
 
     def test_l_polygon_census(self, lset):
         cfg = RenderConfig(window=(-4, 4, -4, 4))

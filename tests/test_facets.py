@@ -108,6 +108,17 @@ class TestFacetCollection:
         with pytest.raises(DimensionError):
             facet_collection(mset, (1, 2, 3, 4), (0, 0, 0, 0))
 
+    def test_z_of_the_wrong_length(self, mset, w_m):
+        # A short z once lost anchor coordinates in the shift's zip, and the
+        # double cover then reported failures that do not happen.
+        for z in ((5,), (0, 0, 0), (1, 2, 3, 4, 5, 6, 7)):
+            message = f"z has length {len(z)}, expected 4"
+            with pytest.raises(DimensionError, match=message):
+                facet_collection(mset, (1,), z)
+            with pytest.raises(DimensionError, match=message):
+                double_cover_check(mset, w_m, (1,), z, 20, 0)
+        assert double_cover_check(mset, w_m, (1,), (5, 0, 0, 0), 20, 0).passed
+
     @pytest.mark.parametrize("fixture", ["kset", "mset", "qset", "cover13_set"])
     def test_kind_follows_the_index_size(self, request, fixture):
         # |index| = r-1 names a tau collection and r+1 a gamma one; the
@@ -752,6 +763,65 @@ class TestCrossingScanGuard:
             assert len(locations) == len(rep.crossings) + 1
             resampled += rep.resamples > 0
         assert 0 < resampled < len(rays)
+
+    def test_cell_position_runs_only_at_crossings(self, mset, monkeypatch):
+        # The scan classifies no candidate.  While _collect_events runs, every
+        # cell_position call comes from it, one per (candidate, coordinate,
+        # target) whose crossing time t = (target - y0_i) / lambda_i, from the
+        # Fraction coordinates y0 = S^-1 (start - M z), lies in (0, reach).
+        import sys
+
+        from fragtile import tiling
+
+        collect, scan, position = facets._collect_events, facets.cell_hits, tiling.cell_position
+        # Per _collect_events call: start, reach, the translates each frame's
+        # scan yields, and the caller of each cell_position call.
+        records, active = [], []
+
+        def logged_collect(engine, start, reach):
+            records.append((start, reach, [], []))
+            active.append(records[-1])
+            try:
+                return collect(engine, start, reach)
+            finally:
+                active.pop()
+
+        def logged_scan(*args):
+            hits = list(scan(*args))
+            active[-1][2].append([hit[0] for hit in hits])
+            return iter(hits)
+
+        def logged_position(*args):
+            if active:
+                active[-1][3].append(sys._getframe(1).f_code.co_name)
+            return position(*args)
+
+        monkeypatch.setattr(facets, "_collect_events", logged_collect)
+        monkeypatch.setattr(facets, "cell_hits", logged_scan)
+        monkeypatch.setattr(facets, "cell_position", logged_position)
+        monkeypatch.setattr(tiling, "cell_position", logged_position)
+        m = mset.decomposition.m
+        total = 0
+        for seed in range(3):
+            w = choose_generic_direction(mset, seed)
+            engine = TilingEngine(mset, w)
+            del records[:]
+            crossing_check(engine, fundamental_point(mset, f"ray:{seed}:0"), 3, seed * 1_000_003)
+            assert records
+            for start, reach, scans, callers in records:
+                expected = 0
+                for frame, xs in zip(engine.frames, scans, strict=True):
+                    lam = w.lambda_of(mset, frame.sigma)
+                    for x in xs:
+                        shift = m.mat_vec(frame.translate(x))
+                        y0 = solve(mset[frame.sigma].s, [a - b for a, b in zip(start, shift)])
+                        expected += sum(
+                            0 < (target - y) / l < reach for y, l in zip(y0, lam) for target in (0, 1)
+                        )
+                assert set(callers) <= {"_collect_events"}, seed
+                assert len(callers) == expected, seed
+                total += expected
+        assert total > 50
 
 
 def _event_table(events):

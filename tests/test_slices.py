@@ -29,6 +29,7 @@ from fragtile import (
     RenderConfig,
     TilingEngine,
     choose_generic_direction,
+    complement,
     decompose,
     det,
     fragment_set,
@@ -42,7 +43,7 @@ from fragtile import (
 from fragtile import render, slices
 from fragtile.linalg import clear_rows
 from fragtile.slices import SlicePreconditionError
-from fragtile.tiling import cell_hits
+from fragtile.tiling import cell_hits, cell_position
 
 WINDOW4 = tuple((-6, 6) for _ in range(4))
 WINDOW2 = tuple((-8, 8) for _ in range(2))
@@ -306,17 +307,24 @@ class TestSliceLayout:
 
 def scanned_keys(monkeypatch, fs, w, window):
     """What cell_hits yields in each slice_layout scan, one list per live
-    fragment in fragment order."""
+    fragment in fragment order, each residual classified by cell_position
+    under the fragment's rules: (key, inside, touching)."""
     scans = []
 
     def recorded(*args):
-        scans.append(list(cell_hits(*args)))
-        return iter(scans[-1])
+        scans.append((args[2], list(cell_hits(*args))))
+        return iter(scans[-1][1])
 
     monkeypatch.setattr(slices, "cell_hits", recorded)
     slice_layout(fs, w, window)
     monkeypatch.undo()
-    return scans
+    classified = []
+    live = [f.sigma for f in fs if f.sign_class != DEGENERATE]
+    for sigma, (one, hits) in zip(live, scans, strict=True):
+        lam = w.lambda_of(fs, sigma)
+        rules = tuple(lam[j - 1] > 0 for j in complement(sigma, fs.dims.n))
+        classified.append([(y, *cell_position(v, one, rules)) for y, v in hits])
+    return classified
 
 
 class TestKeyScan:
@@ -385,9 +393,9 @@ class TestScannedBoxes:
         # a radius-2 one keeps the n = 6 layouts cheap.
         scanned = []
 
-        def recording(u, h, one, rules, ranges):
+        def recording(u, h, one, ranges):
             scanned.append([tuple(r) for r in ranges])
-            return cell_hits(u, h, one, rules, ranges)
+            return cell_hits(u, h, one, ranges)
 
         monkeypatch.setattr(slices, "cell_hits", recording)
         monkeypatch.setattr(render, "cell_hits", recording)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -41,6 +42,7 @@ from fragtile import (
 from fragtile.linalg import DimensionError, clear_denominator, clear_rows, int_mat_mul
 from fragtile.tiling import (
     cell_hits,
+    cell_position,
     cube_extents,
     fundamental_point,
     grid_numerators,
@@ -347,16 +349,20 @@ class TestSizeReduce:
                 size_reduce(g, gram, [])
 
     def test_frames_keep_the_translate_lattice(self):
-        # H' = S^-1 M W^-1 over the frame denominator, so H' W is S^-1 M.
+        # h2 = 2 e H' and one2 = 2 e, H' = S^-1 M W^-1, so h2 W is one2 S^-1 M;
+        # lam is lambda as (den, nums), and the rules are the signs of nums.
         for fs in self._fragment_sets():
             w = choose_generic_direction(fs, 0)
             engine = TilingEngine(fs, w)
             for frame in engine.frames:
                 n = fs.dims.n
+                den, nums = frame.lam
+                assert tuple(Fraction(x, den) for x in nums) == w.lambda_of(fs, frame.sigma)
+                assert frame.rules == tuple(x > 0 for x in nums)
                 assert int_mat_mul(frame.to_x, frame.to_z) == _identity(n)
                 h = mat_mul(inverse(fs[frame.sigma].s), fs.decomposition.m)
-                assert int_mat_mul(frame.h, frame.to_x) == [
-                    [x * frame.denom for x in row] for row in h.row_list()
+                assert int_mat_mul(frame.h2, frame.to_x) == [
+                    [x * frame.one2 for x in row] for row in h.row_list()
                 ]
 
     def test_frames_match_the_product_construction(self):
@@ -419,9 +425,9 @@ class TestSizeReduce:
         scanned = []
         real = tiling.cell_hits
 
-        def recording(u, h, one, rules, ranges):
+        def recording(u, h, one, ranges):
             scanned.append([tuple(r) for r in ranges])
-            return real(u, h, one, rules, ranges)
+            return real(u, h, one, ranges)
 
         monkeypatch.setattr(tiling, "cell_hits", recording)
         engine.tiles_at(p)
@@ -464,11 +470,16 @@ class TestCellHits:
 
     @staticmethod
     def _check(cases):
-        """Assert every case matches; return (members, touching) totals."""
+        """Assert every case matches once each residual, checked to be
+        u - h z, is classified by cell_position; return (members, touching)
+        totals."""
         members = touching = 0
-        for case in cases:
-            got = list(cell_hits(*case))
-            assert got == list(reference_cell_hits(*case)), case
+        for u, h, one, rules, ranges in cases:
+            got = []
+            for z, y in cell_hits(u, h, one, ranges):
+                assert y == [a - sum(map(mul, row, z)) for a, row in zip(u, h)], (u, h, z)
+                got.append((z, *cell_position(y, one, rules)))
+            assert got == list(reference_cell_hits(u, h, one, rules, ranges)), (u, h, one, rules, ranges)
             members += len(got)
             touching += sum(1 for _, _, t in got if t)
         return members, touching
@@ -511,9 +522,9 @@ class TestCellHits:
             empty.append((u, h, one, rules, ranges))
         assert self._check(empty) == (0, 0)
         # no rows: every translate of the box, inside and not touching
-        assert list(cell_hits([], [], 3, (), [(0, 1), (2, 2)])) == [
-            ((0, 2), True, False), ((1, 2), True, False)
-        ]
+        hits = list(cell_hits([], [], 3, [(0, 1), (2, 2)]))
+        assert hits == [((0, 2), []), ((1, 2), [])]
+        assert [cell_position(y, 3, ()) for _, y in hits] == [(True, False)] * 2
 
     def test_large_cell_corner(self):
         rng = random.Random(54)
@@ -528,9 +539,9 @@ class TestCellHits:
     def test_last_range_is_solved_not_scanned(self):
         # A product scan would visit 2e12 + 1 translates here.
         wide = [(-(10**12), 10**12)]
-        assert [z for z, _, _ in cell_hits([7], [[2]], 5, (True,), wide)] == [(1,), (2,), (3,)]
-        hits = list(cell_hits([0, 9], [[1, 0], [0, -3]], 4, (True, False), [(0, 2), *wide]))
-        assert [z for z, _, _ in hits] == [(0, -3), (0, -2)]
+        assert [z for z, _ in cell_hits([7], [[2]], 5, wide)] == [(1,), (2,), (3,)]
+        hits = list(cell_hits([0, 9], [[1, 0], [0, -3]], 4, [(0, 2), *wide]))
+        assert hits == [((0, -3), [0, 0]), ((0, -2), [0, 3])]
 
 
 class TestHalvedQuery:
@@ -571,10 +582,15 @@ class TestHalvedQuery:
                 q, p_int = clear_denominator(p)
                 cells = engine.cell_coordinates(p_int)
                 assert len(scans) == len(engine.frames)
-                for frame, ((_, _, _, rules, ranges), got) in zip(engine.frames, scans):
+                for frame, ((_, _, one2, ranges), halved) in zip(engine.frames, scans):
+                    # The exact query in the undoubled cell (h2 / 2, one2 / 2),
+                    # each residual classified by the frame's rules.
                     u = cells[frame.rows]
-                    h = [[x * q for x in row] for row in frame.h]
-                    assert got == list(cell_hits(u, h, frame.denom * q, rules, ranges)), (p, frame.sigma)
+                    h = [[x // 2 * q for x in row] for row in frame.h2]
+                    one = one2 // 2 * q
+                    got = [(x, *cell_position(y, one2, frame.rules)) for x, y in halved]
+                    exact = [(x, *cell_position(y, one, frame.rules)) for x, y in cell_hits(u, h, one, ranges)]
+                    assert got == exact, (p, frame.sigma)
                     if q > 1 and any(x % q == 0 for x in u):
                         on_boundary += 1
                     members += len(got)
