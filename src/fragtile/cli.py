@@ -72,9 +72,11 @@ class CliInputError(Exception):
 def _rational(tok: str) -> Fraction:
     """An integer or p/q in ASCII digits, the one numeric grammar of matrix
     files and flags; ValueError for any other token, or one with more digits
-    than int takes."""
+    than int takes.  An integer token skips Fraction's own string parse."""
     if not _RATIONAL.match(tok):
         raise ValueError(f"malformed rational {tok[:40]!r}")
+    if "/" not in tok:
+        return Fraction(int(tok))
     try:
         return Fraction(tok)
     except ZeroDivisionError:

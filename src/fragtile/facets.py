@@ -23,6 +23,7 @@ from typing import Sequence
 
 from .fragments import (
     DEGENERATE,
+    POSITIVE,
     FragmentSet,
     SubsetIndex,
     complement,
@@ -68,6 +69,15 @@ def _unit_step(z: Sequence[int], j: int, step: int) -> tuple[int, ...]:
     return tuple(zi + step if idx == j - 1 else zi for idx, zi in enumerate(z))
 
 
+def _translate(z: Sequence) -> tuple[int, ...]:
+    """z as ints; an entry that is not an exact integer, an int or a
+    Fraction of denominator 1, raises DimensionError."""
+    for x in z:
+        if not isinstance(x, (int, Fraction)) or x.denominator != 1:
+            raise DimensionError(f"z must have integer entries, got {x!r}")
+    return tuple(int(x) for x in z)
+
+
 def tilde_facet(z: Sequence[int], sigma: Sequence[int], j: int, s: int) -> FacetId:
     """Resolve tilde parameters to the plain facet they name.
 
@@ -75,7 +85,7 @@ def tilde_facet(z: Sequence[int], sigma: Sequence[int], j: int, s: int) -> Facet
     when j carries a top part (j in sigma) and toward higher z otherwise;
     s=0 members coincide with their plain form.
     """
-    z = tuple(int(x) for x in z)
+    z = _translate(z)
     sigma = tuple(sorted(sigma))
     if s not in (0, 1):
         raise DimensionError(f"facet side must be 0 or 1, got {s}")
@@ -102,7 +112,7 @@ def facet_collection(fs: FragmentSet, index: Sequence[int], z: Sequence[int]) ->
     """The collection anchored at z: tau when |index| = r-1, gamma when r+1."""
     r, n = fs.dims.r, fs.dims.n
     index = normalize_subset(index, n)
-    z = tuple(int(x) for x in z)
+    z = _translate(z)
     if len(z) != n:
         raise DimensionError(f"z has length {len(z)}, expected {n}")
     if len(index) == r - 1:
@@ -131,13 +141,13 @@ def facet_signs(fs: FragmentSet, w: GenericDirection, facet: FacetId) -> tuple[i
 
     wsgn is +1 when a particle crossing the facet along w enters the facet's
     tile (the facet is the tile's included boundary on that side), which
-    reduces to (-1)^s * sign of the omitted lambda coordinate; tsgn is the
-    determinant sign of the tile's fragment.
+    reduces to (-1)^s * sign of the omitted lambda coordinate, the sign of
+    its integer numerator; tsgn is the determinant sign of the tile's
+    fragment, its sign class.
     """
-    frag = fs[facet.sigma]
-    lam_j = w.lambda_of(fs, facet.sigma)[facet.j - 1]
+    lam_j = w.lambda_of(fs, facet.sigma)[1][facet.j - 1]
     wsgn = (1 if lam_j > 0 else -1) * (1 if facet.s == 0 else -1)
-    tsgn = 1 if frag.det_s > 0 else -1
+    tsgn = 1 if fs[facet.sigma].sign_class == POSITIVE else -1
     return wsgn, tsgn
 
 
@@ -168,10 +178,12 @@ def h_vector(fs: FragmentSet, w: GenericDirection, tau: Sequence[int]) -> tuple[
     det([C_tau | w']) * det(Cbar off tau+j) * sgn(tau, j, rest), the closed
     form of lambda_j times the fragment determinant, on integers: with
     M = A / d and w = wn / q, the first factor is int_det of A's top rows on
-    tau beside wn's, over d^(r-1) q; the second is the stored det_cbar of
-    sigma = tau+j; and (tau, j, rest) is (sigma, rest) once j passes the
-    indices of tau above it.  The closed form stays defined when a fragment
-    is degenerate and always lands in the kernel, checked on A's bottom rows.
+    tau beside wn's, over d^(r-1) q; the second is the stored block minor
+    det_bottom of sigma = tau+j, over d^k; and (tau, j, rest) is
+    (sigma, rest) once j passes the indices of tau above it.  So every entry
+    is an integer over d^(n-1) q, formed as one Fraction.  The closed form
+    stays defined when a fragment is degenerate and always lands in the
+    kernel, checked on A's bottom rows and the integer numerators.
     """
     r, n = fs.dims.r, fs.dims.n
     tau = normalize_subset(tau, n)
@@ -181,15 +193,15 @@ def h_vector(fs: FragmentSet, w: GenericDirection, tau: Sequence[int]) -> tuple[
     q, wn = clear_denominator(w.w)
     tau_hat = complement(tau, n)
     lead = int_det([[row[i - 1] for i in tau] + [x] for row, x in zip(a[:r], wn)])
-    scale = Fraction(lead, d ** (r - 1) * q)
     h = []
     for j in tau_hat:
         sigma = tuple(sorted(tau + (j,)))
         sgn = shuffle_sign(sigma) * (-1) ** sum(t > j for t in tau)
-        h.append(sgn * scale * fs[sigma].det_cbar)
+        h.append(sgn * lead * fs[sigma].det_bottom)
     if any(sum(map(mul, (row[j - 1] for j in tau_hat), h)) for row in a[r:]):
         raise LinalgError("kernel certificate failed its exact check")
-    return tuple(h)
+    den = d ** (n - 1) * q
+    return tuple(Fraction(x, den) for x in h)
 
 
 @dataclass
@@ -245,7 +257,7 @@ def double_cover_check(
     for facet in live:
         e, x = fs[facet.sigma].s_inv_rows
         block = facet.sigma if coll.kind == GAMMA else complement(facet.sigma, n)
-        lam = w.lambda_of(fs, facet.sigma)
+        _, lam = w.lambda_of(fs, facet.sigma)
         shift = [zi - fi for zi, fi in zip(coll.z, facet.z)]
         rows = [
             [sign * g[j - 1] for j in js] + [sum(map(mul, g, shift))]

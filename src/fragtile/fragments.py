@@ -15,8 +15,10 @@ the column shuffle of (sigma, complement), S_sigma = diag(C_sigma, Cbar_hat),
 so det S_sigma = sgn(sigma, hat) det C_sigma det Cbar_hat.  BlockMinors holds
 every block determinant, a maximal minor of A's top or negated bottom rows
 found by minor_table's Laplace expansion, and forms a live S_sigma^-1 from
-cofactor tables on first read.  The checks stay independent of the tables:
-sandc_identity and det M are int_det eliminations.
+cofactor tables on first read.  A Fragment keeps its two block minors as
+integers; its sign class is their signed product's sign, and its Fraction
+determinants are formed only when read.  The checks stay independent of the
+tables: sandc_identity and det M are int_det eliminations.
 """
 from __future__ import annotations
 
@@ -175,16 +177,32 @@ def fragment_matrix(d: Decomposition, sigma: Iterable[int]) -> Matrix:
 
 @dataclass(frozen=True)
 class Fragment:
-    """One member of the indexed fragment family, det_s = sgn(sigma, hat) *
-    det_c * det_cbar; the fragment matrix s and s_inv_rows are formed on first read."""
+    """One member of the indexed fragment family.  With M = A / d, det_top
+    and det_bottom are the integer block minors d^r det C_sigma and
+    d^k det Cbar_hat, and sign_class is the sign of
+    det S_sigma = sgn(sigma, hat) det_top det_bottom / d^n.  The Fraction
+    determinants det_c, det_cbar and det_s, the fragment matrix s and
+    s_inv_rows are formed on first read."""
 
     sigma: SubsetIndex
-    det_c: Fraction
-    det_cbar: Fraction
-    det_s: Fraction
+    det_top: int
+    det_bottom: int
     sign_class: str
     decomposition: Decomposition = field(repr=False)
     blocks: BlockMinors = field(compare=False, repr=False)
+
+    @cached_property
+    def det_c(self) -> Fraction:
+        return Fraction(self.det_top, self.blocks.d**self.decomposition.dims.r)
+
+    @cached_property
+    def det_cbar(self) -> Fraction:
+        return Fraction(self.det_bottom, self.blocks.d**self.decomposition.dims.k)
+
+    @cached_property
+    def det_s(self) -> Fraction:
+        sign = shuffle_sign(self.sigma)
+        return Fraction(sign * self.det_top * self.det_bottom, self.blocks.d**self.decomposition.dims.n)
 
     @cached_property
     def s(self) -> Matrix:
@@ -206,17 +224,17 @@ class FragmentSet:
     def __init__(self, decomposition: Decomposition):
         self.decomposition = decomposition
         self.dims = dims = decomposition.dims
-        r, k, n = dims.r, dims.k, dims.n
+        r, n = dims.r, dims.n
         self.m_rows = d, a = decomposition.m_rows
         self.det_m = Fraction(int_det(a), d**n)
         self.blocks = blocks = BlockMinors(d, a, r)
         frags: dict[SubsetIndex, Fragment] = {}
         for sigma in subsets(n, r):
             det_top, det_bottom = blocks.minors[0][sigma], blocks.minors[1][complement(sigma, n)]
-            det_s = shuffle_sign(sigma) * Fraction(det_top * det_bottom, d**n)
-            sign_class = POSITIVE if det_s > 0 else NEGATIVE if det_s < 0 else DEGENERATE
-            det_c, det_cbar = Fraction(det_top, d**r), Fraction(det_bottom, d**k)
-            frags[sigma] = Fragment(sigma, det_c, det_cbar, det_s, sign_class, decomposition, blocks)
+            # d^n > 0, so det S_sigma has the sign of this integer.
+            sign = shuffle_sign(sigma) * det_top * det_bottom
+            sign_class = POSITIVE if sign > 0 else NEGATIVE if sign < 0 else DEGENERATE
+            frags[sigma] = Fragment(sigma, det_top, det_bottom, sign_class, decomposition, blocks)
         self.fragments: Mapping[SubsetIndex, Fragment] = frags
 
     @cached_property
@@ -254,7 +272,9 @@ def sandc_identity(fs: FragmentSet, sigma: Iterable[int]) -> tuple[Fraction, Fra
 
 
 def laplace_identity(fs: FragmentSet) -> tuple[Fraction, Fraction]:
-    """Both sides of the multi-row Laplace expansion (-1)^k det(M) = sum det(S_sigma)."""
+    """Both sides of the multi-row Laplace expansion (-1)^k det(M) = sum det(S_sigma):
+    the right side is one Fraction, the integer sum of the fragments' signed
+    block-minor products over d^n."""
     lhs = fs.det_m if fs.dims.k % 2 == 0 else -fs.det_m
-    rhs = sum((f.det_s for f in fs), Fraction(0))
-    return lhs, rhs
+    total = sum(shuffle_sign(f.sigma) * f.det_top * f.det_bottom for f in fs)
+    return lhs, Fraction(total, fs.m_rows[0] ** fs.dims.n)

@@ -15,6 +15,7 @@ whose inverse, formed once, bounds the translate boxes.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -106,6 +107,9 @@ def _family_polygons(q: int, shape, anchors, basis, basis_inv_rows, window):
     for ax, ay in anchors:
         corner = (a * (low_x - ax) + b * (low_y - ay) for a, b in basis_inv)
         box = [(-((-c - lo) // eq), (c + hi) // eq) for c, (lo, hi) in zip(corner, extents)]
+        # cell_hits scans the box with range, which takes machine-size bounds.
+        if any(lo < -sys.maxsize or hi >= sys.maxsize for lo, hi in box):
+            raise DimensionError("window too large: its translate box does not fit a machine index")
         u = [(a * ax + b * ay - low) * f for a, b, low, f in strips]
         for z, v in cell_hits(u, h, one, box):
             if 0 < min(v) and max(v) < one:

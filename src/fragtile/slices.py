@@ -164,7 +164,7 @@ def slice_layout(
             classes.append(SliceClass(frag.sigma, shape, frag.sign_class, offsets=()))
             continue
         sigma_hat = complement(frag.sigma, n)
-        lam = w.lambda_of(fs, frag.sigma)
+        _, lam = w.lambda_of(fs, frag.sigma)
         rules = tuple(lam[j - 1] > 0 for j in sigma_hat)
         e, x = frag.s_inv_rows
         x_hat = [x[j - 1][r:] for j in sigma_hat]

@@ -42,18 +42,21 @@ class GenericDirection:
     fragment matrix N and for M itself.  That finite condition set also
     covers the restricted systems on the top and bottom blocks, since their
     coordinate vectors are subvectors of the fragment ones.  lambdas holds
-    S^-1 w for every half-open rule and facet sign, keyed by sigma;
-    lambda_of reads it for the matrix that w was certified for, whose
-    cleared rows m_rows holds, and raises KeyError for any other.
+    lambda_sigma = S_sigma^-1 w for every half-open rule and facet sign,
+    keyed by sigma, as its least-denominator integer pair (den, nums):
+    lambda_sigma = nums / den, den > 0, gcd(den, *nums) = 1, so its signs
+    are those of nums.  lambda_of reads it for the matrix that w was
+    certified for, whose cleared rows m_rows holds, and raises KeyError for
+    any other.
     """
 
     w: tuple[Fraction, ...]
-    lambdas: Mapping[SubsetIndex, tuple[Fraction, ...]] = field(compare=False, repr=False)
+    lambdas: Mapping[SubsetIndex, tuple[int, tuple[int, ...]]] = field(compare=False, repr=False)
     m_rows: tuple[int, list[list[int]]] = field(compare=False, repr=False)
 
-    def lambda_of(self, fs: FragmentSet, sigma: SubsetIndex) -> tuple[Fraction, ...]:
-        """lambda_sigma = S_sigma^-1 w of a live fragment of fs; a degenerate
-        sigma raises DegenerateFragmentError."""
+    def lambda_of(self, fs: FragmentSet, sigma: SubsetIndex) -> tuple[int, tuple[int, ...]]:
+        """lambda_sigma = S_sigma^-1 w of a live fragment of fs, as the pair
+        (den, nums); a degenerate sigma raises DegenerateFragmentError."""
         m_rows = fs.m_rows
         if m_rows is not self.m_rows and m_rows != self.m_rows:
             raise KeyError(f"w was not certified for the matrix of {_sigma_label(sigma)}")
@@ -69,29 +72,26 @@ def _sigma_label(sigma: SubsetIndex) -> str:
 def certify_direction(fs: FragmentSet, w: Sequence) -> GenericDirection:
     """Check every genericity condition for w exactly; raise on any zero.
 
-    With w = wn / q, lambda_sigma = S^-1 w has entries (X_i . wn) / (e q)
-    from the fragment's s_inv_rows (e, X), and M^-1 w comes the same way
-    from m_inv_rows: certifying eliminates nothing."""
+    With w = wn / q, lambda_sigma = S^-1 w is X wn / (e q) for the
+    fragment's s_inv_rows (e, X), and M^-1 w comes the same way from
+    m_inv_rows: certifying eliminates nothing, tests the integers X wn for
+    zero, and keeps each lambda as X wn and e q divided by their gcd."""
     dims = fs.dims
     w = vector(w)
     if len(w) != dims.n:
         raise DimensionError(f"w has length {len(w)}, expected {dims.n}")
     q, wn = clear_denominator(w)
-
-    def times_w(inverse_rows):
-        e, rows = inverse_rows
-        den = e * q
-        return tuple(Fraction(sum(a * x for a, x in zip(row, wn)), den) for row in rows)
-
-    lambdas: dict[SubsetIndex, tuple[Fraction, ...]] = {}
+    lambdas: dict[SubsetIndex, tuple[int, tuple[int, ...]]] = {}
     for frag in fs:
         if frag.sign_class == DEGENERATE:
             continue
-        lam = times_w(frag.s_inv_rows)
-        if any(x == 0 for x in lam):
+        e, rows = frag.s_inv_rows
+        nums = [sum(map(mul, row, wn)) for row in rows]
+        if 0 in nums:
             raise GenericityError(f"w is not generic: zero entry in {_sigma_label(frag.sigma)}^-1 w")
-        lambdas[frag.sigma] = lam
-    if any(x == 0 for x in times_w(fs.m_inv_rows)):
+        g = gcd(e * q, *nums)
+        lambdas[frag.sigma] = e * q // g, tuple(x // g for x in nums)
+    if any(sum(map(mul, row, wn)) == 0 for row in fs.m_inv_rows[1]):
         raise GenericityError("w is not generic: zero entry in M^-1 w")
     return GenericDirection(w, lambdas, fs.m_rows)
 
@@ -336,8 +336,9 @@ class _Frame:
     T's, which the engine shares; S^-1 is the fragment's block-diagonal
     s_inv_rows, so row i of S^-1 M reads only M's top rows (i in sigma) or
     its bottom rows; and size_reduce carries S^-1 M along to H'.  A frame
-    eliminates nothing.  lam is the certified lambda as one (den, nums)
-    pair, and the half-open rules are the signs of nums.
+    eliminates nothing.  lam is lambda_of's least-denominator pair
+    (den, nums), held as certified, and the half-open rules are the signs of
+    nums.
     """
 
     __slots__ = (
@@ -349,7 +350,7 @@ class _Frame:
         self.rows = rows
         self.sigma = frag.sigma
         self.sign_class = frag.sign_class
-        self.lam = clear_denominator(w.lambda_of(fs, frag.sigma))
+        self.lam = w.lambda_of(fs, frag.sigma)
         self.rules = tuple(x > 0 for x in self.lam[1])
         # T = t / slack_den, and G = T - D over it; the columns of M's top
         # and bottom rows over m_den.

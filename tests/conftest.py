@@ -249,6 +249,13 @@ def collection_of(facet, n: int) -> tuple[str, tuple[int, ...], tuple[int, ...]]
     return "gamma", tuple(a - facet.s * b for a, b in zip(facet.z, step)), gamma
 
 
+def pair_fractions(pair) -> tuple[Fraction, ...]:
+    """A lambda pair (den, nums), as lambda_of gives it, as the Fraction
+    vector nums / den."""
+    den, nums = pair
+    return tuple(Fraction(x, den) for x in nums)
+
+
 def invoke(argv):
     """Run the CLI in-process, capturing (exit code, stdout, stderr)."""
     import io
@@ -446,7 +453,7 @@ def reference_slice_layout(fs, w, window):
             out.append((frag.sigma, frag.sign_class, ()))
             continue
         sigma_hat = complement(frag.sigma, dims.n)
-        lam = w.lambda_of(fs, frag.sigma)
+        lam = pair_fractions(w.lambda_of(fs, frag.sigma))
         rules = tuple(lam[j - 1] > 0 for j in sigma_hat)
         e, x = frag.s_inv_rows
         h = int_mat_mul([x[j - 1][dims.r :] for j in sigma_hat], m_rows[dims.r :])
@@ -889,7 +896,7 @@ def facet_projections(fs, w, facet):
     dims = fs.dims
     d = fs.decomposition
     c, cbar = column_parts(d)
-    lam = w.lambda_of(fs, facet.sigma)
+    lam = pair_fractions(w.lambda_of(fs, facet.sigma))
     mz = d.m.mat_vec(tuple(Fraction(x) for x in facet.z))
     in_sigma = facet.j in facet.sigma
     shadows = []

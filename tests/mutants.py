@@ -6,7 +6,8 @@ copies src/ to a temporary directory, applies one mutant there, runs only the
 named tests against the copy, and lists the mutants that survive (every
 named test passed).  The repository's own files are never changed.
 
-    python tests/mutants.py
+    python tests/mutants.py            # every row
+    python tests/mutants.py 11 12 13   # the rows with these indices
 
 It exits 1 when a mutant survives or cannot be applied, and 0 otherwise.
 tests/test_mutant_table.py checks in the tier-1 suite that each old text
@@ -151,6 +152,35 @@ MUTANTS = [
             "tests/test_cli.py::TestInputErrors::test_int_flags_take_the_integer_grammar",
         ),
     ),
+    # The lambda pair left unreduced: (e q, X wn) is the same lambda, but not
+    # the least-denominator pair that lambda_of promises.
+    Mutant(
+        "tiling",
+        "g = gcd(e * q, *nums)",
+        "g = 1",
+        ("tests/test_fragments.py::TestIntegerSetUp::test_fuzz_against_the_fraction_blocks",),
+    ),
+    # The sign class read from the block minors without the shuffle sign.
+    Mutant(
+        "fragments",
+        "sign = shuffle_sign(sigma) * det_top * det_bottom",
+        "sign = det_top * det_bottom",
+        (
+            "tests/test_fragments.py::TestFragmentSet::test_worked_4x4_classes",
+            "tests/test_fragments.py::TestIntegerSetUp::test_fuzz_against_the_fraction_blocks",
+            "tests/test_golden.py",
+        ),
+    ),
+    # The integer-token path taken for p/q tokens too: int() refuses them.
+    Mutant(
+        "cli",
+        'if "/" not in tok:',
+        "if tok:",
+        (
+            "tests/test_cli.py::TestParseMatrix::test_comments_and_fractions",
+            "tests/test_golden.py",
+        ),
+    ),
 ]
 
 
@@ -187,15 +217,18 @@ def run(mutant: Mutant) -> str:
     return f"error: pytest exit {result.returncode}: {result.stdout.strip().splitlines()[-1:]}"
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    """Run the rows whose indices argv names, or every row."""
+    indices = [int(x) for x in argv] or range(len(MUTANTS))
     failed = 0
-    for index, mutant in enumerate(MUTANTS):
+    for index in indices:
+        mutant = MUTANTS[index]
         outcome = run(mutant)
         failed += outcome != "killed"
         print(f"{index} {mutant.module}: {outcome}", flush=True)
-    print(f"mutants={len(MUTANTS)} not_killed={failed}")
+    print(f"mutants={len(indices)} not_killed={failed}")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

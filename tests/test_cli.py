@@ -511,6 +511,14 @@ class TestInputErrors:
         code, out, _ = invoke(["verify", "--matrix", str(big), "--samples", "20"])
         assert code == 0 and out.endswith(" pass=true\n")
 
+    def test_render_window_past_a_machine_index(self, matrix_files):
+        # A 4,299-digit bound parses, but range() in the translate scan
+        # takes machine-size bounds; the box is refused before the scan.
+        window = "-5,5,-5," + "9" * 4299
+        code, out, err = invoke(["render", "--matrix", matrix_files["K"], "--window", window])
+        assert (code, out) == (2, "")
+        assert err == "error: window too large: its translate box does not fit a machine index\n"
+
     def test_facets_member_past_the_digit_limit(self, matrix_files):
         # z has 4,300 digits, which parse; a gamma member's plain z is
         # z_j + 1, with 4,301.  The whole report is refused, none printed.

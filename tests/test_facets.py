@@ -15,6 +15,7 @@ from conftest import (
     corpus_set,
     invoke,
     kernel_vector,
+    pair_fractions,
     perm_sign,
     pip_contains,
     random_invertible,
@@ -81,6 +82,14 @@ class TestTildeFacet:
         f = tilde_facet((0, 0, 0, 0), (2, 3), 4, 1)
         assert f.z == (0, 0, 0, 1)
 
+    def test_non_integer_z_is_refused(self):
+        # int() once truncated 7/2 to 3, naming another facet.
+        for z in ((Fraction(7, 2), 0, 0, 0), (0, 0.9, 0, 0), (0, 0, 2.0, 0)):
+            with pytest.raises(DimensionError, match="integer entries"):
+                tilde_facet(z, (1, 2), 1, 1)
+        f = tilde_facet((Fraction(7), Fraction(-4, 2), 0, 0), (1, 2), 1, 1)
+        assert f.z == (6, -2, 0, 0) and all(type(x) is int for x in f.z)
+
 
 class TestFacetCollection:
     def test_tau_has_two_per_missing_index(self, mset):
@@ -118,6 +127,18 @@ class TestFacetCollection:
             with pytest.raises(DimensionError, match=message):
                 double_cover_check(mset, w_m, (1,), z, 20, 0)
         assert double_cover_check(mset, w_m, (1,), (5, 0, 0, 0), 20, 0).passed
+
+    def test_non_integer_z_is_refused(self, mset, w_m):
+        # int() once truncated z: (7/2, 0.9, 0, 0) named the collection at
+        # (3, 0, 0, 0), and the double cover checked z = 0 for (1/2, 0, 0, 0).
+        for z in ((Fraction(7, 2), 0.9, 0, 0), (Fraction(1, 2), 0, 0, 0), (0, 0, 0, 1.0)):
+            with pytest.raises(DimensionError, match="integer entries"):
+                facet_collection(mset, (1,), z)
+            with pytest.raises(DimensionError, match="integer entries"):
+                double_cover_check(mset, w_m, (1,), z, 20, 0)
+        coll = facet_collection(mset, (1,), (Fraction(4), Fraction(-6, 3), 0, 0))
+        assert coll == facet_collection(mset, (1,), (4, -2, 0, 0))
+        assert all(type(x) is int for x in coll.z)
 
     @pytest.mark.parametrize("fixture", ["kset", "mset", "qset", "cover13_set"])
     def test_kind_follows_the_index_size(self, request, fixture):
@@ -190,12 +211,12 @@ class TestFacetCollection:
 
 class TestLambdaVector:
     def test_worked_entries(self, mset, w_m):
-        assert w_m.lambda_of(mset, (2, 3))[1] == Fraction(3, 2)
-        assert w_m.lambda_of(mset, (3, 4))[3] == Fraction(3, 5)
+        assert pair_fractions(w_m.lambda_of(mset, (2, 3)))[1] == Fraction(3, 2)
+        assert pair_fractions(w_m.lambda_of(mset, (3, 4)))[3] == Fraction(3, 5)
 
     def test_defining_equation(self, mset, w_m):
         for frag in mset:
-            lam = w_m.lambda_of(mset, frag.sigma)
+            lam = pair_fractions(w_m.lambda_of(mset, frag.sigma))
             assert frag.s.mat_vec(lam) == w_m.w
 
     def test_degenerate_raises(self):
@@ -219,7 +240,7 @@ class TestLambdaVector:
     def test_restricted_systems(self, mset, w_m):
         # the top and bottom blocks solve their own restricted systems
         for frag in mset:
-            lam = w_m.lambda_of(mset, frag.sigma)
+            lam = pair_fractions(w_m.lambda_of(mset, frag.sigma))
             lam_sigma = tuple(lam[i - 1] for i in frag.sigma)
             lam_hat = tuple(lam[i - 1] for i in complement(frag.sigma, 4))
             c, cbar = c_submatrices(mset.decomposition, frag.sigma)
@@ -245,7 +266,7 @@ class TestLambdaVector:
                     perm_sign(BlockPermutation((sigma, rest))),
                 )
                 expected = (num / den) * ratio
-                assert w_m.lambda_of(mset, sigma)[j - 1] == expected
+                assert pair_fractions(w_m.lambda_of(mset, sigma))[j - 1] == expected
 
 
 class TestFacetSigns:
@@ -349,7 +370,7 @@ class TestHVector:
                 sigma = tuple(sorted(tau + (j,)))
                 frag = mset[sigma]
                 if frag.sign_class != "degenerate":
-                    lam = w_m.lambda_of(mset, sigma)
+                    lam = pair_fractions(w_m.lambda_of(mset, sigma))
                     assert h[pos] == lam[j - 1] * frag.det_s
 
     def test_random_matrices(self):
@@ -811,7 +832,7 @@ class TestCrossingScanGuard:
             for start, reach, scans, callers in records:
                 expected = 0
                 for frame, xs in zip(engine.frames, scans, strict=True):
-                    lam = w.lambda_of(mset, frame.sigma)
+                    lam = pair_fractions(w.lambda_of(mset, frame.sigma))
                     for x in xs:
                         shift = m.mat_vec(frame.translate(x))
                         y0 = solve(mset[frame.sigma].s, [a - b for a, b in zip(start, shift)])

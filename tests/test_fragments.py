@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +16,10 @@ from conftest import (
     corpus_files,
     corpus_matrix,
     corpus_set,
+    cramer_solve,
+    det_cofactor,
     invoke,
+    pair_fractions,
     perm_sign,
     random_dims,
     random_int_matrix,
@@ -46,10 +50,10 @@ from fragtile import (
     subsets,
     unimodular_reduce,
 )
-from fragtile import fragments
+from fragtile import cli, fragments
 from fragtile.cli import parse_matrix
 from fragtile.fragments import BlockMinors, Fragment, adjugate
-from fragtile.linalg import DimensionError, clear_rows, int_inverse, int_mat_mul
+from fragtile.linalg import DimensionError, clear_rows, int_det, int_inverse, int_mat_mul
 
 
 class TestDecompose:
@@ -329,7 +333,7 @@ class TestBlockFactorization:
                 hat = complement(frag.sigma, n)
                 assert [s_inv.row(i - 1)[:r] for i in frag.sigma] == inverse(c).row_list()
                 assert [s_inv.row(j - 1)[r:] for j in hat] == inverse(cbar).row_list()
-                assert w.lambda_of(fs, frag.sigma) == solve(frag.s, w.w), frag.sigma
+                assert pair_fractions(w.lambda_of(fs, frag.sigma)) == solve(frag.s, w.w), frag.sigma
 
 
 class TestEliminationGuard:
@@ -551,3 +555,70 @@ class TestLazyInverses:
             assert all(frag.sign_class != DEGENERATE for frag in inverses), argv
             assert len(set(map(id, inverses))) == len(inverses), argv
             assert Counter(map(id, tables)) == Counter({id(inverses[0].blocks): 1}), argv
+
+
+class TestIntegerSetUp:
+    """The fragment family and the direction certificate keep integers:
+    block minors and lambda pairs (den, nums).  A Fraction is formed only
+    where a report prints one."""
+
+    @given(split_matrices())
+    def test_fuzz_against_the_fraction_blocks(self, case):
+        m, dims = case
+        fs = fragment_set(decompose(m, dims))
+        for frag in fs:
+            c, cbar = c_submatrices(fs.decomposition, frag.sigma)
+            det_s = det_cofactor(frag.s)
+            assert (frag.det_c, frag.det_cbar, frag.det_s) == (det_cofactor(c), det_cofactor(cbar), det_s)
+            assert frag.sign_class == (POSITIVE if det_s > 0 else NEGATIVE if det_s < 0 else DEGENERATE)
+        lhs, rhs = laplace_identity(fs)
+        assert lhs == rhs
+        if fs.det_m == 0:
+            return
+        w = choose_generic_direction(fs, 0)
+        for frag in fs:
+            if frag.sign_class != DEGENERATE:
+                den, nums = w.lambda_of(fs, frag.sigma)
+                assert den > 0 and gcd(den, *nums) == 1, frag.sigma
+                assert pair_fractions((den, nums)) == cramer_solve(frag.s, w.w), frag.sigma
+
+    def test_set_up_builds_n_plus_one_fractions(self, monkeypatch):
+        # Per matrix: w's n entries, drawn as Fractions, and det M.
+        cases = []
+        for path in corpus_files():
+            dims, m = parse_matrix(path.read_text())
+            if int_det(clear_rows(m)[1]):
+                cases.append((path.name, dims, m))
+        built = []
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(cls)
+            return new(cls, *args, **kwargs)
+
+        counts = {}
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        for name, dims, m in cases:
+            del built[:]
+            fs = fragment_set(decompose(m, dims))
+            TilingEngine(fs, choose_generic_direction(fs, 0))
+            counts[name] = len(built)
+        monkeypatch.undo()
+        assert counts == {name: dims.n + 1 for name, dims, _ in cases}
+
+    def test_verify_forms_no_fraction_determinant(self, monkeypatch):
+        sets = []
+
+        def recorded(d):
+            sets.append(fragment_set(d))
+            return sets[-1]
+
+        monkeypatch.setattr(cli, "fragment_set", recorded)
+        paths = corpus_files()
+        for path in paths:
+            code, _, err = invoke(["verify", "--matrix", str(path), "--samples", "5"])
+            assert code == 0, (path.name, err)
+        assert len(sets) == len(paths)
+        for fs in sets:
+            for frag in fs:
+                assert not {"det_c", "det_cbar", "det_s"} & frag.__dict__.keys(), frag.sigma

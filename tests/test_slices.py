@@ -13,6 +13,7 @@ from conftest import (
     corpus_set,
     invoke,
     mat_mul,
+    pair_fractions,
     random_int_matrix,
     reference_key_box,
     reference_render_boxes,
@@ -321,7 +322,7 @@ def scanned_keys(monkeypatch, fs, w, window):
     classified = []
     live = [f.sigma for f in fs if f.sign_class != DEGENERATE]
     for sigma, (one, hits) in zip(live, scans, strict=True):
-        lam = w.lambda_of(fs, sigma)
+        lam = pair_fractions(w.lambda_of(fs, sigma))
         rules = tuple(lam[j - 1] > 0 for j in complement(sigma, fs.dims.n))
         classified.append([(y, *cell_position(v, one, rules)) for y, v in hits])
     return classified
