@@ -2,10 +2,12 @@
 
 Entries and results are ``fractions.Fraction``, so predicates such as
 determinant signs are decided exactly; matrices are immutable, dense and
-row-major.  Every elimination is ``eliminate``, fraction-free Gauss-Jordan
-on integer rows: ``det``, ``inverse`` and ``solve`` clear a matrix to
-A / c, eliminate A and divide once; ``int_det``, ``int_inverse``,
-``inverse_rows`` and ``int_mat_mul`` serve callers that hold integer rows.
+row-major.  Every elimination is ``eliminate``, fraction-free (Bareiss) on
+integer rows, in one of two modes with one return contract: Gauss-Jordan
+for ``inverse`` and ``solve``, echelon (rows below each pivot only) for
+determinants.  ``det``, ``inverse`` and ``solve`` clear a matrix to A / c,
+eliminate A and divide once; ``int_det``, ``int_inverse``, ``inverse_rows``
+and ``int_mat_mul`` serve callers that hold integer rows.
 Intended scale is small systems (n <= ~10), with no sparsity or asymptotic
 cleverness.
 """
@@ -137,16 +139,20 @@ def clear_rows(a: Matrix | Sequence[Sequence[Fraction]]) -> tuple[int, list[list
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in rows]
 
 
-def eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
-    """Fraction-free Gauss-Jordan on the first ncols columns of integer rows,
+def eliminate(rows: list[list[int]], ncols: int, reduced: bool = True) -> tuple[list[int], int, int]:
+    """Fraction-free elimination on the first ncols columns of integer rows,
     in place; later columns get the same row operations.
 
     A column's pivot is its first nonzero entry at or below the current row,
     swapped up; with pivot row y, pivot p and previous pivot prev (1 at the
-    start), every other row x becomes (p*x - x[col]*y) // prev, an exact
-    division (Bareiss).  Returns (pivots, last, sign): pivot columns, last
-    pivot (1 if none), swap sign.  Each row ends as last times the row that
-    rational Gauss-Jordan leaves, so a full-rank square has det sign*last.
+    start), a row x becomes (p*x - x[col]*y) // prev, an exact division
+    (Bareiss).  Gauss-Jordan mode (reduced) updates every other row; echelon
+    mode only the rows below the pivot, from the pivot column on, since
+    their entries left of it are already 0.  Both modes give the rows at and
+    below the pivot the same update, so both return the same (pivots, last,
+    sign): pivot columns, last pivot (1 if none), swap sign, and a
+    full-rank square has det sign*last.  In Gauss-Jordan mode each row ends
+    as last times the row that rational Gauss-Jordan leaves.
     """
     nrows = len(rows)
     pivots: list[int] = []
@@ -163,10 +169,17 @@ def eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
             sign = -sign
         y = rows[row]
         p = y[col]
-        for r in range(nrows):
-            if r != row:
-                f = rows[r][col]
-                rows[r] = [(p * a - f * b) // prev for a, b in zip(rows[r], y)]
+        if reduced:
+            for r in range(nrows):
+                if r != row:
+                    f = rows[r][col]
+                    rows[r] = [(p * a - f * b) // prev for a, b in zip(rows[r], y)]
+        else:
+            tail = y[col:]
+            for r in range(row + 1, nrows):
+                x = rows[r]
+                f = x[col]
+                x[col:] = [(p * a - f * b) // prev for a, b in zip(x[col:], tail)]
         pivots.append(col)
         prev = p
     return pivots, prev, sign
@@ -175,7 +188,7 @@ def eliminate(rows: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
 def int_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix given as rows."""
     work = [list(row) for row in rows]
-    pivots, last, sign = eliminate(work, len(work))
+    pivots, last, sign = eliminate(work, len(work), reduced=False)
     return sign * last if len(pivots) == len(work) else 0
 
 

@@ -34,6 +34,13 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]
 
 
+# Every determinant runs the echelon branch of eliminate.
+ECHELON_TESTS = (
+    "tests/test_linalg.py::TestDet::test_int_det_matches_cofactor_oracle_to_size_6",
+    "tests/test_linalg.py::TestFractionFreeElimination::test_echelon_mode_returns_the_gauss_jordan_contract",
+    "tests/test_fragments.py::TestEliminationGuard::test_fragments_and_laplace_past_n_6",
+)
+
 MUTANTS = [
     # The extents' sums swapped: every box is empty or inside out.
     Mutant(
@@ -180,6 +187,29 @@ MUTANTS = [
             "tests/test_cli.py::TestParseMatrix::test_comments_and_fractions",
             "tests/test_golden.py",
         ),
+    ),
+    # Echelon mode's pivot tail sliced one column late: every row below a
+    # pivot is combined with the wrong entries of the pivot row.
+    Mutant(
+        "linalg",
+        "tail = y[col:]",
+        "tail = y[col + 1:]",
+        ECHELON_TESTS,
+    ),
+    # Echelon mode without the exact division by the previous pivot: the
+    # entries grow by that factor at every step from the second pivot on.
+    Mutant(
+        "linalg",
+        "x[col:] = [(p * a - f * b) // prev for a, b in zip(x[col:], tail)]",
+        "x[col:] = [(p * a - f * b) for a, b in zip(x[col:], tail)]",
+        ECHELON_TESTS,
+    ),
+    # Echelon mode skips the first row below each pivot.
+    Mutant(
+        "linalg",
+        "for r in range(row + 1, nrows):",
+        "for r in range(row + 2, nrows):",
+        ECHELON_TESTS,
     ),
 ]
 

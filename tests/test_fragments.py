@@ -2,7 +2,8 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import comb, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -54,6 +55,8 @@ from fragtile import cli, fragments
 from fragtile.cli import parse_matrix
 from fragtile.fragments import BlockMinors, Fragment, adjugate
 from fragtile.linalg import DimensionError, clear_rows, int_det, int_inverse, int_mat_mul
+
+MATRICES = Path(__file__).resolve().parent / "matrices"
 
 
 class TestDecompose:
@@ -344,16 +347,19 @@ class TestEliminationGuard:
     def _record(self, monkeypatch):
         """Patch the one integer elimination loop wherever it is bound, so
         every wrapper's call passes through it; return the log of (ncols,
-        leading columns of each row) per elimination."""
+        leading columns of each row) per elimination, and keep each one's
+        keyword arguments, in the same order, in self.kwargs."""
         import fragtile
         from fragtile import cli, facets, fragments, linalg, render, slices, tiling
 
         log = []
+        self.kwargs = []
         eliminate = linalg.eliminate
 
-        def logged(rows, ncols):
+        def logged(rows, ncols, **kwargs):
             log.append((ncols, [list(row[:ncols]) for row in rows]))
-            return eliminate(rows, ncols)
+            self.kwargs.append(kwargs)
+            return eliminate(rows, ncols, **kwargs)
 
         for module in (fragtile, linalg, fragments, tiling, facets, slices, cli, render):
             if getattr(module, "eliminate", None) is eliminate:
@@ -387,6 +393,31 @@ class TestEliminationGuard:
         assert code == 0, err
         assert [rows for ncols, rows in log if ncols == 4] == [clear_rows(d.m)[1]] * 2
         assert [rows for ncols, rows in log if ncols == 2].count(b_rows) == 1
+
+    @pytest.mark.parametrize("name, det_m", [("z7r3-0", -2913), ("z8r4-0", -27717)])
+    def test_fragments_and_laplace_past_n_6(self, monkeypatch, name, det_m):
+        # The committed seeded n=7 and n=8 matrices (ROADMAP item 10):
+        # `fragments` eliminates M and each fragment matrix once, every one
+        # in echelon mode, and both identities hold.
+        path = MATRICES / f"{name}.txt"
+        dims, m = parse_matrix(path.read_text())
+        n, r = dims.n, dims.r
+        rows = clear_rows(m)[1]
+        log = self._record(monkeypatch)
+        code, out, err = invoke(["fragments", "--matrix", str(path)])
+        assert code == 0, err
+        head, *lines, summary = out.splitlines()
+        assert head == f"r={r} k={n - r} detM={det_m}"
+        assert len(lines) == comb(n, r)
+        assert all(line.endswith(" ok") for line in lines)
+        assert summary.endswith(" pass=true")
+        full = [kwargs for (ncols, _), kwargs in zip(log, self.kwargs) if ncols == n]
+        assert len(full) == 1 + comb(n, r)
+        assert full == [{"reduced": False}] * len(full)
+        assert log[0] == (n, rows)
+        # detM against the Gauss-Jordan elimination of the same rows
+        assert int_inverse(rows)[0] == det_m
+        assert invoke(["laplace", "--matrix", str(path)]) == (0, f"lhs={det_m} rhs={det_m} ok\n", "")
 
 
 def test_fragment_set_builds_no_matrix(monkeypatch):

@@ -27,7 +27,7 @@ from fragtile import (
     inverse,
     solve,
 )
-from fragtile.linalg import normalize_integer_direction
+from fragtile.linalg import eliminate, int_det, normalize_integer_direction
 
 K = Matrix.from_rows([[1, 2], [-1, 3]])
 L = Matrix.from_rows([[1, 2], [1, 5]])
@@ -42,6 +42,29 @@ def small_square(max_n=4):
             max_size=n,
         )
     )
+
+
+def sparse_rows(nrows, ncols):
+    """Integer rows with about half the entries 0, so that pivot searches
+    swap rows and skip columns."""
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+    return st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)
+
+
+@st.composite
+def elimination_inputs(draw):
+    """(rows, ncols): an n x n square, a singular square (last row a
+    combination of two others), or a wide [B | I] eliminated on B's n
+    columns, for n = 0..6."""
+    n = draw(st.integers(0, 6))
+    rows = draw(sparse_rows(n, n))
+    shape = draw(st.sampled_from(["square", "singular", "wide"]))
+    if shape == "singular" and n:
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[-2])] if n > 1 else [0]
+    if shape == "wide":
+        rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    return rows, n
 
 
 class TestDet:
@@ -69,6 +92,10 @@ class TestDet:
     def test_matches_cofactor_oracle(self, rows):
         m = Matrix.from_rows(rows)
         assert det(m) == det_cofactor(m)
+
+    @given(st.integers(0, 6).flatmap(lambda n: sparse_rows(n, n)))
+    def test_int_det_matches_cofactor_oracle_to_size_6(self, rows):
+        assert int_det(rows) == det_cofactor(Matrix.from_rows(rows))
 
 
 class TestSolve:
@@ -318,3 +345,16 @@ class TestFractionFreeElimination:
                     else:
                         assert kernel_vector(v) == normalize_integer_direction(oracle), rows
         assert deficient >= 10
+
+    @given(elimination_inputs())
+    def test_echelon_mode_returns_the_gauss_jordan_contract(self, case):
+        rows, ncols = case
+        reduced, echelon = [list(row) for row in rows], [list(row) for row in rows]
+        pivots, last, sign = eliminate(reduced, ncols)
+        assert eliminate(echelon, ncols, reduced=False) == (pivots, last, sign)
+        # below each pivot echelon mode leaves 0, and from the last pivot
+        # row down both modes leave the same rows
+        for i, col in enumerate(pivots):
+            assert all(row[col] == 0 for row in echelon[i + 1:])
+        last_row = max(len(pivots) - 1, 0)
+        assert echelon[last_row:] == reduced[last_row:]

@@ -11,6 +11,14 @@ def test_each_old_text_occurs_once():
         assert mutant.new != mutant.old
 
 
+def test_each_mutated_module_compiles():
+    # A row whose new text is not valid Python would only show up as an
+    # error in the runner, not as a killed mutant.
+    for mutant in MUTANTS:
+        path = SRC / "fragtile" / f"{mutant.module}.py"
+        compile(path.read_text().replace(mutant.old, mutant.new), path, "exec")
+
+
 def test_each_named_test_is_defined():
     # A node id's file exists and defines its last name.
     for mutant in MUTANTS:
