@@ -3,15 +3,17 @@
 Matrix file format: a first line "r k", then r+k rows of r+k whitespace
 separated rationals ("p/q" or integer); lines whose first nonblank character
 is '#' are comments.  Reports are line-oriented key=value text and are
-byte-identical for identical inputs and seeds.  Exit codes: 0 success or
-verified, 1 a verification found a violation, 2 bad input.
+byte-identical for identical inputs and seeds.  Each cmd_* handler returns
+its report and exit code; run formats the report and writes stdout once, so
+exit 2 from any command writes nothing on stdout, and crossing writes its
+report after the last ray.  Exit codes: 0 success or verified, 1 a
+verification found a violation, 2 bad input.
 """
 from __future__ import annotations
 
 import argparse
 import re
 import sys
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -143,14 +145,6 @@ def format_matrix(dims: Dimensions, m: Matrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt_vec(v) -> str:
-    return ",".join(str(x) for x in v)
-
-
-def _fmt_subset(s) -> str:
-    return "{%s}" % ",".join(str(i) for i in s)
-
-
 def _parse_vec(text: str, name: str) -> tuple[Fraction, ...]:
     try:
         return tuple(_rational(tok.strip()) for tok in text.split(","))
@@ -182,43 +176,59 @@ def _direction(args, fs: FragmentSet):
     return choose_generic_direction(fs, args.seed)
 
 
-@contextmanager
-def _printable():
-    """A report value past CPython's int-to-str digit limit is bad input."""
+def _value(v) -> str:
+    """A report value's text: a vector joins its entries with ',', a matrix
+    its rows with ';', an index subset reads {i,j,...} in increasing order,
+    and a bool reads true or false."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, set):
+        return "{%s}" % ",".join(map(str, sorted(v)))
+    if isinstance(v, (tuple, list)):
+        sep = ";" if v and isinstance(v[0], (tuple, list)) else ","
+        return sep.join(map(_value, v))
+    return str(v)
+
+
+def _format(report) -> str:
+    """The text of a report: a str (render's SVG) as it is; otherwise one
+    line per (template, *values) entry, each {} of the template filled with
+    the text of its value.  Templates hold the keys and the fixed words
+    (tile, census, facet); a verdict word (ok, FAIL) is a value.  The
+    digit-limit guard wraps this formatting and nothing else."""
+    if isinstance(report, str):
+        return report
     try:
-        yield
-    except ValueError:
+        return "".join(template.format(*map(_value, values)) + "\n" for template, *values in report)
+    except ValueError:  # CPython's int-to-str digit limit
         raise CliInputError("a report value has too many digits to print") from None
 
 
-def cmd_fragments(args) -> int:
+def cmd_fragments(args):
     """fragment family, sign classes, factor identity"""
     fs = _load_fs(args)
     oks = [lhs == rhs for lhs, rhs in (sandc_identity(fs, frag.sigma) for frag in fs)]
-    with _printable():
-        lines = [f"r={fs.dims.r} k={fs.dims.k} detM={fs.det_m}"]
-        for frag, ok in zip(fs, oks):
-            lines.append(
-                f"sigma={_fmt_subset(frag.sigma)} detC={frag.det_c} "
-                f"detCbar={frag.det_cbar} sign={shuffle_sign(frag.sigma)} "
-                f"detS={frag.det_s} class={frag.sign_class} {'ok' if ok else 'FAIL'}"
-            )
-    counts = " ".join(f"{c}={len(fs.by_class(c))}" for c in (POSITIVE, NEGATIVE, DEGENERATE))
-    print(*lines, f"{counts} pass={'true' if all(oks) else 'false'}", sep="\n")
-    return 0 if all(oks) else 1
+    lines = [("r={} k={} detM={}", fs.dims.r, fs.dims.k, fs.det_m)]
+    for frag, ok in zip(fs, oks):
+        lines.append((
+            "sigma={} detC={} detCbar={} sign={} detS={} class={} {}",
+            set(frag.sigma), frag.det_c, frag.det_cbar, shuffle_sign(frag.sigma),
+            frag.det_s, frag.sign_class, "ok" if ok else "FAIL",
+        ))
+    counts = [len(fs.by_class(c)) for c in (POSITIVE, NEGATIVE, DEGENERATE)]
+    lines.append(("positive={} negative={} degenerate={} pass={}", *counts, all(oks)))
+    return lines, 0 if all(oks) else 1
 
 
-def cmd_laplace(args) -> int:
+def cmd_laplace(args):
     """multi-row Laplace determinant identity"""
     fs = _load_fs(args)
     lhs, rhs = laplace_identity(fs)
     ok = lhs == rhs
-    with _printable():
-        print(f"lhs={lhs} rhs={rhs} {'ok' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    return [("lhs={} rhs={} {}", lhs, rhs, "ok" if ok else "FAIL")], 0 if ok else 1
 
 
-def cmd_coverage(args) -> int:
+def cmd_coverage(args):
     """tiles containing a point and the signed count"""
     fs = _load_fs(args)
     if args.point is None:
@@ -228,34 +238,32 @@ def cmd_coverage(args) -> int:
     report = TilingEngine(fs, w).coverage(point)
     pos, neg = report.census
     ok = report.f_value == report.expected
-    with _printable():
-        lines = [f"point={_fmt_vec(report.point)}", f"w={_fmt_vec(w.w)}"]
-        for tile, sign_class in report.tiles:
-            lines.append(f"tile z={_fmt_vec(tile.z)} sigma={_fmt_subset(tile.sigma)} class={sign_class}")
-        lines.append(
-            f"positive={pos} negative={neg} f={report.f_value} "
-            f"expected={report.expected} {'ok' if ok else 'FAIL'}"
-        )
-    print(*lines, sep="\n")
-    return 0 if ok else 1
+    lines = [("point={}", report.point), ("w={}", w.w)]
+    for tile, sign_class in report.tiles:
+        lines.append(("tile z={} sigma={} class={}", tile.z, set(tile.sigma), sign_class))
+    lines.append((
+        "positive={} negative={} f={} expected={} {}",
+        pos, neg, report.f_value, report.expected, "ok" if ok else "FAIL",
+    ))
+    return lines, 0 if ok else 1
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     """sampled constancy of the signed cover count"""
     fs = _load_fs(args)
     w = _direction(args, fs)
     report = verify_constancy(fs, w, args.samples, args.seed)
-    print(f"samples={report.sample_count} seed={report.seed} expected={report.expected}")
+    lines = [("samples={} seed={} expected={}", report.sample_count, report.seed, report.expected)]
     for (pos, neg), count in report.census_histogram.items():
-        print(f"census pos={pos} neg={neg} count={count}")
-    values = ",".join(str(v) for v in sorted(report.distinct_f_values))
-    f_text = values if len(report.distinct_f_values) == 1 else "mixed"
+        lines.append(("census pos={} neg={} count={}", pos, neg, count))
+    values = sorted(report.distinct_f_values)
+    f_value = values[0] if len(values) == 1 else "mixed"
     # Old key name kept: stdout is the contract, and perfbench/checks.py parses it.
-    print(
-        f"boundary_redraws={report.boundary_samples} values={values} "
-        f"f={f_text} pass={'true' if report.passed else 'false'}"
-    )
-    return 0 if report.passed else 1
+    lines.append((
+        "boundary_redraws={} values={} f={} pass={}",
+        report.boundary_samples, values, f_value, report.passed,
+    ))
+    return lines, 0 if report.passed else 1
 
 
 def _collection(args, fs: FragmentSet):
@@ -277,7 +285,7 @@ def _collection(args, fs: FragmentSet):
     return index, z
 
 
-def cmd_facets(args) -> int:
+def cmd_facets(args):
     """facet collection, up/down split, kernel certificate"""
     fs = _load_fs(args)
     w = _direction(args, fs)
@@ -287,43 +295,41 @@ def cmd_facets(args) -> int:
     h = h_vector(fs, w, coll.index) if coll.kind == TAU else None
     signs = {f: facet_signs(fs, w, f) for f in coll.members if f not in coll.degenerate}
     consistent = all((f in up_set) == (wsgn * tsgn > 0) for f, (wsgn, tsgn) in signs.items())
-    with _printable():
-        lines = [f"kind={coll.kind} index={_fmt_subset(coll.index)} z={_fmt_vec(coll.z)}"]
-        if h is not None:
-            lines.append(f"h={_fmt_vec(h)}")
-        for facet in coll.members:
-            head = f"facet sigma={_fmt_subset(facet.sigma)} j={facet.j} s={facet.s} plain_z={_fmt_vec(facet.z)}"
-            if facet in coll.degenerate:
-                lines.append(f"{head} side=degenerate")
-            else:
-                wsgn, tsgn = signs[facet]
-                side = "up" if facet in up_set else "down"
-                lines.append(f"{head} wsgn={wsgn} tsgn={tsgn} side={side}")
-    print(
-        *lines,
-        f"up={len(partition.up)} down={len(partition.down)} "
-        f"degenerate={len(coll.degenerate)} pass={'true' if consistent else 'false'}",
-        sep="\n",
-    )
-    return 0 if consistent else 1
+    lines = [("kind={} index={} z={}", coll.kind, set(coll.index), coll.z)]
+    if h is not None:
+        lines.append(("h={}", h))
+    head = "facet sigma={} j={} s={} plain_z={}"
+    for facet in coll.members:
+        values = (set(facet.sigma), facet.j, facet.s, facet.z)
+        if facet in coll.degenerate:
+            lines.append((head + " side=degenerate", *values))
+        else:
+            wsgn, tsgn = signs[facet]
+            side = "up" if facet in up_set else "down"
+            lines.append((head + " wsgn={} tsgn={} side={}", *values, wsgn, tsgn, side))
+    lines.append((
+        "up={} down={} degenerate={} pass={}",
+        len(partition.up), len(partition.down), len(coll.degenerate), consistent,
+    ))
+    return lines, 0 if consistent else 1
 
 
-def cmd_double_cover(args) -> int:
+def cmd_double_cover(args):
     """sampled once-each cover by up and down facets"""
     fs = _load_fs(args)
     w = _direction(args, fs)
     index, z = _collection(args, fs)
     report = double_cover_check(fs, w, index, z, args.samples, args.seed)
     # Old key name kept: stdout is the contract, and perfbench/checks.py parses it.
-    print(
-        f"kind={report.kind} index={_fmt_subset(report.index)} z={_fmt_vec(report.z)} "
-        f"samples={report.sample_count} redraws={report.boundary_samples} "
-        f"failures={len(report.failures)} pass={'true' if report.passed else 'false'}"
+    line = (
+        "kind={} index={} z={} samples={} redraws={} failures={} pass={}",
+        report.kind, set(report.index), report.z, report.sample_count, report.boundary_samples,
+        len(report.failures), report.passed,
     )
-    return 0 if report.passed else 1
+    return [line], 0 if report.passed else 1
 
 
-def cmd_crossing(args) -> int:
+def cmd_crossing(args):
     """cover count across facet crossings along rays"""
     fs = _load_fs(args)
     w = _direction(args, fs)
@@ -335,21 +341,20 @@ def cmd_crossing(args) -> int:
         points = [_parse_vec(args.point, "--point")]
     else:
         points = [fundamental_point(fs, f"ray:{args.seed}:{i}") for i in range(args.samples)]
-    print(f"w={_fmt_vec(w.w)} reach={reach}")
+    lines = [("w={} reach={}", w.w, reach)]
     engine = TilingEngine(fs, w)
     all_ok = True
     for i, point in enumerate(points):
         report = crossing_check(engine, point, reach, args.seed * 1_000_003 + i)
         all_ok = all_ok and report.passed
-        f_text = str(report.f_value) if report.constant else "mixed"
-        print(
-            f"ray={i} crossings={len(report.crossings)} f={f_text} "
-            f"cancellation={'ok' if report.cancellation_ok else 'FAIL'} "
-            f"constant={'true' if report.constant else 'false'} "
-            f"resamples={report.resamples} pass={'true' if report.passed else 'false'}"
-        )
-    print(f"rays={len(points)} pass={'true' if all_ok else 'false'}")
-    return 0 if all_ok else 1
+        lines.append((
+            "ray={} crossings={} f={} cancellation={} constant={} resamples={} pass={}",
+            i, len(report.crossings), report.f_value if report.constant else "mixed",
+            "ok" if report.cancellation_ok else "FAIL", report.constant, report.resamples,
+            report.passed,
+        ))
+    lines.append(("rays={} pass={}", len(points), all_ok))
+    return lines, 0 if all_ok else 1
 
 
 def _slice_window(fs: FragmentSet):
@@ -357,7 +362,7 @@ def _slice_window(fs: FragmentSet):
     return tuple((-radius, radius) for _ in range(fs.dims.n))
 
 
-def cmd_slice(args) -> int:
+def cmd_slice(args):
     """periodic structure of the last-k-zero slice"""
     fs = _load_fs(args)
     w = _direction(args, fs)
@@ -365,32 +370,29 @@ def cmd_slice(args) -> int:
     b_den, b_rows = layout.b_rows
     all_ok = True
     balance = Fraction(0)
-    with _printable():
-        lines = ["B=" + ";".join(_fmt_vec(Fraction(x, b_den) for x in row) for row in b_rows)]
-        for cls in layout.classes:
-            if cls.sign_class == DEGENERATE:
-                lines.append(f"sigma={_fmt_subset(cls.sigma)} class=degenerate offset_classes=0")
-                continue
-            frag = fs[cls.sigma]
-            area = abs(frag.det_c)
-            expected_classes = abs(frag.det_cbar)
-            ok = len(cls.offsets) == expected_classes
-            all_ok = all_ok and ok
-            sign = 1 if cls.sign_class == "positive" else -1
-            balance += sign * area * len(cls.offsets)
-            lines.append(
-                f"sigma={_fmt_subset(cls.sigma)} class={cls.sign_class} area={area} "
-                f"offset_classes={len(cls.offsets)} expected_classes={expected_classes} "
-                f"{'ok' if ok else 'FAIL'}"
-            )
-        # M U = [[Bk | B], [I_k | 0]] with U unimodular, so |det B| = |det M|.
-        expected_balance = fs.expected_coverage() * abs(fs.det_m)
-        balance_ok = balance == expected_balance
-        all_ok = all_ok and balance_ok
-        lines.append(
-            f"balance_lhs={balance} balance_rhs={expected_balance} "
-            f"{'ok' if balance_ok else 'FAIL'}"
-        )
+    lines = [("B={}", [[Fraction(x, b_den) for x in row] for row in b_rows])]
+    for cls in layout.classes:
+        if cls.sign_class == DEGENERATE:
+            lines.append(("sigma={} class=degenerate offset_classes=0", set(cls.sigma)))
+            continue
+        frag = fs[cls.sigma]
+        area = abs(frag.det_c)
+        expected_classes = abs(frag.det_cbar)
+        ok = len(cls.offsets) == expected_classes
+        all_ok = all_ok and ok
+        sign = 1 if cls.sign_class == "positive" else -1
+        balance += sign * area * len(cls.offsets)
+        lines.append((
+            "sigma={} class={} area={} offset_classes={} expected_classes={} {}",
+            set(cls.sigma), cls.sign_class, area, len(cls.offsets), expected_classes,
+            "ok" if ok else "FAIL",
+        ))
+    # M U = [[Bk | B], [I_k | 0]] with U unimodular, so |det B| = |det M|.
+    expected_balance = fs.expected_coverage() * abs(fs.det_m)
+    balance_ok = balance == expected_balance
+    all_ok = all_ok and balance_ok
+    verdict = "ok" if balance_ok else "FAIL"
+    lines.append(("balance_lhs={} balance_rhs={} {}", balance, expected_balance, verdict))
     engine = TilingEngine(fs, w)
     zeros = (Fraction(0),) * fs.dims.k
     f_ok = True
@@ -401,16 +403,11 @@ def cmd_slice(args) -> int:
         report = engine.coverage(p_r + zeros)
         f_ok = f_ok and report.f_value == report.expected
     all_ok = all_ok and f_ok
-    print(
-        *lines,
-        f"coverage_samples={args.samples} coverage_pass={'true' if f_ok else 'false'} "
-        f"pass={'true' if all_ok else 'false'}",
-        sep="\n",
-    )
-    return 0 if all_ok else 1
+    lines.append(("coverage_samples={} coverage_pass={} pass={}", args.samples, f_ok, all_ok))
+    return lines, 0 if all_ok else 1
 
 
-def cmd_render(args) -> int:
+def cmd_render(args):
     """SVG of a 2-D tiling or 2-D slice"""
     fs = _load_fs(args)
     window = _parse_vec(args.window, "--window")
@@ -424,14 +421,12 @@ def cmd_render(args) -> int:
     else:
         raise CliInputError("rendering needs r+k = 2 (tiling) or r = 2 (slice)")
     document = render_svg(source, cfg)
-    if args.out:
-        Path(args.out).write_text(document)
-        polygons = document.count("<polygon ")
-        groups = document.count("<g ")
-        print(f"out={args.out} polygons={polygons} groups={groups}")
-    else:
-        sys.stdout.write(document)
-    return 0
+    if not args.out:
+        return document, 0
+    Path(args.out).write_text(document)
+    polygons = document.count("<polygon ")
+    groups = document.count("<g ")
+    return [("out={} polygons={} groups={}", args.out, polygons, groups)], 0
 
 
 def _int_value(text: str) -> int:
@@ -517,7 +512,8 @@ def run(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        report, code = args.func(args)
+        text = _format(report)
     except (
         CliInputError,
         MatrixParseError,
@@ -528,6 +524,8 @@ def run(argv) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(text)
+    return code
 
 
 def main() -> None:

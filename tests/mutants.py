@@ -211,6 +211,23 @@ MUTANTS = [
         "for r in range(row + 2, nrows):",
         ECHELON_TESTS,
     ),
+    # The report formatter without its digit-limit except: a value too long
+    # to print escapes run as a ValueError instead of exiting 2.
+    Mutant(
+        "cli",
+        "    except ValueError:  # CPython's int-to-str digit limit\n"
+        '        raise CliInputError("a report value has too many digits to print") from None',
+        "    finally:\n        pass",
+        ("tests/test_cli.py::TestInputErrors::test_exit_2_writes_nothing_on_stdout",),
+    ),
+    # A crossing time on two non-parallel facets raises instead of marking
+    # the ray degenerate, so it is never moved to a resampled start.
+    Mutant(
+        "facets",
+        "        if len(normals) > 1:\n            return True, []",
+        '        if len(normals) > 1:\n            raise AssertionError("non-parallel facets")',
+        ("tests/test_facets.py::TestClassifyEvents::test_non_parallel_normals",),
+    ),
 ]
 
 

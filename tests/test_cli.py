@@ -42,6 +42,9 @@ L_TEXT = "1 1\n1 2\n1 5\n"
 M_TEXT = "2 2\n3 2 -4 1\n1 0 2 2\n2 0 -1 1\n0 1 -2 3\n"
 Q_TEXT = "2 1\n0 3/2 3\n-1 1/3 3\n1/2 -3/2 -1\n"
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
+TOO_MANY_DIGITS = "error: a report value has too many digits to print\n"
+BIG_DET_TEXT = f"1 1\n{10**2500} 2\n3 {10**2500}\n"
+BIG_Z = "0,0,0," + "9" * 4300
 
 
 @pytest.fixture()
@@ -491,25 +494,87 @@ class TestInputErrors:
         assert (code, out) == (2, "")
         assert "dimensions must be integers" in err
 
-    def test_matrix_token_past_the_digit_limit(self, tmp_path):
-        big = tmp_path / "big.txt"
-        big.write_text("1 1\n1 2\n3 " + "7" * 4301 + "\n")
-        code, out, err = invoke(["laplace", "--matrix", str(big)])
+    @pytest.mark.parametrize(
+        "matrix, argv, message, companion",
+        [
+            # A matrix token past the 4,300-digit limit is refused where it stands.
+            pytest.param(
+                "1 1\n1 2\n3 " + "7" * 4301 + "\n", ["laplace"], "line 3 col 3", None,
+                id="matrix-token",
+            ),
+            # Every token has 2,501 digits, but det M = 10^5000 - 6 has 5,000.
+            # The commands that do not print det M still report.
+            pytest.param(
+                BIG_DET_TEXT, ["fragments"], TOO_MANY_DIGITS,
+                (["coverage", "--point", "1/2,1/3"], " ok\n"),
+                id="fragments-detM",
+            ),
+            pytest.param(
+                BIG_DET_TEXT, ["laplace"], TOO_MANY_DIGITS,
+                (["verify", "--samples", "20"], " pass=true\n"),
+                id="laplace-detM",
+            ),
+            # z has 4,300 digits, which parse; a gamma member's plain z is
+            # z_j + 1, with 4,301.  The tau collection's members keep z.
+            pytest.param(
+                M_TEXT, ["facets", "--gamma", "1,2,4", "--z", BIG_Z], TOO_MANY_DIGITS,
+                (["facets", "--tau", "1", "--z", BIG_Z], " pass=true\n"),
+                id="facets-member",
+            ),
+            # B= prints, but area = |det C| = 10^4400 has 4,401 digits.
+            pytest.param(
+                f"2 1\n{10**2200} 1 0\n0 {10**2200} 1\n1 0 1\n", ["slice", "--samples", "2"],
+                TOO_MANY_DIGITS, None,
+                id="slice-area",
+            ),
+            # The point and w print, but the tile holding (0, 10^4000) in the
+            # lattice of M = diag(1, 10^-4000) has a z of 8,001 digits.
+            pytest.param(
+                f"1 1\n1 0\n0 1/{10**4000}\n", ["coverage", "--point", f"0,{10**4000}"],
+                TOO_MANY_DIGITS, None,
+                id="coverage-tile",
+            ),
+            # crossing refuses these after its w= reach= line is known.
+            pytest.param(
+                K_TEXT, ["crossing", "--reach", "0", "--samples", "3"],
+                "error: reach must be positive\n", None,
+                id="crossing-reach-zero",
+            ),
+            pytest.param(
+                K_TEXT, ["crossing", "--reach", "-1", "--samples", "3"],
+                "error: reach must be positive\n", None,
+                id="crossing-reach-negative",
+            ),
+            pytest.param(
+                K_TEXT, ["crossing", "--point", "1,2,3", "--samples", "3"],
+                "error: point has length 3, expected 2\n", None,
+                id="crossing-point-length",
+            ),
+        ],
+    )
+    def test_exit_2_writes_nothing_on_stdout(self, tmp_path, matrix, argv, message, companion):
+        # The whole report is refused, none of it printed.
+        path = tmp_path / "matrix.txt"
+        path.write_text(matrix)
+        code, out, err = invoke([argv[0], "--matrix", str(path), *argv[1:]])
         assert (code, out) == (2, "")
-        assert "line 3 col 3" in err
+        assert message in err
+        if companion is not None:
+            argv, ending = companion
+            code, out, _ = invoke([argv[0], "--matrix", str(path), *argv[1:]])
+            assert code == 0 and out.endswith(ending)
 
-    def test_derived_value_past_the_digit_limit(self, tmp_path):
-        # Every token has 2,501 digits, but det M = 10^5000 - 6 has 5,000.
-        big = tmp_path / "big.txt"
-        big.write_text(f"1 1\n{10**2500} 2\n3 {10**2500}\n")
-        for command in ("fragments", "laplace"):
-            code, out, err = invoke([command, "--matrix", str(big)])
-            assert (code, out) == (2, ""), command
-            assert err == "error: a report value has too many digits to print\n"
-        code, out, _ = invoke(["coverage", "--matrix", str(big), "--point", "1/2,1/3"])
-        assert code == 0 and out.endswith(" ok\n")
-        code, out, _ = invoke(["verify", "--matrix", str(big), "--samples", "20"])
-        assert code == 0 and out.endswith(" pass=true\n")
+    def test_the_digit_guard_covers_only_formatting(self, matrix_files, monkeypatch):
+        # A ValueError raised while a command computes is a fault, not a
+        # value too long to print: it propagates.
+        from fragtile import cli
+
+        def broken(fs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "laplace_identity", broken)
+        with pytest.raises(ValueError, match="boom"):
+            invoke(["laplace", "--matrix", matrix_files["K"]])
 
     def test_render_window_past_a_machine_index(self, matrix_files):
         # A 4,299-digit bound parses, but range() in the translate scan
@@ -518,34 +583,6 @@ class TestInputErrors:
         code, out, err = invoke(["render", "--matrix", matrix_files["K"], "--window", window])
         assert (code, out) == (2, "")
         assert err == "error: window too large: its translate box does not fit a machine index\n"
-
-    def test_facets_member_past_the_digit_limit(self, matrix_files):
-        # z has 4,300 digits, which parse; a gamma member's plain z is
-        # z_j + 1, with 4,301.  The whole report is refused, none printed.
-        z = "0,0,0," + "9" * 4300
-        code, out, err = invoke(["facets", "--matrix", matrix_files["M"], "--gamma", "1,2,4", "--z", z])
-        assert (code, out) == (2, "")
-        assert err == "error: a report value has too many digits to print\n"
-        code, out, _ = invoke(["facets", "--matrix", matrix_files["M"], "--tau", "1", "--z", z])
-        assert code == 0 and out.endswith(" pass=true\n")
-
-    def test_slice_value_past_the_digit_limit(self, tmp_path):
-        # B= prints, but area = |det C| = 10^4400 has 4,401 digits.  The
-        # whole report is refused, none printed.
-        big = tmp_path / "big.txt"
-        big.write_text(f"2 1\n{10**2200} 1 0\n0 {10**2200} 1\n1 0 1\n")
-        code, out, err = invoke(["slice", "--matrix", str(big), "--samples", "2"])
-        assert (code, out) == (2, "")
-        assert err == "error: a report value has too many digits to print\n"
-
-    def test_coverage_tile_past_the_digit_limit(self, tmp_path):
-        # The point and w print, but the tile holding (0, 10^4000) in the
-        # lattice of M = diag(1, 10^-4000) has a z of 8,001 digits.
-        big = tmp_path / "big.txt"
-        big.write_text(f"1 1\n1 0\n0 1/{10**4000}\n")
-        code, out, err = invoke(["coverage", "--matrix", str(big), "--point", f"0,{10**4000}"])
-        assert (code, out) == (2, "")
-        assert err == "error: a report value has too many digits to print\n"
 
     def test_runs_share_one_parser(self, matrix_files, monkeypatch):
         import argparse

@@ -3,8 +3,8 @@
 Each file under ``tests/golden/`` holds one command's exit code on its first
 line ("exit=N") followed by its exact stdout.  The files were recorded once
 and are the output contract: refactors must keep them byte-identical.  Error
-cases pin exit code 2 and whatever stdout preceded the error; their messages
-go to stderr and are not part of the contract.  The benchmark's seed-0
+cases pin exit code 2 and an empty stdout; their messages go to stderr and
+are not part of the contract.  The benchmark's seed-0
 command lists are held to the same rule: each command's stdout must match
 the sha256 digest recorded in ``perfbench/digests.json``.
 """
@@ -125,6 +125,12 @@ def run_case(name: str, tmp_path: Path) -> str:
 def test_golden_stdout(name, tmp_path):
     expected = (GOLDEN / f"{name}.out").read_text()
     assert run_case(name, tmp_path) == expected
+
+
+def test_error_cases_write_nothing_on_stdout():
+    errors = sorted(GOLDEN.glob("error-*.out"))
+    assert len(errors) == sum(name.startswith("error-") for name in CASES)
+    assert [path.name for path in errors if path.read_text() != "exit=2\n"] == []
 
 
 @pytest.mark.parametrize("workload", ["dense", "wide", "oneshot"])
