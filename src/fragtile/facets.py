@@ -271,7 +271,7 @@ def double_cover_check(
         c = grid_numerators(f"cover:{seed}:{idx}:0", len(js), 1, SAMPLE_DENOMINATOR)
         v = c + [q]
         positions = [
-            cell_position([sum(map(mul, row, v)) for row in rows], one, rules)
+            cell_position((sum(map(mul, row, v)) for row in rows), one, rules)
             for rows, one, rules in cells
         ]
         boundary_samples += any(pos is not None and pos[1] for pos in positions)

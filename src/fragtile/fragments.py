@@ -113,11 +113,13 @@ def minor_table(rows: list[list[int]], n: int) -> MinorTable:
 
 def adjugate(deleted: list[MinorTable], cols: SubsetIndex, scale: int) -> list[list[int]]:
     """scale * adj B for a side's block B on columns cols, from its "row j
-    deleted" tables: adj B[i][j] is (-1)^(i+j) times B's minor off row j and column cols[i]."""
-    return [
-        [(-1) ** (i + j) * scale * table[cols[:i] + cols[i + 1 :]] for j, table in enumerate(deleted)]
-        for i in range(len(cols))
-    ]
+    deleted" tables: adj B[i][j] is (-1)^(i+j) times B's minor off row j and
+    column cols[i], read at one key per row and signed by parity."""
+    adj = []
+    for i in range(len(cols)):
+        key, s = cols[:i] + cols[i + 1 :], -scale if i & 1 else scale
+        adj.append([(-s if j & 1 else s) * table[key] for j, table in enumerate(deleted)])
+    return adj
 
 
 class BlockMinors:

@@ -277,32 +277,35 @@ def size_reduce(
 ):
     """Pairwise size reduction of linearly independent integer rows.
 
-    gram is the Gram matrix of rows, and h any integer rows of the same
-    width.  Returns (R, W, W^-1, H W^-1) with R = W * rows and W unimodular,
-    all as integer rows.  While some pair has 2|<r_i, r_j>| > <r_j, r_j>,
-    row i loses the nearest integer multiple k of row j; each such step
-    strictly shortens row i, so the loop ends and no row is ever longer than
-    it started; a step that does not give 0 < |r_i|^2 < its old value shows
-    that gram is no such Gram matrix, and raises ValueError instead of
-    looping.  A step subtracts k times row j from row i of R and of W,
-    adds k times column i to column j of W^-1 and of H W^-1, and updates
-    row and column i of the Gram matrix, each in O(n): no matrix product is
-    formed.
+    gram is the Gram matrix of rows, and h any integer rows of the same width.
+    Returns (R, W, W^-1, H W^-1) with R = W * rows and W unimodular, all as
+    integer rows; W and W^-1 start as one set of unit rows.  While some pair
+    has |<r_i, r_j>| > <r_j, r_j> // 2 (2|<r_i, r_j>| > <r_j, r_j> on
+    integers), row i loses the nearest integer multiple k of row j; each such
+    step strictly shortens row i, so the loop ends and no row is ever longer
+    than it started; a step that does not give 0 < |r_i|^2 < its old value
+    shows that gram is no such Gram matrix, and raises ValueError instead of
+    looping.  A step subtracts k times row j from row i of R and of W, adds k
+    times column i to column j of W^-1 and of H W^-1, and updates row and
+    column i of the Gram matrix, each in O(n): no matrix product is formed.
     """
     n, m = len(rows), len(rows[0])
     # The rows of R beside those of W, and the rows of W^-1 above those of
     # H W^-1: a step is one row step on rw and one column step on cols.
-    rw = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    cols = [[int(i == j) for j in range(n)] for i in range(n)] + [list(row) for row in h]
+    unit = [[0] * n for _ in range(n)]
+    for i, row in enumerate(unit):
+        row[i] = 1
+    rw = [list(row) + e for row, e in zip(rows, unit)]
+    cols = unit + [list(row) for row in h]
     gram = [list(row) for row in gram]
     changed = True
     while changed:
         changed = False
         for j, gj in enumerate(gram):
-            nj = gj[j]
+            nj, half = gj[j], gj[j] >> 1
             for i, gi in enumerate(gram):
                 d = gi[j]
-                if i == j or 2 * abs(d) <= nj:
+                if i == j or -half <= d <= half:
                     continue
                 k = (2 * d + nj) // (2 * nj)
                 rw[i] = [x - k * y for x, y in zip(rw[i], rw[j])]

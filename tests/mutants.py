@@ -228,6 +228,65 @@ MUTANTS = [
         '        if len(normals) > 1:\n            raise AssertionError("non-parallel facets")',
         ("tests/test_facets.py::TestClassifyEvents::test_non_parallel_normals",),
     ),
+    # The adjugate's parity signs swapped: every S_sigma^-1 is negated, and
+    # with it every lambda, half-open rule and cell coordinate.
+    Mutant(
+        "fragments",
+        "key, s = cols[:i] + cols[i + 1 :], -scale if i & 1 else scale",
+        "key, s = cols[:i] + cols[i + 1 :], scale if i & 1 else -scale",
+        (
+            "tests/test_fragments.py::TestMinorTables::test_adjugate_of_random_blocks",
+            "tests/test_fragments.py::TestMinorTables::test_corpus",
+            "tests/test_golden.py",
+        ),
+    ),
+    # size_reduce steps on a tie |<r_i, r_j>| = <r_j, r_j> // 2 too: such a
+    # step leaves |r_i|^2 unchanged, so it raises ValueError.
+    Mutant(
+        "tiling",
+        "if i == j or -half <= d <= half:",
+        "if i == j or -half < d < half:",
+        (
+            "tests/test_tiling.py::TestSizeReduce::test_matches_the_reference_reduction",
+            "tests/test_tiling.py::TestSizeReduce::test_frames_match_the_product_construction",
+            "tests/test_golden.py",
+        ),
+    ),
+    # Hits mapped back with W instead of W^-1: a tile is reported at x, not
+    # at the translate z = W^-1 x.
+    Mutant(
+        "tiling",
+        "return tuple(sum(map(mul, row, x)) for row in self.to_z)",
+        "return tuple(sum(map(mul, row, x)) for row in self.to_x)",
+        (
+            "tests/test_tiling.py::TestReducedBox::test_matches_brute_force_where_the_axis_box_is_large",
+            "tests/test_golden.py",
+        ),
+    ),
+    # The crossing scan without its widening: it scans only the translates
+    # whose cell holds the start, so crossings along the ray are missed.
+    Mutant(
+        "facets",
+        "widen = -(-reach_num * max(abs_lam) // scale) * one",
+        "widen = 0",
+        (
+            "tests/test_facets.py::TestEventScan::test_worked_matrices",
+            "tests/test_facets.py::TestCrossing::test_boundary_start_scanned_as_given",
+            "tests/test_golden.py",
+        ),
+    ),
+    # unimodular_reduce breaks a tie between equally small pivots by the
+    # last column, not the first: U is another unimodular matrix, so the
+    # B= rows of `slice` can differ.
+    Mutant(
+        "slices",
+        "small = min(nz, key=lambda c: abs(cols[c][t]))",
+        "small = min(reversed(nz), key=lambda c: abs(cols[c][t]))",
+        (
+            "tests/test_slices.py::TestUnimodularReduce::test_same_reduction_as_the_row_form_on_the_corpus",
+            "tests/test_slices.py::TestUnimodularReduce::test_same_reduction_as_the_row_form_on_random_matrices",
+        ),
+    ),
 ]
 
 

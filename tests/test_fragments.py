@@ -501,6 +501,25 @@ class TestMinorTables:
         singular = sum(_check_tables(corpus_set(path)) for path in corpus)
         assert singular > 0
 
+    def test_adjugate_of_random_blocks(self):
+        # Seeded integer row blocks, r <= 4 rows by n <= 7 columns, with
+        # about a third of the entries 0: on every r-subset of columns whose
+        # minor is nonzero, the tables' adjugate is int_inverse's.
+        rng = random.Random("adjugate-blocks")
+        checked = 0
+        for _ in range(120):
+            r = rng.randint(1, 4)
+            n = rng.randint(r, 7)
+            rows = [[rng.choice((0, 0, -3, -2, -1, 1, 2, 3)) for _ in range(n)] for _ in range(r)]
+            deleted = [fragments.minor_table(rows[:j] + rows[j + 1 :], n) for j in range(r)]
+            for cols in subsets(n, r):
+                det_block, adj = int_inverse([[row[j - 1] for j in cols] for row in rows])
+                if det_block:
+                    assert adjugate(deleted, cols, 1) == adj, (rows, cols)
+                    assert adjugate(deleted, cols, -3) == [[-3 * x for x in row] for row in adj]
+                    checked += 1
+        assert checked > 800
+
     @given(singular_prone_matrices())
     def test_random_rational_matrices(self, case):
         m, dims = case

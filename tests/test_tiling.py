@@ -25,6 +25,8 @@ from conftest import (
 )
 from fragtile import (
     DEGENERATE,
+    NEGATIVE,
+    POSITIVE,
     Dimensions,
     GenericityError,
     Matrix,
@@ -33,6 +35,7 @@ from fragtile import (
     certify_direction,
     choose_generic_direction,
     decompose,
+    det,
     fragment_set,
     inverse,
     laplace_identity,
@@ -40,7 +43,7 @@ from fragtile import (
     tiling,
     verify_constancy,
 )
-from fragtile.linalg import DimensionError, clear_denominator, clear_rows, int_mat_mul
+from fragtile.linalg import DimensionError, clear_denominator, clear_rows, int_det, int_mat_mul
 from fragtile.tiling import (
     cell_hits,
     cell_position,
@@ -655,6 +658,56 @@ class TestReducedBox:
                     candidates += volume
                 hits += len(engine.tiles_at(p)[0])
             assert candidates <= bound[n] * hits, (n, r, i, candidates, hits)
+
+
+class TestBlockLinearMaps:
+    """For L = diag(L_top, L_bottom) invertible, the fragments of LM are
+    L S_sigma, so lambda_sigma of (LM, Lw) is that of (M, w) and so are the
+    rules: the tiles at Lp for (LM, Lw) are the tiles at p for (M, w), and
+    every sign class flips when det L < 0; the boundary counts agree too.
+    This checks the set-up and tiles_at against themselves, with no
+    Fraction reference, at the origin and at fundamental_point samples."""
+
+    FLIP = {POSITIVE: NEGATIVE, NEGATIVE: POSITIVE, DEGENERATE: DEGENERATE}
+
+    @staticmethod
+    def _block_maps(rng, r, k):
+        """A seeded L with entries in -3..3, and L with its first row
+        negated, so that the two determinants have opposite signs."""
+        while True:
+            top, bottom = ([[rng.randint(-3, 3) for _ in range(s)] for _ in range(s)] for s in (r, k))
+            if int_det(top) and int_det(bottom):
+                break
+        rows = [row + [0] * k for row in top] + [[0] * r + row for row in bottom]
+        negated = [[-x for x in rows[0]]] + rows[1:]
+        return [Matrix.from_rows(rows), Matrix.from_rows(negated)]
+
+    def test_tiles_map_with_the_block_map(self):
+        rng = random.Random("block-linear")
+        corpus = corpus_files(max_n=4)
+        signs = set()
+        boundaries = 0
+        for path in corpus:
+            fs = corpus_set(path)
+            assert fs.det_m != 0, path.name
+            (r, k, n), m = (fs.dims.r, fs.dims.k, fs.dims.n), fs.decomposition.m
+            w = choose_generic_direction(fs, 0)
+            engine = TilingEngine(fs, w)
+            points = [(0,) * n] + [fundamental_point(fs, f"block-linear:{i}") for i in range(5)]
+            located = [engine.tiles_at(p) for p in points]
+            for l in self._block_maps(rng, r, k):
+                flip = det(l) < 0
+                signs.add(flip)
+                mapped = fragment_set(decompose(mat_mul(l, m), fs.dims))
+                classes = [self.FLIP[f.sign_class] if flip else f.sign_class for f in fs]
+                assert [f.sign_class for f in mapped] == classes, path.name
+                mapped_engine = TilingEngine(mapped, certify_direction(mapped, l.mat_vec(w.w)))
+                for p, (tiles, boundary) in zip(points, located):
+                    expected = [(tile, self.FLIP[c] if flip else c) for tile, c in tiles]
+                    assert mapped_engine.tiles_at(l.mat_vec(p)) == (expected, boundary), (path.name, p)
+                    boundaries += boundary > 0
+        assert signs == {False, True}
+        assert boundaries >= 2 * len(corpus)
 
 
 class TestCoverage:
