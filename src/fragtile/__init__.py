@@ -57,7 +57,6 @@ from .facets import (
 from .slices import (
     SliceClass,
     SliceLayout,
-    SlicePreconditionError,
     slice_layout,
     slice_precondition,
     unimodular_reduce,

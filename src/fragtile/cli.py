@@ -42,7 +42,7 @@ from .facets import (
 )
 from .linalg import LinalgError, Matrix
 from .render import RenderConfig, render_svg
-from .slices import SlicePreconditionError, slice_layout
+from .slices import slice_layout
 from .tiling import (
     SAMPLE_DENOMINATOR,
     GenericityError,
@@ -377,7 +377,7 @@ def cmd_slice(args):
             continue
         frag = fs[cls.sigma]
         area = abs(frag.det_c)
-        expected_classes = abs(frag.det_cbar)
+        expected_classes = abs(frag.det_cbar) / layout.g
         ok = len(cls.offsets) == expected_classes
         all_ok = all_ok and ok
         sign = 1 if cls.sign_class == "positive" else -1
@@ -387,8 +387,8 @@ def cmd_slice(args):
             set(cls.sigma), cls.sign_class, area, len(cls.offsets), expected_classes,
             "ok" if ok else "FAIL",
         ))
-    # M U = [[Bk | B], [I_k | 0]] with U unimodular, so |det B| = |det M|.
-    expected_balance = fs.expected_coverage() * abs(fs.det_m)
+    # M U = [[Bk | B], [H / d | 0]] with U unimodular, so |det B| = |det M| / g.
+    expected_balance = fs.expected_coverage() * abs(fs.det_m) / layout.g
     balance_ok = balance == expected_balance
     all_ok = all_ok and balance_ok
     verdict = "ok" if balance_ok else "FAIL"
@@ -518,7 +518,6 @@ def run(argv) -> int:
         CliInputError,
         MatrixParseError,
         GenericityError,
-        SlicePreconditionError,
         LinalgError,
         OSError,
     ) as exc:

@@ -3,16 +3,16 @@
 A tile meets the slice plane exactly when the bottom-block coordinates forced
 by its translate fall in the tile's half-open unit ranges, in which case the
 intersection is the top-block parallelepiped translated by the first r
-coordinates of M*z.  When the bottom block of M is integer with coprime
-maximal minors, integer column operations bring M to a form whose last r
-columns lie in the slice plane; their top parts generate the lattice of
-slice-preserving translations, so the restricted tiling is periodic with
-finitely many translate classes per fragment.  A translate enters only
-through its key, the bottom rows of M times z, so cell_hits scans each
-fragment's keys on its integer S^-1 rows, the translate window only filters
-them, and offsets are reduced on the integer rows of B and of B^-1.  The
-layout holds B, B^-1 and each fragment's shape C_sigma as integer rows over
-M's denominator, read from the decomposition's m_rows.
+coordinates of M*z.  Integer column operations bring the bottom block of any
+nonsingular M to its Hermite form [H | 0] / d, so the top parts of the last
+r columns generate the lattice of slice-preserving translations and the
+restricted tiling is periodic with finitely many translate classes per
+fragment.  A translate enters only through its key H v / d, the bottom rows
+of M times z, so cell_hits scans each fragment's keys v on its integer S^-1
+rows, the translate window only filters them, and offsets are reduced on
+the integer rows of B and of B^-1.  The layout holds B, B^-1 and each
+fragment's shape C_sigma as integer rows over M's denominator d, read from
+the decomposition's m_rows.
 """
 from __future__ import annotations
 
@@ -23,54 +23,47 @@ from typing import Sequence
 
 from .fragments import DEGENERATE, Decomposition, FragmentSet, SubsetIndex, complement
 # inverse is unused, but perfbench's tracer wraps it at this binding site.
-from .linalg import DimensionError, int_mat_mul, inverse, inverse_rows
+from .linalg import DimensionError, LinalgError, SingularMatrixError, int_mat_mul, inverse, inverse_rows
 from .tiling import GenericDirection, cell_hits, cell_position, cube_extents
-
-
-class SlicePreconditionError(Exception):
-    """The bottom block is not integer with coprime maximal minors."""
 
 
 def slice_precondition(d: Decomposition) -> bool:
     """True when the bottom k rows of M are integer with coprime k x k
-    minors, which is exactly when unimodular_reduce succeeds."""
+    minors, which is exactly when unimodular_reduce's H is d I_k."""
     try:
-        unimodular_reduce(d)
-    except SlicePreconditionError:
+        h = unimodular_reduce(d)[3]
+    except SingularMatrixError:
         return False
-    return True
+    m_den, k = d.m_rows[0], d.dims.k
+    return h == [[m_den * (i == t) for i in range(k)] for t in range(k)]
 
 
 def unimodular_reduce(
     d: Decomposition,
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Integer column reduction of M to bottom block [I_k | 0].
+) -> tuple[list[list[int]], list[list[int]], list[list[int]], list[list[int]]]:
+    """Integer column reduction of M's bottom block to Hermite form [H | 0].
 
     Only column swaps, sign flips and integer multiple additions are used, so
     the applied U is unimodular and M*U spans the same column lattice.
-    Returns (U, A, Bk) as integer rows where M*U = [[Bk | A], [I_k | 0]] / c
-    for M = m_rows / c, the decomposition's cleared rows: A (r x r)
-    is the top block over the zero-bottom columns, c times the
-    slice-translation lattice basis, and Bk (r x k) the top block over the
-    identity-bottom columns.  The bottom block is integer when c divides
-    m_rows' bottom rows, and then reduces exactly when its maximal minors
-    are coprime; otherwise a rank or pivot check, or the certificate that
-    m_rows U has bottom rows c [I_k | 0], raises SlicePreconditionError.
+    Returns (U, A, Bk, H) as integer rows where m_rows U = [[Bk | A], [H | 0]]
+    for M = m_rows / c: A (r x r) is c times the slice-translation lattice
+    basis, and H the lower-triangular Hermite form of m_rows' bottom rows,
+    0 <= H[t][j] < H[t][t] for j < t (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4), so det H is the gcd of their k x k minors.
+    A rank-deficient bottom block, which only a singular M has, raises
+    SingularMatrixError, and a failed certificate that m_rows U has bottom
+    rows [H | 0], H lower triangular, raises LinalgError.
     """
-    dims = d.dims
-    n, r, k = dims.n, dims.r, dims.k
-    m_den, m_rows = d.m_rows
-    if any(x % m_den for row in m_rows[r:] for x in row):
-        raise SlicePreconditionError("bottom block must be integer")
+    n, r, k = d.dims.n, d.dims.r, d.dims.k
+    m_rows = d.m_rows[1]
     # Column c of the working matrix is the bottom block's column c over U's,
     # so each column operation is one list assignment.
-    bottom = [[x // m_den for x in row] for row in m_rows[r:]]
-    cols = [list(col) + [int(i == c) for i in range(n)] for c, col in enumerate(zip(*bottom))]
+    cols = [list(col) + [int(i == c) for i in range(n)] for c, col in enumerate(zip(*m_rows[r:]))]
     for t in range(k):
         while True:
             nz = [c for c in range(t, n) if cols[c][t] != 0]
             if not nz:
-                raise SlicePreconditionError("bottom block is rank deficient")
+                raise SingularMatrixError("bottom block is rank deficient")
             if len(nz) == 1:
                 pivot_col = nz[0]
                 break
@@ -82,19 +75,16 @@ def unimodular_reduce(
         cols[pivot_col], cols[t] = cols[t], cols[pivot_col]
         if cols[t][t] < 0:
             cols[t] = [-x for x in cols[t]]
-        if cols[t][t] != 1:
-            raise SlicePreconditionError(
-                f"pivot {cols[t][t]} exceeds 1: maximal minors share a factor"
-            )
-        for c in range(n):
-            if c != t and cols[c][t] != 0:
-                mult = cols[c][t]
+        # The later columns are 0 in row t; reduce the earlier ones.
+        for c in range(t):
+            mult = cols[c][t] // cols[t][t]
+            if mult:
                 cols[c] = [x - mult * y for x, y in zip(cols[c], cols[t])]
     u = [list(row) for row in zip(*(col[k:] for col in cols))]
     mu = int_mat_mul(m_rows, u)
-    if mu[r:] != [[m_den * (i == t) for i in range(n)] for t in range(k)]:
-        raise SlicePreconditionError("column reduction failed to certify")
-    return u, [row[k:] for row in mu[:r]], [row[:k] for row in mu[:r]]
+    if any(any(row[t + 1 :]) for t, row in enumerate(mu[r:])):
+        raise LinalgError("column reduction failed to certify")
+    return u, [row[k:] for row in mu[:r]], [row[:k] for row in mu[:r]], [row[:k] for row in mu[r:]]
 
 
 @dataclass(frozen=True)
@@ -111,10 +101,13 @@ class SliceClass:
 @dataclass(frozen=True)
 class SliceLayout:
     """Slice lattice basis B = X / d as b_rows (d, X), d M's denominator,
-    B^-1 = Y / e as b_inv_rows (e, Y), e > 0, and the families."""
+    B^-1 = Y / e as b_inv_rows (e, Y), e > 0, the families, and g = det H /
+    d^k, the covolume of the key lattice: a live family has |det Cbar_hat| /
+    g classes, and |det B| = |det M| / g."""
 
     b_rows: tuple[int, list[list[int]]]
     classes: tuple[SliceClass, ...]
+    g: Fraction
     b_inv_rows: tuple[int, list[list[int]]] = field(compare=False, repr=False)
 
 
@@ -130,27 +123,30 @@ def slice_layout(
     parallelepiped at offset p_r(M z).  Two valid z with one key y differ by
     an integer kernel vector of M_bottom, a combination of U's zero-bottom
     columns, which moves the offset by a vector of the slice lattice B.  So
-    the families are the valid keys: the |det Cbar_hat| integer points
-    y = M_bottom[:, hat] x, x in the half-open unit cube, which cell_hits
-    scans over the box of Cbar_hat's cube_extents with X_hat, the rows of
-    s_inv_rows off sigma on the bottom columns.  The window only filters: a
-    key counts when M_bottom z = y for some z in it, one lookup in the sums
-    over the window's first n - 1 coordinates per value of the last.  A
-    key's offset is that of z = U[:, :k] y, whose top is t = Bk y, reduced
-    into B's cell: with B = A / c, (t - A floor(B^-1 t / c)) / c.  Families
-    are a multiset: distinct families can share a reduced offset, which is
-    how overlapping fragments show up in the slice.
+    the families are the valid keys: the |det Cbar_hat| / g points y = H v / d
+    of the key lattice in Cbar_hat's half-open unit cube, which cell_hits
+    scans by v on the rows X_hat H and the cell e d, X_hat the rows of
+    s_inv_rows off sigma on the bottom columns, over the box of v =
+    H^-1 (d Cbar_hat) x, the cube_extents of adj(H) d Cbar_hat divided by
+    det H.  The window only filters: a key counts when d M_bottom z = H v for
+    some z in it, one lookup in the sums over the window's first n - 1
+    coordinates per value of the last.  A key's offset is that of
+    z = U[:, :k] v, whose top is t = Bk v over d, reduced into B's cell:
+    with B = A / d, (t - A floor(B^-1 t / d)) / d.  Families are a multiset:
+    distinct families can share a reduced offset, which is how overlapping
+    fragments show up in the slice.
     """
     d = fs.decomposition
     dims = fs.dims
     n, r, k = dims.n, dims.r, dims.k
     if len(window) != n or any(lo > hi for lo, hi in window):
         raise DimensionError(f"window must be {n} nonempty integer ranges")
-    _, b_rows, bk_rows = unimodular_reduce(d)
+    _, b_rows, bk_rows, h = unimodular_reduce(d)
     m_den, m_rows = fs.m_rows
     b_inv_rows = e_b, x_b = inverse_rows(m_den, b_rows)
-    # The precondition makes M's bottom block integer.
-    bottom = [[x // m_den for x in row] for row in m_rows[r:]]
+    det_h, adj_h = inverse_rows(1, h)
+    bottom = m_rows[r:]
+    v_rows = int_mat_mul(adj_h, bottom)
     *head, (lo, hi) = window
     sums = {(0,) * k}
     for c, (a, b) in enumerate(head):
@@ -167,17 +163,21 @@ def slice_layout(
         _, lam = w.lambda_of(fs, frag.sigma)
         rules = tuple(lam[j - 1] > 0 for j in sigma_hat)
         e, x = frag.s_inv_rows
-        x_hat = [x[j - 1][r:] for j in sigma_hat]
-        box = cube_extents([[row[j - 1] for j in sigma_hat] for row in bottom])
+        one = e * m_den
+        x_hat = int_mat_mul([x[j - 1][r:] for j in sigma_hat], h)
+        extents = cube_extents([[row[j - 1] for j in sigma_hat] for row in v_rows])
+        box = [(-(-a // det_h), b // det_h) for a, b in extents]
         offsets = []
-        for y, v in cell_hits([0] * k, x_hat, e, box):
-            if not cell_position(v, e, rules)[0] or not any(
+        for v, res in cell_hits([0] * k, x_hat, one, box):
+            y = [sum(map(mul, row, v)) for row in h]
+            if not cell_position(res, one, rules)[0] or not any(
                 tuple(a - t * b for a, b in zip(y, last)) in sums for t in range(lo, hi + 1)
             ):
                 continue
-            t = [sum(map(mul, row, y)) for row in bk_rows]
+            t = [sum(map(mul, row, v)) for row in bk_rows]
             cell = [sum(map(mul, row, t)) // (e_b * m_den) for row in x_b]
             shift = [sum(map(mul, row, cell)) for row in b_rows]
             offsets.append(tuple(Fraction(a - b, m_den) for a, b in zip(t, shift)))
         classes.append(SliceClass(frag.sigma, shape, frag.sign_class, tuple(sorted(offsets))))
-    return SliceLayout(b_rows=(m_den, b_rows), classes=tuple(classes), b_inv_rows=b_inv_rows)
+    g = Fraction(det_h, m_den**k)
+    return SliceLayout(b_rows=(m_den, b_rows), classes=tuple(classes), g=g, b_inv_rows=b_inv_rows)

@@ -357,17 +357,39 @@ def reference_slice_precondition(d) -> bool:
     return False
 
 
-def reference_unimodular_reduce(d):
-    """slices.unimodular_reduce as it stood when it worked on rows, through
-    three closures that each loop over the rows of the bottom block stacked
-    over U; the library now holds that matrix as a list of columns.  Same
-    pivots, same U, same (U, A, Bk) return and the same errors."""
-    from fragtile.slices import SlicePreconditionError
+def reference_key_index(d) -> Fraction:
+    """The covolume g of the key lattice M_bottom Z^n by its definition, apart
+    from the library's Hermite form: the bottom-block column family cleared
+    by the lcm c of its denominators, the gcd of its k x k minors, over c^k.
+    A live fragment has |det Cbar_hat| / g translate classes in the slice."""
+    from itertools import combinations
+    from math import gcd, lcm
 
+    k = d.dims.k
+    cbar = column_parts(d)[1]
+    c = lcm(*(x.denominator for col in cbar for x in col))
+    g = 0
+    for cols in combinations([[x * c for x in col] for col in cbar], k):
+        g = gcd(g, int(det_cofactor(Matrix.from_columns(cols, rows=k))))
+    return Fraction(g, c**k)
+
+
+class ReferenceReductionError(Exception):
+    """reference_unimodular_reduce's input is outside the coprime case."""
+
+
+def reference_unimodular_reduce(d):
+    """slices.unimodular_reduce as it stood when it worked on rows and took
+    only an integer bottom block with coprime maximal minors, through three
+    closures that each loop over the rows of the bottom block stacked over
+    U; the library now holds that matrix as a list of columns and reduces
+    every bottom block of full rank to its Hermite form.  In the coprime case
+    the pivots and U are the library's, and (U, A, Bk) its first three
+    returns; elsewhere it raises ReferenceReductionError."""
     n, r, k = d.dims.n, d.dims.r, d.dims.k
     m_den, m_rows = d.m_rows
     if any(x % m_den for row in m_rows[r:] for x in row):
-        raise SlicePreconditionError("bottom block must be integer")
+        raise ReferenceReductionError("bottom block must be integer")
     bottom = [[x // m_den for x in row] for row in m_rows[r:]]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     rows = bottom + u
@@ -388,7 +410,7 @@ def reference_unimodular_reduce(d):
         while True:
             nz = [c for c in range(t, n) if bottom[t][c] != 0]
             if not nz:
-                raise SlicePreconditionError("bottom block is rank deficient")
+                raise ReferenceReductionError("bottom block is rank deficient")
             if len(nz) == 1:
                 pivot_col = nz[0]
                 break
@@ -402,7 +424,7 @@ def reference_unimodular_reduce(d):
         if bottom[t][t] < 0:
             negate_col(t)
         if bottom[t][t] != 1:
-            raise SlicePreconditionError(
+            raise ReferenceReductionError(
                 f"pivot {bottom[t][t]} exceeds 1: maximal minors share a factor"
             )
         for c in range(n):
@@ -411,7 +433,7 @@ def reference_unimodular_reduce(d):
 
     mu = [[sum(a * b for a, b in zip(row, col)) for col in zip(*u)] for row in m_rows]
     if mu[r:] != [[m_den * (i == t) for i in range(n)] for t in range(k)]:
-        raise SlicePreconditionError("column reduction failed to certify")
+        raise ReferenceReductionError("column reduction failed to certify")
     return u, [row[k:] for row in mu[:r]], [row[:k] for row in mu[:r]]
 
 
@@ -442,7 +464,7 @@ def reference_slice_layout(fs, w, window):
 
     dims = fs.dims
     m_den, m_rows = fs.m_rows
-    u_rows, b_rows, _ = unimodular_reduce(fs.decomposition)
+    u_rows, b_rows, _, _ = unimodular_reduce(fs.decomposition)
     b_lattice = Matrix.from_rows([[Fraction(x, m_den) for x in row] for row in b_rows])
     b_inv = rref_inverse(b_lattice)
     u_inv_rows = [[int(x) for x in row] for row in rref_inverse(Matrix.from_rows(u_rows)).row_list()[: dims.k]]

@@ -84,8 +84,8 @@ MUTANTS = [
     # The slice key box built from M's top rows instead of its bottom block.
     Mutant(
         "slices",
-        "box = cube_extents([[row[j - 1] for j in sigma_hat] for row in bottom])",
-        "box = cube_extents([[row[j - 1] for j in sigma_hat] for row in m_rows[:r]])",
+        "extents = cube_extents([[row[j - 1] for j in sigma_hat] for row in v_rows])",
+        "extents = cube_extents([[row[j - 1] for j in sigma_hat] for row in m_rows[:r]])",
         (
             "tests/test_slices.py::TestScannedBoxes::test_slice_and_render_scan_the_reference_boxes",
             "tests/test_slices.py::TestKeyScan::test_each_fragment_has_its_bottom_minor_of_keys",
@@ -285,6 +285,40 @@ MUTANTS = [
         (
             "tests/test_slices.py::TestUnimodularReduce::test_same_reduction_as_the_row_form_on_the_corpus",
             "tests/test_slices.py::TestUnimodularReduce::test_same_reduction_as_the_row_form_on_random_matrices",
+        ),
+    ),
+    # unimodular_reduce leaves the earlier columns unreduced modulo each
+    # pivot: [H | 0] still spans the key lattice but is not its Hermite form,
+    # and U differs from the coprime case's.  The goldens do not see it.
+    Mutant(
+        "slices",
+        "for c in range(t):",
+        "for c in range(0):",
+        (
+            "tests/test_slices.py::TestUnimodularReduce::test_reduces_every_nonsingular_m",
+            "tests/test_slices.py::TestUnimodularReduce::test_same_reduction_as_the_row_form_on_the_corpus",
+        ),
+    ),
+    # The slice cell e in place of e d: the residuals -X_hat H v are in units
+    # of 1 / (e d), so the key scan keeps the keys of a cell d times too small.
+    Mutant(
+        "slices",
+        "one = e * m_den",
+        "one = e",
+        (
+            "tests/test_slices.py::TestSliceLayout::test_matches_the_fraction_layout_on_the_corpus",
+            "tests/test_slices.py::TestKeyIndex::test_layouts_count_classes_by_the_key_index_on_the_corpus",
+            "tests/test_golden.py",
+        ),
+    ),
+    # `slice` expects |det Cbar_hat| classes per family, not |det Cbar_hat| / g.
+    Mutant(
+        "cli",
+        "expected_classes = abs(frag.det_cbar) / layout.g",
+        "expected_classes = abs(frag.det_cbar)",
+        (
+            "tests/test_golden.py",
+            "tests/test_census.py",
         ),
     ),
 ]

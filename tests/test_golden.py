@@ -83,9 +83,14 @@ CASES = {
     "slice-L": ("slice", "L", ("--samples", "10")),
     "slice-M": ("slice", "M", ("--samples", "5", "--w", "1,1,1,1")),
     "slice-slice13": ("slice", "slice13", ("--samples", "4")),
+    # Bottom blocks outside the coprime case: q3r2-1's is rational (g = 1/2),
+    # cover13's integer with minors of gcd g = 2.
+    "slice-q3r2-1": ("slice", "q3r2-1", ("--samples", "3")),
+    "slice-cover13": ("slice", "cover13", ("--samples", "10")),
     "render-K": ("render", "K", ("--window", "-3,3,-3,3")),
     "render-L": ("render", "L", ()),
     "render-M-slice": ("render", "M", ("--window", "-2,2,-2,2", "--seed", "1")),
+    "render-q3r2-1-slice": ("render", "q3r2-1", ()),
     # Error exits (code 2).
     "error-missing-file": ("laplace", "missing", ()),
     "error-parse": ("fragments", "bad-parse", ()),
@@ -103,9 +108,7 @@ CASES = {
     "error-samples-not-int": ("verify", "K", ("--samples", "many")),
     "error-reach-malformed": ("crossing", "K", ("--reach", "1/0", "--samples", "1")),
     "error-reach-zero": ("crossing", "K", ("--reach", "0", "--samples", "1")),
-    "error-slice-precondition": ("slice", "q3r2-1", ("--samples", "3")),
     "error-render-dimensions": ("render", "r1k2", ()),
-    "error-render-slice-precondition": ("render", "q3r2-1", ()),
     "error-render-window": ("render", "K", ("--window", "1,1,0,2")),
 }
 

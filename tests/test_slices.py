@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 
 from conftest import (
+    ReferenceReductionError,
     c_submatrices,
-    column_parts,
     corpus_files,
     corpus_set,
     invoke,
@@ -16,6 +16,7 @@ from conftest import (
     pair_fractions,
     random_int_matrix,
     reference_key_box,
+    reference_key_index,
     reference_render_boxes,
     reference_slice_layout,
     reference_slice_precondition,
@@ -28,6 +29,7 @@ from fragtile import (
     Dimensions,
     Matrix,
     RenderConfig,
+    SingularMatrixError,
     TilingEngine,
     choose_generic_direction,
     complement,
@@ -43,7 +45,6 @@ from fragtile import (
 )
 from fragtile import render, slices
 from fragtile.linalg import clear_rows
-from fragtile.slices import SlicePreconditionError
 from fragtile.tiling import cell_hits, cell_position
 
 WINDOW4 = tuple((-6, 6) for _ in range(4))
@@ -82,47 +83,41 @@ class TestPrecondition:
         assert slice_precondition(kset.decomposition)
         assert slice_precondition(lset.decomposition)
 
-    @staticmethod
-    def _integer_test_agrees(d):
-        # unimodular_reduce tests d | A[r:] on m_rows = (d, A); the Fraction
-        # rule reads the bottom parts of M's columns.
-        integer = all(x.denominator == 1 for col in column_parts(d)[1] for x in col)
-        try:
-            unimodular_reduce(d)
-        except SlicePreconditionError as exc:
-            assert (str(exc) == "bottom block must be integer") == (not integer)
-        else:
-            assert integer
-
-    def test_integer_bottom_test_on_the_corpus(self):
+    # slice_precondition compares the Hermite form of m_rows' bottom rows
+    # with d I_k; the reference reads the bottom parts of M's columns.
+    def test_agrees_with_the_definition_on_the_corpus(self):
         corpus = corpus_files()
         assert len(corpus) == 58
         for path in corpus:
-            self._integer_test_agrees(corpus_set(path).decomposition)
+            d = corpus_set(path).decomposition
+            assert slice_precondition(d) == reference_slice_precondition(d), path.stem
 
     @given(split_matrices())
-    def test_integer_bottom_test_on_random_rational_matrices(self, case):
-        m, dims = case
-        self._integer_test_agrees(decompose(m, dims))
+    def test_agrees_with_the_definition_on_random_rational_matrices(self, case):
+        d = decompose(*case)
+        assert slice_precondition(d) == reference_slice_precondition(d)
 
 
 def assert_reduces(d, reduction):
-    """M U = [[Bk | A], [I_k | 0]] with A and Bk over M's denominator c, and
-    |det U| = 1, checked on Fraction matrices."""
-    u, a, bk = reduction
+    """M U = [[Bk | A], [H | 0]] with A, Bk and H over M's denominator c, H
+    lower triangular with 0 <= H[t][j] < H[t][t] for j < t (Hermite form),
+    and |det U| = 1, checked on Fraction matrices."""
+    u, a, bk, h = reduction
     c = clear_rows(d.m)[0]
-    n, k = d.dims.n, d.dims.k
+    r, k = d.dims.r, d.dims.k
     top = [[Fraction(x, c) for x in row_bk + row_a] for row_bk, row_a in zip(bk, a)]
-    identity = [[int(i == t) for i in range(n)] for t in range(k)]
-    assert mat_mul(d.m, Matrix.from_rows(u)) == Matrix.from_rows(top + identity)
+    bottom = [[Fraction(x, c) for x in row] + [0] * r for row in h]
+    assert mat_mul(d.m, Matrix.from_rows(u)) == Matrix.from_rows(top + bottom)
+    assert all(0 <= h[t][j] < h[t][t] for t in range(k) for j in range(t))
+    assert all(h[t][j] == 0 for t in range(k) for j in range(t + 1, k))
     assert det(Matrix.from_rows(u)) in (1, -1)
 
 
 class TestUnimodularReduce:
     def test_already_reduced(self):
         m = Matrix.from_rows([[5, 7], [1, 0]])
-        u, a, bk = unimodular_reduce(decompose(m, Dimensions(1, 1)))
-        assert (u, a, bk) == ([[1, 0], [0, 1]], [[7]], [[5]])
+        reduction = unimodular_reduce(decompose(m, Dimensions(1, 1)))
+        assert reduction == ([[1, 0], [0, 1]], [[7]], [[5]], [[1]])
 
     def test_rational_top_block(self):
         # A and Bk are integer rows over M's denominator 6.
@@ -130,13 +125,13 @@ class TestUnimodularReduce:
         d = decompose(m, Dimensions(1, 1))
         reduction = unimodular_reduce(d)
         assert_reduces(d, reduction)
-        assert reduction == ([[1, -1], [0, 1]], [[1]], [[3]])
+        assert reduction == ([[1, -1], [0, 1]], [[1]], [[3]], [[6]])
 
     def test_worked_4x4(self, mset):
         d = mset.decomposition
-        u, a, bk = unimodular_reduce(d)
-        assert_reduces(d, (u, a, bk))
-        assert abs(det(Matrix.from_rows(a))) == abs(mset.det_m) == 37
+        reduction = unimodular_reduce(d)
+        assert_reduces(d, reduction)
+        assert abs(det(Matrix.from_rows(reduction[1]))) == abs(mset.det_m) == 37
 
     def test_unimodular_on_random(self):
         rng = random.Random(3)
@@ -146,28 +141,31 @@ class TestUnimodularReduce:
             n = rng.randint(2, 5)
             r = rng.randint(1, n - 1)
             d = decompose(random_int_matrix(rng, n, -4, 4), Dimensions(r, n - r))
-            if not slice_precondition(d):
+            if det(d.m) == 0:
                 continue
-            u, a, bk = unimodular_reduce(d)
-            assert_reduces(d, (u, a, bk))
-            # the identity slice_layout's family key rests on
+            u, a, bk, h = unimodular_reduce(d)
+            assert_reduces(d, (u, a, bk, h))
+            # the identity slice_layout's family key rests on: M_bottom z is
+            # H / c times the first k coordinates of U^-1 z
             u_inv = inverse(Matrix.from_rows(u))
+            h_m = rows_matrix(d.m_rows[0], h)
             for _ in range(5):
                 z = vector(z_rng.randint(-9, 9) for _ in range(n))
-                assert d.m.mat_vec(z)[r:] == u_inv.mat_vec(z)[: n - r]
+                assert d.m.mat_vec(z)[r:] == h_m.mat_vec(u_inv.mat_vec(z)[: n - r])
             done += 1
 
     def test_precondition_enforced(self):
-        m = Matrix.from_rows([[1, 2], [2, 4]])
-        with pytest.raises(SlicePreconditionError):
-            unimodular_reduce(decompose(m, Dimensions(1, 1)))
+        # Only a singular M has a rank-deficient bottom block.
+        m = Matrix.from_rows([[1, 0, 0], [1, 2, 3], [2, 4, 6]])
+        with pytest.raises(SingularMatrixError, match="bottom block is rank deficient"):
+            unimodular_reduce(decompose(m, Dimensions(1, 2)))
 
-    def test_rejects_exactly_what_the_precondition_rejects(self):
+    def test_reduces_every_nonsingular_m(self):
         rng = random.Random(17)
         cases = [
             # bottom row (2, 4, 6): integer, maximal minors share the factor 2
             decompose(Matrix.from_rows([[1, 0, 3], [0, 1, 5], [2, 4, 6]]), Dimensions(2, 1)),
-            # a rational bottom entry would be truncated by the integer reduction
+            # a rational bottom entry: A's bottom row is not a multiple of d
             decompose(Matrix.from_rows([[1, 2], [Fraction(3, 2), 1]]), Dimensions(1, 1)),
         ]
         for _ in range(150):
@@ -175,28 +173,28 @@ class TestUnimodularReduce:
             r = rng.randint(1, n - 1)
             cases.append(decompose(random_int_matrix(rng, n, -4, 4), Dimensions(r, n - r)))
         outcomes = set()
+        reduced = 0
         for d in cases:
-            try:
-                unimodular_reduce(d)
-                reduced = True
-            except SlicePreconditionError:
-                reduced = False
-            assert reduced == reference_slice_precondition(d) == slice_precondition(d)
-            outcomes.add(reduced)
+            if det(d.m) != 0:
+                assert_reduces(d, unimodular_reduce(d))
+                reduced += 1
+            coprime = reference_slice_precondition(d)
+            assert slice_precondition(d) == coprime
+            outcomes.add(coprime)
         assert not slice_precondition(cases[0]) and not slice_precondition(cases[1])
-        assert outcomes == {True, False}
+        assert outcomes == {True, False} and reduced > 100
 
     @staticmethod
     def _agrees_with_reference(d):
         # U fixes the B= bytes of `slice`, and the goldens hold five matrices.
+        # In the coprime case H is d I_k, and the reference reduces the same.
         try:
             expected = reference_unimodular_reduce(d)
-        except SlicePreconditionError as exc:
-            with pytest.raises(SlicePreconditionError) as raised:
-                unimodular_reduce(d)
-            assert str(raised.value) == str(exc)
+        except ReferenceReductionError:
+            assert not slice_precondition(d)
             return False
-        assert unimodular_reduce(d) == expected
+        m_den, k = d.m_rows[0], d.dims.k
+        assert unimodular_reduce(d) == (*expected, [[m_den * (i == t) for i in range(k)] for t in range(k)])
         return True
 
     def test_same_reduction_as_the_row_form_on_the_corpus(self):
@@ -276,8 +274,8 @@ class TestSliceLayout:
                 assert all(0 <= yi < 1 for yi in y)
 
     def test_matches_the_fraction_layout_on_the_corpus(self):
-        # Every corpus matrix that meets the precondition, seeds 0-1, against
-        # the scan of every translate: radii 1 to 6 (the CLI's) up to n = 4,
+        # Every corpus matrix, seeds 0-1, against the scan of every
+        # translate: radii 1 to 6 (the CLI's) up to n = 4,
         # radii 1 and 2 for n = 5 and radius 1 for n = 6, where the
         # reference scans 5^6 translates per fragment at radius 2, and one
         # asymmetric window.
@@ -286,8 +284,6 @@ class TestSliceLayout:
         checked = 0
         for path in corpus_files():
             fs = corpus_set(path)
-            if not slice_precondition(fs.decomposition):
-                continue
             n = fs.dims.n
             windows = [((-r, r),) * n for r in range(1, max_radius[n] + 1)] + [asymmetric[:n]]
             for seed in (0, 1):
@@ -297,7 +293,7 @@ class TestSliceLayout:
                     got = [(cls.sigma, cls.sign_class, cls.offsets) for cls in layout.classes]
                     assert got == reference_slice_layout(fs, w, window), (path.name, seed, window)
             checked += 1
-        assert checked > 30
+        assert checked == 58
 
     def test_degenerate_class_empty(self, w_m):
         fs = fragment_set(decompose(Matrix.identity(2), Dimensions(1, 1)))
@@ -331,30 +327,27 @@ def scanned_keys(monkeypatch, fs, w, window):
 class TestKeyScan:
     def test_each_fragment_has_its_bottom_minor_of_keys(self, monkeypatch):
         # Before the window filter, a live fragment's scan finds exactly
-        # |det Cbar_hat| keys inside its half-open cell, the number of its
-        # translate classes.
+        # |det Cbar_hat| / g keys inside its half-open cell, the number of its
+        # translate classes, g the covolume of the key lattice.
         live = 0
         for path in corpus_files():
             fs = corpus_set(path)
-            if not slice_precondition(fs.decomposition):
-                continue
+            g = reference_key_index(fs.decomposition)
             window = tuple((0, 0) for _ in range(fs.dims.n))
             for seed in (0, 1):
                 scans = scanned_keys(monkeypatch, fs, choose_generic_direction(fs, seed), window)
                 frags = [f for f in fs if f.sign_class != DEGENERATE]
                 assert len(scans) == len(frags), path.name
                 for frag, scan in zip(frags, scans):
-                    assert sum(inside for _, inside, _ in scan) == abs(frag.det_cbar), path.name
+                    assert sum(inside for _, inside, _ in scan) == abs(frag.det_cbar) / g, path.name
                     live += 1
-        assert live > 500
+        assert live == 938
 
     def test_the_scan_does_not_grow_with_the_window(self, monkeypatch):
         # The keys each fragment scans are the same at radius 3 and 6, whose
         # windows hold 7^n and 13^n translates.
         for path in corpus_files(4):
             fs = corpus_set(path)
-            if not slice_precondition(fs.decomposition):
-                continue
             w = choose_generic_direction(fs, 0)
             small = scanned_keys(monkeypatch, fs, w, ((-3, 3),) * fs.dims.n)
             assert small == scanned_keys(monkeypatch, fs, w, ((-6, 6),) * fs.dims.n), path.name
@@ -382,6 +375,47 @@ class TestKeyScan:
         code, out, err = invoke(["slice", "--matrix", str(CORPUS / f"{name}.txt"), "--samples", "1"])
         assert code == 1, err
         assert next(line for line in out.splitlines() if line.endswith("FAIL")) == WINDOW_MISSES[name]
+
+
+class TestKeyIndex:
+    def test_layouts_count_classes_by_the_key_index_on_the_corpus(self):
+        # On every corpus matrix, det H / d^k and the layout's g are the
+        # reference covolume g of the key lattice, and each live family has
+        # |det Cbar_hat| / g classes in the CLI's radius-6 window, except on
+        # the window misses that TestKeyScan records.  A radius-6 layout
+        # takes 0.1 to 1 s at n = 6, so there g is read from a radius-0 one
+        # and the class count is left to TestKeyScan's window-free scan.
+        misses = set(WINDOW_MISSES) | {"slice13", "z4r1-0"}
+        counted = 0
+        for path in corpus_files():
+            fs = corpus_set(path)
+            d = fs.decomposition
+            g = reference_key_index(d)
+            h = unimodular_reduce(d)[3]
+            assert det(Matrix.from_rows(h)) == d.m_rows[0] ** d.dims.k * g, path.stem
+            n = fs.dims.n
+            radius = 6 if n <= 5 else 0
+            layout = slice_layout(fs, choose_generic_direction(fs, 0), ((-radius, radius),) * n)
+            assert layout.g == g, path.stem
+            if radius and path.stem not in misses:
+                for cls in layout.classes:
+                    if cls.sign_class != DEGENERATE:
+                        assert len(cls.offsets) == abs(fs[cls.sigma].det_cbar) / g, (path.stem, cls.sigma)
+                        counted += 1
+        assert counted == 198
+
+    @given(split_matrices())
+    def test_hermite_form_on_random_rational_matrices(self, case):
+        # det H is d^k times the key index wherever the bottom block has
+        # full rank, which every nonsingular M's has.
+        d = decompose(*case)
+        try:
+            reduction = unimodular_reduce(d)
+        except SingularMatrixError:
+            assert det(d.m) == 0 and reference_key_index(d) == 0
+            return
+        assert_reduces(d, reduction)
+        assert det(Matrix.from_rows(reduction[3])) == d.m_rows[0] ** d.dims.k * reference_key_index(d)
 
 
 class TestScannedBoxes:
