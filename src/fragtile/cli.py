@@ -208,12 +208,16 @@ def cmd_fragments(args):
     """fragment family, sign classes, factor identity"""
     fs = _load_fs(args)
     oks = [lhs == rhs for lhs, rhs in (sandc_identity(fs, frag.sigma) for frag in fs)]
+    # On an integer M the block minors are det C and det Cbar: ints print
+    # the same text as Fractions of denominator 1, faster.
+    ints = fs.m_rows[0] == 1
     lines = [("r={} k={} detM={}", fs.dims.r, fs.dims.k, fs.det_m)]
     for frag, ok in zip(fs, oks):
+        dets = (frag.det_top, frag.det_bottom) if ints else (frag.det_c, frag.det_cbar)
         lines.append((
             "sigma={} detC={} detCbar={} sign={} detS={} class={} {}",
-            set(frag.sigma), frag.det_c, frag.det_cbar, shuffle_sign(frag.sigma),
-            frag.det_s, frag.sign_class, "ok" if ok else "FAIL",
+            set(frag.sigma), *dets, shuffle_sign(frag.sigma),
+            frag.det_s.numerator if ints else frag.det_s, frag.sign_class, "ok" if ok else "FAIL",
         ))
     counts = [len(fs.by_class(c)) for c in (POSITIVE, NEGATIVE, DEGENERATE)]
     lines.append(("positive={} negative={} degenerate={} pass={}", *counts, all(oks)))

@@ -196,7 +196,9 @@ def int_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | N
     """(det B, adj B), B^-1 = adj B / det B, for a square integer matrix B
     given as rows, from one elimination of [B | I]; (0, None) if singular."""
     n = len(rows)
-    work = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    work = [list(row) + [0] * n for row in rows]
+    for i, row in enumerate(work):
+        row[n + i] = 1
     pivots, last, sign = eliminate(work, n)
     if len(pivots) < n:
         return 0, None

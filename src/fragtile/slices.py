@@ -58,7 +58,9 @@ def unimodular_reduce(
     m_rows = d.m_rows[1]
     # Column c of the working matrix is the bottom block's column c over U's,
     # so each column operation is one list assignment.
-    cols = [list(col) + [int(i == c) for i in range(n)] for c, col in enumerate(zip(*m_rows[r:]))]
+    cols = [list(col) + [0] * n for col in zip(*m_rows[r:])]
+    for c, col in enumerate(cols):
+        col[k + c] = 1
     for t in range(k):
         while True:
             nz = [c for c in range(t, n) if cols[c][t] != 0]

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from math import gcd
 from operator import mul
 from typing import Mapping, Sequence
@@ -191,7 +191,9 @@ def cell_hits(u: Sequence[int], h: Sequence[Sequence[int]], one: int, ranges):
     enumeration, only the first c - 1 of the c = len(ranges) >= 1
     coordinates are enumerated: per prefix, each row's residual r_i is formed
     once, and 0 <= r_i - a_i t <= one (a_i = h[i][c-1]) cuts the last range
-    by floor division to its members.
+    by floor division to its members.  So the scan costs the product of the
+    first c - 1 range widths, and the engine's frames put their widest
+    coordinate last.
     """
     *head, (lo, hi) = ranges
     last = [row[len(head)] for row in h]
@@ -331,17 +333,20 @@ class _Frame:
     T = M^-1 P M.  The rows of G are size-reduced once (G' = W G, W
     unimodular), and the scan runs over x = W z, whose box
     W M^-1 p - G' [0, 1]^n stays close to the parallelepiped it covers.  The
-    coordinate vector of p - M z in the fragment basis is u - H'x with
-    u = S^-1 p and H' = S^-1 M W^-1, kept for the least integer e as e S^-1
-    and the doubled cell (h2, one2) = (2 e H', 2 e); hits map by z = W^-1 x.
+    rows of W are ordered so that x's last coordinate has the widest box,
+    which cell_hits solves rather than enumerates.  The coordinate vector of
+    p - M z in the fragment basis is u - H'x with u = S^-1 p and
+    H' = S^-1 M W^-1, kept for the least integer e as e S^-1 and the doubled
+    cell (h2, one2) = (2 e H', 2 e); hits map by z = W^-1 x.
 
     A frame forms no matrix product: G's Gram matrix is shifted_gram of
     T's, which the engine shares; S^-1 is the fragment's block-diagonal
-    s_inv_rows, so row i of S^-1 M reads only M's top rows (i in sigma) or
-    its bottom rows; and size_reduce carries S^-1 M along to H'.  A frame
-    eliminates nothing.  lam is lambda_of's least-denominator pair
-    (den, nums), held as certified, and the half-open rules are the signs of
-    nums.
+    s_inv_rows, so S^-1 M is I on sigma's diagonal block and -I on the
+    other's, and only its two off-diagonal blocks are summed, from M's top
+    rows (rows in sigma) or its bottom rows; and size_reduce carries S^-1 M
+    along to H'.  A frame eliminates nothing.  lam is lambda_of's
+    least-denominator pair (den, nums), held as certified, and the half-open
+    rules are the signs of nums.
     """
 
     __slots__ = (
@@ -358,28 +363,45 @@ class _Frame:
         # T = t / slack_den, and G = T - D over it; the columns of M's top
         # and bottom rows over m_den.
         slack_den, t, t_gram, top_cols, bottom_cols = shared
-        hat = [j - 1 for j in complement(frag.sigma, fs.dims.n)]
+        n, r, m_den = fs.dims.n, fs.dims.r, fs.m_rows[0]
+        sig = [j - 1 for j in frag.sigma]
+        hat = [j - 1 for j in complement(frag.sigma, n)]
         g = [list(row) for row in t]
         for j in hat:
             g[j][j] -= slack_den
-        si_den, si = frag.s_inv_rows
-        r = fs.dims.r
-        h = [
-            [sum(map(mul, row[r:], col)) for col in bottom_cols]
-            if i in hat
-            else [sum(map(mul, row[:r], col)) for col in top_cols]
-            for i, row in enumerate(si)
-        ]
-        g, self.to_x, self.to_z, h = size_reduce(g, shifted_gram(t, t_gram, slack_den, hat), h)
-        self.extents = cube_extents(g)
         # S^-1 = si / si_den and M = m / m_den share the denominator
-        # si_den * m_den; dividing by the common gcd leaves the least one.
-        m_den = fs.m_rows[0]
+        # de = si_den * m_den, over which S^-1 M is de I on sigma's diagonal
+        # block and -de I on hat's: only the off-diagonal blocks take products.
+        si_den, si = frag.s_inv_rows
+        de = si_den * m_den
+        h = [[0] * n for _ in range(n)]
+        for block, other, cols, diag, part in (
+            (sig, hat, top_cols, de, slice(None, r)), (hat, sig, bottom_cols, -de, slice(r, None))
+        ):
+            for i in block:
+                row, hi = si[i][part], h[i]
+                hi[i] = diag
+                for j in other:
+                    hi[j] = sum(map(mul, row, cols[j]))
+        g, to_x, to_z, h = size_reduce(g, shifted_gram(t, t_gram, slack_den, hat), h)
+        # The widest box coordinate j goes last, where cell_hits solves it
+        # rather than enumerates it: rows j and n - 1 of the box and of W
+        # trade places, and so do columns j and n - 1 of W^-1 and of H'.
+        extents = cube_extents(g)
+        widths = [high - low for low, high in extents]
+        j = widths.index(max(widths))
+        for a in (extents, to_x, *to_z, *h):
+            a[j], a[-1] = a[-1], a[j]
+        self.extents, self.to_x, self.to_z = extents, to_x, to_z
+        # Dividing by the common gcd leaves the least denominator.
         s_inv = [[x * m_den for x in row] for row in si]
-        common = gcd(si_den * m_den, *(x for a in (s_inv, h) for row in a for x in row))
-        self.s_inv = [[x // common for x in row] for row in s_inv]
-        self.h2 = [[2 * x // common for x in row] for row in h]
-        self.one2 = 2 * si_den * m_den // common
+        common = gcd(de, *chain.from_iterable(s_inv + h))
+        if common > 1:
+            s_inv = [[x // common for x in row] for row in s_inv]
+            h = [[x // common for x in row] for row in h]
+        self.s_inv = s_inv
+        self.h2 = [[2 * x for x in row] for row in h]
+        self.one2 = 2 * de // common
 
     def translate(self, x: Sequence[int]) -> tuple[int, ...]:
         """The translate z = W^-1 x."""
@@ -479,8 +501,9 @@ class TilingEngine:
                 boundary += touching
                 if inside:
                     hits.append(frame.translate(x))
-            hits.sort()
-            found.extend((TileId(z=z, sigma=frame.sigma), frame.sign_class) for z in hits)
+            if hits:
+                hits.sort()
+                found.extend((TileId(z=z, sigma=frame.sigma), frame.sign_class) for z in hits)
         return found, boundary
 
     def coverage(self, p: Sequence[Fraction]) -> CoverageReport:

@@ -1057,18 +1057,66 @@ def reference_family_polygons(shape, anchors, basis, window, margin: int = 1):
     return sorted(drawn), sorted(skipped)
 
 
+def reference_hermite_form(rows) -> list[list[int]]:
+    """The lower-triangular Hermite form H of the column lattice of integer
+    rows of full row rank k: H[t][t] > 0 and 0 <= H[t][j] < H[t][t] for
+    j < t.  Each pivot column absorbs the later columns by one extended-gcd
+    step per pair (a unimodular 2 x 2 column map), and the earlier columns
+    are then reduced modulo it; slices.unimodular_reduce reaches the same
+    unique form by repeated remainders instead."""
+
+    def extended_gcd(a, b):
+        # (g, x, y) with x a + y b = g = gcd(a, b) >= 0
+        x0, y0, x1, y1 = 1, 0, 0, 1
+        while b:
+            q, a, b = a // b, b, a % b
+            x0, x1, y0, y1 = x1, x0 - q * x1, y1, y0 - q * y1
+        return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+    k = len(rows)
+    cols = [list(col) for col in zip(*rows)]
+    for t in range(k):
+        for c in range(t + 1, len(cols)):
+            a, b = cols[t][t], cols[c][t]
+            if b:
+                g, x, y = extended_gcd(a, b)
+                cols[t], cols[c] = (
+                    [x * p + y * q for p, q in zip(cols[t], cols[c])],
+                    [a // g * q - b // g * p for p, q in zip(cols[t], cols[c])],
+                )
+        if cols[t][t] < 0:
+            cols[t] = [-p for p in cols[t]]
+        pivot = cols[t][t]
+        if pivot == 0:
+            raise ValueError("rows are rank deficient")
+        for c in range(t):
+            mult = cols[c][t] // pivot
+            cols[c] = [p - mult * q for p, q in zip(cols[c], cols[t])]
+    return [[cols[j][i] for j in range(k)] for i in range(k)]
+
+
 def reference_key_box(fs, sigma) -> list[tuple[int, int]]:
-    """The box slice_layout scanned for sigma's keys when it summed the signs
-    inline: per bottom row of M (integer), over the columns off sigma, the
-    sum of the negative and the sum of the positive entries."""
+    """The box of keys v that slice_layout scans for sigma, from its
+    definition: v = H^-1 y over the points y = A_hat x of the unit cube, with
+    A = d M_bottom M's cleared bottom rows, A_hat their columns off sigma,
+    and H the reference_hermite_form of A; per row of H^-1 A_hat (Fractions,
+    by forward substitution), the ceiling of the sum of its negative entries
+    and the floor of the sum of its positive ones."""
+    from math import ceil, floor
+
     from fragtile import complement
 
-    m_den, m_rows = fs.m_rows
-    bottom = [[x // m_den for x in row] for row in m_rows[fs.dims.r :]]
-    hat = complement(sigma, fs.dims.n)
+    bottom = fs.m_rows[1][fs.dims.r :]
+    h = reference_hermite_form(bottom)
+    cols = []
+    for j in complement(sigma, fs.dims.n):
+        v = []
+        for i, row in enumerate(h):
+            v.append((bottom[i][j - 1] - sum(row[c] * v[c] for c in range(i))) / Fraction(row[i]))
+        cols.append(v)
     return [
-        (sum(v for v in cols if v < 0), sum(v for v in cols if v > 0))
-        for cols in ([row[j - 1] for j in hat] for row in bottom)
+        (ceil(sum(x for x in row if x < 0)), floor(sum(x for x in row if x > 0)))
+        for row in zip(*cols)
     ]
 
 

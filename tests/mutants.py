@@ -321,6 +321,30 @@ MUTANTS = [
             "tests/test_census.py",
         ),
     ),
+    # S^-1 M with +de on the complement's diagonal block, as on sigma's: the
+    # frame's h2 no longer maps translates to the fragment basis.
+    Mutant(
+        "tiling",
+        "(hat, sig, bottom_cols, -de, slice(r, None))",
+        "(hat, sig, bottom_cols, de, slice(r, None))",
+        (
+            "tests/test_tiling.py::TestSizeReduce::test_frames_keep_the_translate_lattice",
+            "tests/test_golden.py",
+        ),
+    ),
+    # The narrowest box coordinate last: the same tiles, found by scanning
+    # more prefixes, so only the width and prefix-count guards and the test
+    # that pins W see it.
+    Mutant(
+        "tiling",
+        "widths.index(max(widths))",
+        "widths.index(min(widths))",
+        (
+            "tests/test_tiling.py::TestSizeReduce::test_frames_match_the_product_construction",
+            "tests/test_tiling.py::TestSizeReduce::test_frames_put_the_widest_coordinate_last",
+            "tests/test_tiling.py::TestSizeReduce::test_verify_past_n_6_scans_few_prefixes",
+        ),
+    ),
 ]
 
 

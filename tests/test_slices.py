@@ -15,6 +15,7 @@ from conftest import (
     mat_mul,
     pair_fractions,
     random_int_matrix,
+    reference_hermite_form,
     reference_key_box,
     reference_key_index,
     reference_render_boxes,
@@ -416,16 +417,20 @@ class TestKeyIndex:
             return
         assert_reduces(d, reduction)
         assert det(Matrix.from_rows(reduction[3])) == d.m_rows[0] ** d.dims.k * reference_key_index(d)
+        # The Hermite form is unique, so the reference's own elimination
+        # reaches the same H.
+        assert reduction[3] == reference_hermite_form(d.m_rows[1][d.dims.r :])
 
 
 class TestScannedBoxes:
     def test_slice_and_render_scan_the_reference_boxes(self, monkeypatch):
         # Every cell_hits range that slice_layout and render_svg scan on the
-        # corpus is the box their earlier formulas give: the key box of
-        # each live fragment, and render's lattice box per family and anchor,
-        # for the full tilings of K and L and the r = 2 slices, in two
-        # windows.  The key box does not depend on the translate window, so
-        # a radius-2 one keeps the n = 6 layouts cheap.
+        # corpus is the box their reference formulas give: the key box of
+        # each live fragment, from the reference's own Hermite form, on all
+        # 58 matrices, and render's lattice box per family and anchor, for
+        # the full tilings of K and L and the r = 2 slices, in two windows.
+        # The key box does not depend on the translate window, so a radius-2
+        # one keeps the n = 6 layouts cheap.
         scanned = []
 
         def recording(u, h, one, ranges):
@@ -440,21 +445,20 @@ class TestScannedBoxes:
             fs = corpus_set(path)
             n = fs.dims.n
             sources = [fs] if n == 2 else []
-            if slice_precondition(fs.decomposition):
-                del scanned[:]
-                layout = slice_layout(fs, choose_generic_direction(fs, 0), tuple((-2, 2) for _ in range(n)))
-                live = [f for f in fs if f.sign_class != DEGENERATE]
-                assert scanned == [reference_key_box(fs, f.sigma) for f in live], path.stem
-                layouts += 1
-                if fs.dims.r == 2:
-                    sources.append(layout)
+            del scanned[:]
+            layout = slice_layout(fs, choose_generic_direction(fs, 0), tuple((-2, 2) for _ in range(n)))
+            live = [f for f in fs if f.sign_class != DEGENERATE]
+            assert scanned == [reference_key_box(fs, f.sigma) for f in live], path.stem
+            layouts += 1
+            if fs.dims.r == 2:
+                sources.append(layout)
             for source in sources:
                 for cfg in windows:
                     del scanned[:]
                     render_svg(source, cfg)
                     assert scanned == reference_render_boxes(source, cfg), path.stem
                     renders += len(scanned)
-        assert layouts == 41 and renders > 0
+        assert layouts == 58 and renders > 0
 
 
 class TestSliceCoverage:

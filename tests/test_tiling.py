@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -54,6 +56,7 @@ from fragtile.tiling import (
     size_reduce,
 )
 
+MATRICES = Path(__file__).resolve().parent / "matrices"
 HALF = Fraction(1, 2)
 WORKED_POINT = (Fraction(-2), Fraction(1), -HALF, -HALF)
 
@@ -372,7 +375,10 @@ class TestSizeReduce:
     def test_frames_match_the_product_construction(self):
         # Frames take G = M^-1 S as T - D and reduce it on its Gram matrix;
         # the reference multiplies M^-1 by the cleared S and takes every
-        # inner product from the rows.  Both give the same W, W^-1 and boxes.
+        # inner product from the rows.  Both give the same W, W^-1 and boxes
+        # once the reference, too, moves its widest row last: the first row
+        # of G' with the largest sum |g_ij| trades places with the last row
+        # of G' and of W, and with the last column of W^-1.
         corpus = [corpus_matrix(n, r, i) for n, r, i in ((4, 1, 0), (5, 2, 10), (6, 3, 4), (6, 2, 1))]
         rng = random.Random(43)
         for fs in [*corpus, *self._fragment_sets()]:
@@ -387,6 +393,10 @@ class TestSizeReduce:
             for frame in engine.frames:
                 s_den, s_rows = clear_rows(fs[frame.sigma].s)
                 g, to_x, to_z = reference_size_reduce(int_mat_mul(m_inv, s_rows))
+                widths = [sum(map(abs, row)) for row in g]
+                j = widths.index(max(widths))
+                for a in (g, to_x, *to_z):
+                    a[j], a[-1] = a[-1], a[j]
                 assert (frame.to_x, frame.to_z) == (to_x, to_z)
                 sd = e * s_den
                 for p, box in zip(points, boxes):
@@ -397,6 +407,45 @@ class TestSizeReduce:
                     hi = [(bi - sum(x for x in row if x < 0) * den) // (den * sd) for bi, row in zip(b, g)]
                     assert box[frame.rows] == list(zip(lo, hi))
             assert len(boxes[0]) == len(engine.frames) * fs.dims.n
+
+    def test_frames_put_the_widest_coordinate_last(self):
+        # cell_hits enumerates every coordinate of x but the last, so each
+        # frame's last box row is its widest, on every corpus matrix.
+        frames = 0
+        for fs in [*map(corpus_set, corpus_files()), *self._fragment_sets()]:
+            if fs.det_m == 0:
+                continue
+            for frame in TilingEngine(fs, choose_generic_direction(fs, 0)).frames:
+                widths = [high - low for low, high in frame.extents]
+                assert widths[-1] == max(widths), frame.sigma
+                frames += 1
+        assert frames > 469
+
+    @pytest.mark.parametrize("name, prefixes, hits", [("z7r3-0", 64_137, 478), ("z8r4-0", 39_113, 72)])
+    def test_verify_past_n_6_scans_few_prefixes(self, monkeypatch, name, prefixes, hits):
+        # ROADMAP item 10's counter guard for `verify --samples 20 --seed 0`
+        # on the committed n = 7 and n = 8 matrices: the prefixes cell_hits
+        # enumerates, the product of every range width but the last, summed
+        # over frames and samples, stay at their count with the widest
+        # coordinate last (97,698 and 50,190 before), for the same tiles.
+        counts = {"prefixes": 0, "hits": 0}
+        scan, locate = tiling.cell_hits, TilingEngine.tiles_at
+
+        def counted_scan(u, h, one, ranges):
+            counts["prefixes"] += prod(max(0, hi - lo + 1) for lo, hi in ranges[:-1])
+            return scan(u, h, one, ranges)
+
+        def counted_locate(engine, p):
+            found, boundary = locate(engine, p)
+            counts["hits"] += len(found)
+            return found, boundary
+
+        monkeypatch.setattr(tiling, "cell_hits", counted_scan)
+        monkeypatch.setattr(TilingEngine, "tiles_at", counted_locate)
+        code, out, err = invoke(["verify", "--matrix", str(MATRICES / f"{name}.txt"), "--samples", "20", "--seed", "0"])
+        assert code == 0 and out.endswith("pass=true\n"), err
+        assert counts["prefixes"] <= prefixes
+        assert counts["hits"] == hits
 
     def test_engine_build_forms_one_matrix_product(self, monkeypatch):
         # T = M^-1 P M is the engine's one product, whatever the number of
