@@ -61,6 +61,6 @@ from .slices import (
     slice_precondition,
     unimodular_reduce,
 )
-from .render import RenderConfig, render_svg
+from .render import render_svg
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -76,32 +76,8 @@ class Matrix:
             raise DimensionError("ragged rows")
         return cls(nrows, ncols, [x for r in rows for x in r])
 
-    @classmethod
-    def from_columns(cls, cols: Sequence[Sequence[Scalar]], rows: int | None = None) -> "Matrix":
-        ncols = len(cols)
-        if ncols == 0:
-            if rows is None:
-                raise DimensionError("row count required for a zero-column matrix")
-            return cls(rows, 0, [])
-        nrows = len(cols[0])
-        if any(len(c) != nrows for c in cols):
-            raise DimensionError("ragged columns")
-        return cls(nrows, ncols, [cols[j][i] for i in range(nrows) for j in range(ncols)])
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
-
-    def entry(self, i: int, j: int) -> Fraction:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise DimensionError(f"index ({i},{j}) outside {self.rows}x{self.cols}")
-        return self._entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self._entries[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self._entries[i * self.cols + j] for i in range(self.rows))
 
     def row_list(self) -> list[tuple[Fraction, ...]]:
         return [self.row(i) for i in range(self.rows)]

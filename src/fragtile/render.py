@@ -16,8 +16,6 @@ whose inverse, formed once, bounds the translate boxes.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from operator import mul
 
@@ -34,21 +32,6 @@ PALETTE = {
     "degenerate": "#bbbbbb",
 }
 OPACITY = "0.500000"
-
-
-@dataclass(frozen=True)
-class RenderConfig:
-    """Window (x0, x1, y0, y1) in drawing coordinates."""
-
-    window: tuple[Fraction, Fraction, Fraction, Fraction]
-
-    def __post_init__(self):
-        if len(self.window) != 4:
-            raise DimensionError(f"window has {len(self.window)} bounds, expected 4")
-        x0, x1, y0, y1 = (rat(v) for v in self.window)
-        if not (x0 < x1 and y0 < y1):
-            raise DimensionError("window must be a nonempty box")
-        object.__setattr__(self, "window", (x0, x1, y0, y1))
 
 
 def dec6(num: int, den: int) -> str:
@@ -151,9 +134,15 @@ def _group_id(sigma: SubsetIndex) -> str:
     return "sigma-" + "-".join(str(i) for i in sigma)
 
 
-def render_svg(source, cfg: RenderConfig) -> str:
+def render_svg(source, window) -> str:
     """SVG document for a full 2-D tiling (FragmentSet with r+k = 2) or a 2-D
-    slice layout (SliceLayout with r = 2)."""
+    slice layout (SliceLayout with r = 2), in the window (x0, x1, y0, y1) of
+    drawing coordinates."""
+    if len(window) != 4:
+        raise DimensionError(f"window has {len(window)} bounds, expected 4")
+    window = x0, x1, y0, y1 = tuple(map(rat, window))
+    if not (x0 < x1 and y0 < y1):
+        raise DimensionError("window must be a nonempty box")
     if isinstance(source, FragmentSet):
         if source.dims.n != 2:
             raise DimensionError("full tiling rendering needs r+k = 2")
@@ -177,12 +166,12 @@ def render_svg(source, cfg: RenderConfig) -> str:
 
     # One denominator q for the rows, the window and the anchors; from here
     # on every coordinate is an integer over q.
-    points = [cfg.window, *(anchor for *_, anchors in families for anchor in anchors)]
+    points = [window, *(anchor for *_, anchors in families for anchor in anchors)]
     q = lcm(den, *(v.denominator for point in points for v in point))
     over_q = lambda point: tuple(v.numerator * (q // v.denominator) for v in point)
     scale = q // den
     basis = [[x * scale for x in row] for row in basis]
-    window = over_q(cfg.window)
+    window = over_q(window)
 
     class_totals: dict[str, int] = {}
     for _, sign_class, _, _ in families:

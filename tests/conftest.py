@@ -225,12 +225,12 @@ def reference_h_vector(fs, w, tau) -> tuple[Fraction, ...]:
     r, n = fs.dims.r, fs.dims.n
     tau = tuple(sorted(tau))
     tau_hat = complement(tau, n)
-    lead = det(Matrix.from_columns([c[i - 1] for i in tau] + [w.w[:r]], rows=r))
+    lead = det(matrix_from_columns([c[i - 1] for i in tau] + [w.w[:r]], rows=r))
     h = []
     for j in tau_hat:
         rest = tuple(i for i in tau_hat if i != j)
         h.append(lead * fs[tau + (j,)].det_cbar * perm_sign((tau, (j,), rest)))
-    cbar_hat = Matrix.from_columns([cbar[i - 1] for i in tau_hat], rows=fs.dims.k)
+    cbar_hat = matrix_from_columns([cbar[i - 1] for i in tau_hat], rows=fs.dims.k)
     if any(x != 0 for x in cbar_hat.mat_vec(tuple(h))):
         raise LinalgError("kernel certificate failed its exact check")
     return tuple(h)
@@ -273,16 +273,15 @@ def det_cofactor(m: Matrix) -> Fraction:
     n = m.rows
     if n == 0:
         return Fraction(1)
+    first, *rest = m.row_list()
     if n == 1:
-        return m.entry(0, 0)
+        return first[0]
     total = Fraction(0)
     for j in range(n):
-        if m.entry(0, j) == 0:
+        if first[j] == 0:
             continue
-        minor = Matrix.from_rows(
-            [[m.entry(i, c) for c in range(n) if c != j] for i in range(1, n)]
-        )
-        total += (-1) ** j * m.entry(0, j) * det_cofactor(minor)
+        minor = Matrix.from_rows([[row[c] for c in range(n) if c != j] for row in rest])
+        total += (-1) ** j * first[j] * det_cofactor(minor)
     return total
 
 
@@ -290,10 +289,11 @@ def cramer_solve(a: Matrix, b) -> tuple[Fraction, ...]:
     """Solution entries as quotients of column-replaced determinants."""
     n = a.rows
     d = det_cofactor(a)
+    a_cols = list(zip(*a.row_list()))
     out = []
     for i in range(n):
-        cols = [list(a.column(j)) if j != i else list(b) for j in range(n)]
-        out.append(det_cofactor(Matrix.from_columns(cols)) / d)
+        cols = [list(a_cols[j]) if j != i else list(b) for j in range(n)]
+        out.append(det_cofactor(matrix_from_columns(cols)) / d)
     return tuple(out)
 
 
@@ -301,27 +301,39 @@ def kernel_by_minors(v: Matrix) -> tuple[Fraction, ...]:
     """Alternating signed maximal minors: an exact kernel vector of a
     k x (k+1) matrix (possibly zero when the rank drops)."""
     n = v.cols
+    v_cols = list(zip(*v.row_list()))
     out = []
     for i in range(n):
-        sub = Matrix.from_columns(
-            [v.column(j) for j in range(n) if j != i], rows=v.rows
-        )
+        sub = matrix_from_columns([v_cols[j] for j in range(n) if j != i], rows=v.rows)
         out.append((-1) ** i * det_cofactor(sub))
     return tuple(out)
 
 
 def column_parts(d) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[tuple[Fraction, ...], ...]]:
     """(c, cbar): the top parts c_i and the negated bottom parts cbar_i of
-    M's columns, split from the parsed Matrix by d.m.column, apart from the
+    M's columns, split from the rows of the parsed Matrix, apart from the
     cleared m_rows that the library reads."""
     r = d.dims.r
-    cols = [d.m.column(i) for i in range(d.dims.n)]
+    cols = list(zip(*d.m.row_list()))
     return tuple(col[:r] for col in cols), tuple(tuple(-x for x in col[r:]) for col in cols)
 
 
 def rows_matrix(den: int, rows) -> Matrix:
     """The Fraction matrix of integer rows over a denominator."""
     return Matrix.from_rows([[Fraction(x, den) for x in row] for row in rows])
+
+
+def matrix_from_columns(cols, rows: int | None = None) -> Matrix:
+    """The Fraction matrix with the given columns; rows gives the height
+    when there are none."""
+    if not cols:
+        return Matrix(rows, 0, [])
+    return Matrix.from_rows(list(zip(*cols, strict=True)))
+
+
+def identity_matrix(n: int) -> Matrix:
+    """The n x n identity as a Fraction matrix."""
+    return Matrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def c_submatrices(d, sigma) -> tuple[Matrix, Matrix]:
@@ -333,8 +345,8 @@ def c_submatrices(d, sigma) -> tuple[Matrix, Matrix]:
     c, cbar = column_parts(d)
     sigma = tuple(sorted(sigma))
     return (
-        Matrix.from_columns([c[i - 1] for i in sigma], rows=d.dims.r),
-        Matrix.from_columns([cbar[j - 1] for j in complement(sigma, d.dims.n)], rows=d.dims.k),
+        matrix_from_columns([c[i - 1] for i in sigma], rows=d.dims.r),
+        matrix_from_columns([cbar[j - 1] for j in complement(sigma, d.dims.n)], rows=d.dims.k),
     )
 
 
@@ -351,7 +363,7 @@ def reference_slice_precondition(d) -> bool:
         return False
     g = 0
     for cols in combinations(cbar, k):
-        g = gcd(g, int(det_cofactor(Matrix.from_columns(cols, rows=k))))
+        g = gcd(g, int(det_cofactor(matrix_from_columns(cols, rows=k))))
         if g == 1:
             return True
     return False
@@ -370,7 +382,7 @@ def reference_key_index(d) -> Fraction:
     c = lcm(*(x.denominator for col in cbar for x in col))
     g = 0
     for cols in combinations([[x * c for x in col] for col in cbar], k):
-        g = gcd(g, int(det_cofactor(Matrix.from_columns(cols, rows=k))))
+        g = gcd(g, int(det_cofactor(matrix_from_columns(cols, rows=k))))
     return Fraction(g, c**k)
 
 
@@ -440,7 +452,7 @@ def reference_unimodular_reduce(d):
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Fraction matrix product, column by column; the library multiplies
     integer rows only (linalg.int_mat_mul)."""
-    return Matrix.from_columns([a.mat_vec(b.column(j)) for j in range(b.cols)], rows=a.rows)
+    return matrix_from_columns([a.mat_vec(col) for col in zip(*b.row_list())], rows=a.rows)
 
 
 def reference_slice_layout(fs, w, window):
@@ -468,7 +480,7 @@ def reference_slice_layout(fs, w, window):
     b_lattice = Matrix.from_rows([[Fraction(x, m_den) for x in row] for row in b_rows])
     b_inv = rref_inverse(b_lattice)
     u_inv_rows = [[int(x) for x in row] for row in rref_inverse(Matrix.from_rows(u_rows)).row_list()[: dims.k]]
-    c_full = Matrix.from_columns(column_parts(fs.decomposition)[0])
+    c_full = matrix_from_columns(column_parts(fs.decomposition)[0])
     out = []
     for frag in fs:
         if frag.sign_class == DEGENERATE:
@@ -773,7 +785,7 @@ def cramer_inverse(a: Matrix) -> Matrix:
     """Inverse column by column from Cramer quotients."""
     n = a.rows
     cols = [cramer_solve(a, [Fraction(int(i == j)) for i in range(n)]) for j in range(n)]
-    return Matrix.from_columns(cols)
+    return matrix_from_columns(cols)
 
 
 def brute_force_events(fs, w, start, reach, margin: int = 1):
@@ -959,7 +971,7 @@ def reference_double_cover(fs, w, index, z, sample_count: int, seed: int):
         kind, js, gens, base, shadow = "tau", complement(index, fs.dims.n), cbar, mz[fs.dims.r :], 1
     else:
         kind, js, gens, base, shadow = "gamma", index, c, mz[: fs.dims.r], 0
-    zonotope = Matrix.from_columns([gens[j - 1] for j in js], rows=len(base))
+    zonotope = matrix_from_columns([gens[j - 1] for j in js], rows=len(base))
     coll = facet_collection(fs, index, z)
     up = set(up_down_partition(fs, w, coll).up)
     live = coll.live_members()
@@ -1011,7 +1023,7 @@ def reference_family_polygons(shape, anchors, basis, window, margin: int = 1):
 
     x0, x1, y0, y1 = window
     rect = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-    g1, g2 = shape.column(0), shape.column(1)
+    g1, g2 = zip(*shape.row_list())
     smin = [min(0, g1[i]) + min(0, g2[i]) for i in range(2)]
     smax = [max(0, g1[i]) + max(0, g2[i]) for i in range(2)]
     basis_inv = cramer_inverse(basis)
@@ -1035,10 +1047,10 @@ def reference_family_polygons(shape, anchors, basis, window, margin: int = 1):
         lo = (x0 - smax[0] - anchor[0], y0 - smax[1] - anchor[1])
         hi = (x1 - smin[0] - anchor[0], y1 - smin[1] - anchor[1])
         box = product((lo[0], hi[0]), (lo[1], hi[1]))
-        ends = [basis_inv.entry(0, 0) * p + basis_inv.entry(0, 1) * q for p, q in box]
+        ends = [basis_inv.row(0)[0] * p + basis_inv.row(0)[1] * q for p, q in box]
         for z1 in range(ceil(min(ends)) - margin, floor(max(ends)) + margin + 1):
             # lo_i <= basis[i][0] z_1 + basis[i][1] z_2 <= hi_i on both axes
-            shifted = [(basis.entry(i, 0) * z1, basis.entry(i, 1)) for i in range(2)]
+            shifted = [(row[0] * z1, row[1]) for row in basis.row_list()]
             if any(b == 0 and not lo[i] <= a <= hi[i] for i, (a, b) in enumerate(shifted)):
                 continue
             cuts = [sorted(((lo[i] - a) / b, (hi[i] - a) / b)) for i, (a, b) in enumerate(shifted) if b]
@@ -1046,7 +1058,7 @@ def reference_family_polygons(shape, anchors, basis, window, margin: int = 1):
             if low > high:
                 continue
             for z in product((z1,), range(ceil(low) - margin, floor(high) + margin + 1)):
-                o = tuple(anchor[i] + sum(basis.entry(i, j) * z[j] for j in range(2)) for i in range(2))
+                o = tuple(anchor[i] + sum(basis.row(i)[j] * z[j] for j in range(2)) for i in range(2))
                 corners = (
                     (o[0], o[1]),
                     (o[0] + g1[0], o[1] + g1[1]),
@@ -1134,14 +1146,14 @@ def reference_lattice_box(basis_inv_rows, lo, hi) -> list[tuple[int, int]]:
     return bounds
 
 
-def reference_render_boxes(source, cfg) -> list[list[tuple[int, int]]]:
+def reference_render_boxes(source, window) -> list[list[tuple[int, int]]]:
     """The ranges render_svg hands cell_hits, in scan order, from the box
     formula it used before cube_extents: per family and anchor, the
     reference_lattice_box of the basis inverse over the axis box of offsets
     whose parallelogram can meet the window."""
     from fragtile import DEGENERATE, FragmentSet, fragment_rows
 
-    x0, x1, y0, y1 = cfg.window
+    x0, x1, y0, y1 = map(Fraction, window)
     if isinstance(source, FragmentSet):
         zero = (Fraction(0), Fraction(0))
         families = [

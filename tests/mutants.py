@@ -345,6 +345,14 @@ MUTANTS = [
             "tests/test_tiling.py::TestSizeReduce::test_verify_past_n_6_scans_few_prefixes",
         ),
     ),
+    # render_svg accepts a window of zero width or height: `render --window
+    # 1,1,0,2` writes an SVG and exits 0 instead of exiting 2.
+    Mutant(
+        "render",
+        "x0 < x1 and y0 < y1",
+        "x0 <= x1 and y0 <= y1",
+        ("tests/test_golden.py::test_golden_stdout[error-render-window]",),
+    ),
 ]
 
 

@@ -20,6 +20,7 @@ from conftest import (
     column_parts,
     facet_projections,
     invoke,
+    matrix_from_columns,
     random_dims,
     random_int_matrix,
     random_invertible,
@@ -164,7 +165,7 @@ def test_criterion_06_kernel_certificate(mset, w_m):
         for tau in subsets(n, r - 1):
             h = h_vector(fs, w, tau)
             hat = complement(tau, n)
-            cbar = Matrix.from_columns([cbar_cols[i - 1] for i in hat], rows=n - r)
+            cbar = matrix_from_columns([cbar_cols[i - 1] for i in hat], rows=n - r)
             ok = ok and all(x == 0 for x in cbar.mat_vec(h))
     _report("6", "kernel certificate", ok)
     assert ok
@@ -229,7 +230,7 @@ def test_criterion_07b_worked_partition_display(mset, w_m):
     # the once-each cover that criterion 7a samples.
     d = mset.decomposition
     cbar_cols = column_parts(d)[1]
-    zonotope = Matrix.from_columns([cbar_cols[i - 1] for i in (1, 3, 4)], rows=2)
+    zonotope = matrix_from_columns([cbar_cols[i - 1] for i in (1, 3, 4)], rows=2)
     q = zonotope.mat_vec((Fraction(1, 3), Fraction(1, 3), Fraction(2, 3)))
     positions = {
         facet: facet_projections(mset, w_m, facet)[1].position(q)

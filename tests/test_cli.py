@@ -22,7 +22,6 @@ from conftest import (
 from fragtile import (
     Dimensions,
     Matrix,
-    RenderConfig,
     TilingEngine,
     decompose,
     det,
@@ -67,13 +66,12 @@ class TestParseMatrix:
     def test_worked_4x4(self):
         dims, m = parse_matrix(M_TEXT)
         assert (dims.r, dims.k) == (2, 2)
-        assert m.entry(0, 2) == -4
+        assert m.row(0)[2] == -4
 
     def test_comments_and_fractions(self):
         text = "# sizes\n1 1\n# first row\n1/2 -3/4\n2 5\n"
         _, m = parse_matrix(text)
-        assert m.entry(0, 0) == Fraction(1, 2)
-        assert m.entry(0, 1) == Fraction(-3, 4)
+        assert m.row(0) == (Fraction(1, 2), Fraction(-3, 4))
 
     def test_zero_denominator(self):
         with pytest.raises(MatrixParseError) as info:
@@ -630,18 +628,16 @@ def test_readme_flag_table_matches_the_parser():
     assert documented == parsed
 
 
-def expected_polygon_count(fs, cfg):
+def expected_polygon_count(fs, window):
     """Clipping-area oracle: translates whose clipped area is positive."""
-    window = cfg.window
-    x0, x1, y0, y1 = window
+    x0, x1, y0, y1 = window = tuple(map(Fraction, window))
     m = fs.decomposition.m
     m_inv = inverse(m)
     count = 0
     for frag in fs:
         if frag.sign_class == "degenerate":
             continue
-        g1 = frag.s.column(0)
-        g2 = frag.s.column(1)
+        g1, g2 = zip(*frag.s.row_list())
         smin = [min(0, g1[i]) + min(0, g2[i]) for i in range(2)]
         smax = [max(0, g1[i]) + max(0, g2[i]) for i in range(2)]
         lo_box = (x0 - smax[0], y0 - smax[1])
@@ -650,7 +646,7 @@ def expected_polygon_count(fs, cfg):
         for i in range(2):
             vals = []
             for corner in product((lo_box[0], hi_box[0]), (lo_box[1], hi_box[1])):
-                vals.append(sum(m_inv.entry(i, j) * corner[j] for j in range(2)))
+                vals.append(sum(m_inv.row(i)[j] * corner[j] for j in range(2)))
             bounds.append((ceil(min(vals)) - 1, floor(max(vals)) + 1))
         for z in product(*(range(a, b + 1) for a, b in bounds)):
             mz = m.mat_vec(tuple(Fraction(v) for v in z))
@@ -667,30 +663,30 @@ def expected_polygon_count(fs, cfg):
 
 class TestRender:
     def test_k_polygon_census(self, kset):
-        cfg = RenderConfig(window=(-5, 5, -5, 5))
-        doc = render_svg(kset, cfg)
+        window = (-5, 5, -5, 5)
+        doc = render_svg(kset, window)
         assert doc.startswith('<?xml version="1.0"')
         assert "<svg " in doc
         produced = doc.count("<polygon ")
         assert produced >= 1
-        assert produced == expected_polygon_count(kset, cfg)
+        assert produced == expected_polygon_count(kset, window)
 
-    def test_window_of_the_wrong_length(self, matrix_files):
+    def test_window_of_the_wrong_length(self, matrix_files, kset):
         # The library names the length; the CLI keeps its flag-named message.
         for window in ((0, 1, 2), (0, 1, 0, 1, 2)):
             with pytest.raises(DimensionError, match=f"window has {len(window)} bounds, expected 4"):
-                RenderConfig(window=window)
+                render_svg(kset, window)
         code, out, err = invoke(["render", "--matrix", matrix_files["K"], "--window", "0,1,2"])
         assert (code, out, err) == (2, "", "error: --window must be x0,x1,y0,y1\n")
 
     def test_l_polygon_census(self, lset):
-        cfg = RenderConfig(window=(-4, 4, -4, 4))
-        doc = render_svg(lset, cfg)
-        assert doc.count("<polygon ") == expected_polygon_count(lset, cfg)
+        window = (-4, 4, -4, 4)
+        doc = render_svg(lset, window)
+        assert doc.count("<polygon ") == expected_polygon_count(lset, window)
 
     def test_slice_fill_groups(self, mset, w_m):
         layout = slice_layout(mset, w_m, tuple((-6, 6) for _ in range(4)))
-        doc = render_svg(layout, RenderConfig(window=(-5, 5, -5, 5)))
+        doc = render_svg(layout, (-5, 5, -5, 5))
         fills = [
             part.split('"')[0]
             for part in doc.split('fill="')[1:]
@@ -772,10 +768,10 @@ class TestRenderAgainstSeparatingAxes:
     separating-axis test, and each scanned translate against the area the
     window clips from it."""
 
-    def _check(self, source, cfg):
+    def _check(self, source, window):
         from fragtile import FragmentSet
 
-        x0, x1, y0, y1 = cfg.window
+        x0, x1, y0, y1 = box = tuple(map(Fraction, window))
         if isinstance(source, FragmentSet):
             zero = (Fraction(0), Fraction(0))
             basis = source.decomposition.m
@@ -787,11 +783,11 @@ class TestRenderAgainstSeparatingAxes:
                 for c in source.classes
                 if c.sign_class != "degenerate" and c.offsets
             ]
-        groups = svg_groups(render_svg(source, cfg))
+        groups = svg_groups(render_svg(source, window))
         assert len(groups) == len(families)
         touching = 0
         for sigma, shape, anchors in families:
-            drawn, skipped = reference_family_polygons(shape, anchors, basis, cfg.window)
+            drawn, skipped = reference_family_polygons(shape, anchors, basis, box)
             expected = [
                 " ".join(
                     f"{reference_dec6((px - x0) * render.SCALE)},{reference_dec6((y1 - py) * render.SCALE)}"
@@ -800,8 +796,8 @@ class TestRenderAgainstSeparatingAxes:
                 for corners in drawn
             ]
             assert groups["sigma-" + "-".join(map(str, sigma))] == expected, sigma
-            assert all(clip_polygon_area(c, cfg.window) > 0 for c in drawn), sigma
-            assert all(clip_polygon_area(c, cfg.window) == 0 for c in skipped), sigma
+            assert all(clip_polygon_area(c, box) > 0 for c in drawn), sigma
+            assert all(clip_polygon_area(c, box) == 0 for c in skipped), sigma
             # skipped translates with a corner on the closed window
             touching += sum(
                 any(x0 <= px <= x1 and y0 <= py <= y1 for px, py in c) for c in skipped
@@ -822,14 +818,14 @@ class TestRenderAgainstSeparatingAxes:
                     y0 = Fraction(rng.randint(-12, 6), rng.randint(1, 3))
                     x1 = x0 + Fraction(rng.randint(1, 12), rng.randint(1, 3))
                     y1 = y0 + Fraction(rng.randint(1, 12), rng.randint(1, 3))
-                    self._check(fs, RenderConfig(window=(x0, x1, y0, y1)))
+                    self._check(fs, (x0, x1, y0, y1))
 
     def test_slice_layouts(self, mset, w_m):
         window = tuple((-4, 4) for _ in range(4))
         for w in (w_m, choose_generic_direction(mset, 1)):
             layout = slice_layout(mset, w, window)
             for box in ((-2, 2, -2, 2), (-3, 1, Fraction(-1, 2), Fraction(7, 3))):
-                self._check(layout, RenderConfig(window=box))
+                self._check(layout, box)
         rng = random.Random(29)
         checked = 0
         while checked < 4:
@@ -839,7 +835,7 @@ class TestRenderAgainstSeparatingAxes:
                 continue
             fs = fragment_set(d)
             layout = slice_layout(fs, choose_generic_direction(fs, checked), ((-3, 3),) * 3)
-            self._check(layout, RenderConfig(window=(-3, 3, -2, 4)))
+            self._check(layout, (-3, 3, -2, 4))
             checked += 1
 
     def test_corpus(self):
@@ -859,7 +855,7 @@ class TestRenderAgainstSeparatingAxes:
             else:
                 continue
             for box in ((-5, 5, -5, 5), (-3, 1, Fraction(-1, 2), Fraction(7, 3))):
-                self._check(source, RenderConfig(window=box))
+                self._check(source, box)
         assert (tilings, slices) == (2, 27)
 
     def test_integer_windows_touch_tile_edges_and_corners(self, kset, lset):
@@ -868,7 +864,7 @@ class TestRenderAgainstSeparatingAxes:
         touching = 0
         for fs in (kset, lset):
             for box in ((-3, 3, -3, 3), (0, 1, 0, 1), (-2, 0, 1, 3), (-1, 4, -5, -2), (2, 3, -1, 0)):
-                touching += self._check(fs, RenderConfig(window=box))
+                touching += self._check(fs, box)
         assert touching > 0
 
 

@@ -13,8 +13,10 @@ from conftest import (
     column_parts,
     corpus_files,
     corpus_set,
+    identity_matrix,
     invoke,
     kernel_vector,
+    matrix_from_columns,
     pair_fractions,
     perm_sign,
     pip_contains,
@@ -220,7 +222,7 @@ class TestLambdaVector:
             assert frag.s.mat_vec(lam) == w_m.w
 
     def test_degenerate_raises(self):
-        fs = fragment_set(decompose(Matrix.identity(2), Dimensions(1, 1)))
+        fs = fragment_set(decompose(identity_matrix(2), Dimensions(1, 1)))
         w = choose_generic_direction(fs, 0)
         assert fs[(2,)].sign_class == "degenerate"
         with pytest.raises(DegenerateFragmentError):
@@ -233,7 +235,7 @@ class TestLambdaVector:
         with pytest.raises(KeyError):
             w_l.lambda_of(kset, (1,))
         # a degenerate sigma of another matrix is still that matrix's error
-        identity = fragment_set(decompose(Matrix.identity(2), Dimensions(1, 1)))
+        identity = fragment_set(decompose(identity_matrix(2), Dimensions(1, 1)))
         with pytest.raises(KeyError):
             w_k.lambda_of(identity, (2,))
 
@@ -256,11 +258,11 @@ class TestLambdaVector:
                 sigma = tuple(sorted(tau + (j,)))
                 rest = tuple(i for i in complement(tau, 4) if i != j)
                 num = det(
-                    Matrix.from_columns(
+                    matrix_from_columns(
                         [c_cols[i - 1] for i in tau] + [w_m.w[:2]], rows=2
                     )
                 )
-                den = det(Matrix.from_columns([c_cols[i - 1] for i in sigma], rows=2))
+                den = det(matrix_from_columns([c_cols[i - 1] for i in sigma], rows=2))
                 ratio = Fraction(
                     perm_sign(BlockPermutation((tau, (j,), rest))),
                     perm_sign(BlockPermutation((sigma, rest))),
@@ -329,7 +331,7 @@ class TestUpDownPartition:
                 assert set(up_down_partition(mset, w, coll).up) in (up, flipped), (tau, w.w)
 
     def test_degenerate_member_excluded(self):
-        fs = fragment_set(decompose(Matrix.identity(2), Dimensions(1, 1)))
+        fs = fragment_set(decompose(identity_matrix(2), Dimensions(1, 1)))
         w = choose_generic_direction(fs, 0)
         coll = facet_collection(fs, (), (0, 0))
         assert len(coll.members) == 4
@@ -351,7 +353,7 @@ class TestHVector:
         for tau in subsets(4, 1):
             h = h_vector(mset, w_m, tau)
             hat = complement(tau, 4)
-            cbar = Matrix.from_columns([cbar_cols[i - 1] for i in hat], rows=2)
+            cbar = matrix_from_columns([cbar_cols[i - 1] for i in hat], rows=2)
             assert all(x == 0 for x in cbar.mat_vec(h))
 
     def test_parallel_to_kernel_vector(self, mset, w_m):
@@ -360,7 +362,7 @@ class TestHVector:
         for tau in subsets(4, 1):
             h = h_vector(mset, w_m, tau)
             hat = complement(tau, 4)
-            cbar = Matrix.from_columns([cbar_cols[i - 1] for i in hat], rows=2)
+            cbar = matrix_from_columns([cbar_cols[i - 1] for i in hat], rows=2)
             assert normalize_integer_direction(h) == kernel_vector(cbar)
 
     def test_matches_lambda_times_determinant(self, mset, w_m):
@@ -386,7 +388,7 @@ class TestHVector:
             for tau in subsets(n, r - 1):
                 h = h_vector(fs, w, tau)
                 hat = complement(tau, n)
-                cbar = Matrix.from_columns([cbar_cols[i - 1] for i in hat], rows=n - r)
+                cbar = matrix_from_columns([cbar_cols[i - 1] for i in hat], rows=n - r)
                 assert all(x == 0 for x in cbar.mat_vec(h))
 
     def test_matches_the_fraction_closed_form_on_the_corpus(self):
@@ -467,7 +469,7 @@ class TestFacetProjections:
                 geom = facet_projections(mset, w_m, facet)[shadow]
                 dim = len(geom.base)
                 assert len(geom.generators) < dim
-                g = Matrix.from_columns(geom.generators, rows=dim)
+                g = matrix_from_columns(geom.generators, rows=dim)
                 units = [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
                 off = next(e for e in units if solve_affine(g, e) is None)
                 for x, t in product(xs, (0, Fraction(1, 5))):
@@ -505,12 +507,12 @@ class TestKernelSelectionTiling:
         rng = random.Random(31)
         for tau in subsets(4, 1):
             hat = complement(tau, 4)
-            v = Matrix.from_columns([cbar_cols[i - 1] for i in hat], rows=2)
+            v = matrix_from_columns([cbar_cols[i - 1] for i in hat], rows=2)
             h = kernel_vector(v)
             cells = []
             for pos, j in enumerate(hat):
                 rest = [i for i in hat if i != j]
-                sub = Matrix.from_columns([cbar_cols[i - 1] for i in rest], rows=2)
+                sub = matrix_from_columns([cbar_cols[i - 1] for i in rest], rows=2)
                 if det(sub) == 0:
                     continue
                 shift = cbar_cols[j - 1] if h[pos] > 0 else (Fraction(0), Fraction(0))
@@ -565,7 +567,7 @@ class TestDoubleCover:
         assert len(base.failures) == 20 and base.failures == moved.failures
 
     def test_degenerate_member_skipped(self):
-        fs = fragment_set(decompose(Matrix.identity(2), Dimensions(1, 1)))
+        fs = fragment_set(decompose(identity_matrix(2), Dimensions(1, 1)))
         w = choose_generic_direction(fs, 0)
         rep = double_cover_check(fs, w, (), (0, 0), 50, 3)
         assert rep.passed

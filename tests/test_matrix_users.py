@@ -1,8 +1,12 @@
-"""The Fraction Matrix type stays out of the layers that run on integer rows."""
+"""The Fraction Matrix type stays out of the layers that run on integer rows,
+and keeps only the members that the commands and perfbench/ read."""
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import fragtile
+from fragtile import Matrix
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -55,3 +59,16 @@ def test_the_check_sees_every_form():
     assert names_matrix("from __future__ import annotations\ndef f(m: Matrix): pass\n")
     assert names_matrix("class Matrix:\n    pass\n")
     assert not names_matrix("class MatrixParseError(Exception):\n    '''Matrix'''\n")
+
+
+def test_matrix_keeps_only_the_members_commands_and_perfbench_read():
+    # Tests build any other shape through conftest.matrix_from_columns and
+    # conftest.identity_matrix.
+    public = {name for name in dir(Matrix) if not name.startswith("_")}
+    assert public == {"from_rows", "row", "row_list", "mat_vec", "rows", "cols"}
+    assert all(name in vars(Matrix) for name in ("__eq__", "__hash__", "__repr__"))
+
+
+def test_render_takes_its_window_without_a_config_type():
+    assert "RenderConfig" not in fragtile.__all__
+    assert not hasattr(fragtile.render, "RenderConfig")

@@ -20,10 +20,13 @@ def test_each_mutated_module_compiles():
 
 
 def test_each_named_test_is_defined():
-    # A node id's file exists and defines its last name.
+    # A node id's file exists and defines its last name; a parameter id,
+    # such as a golden case's name, appears in that file as a string.
     for mutant in MUTANTS:
         assert mutant.tests
         for node in mutant.tests:
             path, *names = node.split("::")
             source = (ROOT / path).read_text()
-            assert not names or f"def {names[-1]}(" in source, node
+            name, _, param = names[-1].partition("[") if names else ("", "", "")
+            assert not names or f"def {name}(" in source, node
+            assert not param or f'"{param[:-1]}"' in source, node

@@ -11,6 +11,7 @@ from conftest import (
     c_submatrices,
     corpus_files,
     corpus_set,
+    identity_matrix,
     invoke,
     mat_mul,
     pair_fractions,
@@ -29,7 +30,6 @@ from fragtile import (
     DEGENERATE,
     Dimensions,
     Matrix,
-    RenderConfig,
     SingularMatrixError,
     TilingEngine,
     choose_generic_direction,
@@ -297,7 +297,7 @@ class TestSliceLayout:
         assert checked == 58
 
     def test_degenerate_class_empty(self, w_m):
-        fs = fragment_set(decompose(Matrix.identity(2), Dimensions(1, 1)))
+        fs = fragment_set(decompose(identity_matrix(2), Dimensions(1, 1)))
         w = choose_generic_direction(fs, 1)
         layout = slice_layout(fs, w, WINDOW2)
         assert [cls.offsets for cls in layout.classes if cls.sigma == (2,)] == [()]
@@ -439,7 +439,7 @@ class TestScannedBoxes:
 
         monkeypatch.setattr(slices, "cell_hits", recording)
         monkeypatch.setattr(render, "cell_hits", recording)
-        windows = [RenderConfig(window=(-5, 5, -5, 5)), RenderConfig(window=(-3, Fraction(7, 2), -2, Fraction(9, 4)))]
+        windows = [(-5, 5, -5, 5), (-3, Fraction(7, 2), -2, Fraction(9, 4))]
         layouts = renders = 0
         for path in corpus_files():
             fs = corpus_set(path)
@@ -453,10 +453,10 @@ class TestScannedBoxes:
             if fs.dims.r == 2:
                 sources.append(layout)
             for source in sources:
-                for cfg in windows:
+                for window in windows:
                     del scanned[:]
-                    render_svg(source, cfg)
-                    assert scanned == reference_render_boxes(source, cfg), path.stem
+                    render_svg(source, window)
+                    assert scanned == reference_render_boxes(source, window), path.stem
                     renders += len(scanned)
         assert layouts == 58 and renders > 0
 

@@ -14,6 +14,7 @@ from conftest import (
     corpus_files,
     corpus_matrix,
     corpus_set,
+    identity_matrix,
     invoke,
     mat_mul,
     pair_fractions,
@@ -36,6 +37,7 @@ from fragtile import (
     TilingEngine,
     certify_direction,
     choose_generic_direction,
+    complement,
     decompose,
     det,
     fragment_set,
@@ -127,21 +129,21 @@ class TestGridNumerators:
 
 class TestPipContains:
     def test_origin_inside_unit_box(self):
-        assert pip_contains(Matrix.identity(3), (1, 1, 1), (0, 0, 0))
+        assert pip_contains(identity_matrix(3), (1, 1, 1), (0, 0, 0))
 
     def test_far_corner_excluded(self):
-        assert not pip_contains(Matrix.identity(3), (1, 1, 1), (1, 1, 1))
+        assert not pip_contains(identity_matrix(3), (1, 1, 1), (1, 1, 1))
 
     def test_negative_direction_flips_rule(self):
-        assert pip_contains(Matrix.identity(2), (-1, -1), (1, 1))
-        assert not pip_contains(Matrix.identity(2), (-1, -1), (0, 0))
+        assert pip_contains(identity_matrix(2), (-1, -1), (1, 1))
+        assert not pip_contains(identity_matrix(2), (-1, -1), (0, 0))
 
     def test_singular_is_empty(self):
         assert not pip_contains(Matrix.from_rows([[1, 1], [1, 1]]), (1, 2), (0, 0))
 
     def test_zero_coordinate_raises(self):
         with pytest.raises(GenericityError):
-            pip_contains(Matrix.identity(2), (1, 0), (HALF, HALF))
+            pip_contains(identity_matrix(2), (1, 0), (HALF, HALF))
 
     def test_worked_membership(self, mset):
         s = mset[(2, 3)].s
@@ -757,6 +759,43 @@ class TestBlockLinearMaps:
                     boundaries += boundary > 0
         assert signs == {False, True}
         assert boundaries >= 2 * len(corpus)
+
+    def test_block_swap_maps_tiles_to_their_complements(self):
+        # Pi moves M's bottom k rows above its top r, so Pi M splits as
+        # (k, r), and its fragment on sigma-hat is -Pi S_sigma.  With
+        # w' = -Pi w the rules are unchanged: the tiles at -Pi p for
+        # (Pi M, -Pi w) are (-z, sigma-hat) for the tiles (z, sigma) at p for
+        # (M, w), and each sign class is multiplied by (-1)^(n + r k).
+        corpus = corpus_files(max_n=5)
+        signs = set()
+        compared = boundaries = 0
+        for path in corpus:
+            fs = corpus_set(path)
+            (r, k, n), rows = (fs.dims.r, fs.dims.k, fs.dims.n), fs.decomposition.m.row_list()
+            swap = lambda v: tuple(-x for x in (*v[r:], *v[:r]))
+            w = choose_generic_direction(fs, 0)
+            swapped = fragment_set(decompose(Matrix.from_rows(rows[r:] + rows[:r]), Dimensions(k, r)))
+            flip = (n + r * k) % 2 == 1
+            signs.add(flip)
+            classes = [self.FLIP[f.sign_class] if flip else f.sign_class for f in fs]
+            assert [swapped[complement(f.sigma, n)].sign_class for f in fs] == classes, path.name
+            engine = TilingEngine(fs, w)
+            swapped_engine = TilingEngine(swapped, certify_direction(swapped, swap(w.w)))
+            points = [(Fraction(0),) * n] + [fundamental_point(fs, f"block-swap:{i}") for i in range(11)]
+            for p in points:
+                tiles, boundary = engine.tiles_at(p)
+                expected = {
+                    (TileId(z=tuple(-x for x in t.z), sigma=complement(t.sigma, n)), self.FLIP[c] if flip else c)
+                    for t, c in tiles
+                }
+                got, got_boundary = swapped_engine.tiles_at(swap(p))
+                assert (set(got), len(got), got_boundary) == (expected, len(tiles), boundary), (path.name, p)
+                compared += 1
+                boundaries += boundary > 0
+        assert signs == {False, True}
+        assert compared == 12 * len(corpus) == 504
+        # The origin is a corner of every z = 0 tile.
+        assert boundaries >= len(corpus)
 
 
 class TestCoverage:
