@@ -3,11 +3,12 @@
 Matrix file format: a first line "r k", then r+k rows of r+k whitespace
 separated rationals ("p/q" or integer); lines whose first nonblank character
 is '#' are comments.  Reports are line-oriented key=value text and are
-byte-identical for identical inputs and seeds.  Each cmd_* handler returns
-its report and exit code; run formats the report and writes stdout once, so
-exit 2 from any command writes nothing on stdout, and crossing writes its
-report after the last ray.  Exit codes: 0 success or verified, 1 a
-verification found a violation, 2 bad input.
+byte-identical for identical inputs and seeds.  run loads the matrix file
+once and hands its fragment set to a cmd_* handler, which returns its report
+and exit code; run formats the report and writes stdout once, so exit 2 from
+any command writes nothing on stdout, and crossing writes its report after
+the last ray.  Exit codes: 0 success or verified, 1 a verification found a
+violation, 2 bad input, running out of memory included.
 """
 from __future__ import annotations
 
@@ -38,6 +39,7 @@ from .facets import (
     facet_collection,
     facet_signs,
     h_vector,
+    up_down_partition,
 )
 from .linalg import LinalgError, Matrix
 from .render import render_svg
@@ -59,15 +61,15 @@ _RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?\Z", re.ASCII)
 DEFAULT_SLICE_WINDOW_RADIUS = 6
 
 
-class MatrixParseError(Exception):
+class CliInputError(Exception):
+    """Bad command-line input (missing files, malformed values, bad w)."""
+
+
+class MatrixParseError(CliInputError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line} col {col}: {message}")
         self.line = line
         self.col = col
-
-
-class CliInputError(Exception):
-    """Bad command-line input (missing files, malformed values, bad w)."""
 
 
 def _rational(tok: str) -> Fraction:
@@ -203,9 +205,8 @@ def _format(report) -> str:
         raise CliInputError("a report value has too many digits to print") from None
 
 
-def cmd_fragments(args):
+def cmd_fragments(args, fs):
     """fragment family, sign classes, factor identity"""
-    fs = _load_fs(args)
     oks = [lhs == rhs for lhs, rhs in (sandc_identity(fs, frag.sigma) for frag in fs)]
     # On an integer M the block minors are det C and det Cbar: ints print
     # the same text as Fractions of denominator 1, faster.
@@ -223,17 +224,15 @@ def cmd_fragments(args):
     return lines, 0 if all(oks) else 1
 
 
-def cmd_laplace(args):
+def cmd_laplace(args, fs):
     """multi-row Laplace determinant identity"""
-    fs = _load_fs(args)
     lhs, rhs = laplace_identity(fs)
     ok = lhs == rhs
     return [("lhs={} rhs={} {}", lhs, rhs, "ok" if ok else "FAIL")], 0 if ok else 1
 
 
-def cmd_coverage(args):
+def cmd_coverage(args, fs):
     """tiles containing a point and the signed count"""
-    fs = _load_fs(args)
     if args.point is None:
         raise CliInputError("coverage requires --point")
     w = _direction(args, fs)
@@ -251,9 +250,8 @@ def cmd_coverage(args):
     return lines, 0 if ok else 1
 
 
-def cmd_verify(args):
+def cmd_verify(args, fs):
     """sampled constancy of the signed cover count"""
-    fs = _load_fs(args)
     w = _direction(args, fs)
     report = verify_constancy(fs, w, args.samples, args.seed)
     lines = [("samples={} seed={} expected={}", report.sample_count, report.seed, report.expected)]
@@ -288,14 +286,13 @@ def _collection(args, fs: FragmentSet):
     return index, z
 
 
-def cmd_facets(args):
+def cmd_facets(args, fs):
     """facet collection, up/down split, kernel certificate"""
-    fs = _load_fs(args)
     w = _direction(args, fs)
     coll = facet_collection(fs, *_collection(args, fs))
     h = h_vector(fs, w, coll.index) if coll.kind == TAU else None
-    signs = {f: facet_signs(fs, w, f) for f in coll.live_members()}
-    up_set = {f for f, (wsgn, tsgn) in signs.items() if wsgn * tsgn > 0}
+    split = up_down_partition(fs, w, coll)
+    up_set = set(split.up)
     lines = [("kind={} index={} z={}", coll.kind, set(coll.index), coll.z)]
     if h is not None:
         lines.append(("h={}", h))
@@ -305,20 +302,19 @@ def cmd_facets(args):
         if facet in coll.degenerate:
             lines.append((head + " side=degenerate", *values))
         else:
-            wsgn, tsgn = signs[facet]
+            wsgn, tsgn = facet_signs(fs, w, facet)
             side = "up" if facet in up_set else "down"
             lines.append((head + " wsgn={} tsgn={} side={}", *values, wsgn, tsgn, side))
     # pass= has no criterion yet: ROADMAP item 5's kernel-sign test gives it one.
     lines.append((
         "up={} down={} degenerate={} pass={}",
-        len(up_set), len(signs) - len(up_set), len(coll.degenerate), True,
+        len(split.up), len(split.down), len(coll.degenerate), True,
     ))
     return lines, 0
 
 
-def cmd_double_cover(args):
+def cmd_double_cover(args, fs):
     """sampled once-each cover by up and down facets"""
-    fs = _load_fs(args)
     w = _direction(args, fs)
     index, z = _collection(args, fs)
     report = double_cover_check(fs, w, index, z, args.samples, args.seed)
@@ -331,9 +327,8 @@ def cmd_double_cover(args):
     return [line], 0 if report.passed else 1
 
 
-def cmd_crossing(args):
+def cmd_crossing(args, fs):
     """cover count across facet crossings along rays"""
-    fs = _load_fs(args)
     w = _direction(args, fs)
     try:
         reach = _rational(args.reach.strip())
@@ -364,9 +359,8 @@ def _slice_window(fs: FragmentSet):
     return tuple((-radius, radius) for _ in range(fs.dims.n))
 
 
-def cmd_slice(args):
+def cmd_slice(args, fs):
     """periodic structure of the last-k-zero slice"""
-    fs = _load_fs(args)
     w = _direction(args, fs)
     layout = slice_layout(fs, w, _slice_window(fs))
     b_den, b_rows = layout.b_rows
@@ -409,9 +403,8 @@ def cmd_slice(args):
     return lines, 0 if all_ok else 1
 
 
-def cmd_render(args):
+def cmd_render(args, fs):
     """SVG of a 2-D tiling or 2-D slice"""
-    fs = _load_fs(args)
     window = _parse_vec(args.window, "--window")
     if len(window) != 4:
         raise CliInputError("--window must be x0,x1,y0,y1")
@@ -513,16 +506,13 @@ def run(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        report, code = args.func(args)
+        report, code = args.func(args, _load_fs(args))
         text = _format(report)
-    except (
-        CliInputError,
-        MatrixParseError,
-        GenericityError,
-        LinalgError,
-        OSError,
-    ) as exc:
+    except (CliInputError, GenericityError, LinalgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # a search too large for this machine is bad input
+        print("error: out of memory", file=sys.stderr)
         return 2
     sys.stdout.write(text)
     return code

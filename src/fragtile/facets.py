@@ -65,10 +65,6 @@ class FacetId:
     s: int
 
 
-def _unit_step(z: Sequence[int], j: int, step: int) -> tuple[int, ...]:
-    return tuple(zi + step if idx == j - 1 else zi for idx, zi in enumerate(z))
-
-
 def _translate(z: Sequence) -> tuple[int, ...]:
     """z as ints; an entry that is not an exact integer, an int or a
     Fraction of denominator 1, raises DimensionError."""
@@ -89,9 +85,9 @@ def tilde_facet(z: Sequence[int], sigma: Sequence[int], j: int, s: int) -> Facet
     sigma = tuple(sorted(sigma))
     if s not in (0, 1):
         raise DimensionError(f"facet side must be 0 or 1, got {s}")
-    if j in sigma:
-        return FacetId(z=_unit_step(z, j, -s), sigma=sigma, j=j, s=s)
-    return FacetId(z=_unit_step(z, j, +s), sigma=sigma, j=j, s=s)
+    step = -s if j in sigma else s
+    z = tuple(zi + step if idx == j - 1 else zi for idx, zi in enumerate(z))
+    return FacetId(z=z, sigma=sigma, j=j, s=s)
 
 
 @dataclass(frozen=True)

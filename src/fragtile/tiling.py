@@ -57,8 +57,7 @@ class GenericDirection:
     def lambda_of(self, fs: FragmentSet, sigma: SubsetIndex) -> tuple[int, tuple[int, ...]]:
         """lambda_sigma = S_sigma^-1 w of a live fragment of fs, as the pair
         (den, nums); a degenerate sigma raises DegenerateFragmentError."""
-        m_rows = fs.m_rows
-        if m_rows is not self.m_rows and m_rows != self.m_rows:
+        if fs.m_rows != self.m_rows:
             raise KeyError(f"w was not certified for the matrix of {_sigma_label(sigma)}")
         if sigma not in self.lambdas and fs[sigma].sign_class == DEGENERATE:
             raise DegenerateFragmentError(f"fragment {sigma} is degenerate")

@@ -353,6 +353,23 @@ MUTANTS = [
         "x0 <= x1 and y0 <= y1",
         ("tests/test_golden.py::test_golden_stdout[error-render-window]",),
     ),
+    # facets prints each live member on the wrong side of the split that
+    # up_down_partition makes; the up= and down= counts stay right.
+    Mutant(
+        "cli",
+        'side = "up" if facet in up_set else "down"',
+        'side = "down" if facet in up_set else "up"',
+        ("tests/test_golden.py::test_golden_stdout[facets-M-tau]",),
+    ),
+    # fragments prints the integer block minors of a rational M as detC and
+    # detCbar: they are det C and det Cbar scaled by a power of its
+    # denominator, so the fork must stay on integer matrices.
+    Mutant(
+        "cli",
+        "ints = fs.m_rows[0] == 1",
+        "ints = True",
+        ("tests/test_golden.py::test_golden_stdout[fragments-q3r2-1]",),
+    ),
 ]
 
 

@@ -573,6 +573,19 @@ class TestInputErrors:
         with pytest.raises(ValueError, match="boom"):
             invoke(["laplace", "--matrix", matrix_files["K"]])
 
+    def test_out_of_memory_is_bad_input(self, matrix_files, monkeypatch):
+        # A search too large for the machine (render or crossing over a
+        # huge translate range) raises MemoryError: exit 2 with a reason,
+        # not a traceback and the violation code 1.  Raised here without
+        # allocating anything.
+        from fragtile import cli
+
+        def exhausted(fs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "laplace_identity", exhausted)
+        assert invoke(["laplace", "--matrix", matrix_files["K"]]) == (2, "", "error: out of memory\n")
+
     def test_render_window_past_a_machine_index(self, matrix_files):
         # A 4,299-digit bound parses, but range() in the translate scan
         # takes machine-size bounds; the box is refused before the scan.

@@ -1,5 +1,7 @@
 """cli.run is the one writer of stdout: the command handlers return their
-reports and print nothing, so an error leaves no partial report behind."""
+reports and print nothing, so an error leaves no partial report behind.  It
+is also the one loader of the matrix file: each handler gets the fragment
+set that run built."""
 from __future__ import annotations
 
 import ast
@@ -8,31 +10,45 @@ from pathlib import Path
 CLI = Path(__file__).resolve().parent.parent / "src" / "fragtile" / "cli.py"
 
 
+def owners(source: str, found) -> list[str]:
+    """Top-level functions with a node that found accepts; "<module>" for
+    such a node outside any function."""
+    return sorted({
+        node.name if isinstance(node, ast.FunctionDef) else "<module>"
+        for node in ast.parse(source).body
+        if any(found(sub) for sub in ast.walk(node))
+    })
+
+
+def calls(sub, name: str) -> bool:
+    return isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name) and sub.func.id == name
+
+
+def writes(sub) -> bool:
+    """A call of print, or a use of sys.stdout."""
+    stdout = (
+        isinstance(sub, ast.Attribute)
+        and sub.attr == "stdout"
+        and isinstance(sub.value, ast.Name)
+        and sub.value.id == "sys"
+    )
+    return calls(sub, "print") or stdout
+
+
 def writers(source: str) -> list[str]:
-    """Top-level functions that call print or name sys.stdout; "<module>"
-    for such code outside any function."""
-    found = set()
-    for node in ast.parse(source).body:
-        owner = node.name if isinstance(node, ast.FunctionDef) else "<module>"
-        for sub in ast.walk(node):
-            prints = (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Name)
-                and sub.func.id == "print"
-            )
-            stdout = (
-                isinstance(sub, ast.Attribute)
-                and sub.attr == "stdout"
-                and isinstance(sub.value, ast.Name)
-                and sub.value.id == "sys"
-            )
-            if prints or stdout:
-                found.add(owner)
-    return sorted(found)
+    return owners(source, writes)
+
+
+def loaders(source: str) -> list[str]:
+    return owners(source, lambda sub: calls(sub, "_load_fs"))
 
 
 def test_run_is_the_only_writer():
     assert writers(CLI.read_text()) == ["run"]
+
+
+def test_run_is_the_only_loader():
+    assert loaders(CLI.read_text()) == ["run"]
 
 
 def test_the_check_sees_every_writer():
@@ -45,3 +61,13 @@ def test_the_check_sees_every_writer():
         "if __name__ == '__main__':\n    print(run([]))\n"
     )
     assert writers(source) == ["<module>", "cmd_a", "cmd_b", "run"]
+
+
+def test_the_check_sees_every_loader():
+    source = (
+        "def _load_fs(args):\n    return args\n"
+        "def cmd_a(args):\n    fs = _load_fs(args)\n    return fs\n"
+        "def cmd_b(args, fs):\n    return [['ok']], 0\n"
+        "def run(argv):\n    return handler(argv, _load_fs(argv))\n"
+    )
+    assert loaders(source) == ["cmd_a", "run"]

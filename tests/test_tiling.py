@@ -733,6 +733,44 @@ class TestBlockLinearMaps:
         negated = [[-x for x in rows[0]]] + rows[1:]
         return [Matrix.from_rows(rows), Matrix.from_rows(negated)]
 
+    def _check_block_map(self, fs, w, located, l, label):
+        """Assert that the tiles at L p for (LM, Lw) are the tiles at p for
+        (M, w), each (p, tiles_at(p)) of located, with every sign class
+        flipped when det L < 0."""
+        flip = det(l) < 0
+        mapped = fragment_set(decompose(mat_mul(l, fs.decomposition.m), fs.dims))
+        classes = [self.FLIP[f.sign_class] if flip else f.sign_class for f in fs]
+        assert [f.sign_class for f in mapped] == classes, label
+        mapped_engine = TilingEngine(mapped, certify_direction(mapped, l.mat_vec(w.w)))
+        for p, (tiles, boundary) in located:
+            expected = [(tile, self.FLIP[c] if flip else c) for tile, c in tiles]
+            assert mapped_engine.tiles_at(l.mat_vec(p)) == (expected, boundary), (label, p)
+
+    def _check_block_swap(self, fs, w, located, label):
+        """Assert the block swap's image of each (p, tiles_at(p)) of located.
+
+        Pi moves M's bottom k rows above its top r, so Pi M splits as
+        (k, r), and its fragment on sigma-hat is -Pi S_sigma.  With
+        w' = -Pi w the rules are unchanged: the tiles at -Pi p for
+        (Pi M, -Pi w) are (-z, sigma-hat) for the tiles (z, sigma) at p for
+        (M, w), and each sign class is multiplied by (-1)^(n + r k).
+        Returns whether the classes flip."""
+        (r, k, n), rows = (fs.dims.r, fs.dims.k, fs.dims.n), fs.decomposition.m.row_list()
+        swap = lambda v: tuple(-x for x in (*v[r:], *v[:r]))
+        swapped = fragment_set(decompose(Matrix.from_rows(rows[r:] + rows[:r]), Dimensions(k, r)))
+        flip = (n + r * k) % 2 == 1
+        classes = [self.FLIP[f.sign_class] if flip else f.sign_class for f in fs]
+        assert [swapped[complement(f.sigma, n)].sign_class for f in fs] == classes, label
+        swapped_engine = TilingEngine(swapped, certify_direction(swapped, swap(w.w)))
+        for p, (tiles, boundary) in located:
+            expected = {
+                (TileId(z=tuple(-x for x in t.z), sigma=complement(t.sigma, n)), self.FLIP[c] if flip else c)
+                for t, c in tiles
+            }
+            got, got_boundary = swapped_engine.tiles_at(swap(p))
+            assert (set(got), len(got), got_boundary) == (expected, len(tiles), boundary), (label, p)
+        return flip
+
     def test_tiles_map_with_the_block_map(self):
         rng = random.Random("block-linear")
         corpus = corpus_files(max_n=4)
@@ -741,61 +779,54 @@ class TestBlockLinearMaps:
         for path in corpus:
             fs = corpus_set(path)
             assert fs.det_m != 0, path.name
-            (r, k, n), m = (fs.dims.r, fs.dims.k, fs.dims.n), fs.decomposition.m
+            r, k, n = fs.dims.r, fs.dims.k, fs.dims.n
             w = choose_generic_direction(fs, 0)
             engine = TilingEngine(fs, w)
             points = [(0,) * n] + [fundamental_point(fs, f"block-linear:{i}") for i in range(5)]
-            located = [engine.tiles_at(p) for p in points]
+            located = [(p, engine.tiles_at(p)) for p in points]
             for l in self._block_maps(rng, r, k):
-                flip = det(l) < 0
-                signs.add(flip)
-                mapped = fragment_set(decompose(mat_mul(l, m), fs.dims))
-                classes = [self.FLIP[f.sign_class] if flip else f.sign_class for f in fs]
-                assert [f.sign_class for f in mapped] == classes, path.name
-                mapped_engine = TilingEngine(mapped, certify_direction(mapped, l.mat_vec(w.w)))
-                for p, (tiles, boundary) in zip(points, located):
-                    expected = [(tile, self.FLIP[c] if flip else c) for tile, c in tiles]
-                    assert mapped_engine.tiles_at(l.mat_vec(p)) == (expected, boundary), (path.name, p)
-                    boundaries += boundary > 0
+                signs.add(det(l) < 0)
+                self._check_block_map(fs, w, located, l, path.name)
+                boundaries += sum(boundary > 0 for _, (_, boundary) in located)
         assert signs == {False, True}
         assert boundaries >= 2 * len(corpus)
 
     def test_block_swap_maps_tiles_to_their_complements(self):
-        # Pi moves M's bottom k rows above its top r, so Pi M splits as
-        # (k, r), and its fragment on sigma-hat is -Pi S_sigma.  With
-        # w' = -Pi w the rules are unchanged: the tiles at -Pi p for
-        # (Pi M, -Pi w) are (-z, sigma-hat) for the tiles (z, sigma) at p for
-        # (M, w), and each sign class is multiplied by (-1)^(n + r k).
         corpus = corpus_files(max_n=5)
         signs = set()
         compared = boundaries = 0
         for path in corpus:
             fs = corpus_set(path)
-            (r, k, n), rows = (fs.dims.r, fs.dims.k, fs.dims.n), fs.decomposition.m.row_list()
-            swap = lambda v: tuple(-x for x in (*v[r:], *v[:r]))
             w = choose_generic_direction(fs, 0)
-            swapped = fragment_set(decompose(Matrix.from_rows(rows[r:] + rows[:r]), Dimensions(k, r)))
-            flip = (n + r * k) % 2 == 1
-            signs.add(flip)
-            classes = [self.FLIP[f.sign_class] if flip else f.sign_class for f in fs]
-            assert [swapped[complement(f.sigma, n)].sign_class for f in fs] == classes, path.name
             engine = TilingEngine(fs, w)
-            swapped_engine = TilingEngine(swapped, certify_direction(swapped, swap(w.w)))
-            points = [(Fraction(0),) * n] + [fundamental_point(fs, f"block-swap:{i}") for i in range(11)]
-            for p in points:
-                tiles, boundary = engine.tiles_at(p)
-                expected = {
-                    (TileId(z=tuple(-x for x in t.z), sigma=complement(t.sigma, n)), self.FLIP[c] if flip else c)
-                    for t, c in tiles
-                }
-                got, got_boundary = swapped_engine.tiles_at(swap(p))
-                assert (set(got), len(got), got_boundary) == (expected, len(tiles), boundary), (path.name, p)
-                compared += 1
-                boundaries += boundary > 0
+            points = [(Fraction(0),) * fs.dims.n] + [fundamental_point(fs, f"block-swap:{i}") for i in range(11)]
+            located = [(p, engine.tiles_at(p)) for p in points]
+            signs.add(self._check_block_swap(fs, w, located, path.name))
+            compared += len(located)
+            boundaries += sum(boundary > 0 for _, (_, boundary) in located)
         assert signs == {False, True}
         assert compared == 12 * len(corpus) == 504
         # The origin is a corner of every z = 0 tile.
         assert boundaries >= len(corpus)
+
+    @given(split_matrices(), st.data())
+    def test_fuzz_block_map_and_swap(self, case, data):
+        # Both relations on random rational matrices with n <= 5, for an L
+        # whose blocks hypothesis draws with entries in -3..3, at the origin
+        # and three fundamental_point samples.
+        m, dims = case
+        fs = fragment_set(decompose(m, dims))
+        assume(fs.det_m != 0)
+        r, k = dims.r, dims.k
+        square = lambda s: st.lists(st.lists(st.integers(-3, 3), min_size=s, max_size=s), min_size=s, max_size=s)
+        top, bottom = (data.draw(square(s).filter(int_det)) for s in (r, k))
+        l = Matrix.from_rows([row + [0] * k for row in top] + [[0] * r + row for row in bottom])
+        w = choose_generic_direction(fs, 0)
+        engine = TilingEngine(fs, w)
+        points = [(Fraction(0),) * dims.n] + [fundamental_point(fs, f"block-fuzz:{i}") for i in range(3)]
+        located = [(p, engine.tiles_at(p)) for p in points]
+        self._check_block_map(fs, w, located, l, m)
+        self._check_block_swap(fs, w, located, m)
 
 
 class TestCoverage:
