@@ -1,14 +1,14 @@
 """Command-line front end: matrix files, verification reports, SVG output.
 
-Matrix file format: a first line "r k", then r+k rows of r+k whitespace
-separated rationals ("p/q" or integer); lines whose first nonblank character
-is '#' are comments.  Reports are line-oriented key=value text and are
-byte-identical for identical inputs and seeds.  run loads the matrix file
-once and hands its fragment set to a cmd_* handler, which returns its report
-and exit code; run formats the report and writes stdout once, so exit 2 from
-any command writes nothing on stdout, and crossing writes its report after
-the last ray.  Exit codes: 0 success or verified, 1 a verification found a
-violation, 2 bad input, running out of memory included.
+Matrix file format (UTF-8): a first line "r k", then r+k rows of r+k
+whitespace separated rationals ("p/q" or integer); lines whose first nonblank
+character is '#' are comments.  Reports are line-oriented key=value text and
+are byte-identical for identical inputs and seeds.  argparse reads each flag
+value by its grammar; run then loads the matrix file once and hands its
+fragment set to a cmd_* handler, which returns its report and exit code; run
+formats it and writes stdout once, so exit 2 writes nothing on stdout, and
+crossing writes its report after the last ray.  Exit codes: 0 success or
+verified, 1 a verification found a violation, 2 bad input, out of memory too.
 """
 from __future__ import annotations
 
@@ -104,7 +104,9 @@ def parse_matrix(text: str) -> tuple[Dimensions, Matrix]:
     """Parse a matrix file; errors carry 1-based line and column positions."""
     rows: list[list[Fraction]] = []
     dims: Dimensions | None = None
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" alone: splitlines would also break at \f, \v and
+    # other characters that are whitespace to the token pattern.
+    for line_no, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -146,26 +148,10 @@ def format_matrix(dims: Dimensions, m: Matrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_vec(text: str, name: str) -> tuple[Fraction, ...]:
-    try:
-        return tuple(_rational(tok.strip()) for tok in text.split(","))
-    except ValueError:
-        raise CliInputError(f"malformed {name} value {text[:40]!r}") from None
-
-
-def _parse_subset(text: str, name: str) -> tuple[int, ...]:
-    if not text.strip():  # the empty subset: tau of an r = 1 matrix
-        return ()
-    try:
-        return tuple(_integer(tok.strip()) for tok in text.split(","))
-    except ValueError:
-        raise CliInputError(f"malformed {name} value {text[:40]!r}") from None
-
-
 def _load_fs(args) -> FragmentSet:
     try:
-        text = Path(args.matrix).read_text()
-    except OSError as exc:
+        text = Path(args.matrix).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliInputError(f"cannot read matrix file: {exc}") from None
     dims, m = parse_matrix(text)
     return fragment_set(decompose(m, dims))
@@ -173,7 +159,7 @@ def _load_fs(args) -> FragmentSet:
 
 def _direction(args, fs: FragmentSet):
     if args.w is not None:
-        return certify_direction(fs, _parse_vec(args.w, "--w"))
+        return certify_direction(fs, args.w)
     return choose_generic_direction(fs, args.seed)
 
 
@@ -236,8 +222,7 @@ def cmd_coverage(args, fs):
     if args.point is None:
         raise CliInputError("coverage requires --point")
     w = _direction(args, fs)
-    point = _parse_vec(args.point, "--point")
-    report = TilingEngine(fs, w).coverage(point)
+    report = TilingEngine(fs, w).coverage(args.point)
     pos, neg = report.census
     ok = report.f_value == report.expected
     lines = [("point={}", report.point), ("w={}", w.w)]
@@ -272,18 +257,16 @@ def _collection(args, fs: FragmentSet):
     if (args.tau is None) == (args.gamma is None):
         raise CliInputError("exactly one of --tau or --gamma is required")
     if args.tau is not None:
-        kind, text, size = TAU, args.tau, fs.dims.r - 1
+        kind, index, size = TAU, args.tau, fs.dims.r - 1
     else:
-        kind, text, size = GAMMA, args.gamma, fs.dims.r + 1
-    index = _parse_subset(text, f"--{kind}")
+        kind, index, size = GAMMA, args.gamma, fs.dims.r + 1
     if len(index) != size:
         raise CliInputError(f"--{kind} must have {size} entries")
     if args.z is None:
         return index, (0,) * fs.dims.n
-    z = _parse_subset(args.z, "--z")
-    if len(z) != fs.dims.n:
+    if len(args.z) != fs.dims.n:
         raise CliInputError(f"--z must have {fs.dims.n} entries")
-    return index, z
+    return index, args.z
 
 
 def cmd_facets(args, fs):
@@ -330,19 +313,15 @@ def cmd_double_cover(args, fs):
 def cmd_crossing(args, fs):
     """cover count across facet crossings along rays"""
     w = _direction(args, fs)
-    try:
-        reach = _rational(args.reach.strip())
-    except ValueError:
-        raise CliInputError(f"malformed --reach value {args.reach[:40]!r}") from None
     if args.point is not None:
-        points = [_parse_vec(args.point, "--point")]
+        points = [args.point]
     else:
         points = [fundamental_point(fs, f"ray:{args.seed}:{i}") for i in range(args.samples)]
-    lines = [("w={} reach={}", w.w, reach)]
+    lines = [("w={} reach={}", w.w, args.reach)]
     engine = TilingEngine(fs, w)
     all_ok = True
     for i, point in enumerate(points):
-        report = crossing_check(engine, point, reach, args.seed * 1_000_003 + i)
+        report = crossing_check(engine, point, args.reach, args.seed * 1_000_003 + i)
         all_ok = all_ok and report.passed
         lines.append((
             "ray={} crossings={} f={} cancellation={} constant={} resamples={} pass={}",
@@ -405,8 +384,7 @@ def cmd_slice(args, fs):
 
 def cmd_render(args, fs):
     """SVG of a 2-D tiling or 2-D slice"""
-    window = _parse_vec(args.window, "--window")
-    if len(window) != 4:
+    if len(args.window) != 4:
         raise CliInputError("--window must be x0,x1,y0,y1")
     if fs.dims.n == 2:
         source = fs
@@ -414,7 +392,7 @@ def cmd_render(args, fs):
         source = slice_layout(fs, _direction(args, fs), _slice_window(fs))
     else:
         raise CliInputError("rendering needs r+k = 2 (tiling) or r = 2 (slice)")
-    document = render_svg(source, window)
+    document = render_svg(source, args.window)
     if not args.out:
         return document, 0
     Path(args.out).write_text(document)
@@ -423,33 +401,49 @@ def cmd_render(args, fs):
     return [("out={} polygons={} groups={}", args.out, polygons, groups)], 0
 
 
-def _int_value(text: str) -> int:
-    try:
-        return _integer(text.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text[:40]!r}") from None
+def _vector(text: str) -> tuple[Fraction, ...]:
+    return tuple(_rational(tok.strip()) for tok in text.split(","))
 
 
-def _positive_int(text: str) -> int:
-    value = _int_value(text)
+def _subset(text: str) -> tuple[int, ...]:
+    # An empty value is the empty subset: tau of an r = 1 matrix.
+    return tuple(_integer(tok.strip()) for tok in text.split(",")) if text else ()
+
+
+def _count(text: str) -> int:
+    value = _integer(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise ValueError(value)
     return value
 
 
-# Every flag takes a value; each subcommand registers the ones it reads.
+def _reader(flag: str, grammar):
+    """argparse's type= for flag: grammar applied to the stripped value.  Its
+    ValueError becomes a CliInputError, which argparse does not catch, so
+    run reports it as it reports every other input error."""
+    def read(text: str):
+        try:
+            return grammar(text.strip())
+        except ValueError:
+            raise CliInputError(f"malformed {flag} value {text[:40]!r}") from None
+    return read
+
+
+# Every flag takes a value: (grammar, default, help).  argparse reads each
+# value by its grammar, a default string too; the two paths have none.
+# Each subcommand registers the flags it reads.
 _FLAGS = {
-    "--matrix": dict(required=True, help="matrix file path"),
-    "--w": dict(default=None, help="orientation vector 'a,b,...' (certified)"),
-    "--seed": dict(type=_int_value, default=0, help="seed for derived randomness"),
-    "--samples": dict(type=_positive_int, default=1000, help="sample count, at least 1"),
-    "--point": dict(default=None, help="query point 'a,b,...'"),
-    "--tau": dict(default=None, help="size r-1 index subset 'i,j,...'"),
-    "--gamma": dict(default=None, help="size r+1 index subset 'i,j,...'"),
-    "--z": dict(default=None, help="integer translate 'a,b,...' (default 0)"),
-    "--window": dict(default="-5,5,-5,5", help="render window x0,x1,y0,y1"),
-    "--reach": dict(default="3", help="ray length for crossing scans"),
-    "--out": dict(default=None, help="output path for SVG"),
+    "--matrix": (None, None, "matrix file path"),
+    "--w": (_vector, None, "orientation vector 'a,b,...' (certified)"),
+    "--seed": (_integer, 0, "seed for derived randomness"),
+    "--samples": (_count, 1000, "sample count, at least 1"),
+    "--point": (_vector, None, "query point 'a,b,...'"),
+    "--tau": (_subset, None, "size r-1 index subset 'i,j,...'"),
+    "--gamma": (_subset, None, "size r+1 index subset 'i,j,...'"),
+    "--z": (_subset, None, "integer translate 'a,b,...' (default 0)"),
+    "--window": (_vector, "-5,5,-5,5", "render window x0,x1,y0,y1"),
+    "--reach": (_rational, "3", "ray length for crossing scans"),
+    "--out": (None, None, "output path for SVG"),
 }
 
 # Each subcommand's handler, whose docstring is its help line, and the flags
@@ -478,7 +472,11 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (func, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=func.__doc__)
         for flag in ("--matrix", *flags):
-            p.add_argument(flag, **_FLAGS[flag])
+            grammar, default, text = _FLAGS[flag]
+            p.add_argument(
+                flag, type=grammar and _reader(flag, grammar), default=default,
+                required=flag == "--matrix", help=text,
+            )
         p.set_defaults(func=func)
     return parser
 
@@ -500,14 +498,12 @@ def _merge_flag_values(argv):
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_merge_flag_values(list(argv)))
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(_merge_flag_values(list(argv)))
         report, code = args.func(args, _load_fs(args))
         text = _format(report)
+    except SystemExit as exc:  # argparse's own errors, usage and help
+        return exc.code if isinstance(exc.code, int) else 2
     except (CliInputError, GenericityError, LinalgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -370,6 +370,21 @@ MUTANTS = [
         "ints = True",
         ("tests/test_golden.py::test_golden_stdout[fragments-q3r2-1]",),
     ),
+    # The flag reader lets a grammar's ValueError through: argparse takes it
+    # and prints its usage and "invalid read value" in place of the reason.
+    Mutant(
+        "cli",
+        'except ValueError:\n            raise CliInputError(f"malformed {flag} value',
+        'except ArithmeticError:\n            raise CliInputError(f"malformed {flag} value',
+        ("tests/test_cli.py::TestInputErrors::test_numeric_flags_take_the_matrix_grammar",),
+    ),
+    # --samples 0 is taken, and a run checks nothing.
+    Mutant(
+        "cli",
+        "if value < 1:",
+        "if value < 0:",
+        ("tests/test_cli.py::TestInputErrors::test_samples_below_one",),
+    ),
 ]
 
 

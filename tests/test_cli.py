@@ -1,11 +1,12 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
     clip_polygon_area,
@@ -32,7 +33,7 @@ from fragtile import (
     slice_layout,
     choose_generic_direction,
 )
-from fragtile.cli import MatrixParseError, format_matrix, parse_matrix
+from fragtile.cli import _COMMANDS, MatrixParseError, format_matrix, parse_matrix
 from fragtile.linalg import DimensionError
 
 K_TEXT = "1 1\n1 2\n-1 3\n"
@@ -89,6 +90,16 @@ class TestParseMatrix:
     def test_entry_count_mismatch(self):
         with pytest.raises(MatrixParseError):
             parse_matrix("1 1\n1 2 3\n4 5\n")
+
+    @pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_only_newline_ends_a_line(self, sep):
+        # Each of these is whitespace between two tokens of a row, and a
+        # comment that holds one is one line: the error below is on line 4.
+        _, m = parse_matrix(f"1 1\n1{sep}2\n3 4\n")
+        assert m == Matrix.from_rows([[1, 2], [3, 4]])
+        with pytest.raises(MatrixParseError) as info:
+            parse_matrix(f"1 1\n# a{sep}b\n1 2\n3 x\n")
+        assert (info.value.line, info.value.col) == (4, 3)
 
     def test_round_trip(self):
         rng = random.Random(12)
@@ -327,6 +338,20 @@ class TestInputErrors:
         assert code == 2
         assert "error:" in err
 
+    def test_undecodable_matrix_file(self, tmp_path):
+        # The file is read as UTF-8 under any locale; a byte that does not
+        # decode is bad input on every command, not a traceback.
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(b"1 1\n1 2\n\xff 3\n")
+        for command in _COMMANDS:
+            code, out, err = invoke([command, "--matrix", str(path)])
+            assert (code, out) == (2, ""), command
+            assert err.startswith("error: cannot read matrix file: 'utf-8' codec can't decode"), command
+
+    def test_flags_are_read_before_the_matrix_file(self):
+        code, out, err = invoke(["coverage", "--matrix", "/nonexistent/x.txt", "--point", "1,x"])
+        assert (code, out, err) == (2, "", "error: malformed --point value '1,x'\n")
+
     def test_parse_error_position(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("1 1\n1 1/0\n2 3\n")
@@ -438,6 +463,9 @@ class TestInputErrors:
             (["crossing", "--samples", "1", "--reach", "1e3"], "--reach"),
             (["crossing", "--samples", "1", "--reach", "2.5"], "--reach"),
             (["render", "--window", "-5,5,-5,5.0"], "--window"),
+            # render reads --w only for a slice, but every value is checked
+            # when the command line is parsed, also on K's 2 x 2 tiling.
+            (["render", "--w", "1,x"], "--w"),
         ],
     )
     def test_numeric_flags_take_the_matrix_grammar(self, matrix_files, argv, flag):
@@ -477,12 +505,10 @@ class TestInputErrors:
         ],
     )
     def test_int_flags_take_the_integer_grammar(self, matrix_files, argv, flag):
-        # argparse prints its usage line first; the error line quotes at
-        # most 40 characters of the value.
         code, out, err = invoke(argv[:1] + ["--matrix", matrix_files["K"]] + argv[1:])
         assert (code, out) == (2, "")
-        assert f"argument {flag}: invalid int value" in err
-        assert len(err.splitlines()[-1]) < 200
+        assert f"malformed {flag} value" in err
+        assert len(err) < 200
 
     def test_dimension_line_takes_the_integer_grammar(self, tmp_path):
         path = tmp_path / "dims.txt"
@@ -616,6 +642,88 @@ class TestInputErrors:
         assert len(built) == after_first
         assert first == third and first[0] == 0
         assert second[0] == 2 and "--samples" in second[2]
+
+
+# Each value flag's grammar, written apart from cli: comma-separated
+# rationals or integers in ASCII digits, or a single one.
+RATIONAL = r"[+-]?[0-9]+(?:/[0-9]+)?"
+INTEGER = r"[+-]?[0-9]+"
+FLAG_GRAMMARS = {
+    "--w": (RATIONAL, True), "--point": (RATIONAL, True), "--window": (RATIONAL, True),
+    "--reach": (RATIONAL, False), "--seed": (INTEGER, False), "--samples": (INTEGER, False),
+    "--tau": (INTEGER, True), "--gamma": (INTEGER, True), "--z": (INTEGER, True),
+}
+# Valid values of the flags each fuzzed command needs, on K and on M.
+FUZZ_BASES = {
+    "coverage": ({"--point": "1/3,1/5"}, {"--point": "1/3,1/5,1/7,1/11"}),
+    "facets": ({"--tau": ""}, {"--tau": "2"}),
+    "verify": ({"--samples": "2"},) * 2,
+    "crossing": ({"--samples": "1", "--reach": "1"},) * 2,
+    "render": ({},) * 2,
+}
+FUZZ_FLAGS = [
+    (command, flag) for command in FUZZ_BASES for flag in _COMMANDS[command][1] if flag in FLAG_GRAMMARS
+]
+# Lists of small numbers, near misses of the grammar, and any text.
+SMALL_NUMBER = st.integers(-3, 3).map(str) | st.builds("{}/{}".format, st.integers(-3, 3), st.integers(0, 3))
+FLAG_TEXT = (
+    st.lists(SMALL_NUMBER, max_size=5).map(",".join)
+    | st.text(alphabet="0123456789/+-, x._\u0663", max_size=12)
+    | st.text(max_size=12)
+)
+
+
+def grammar_tokens(flag: str, text: str):
+    """The tokens of a value in its flag's grammar, or None for a value
+    outside it.  An empty subset is in the grammar."""
+    pattern, many = FLAG_GRAMMARS[flag]
+    text = text.strip()
+    if flag in ("--tau", "--gamma", "--z") and not text:
+        return []
+    tokens = [tok.strip() for tok in text.split(",")] if many else [text]
+    return tokens if all(re.fullmatch(pattern, tok) for tok in tokens) else None
+
+
+def checked_run(argv):
+    """run's exit code and stderr, after checking that it returned 0, 1 or
+    2 and, with 2, printed nothing on stdout."""
+    code, out, err = invoke(argv)
+    assert code in (0, 1, 2)
+    assert code != 2 or out == ""
+    return code, err
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "matrix.txt"
+
+
+class TestInputFuzz:
+    # Random input never escapes run as an exception.
+
+    @given(data=st.binary(max_size=40) | st.binary(max_size=20).map(lambda tail: b"1 1\n1 2\n" + tail))
+    @example(data=b"1 1\n1 2\n\xff 3\n")
+    def test_matrix_file_bytes(self, fuzz_file, data):
+        fuzz_file.write_bytes(data)
+        checked_run(["laplace", "--matrix", str(fuzz_file)])
+
+    @settings(max_examples=200)
+    @given(pair=st.sampled_from(FUZZ_FLAGS), on_m=st.booleans(), value=FLAG_TEXT)
+    def test_flag_values(self, pair, on_m, value):
+        command, flag = pair
+        tokens = grammar_tokens(flag, value)
+        if tokens is not None and flag in ("--reach", "--samples", "--window"):
+            # At most 2: more rays, longer rays or a wider window only cost time.
+            for tok in tokens:
+                num, _, den = tok.partition("/")
+                assume(abs(int(num)) <= 2 * int(den or 1))
+        values = {**FUZZ_BASES[command][on_m], flag: value}
+        if flag == "--gamma":
+            del values["--tau"]
+        argv = [command, "--matrix", str(CORPUS / ("M.txt" if on_m else "K.txt"))]
+        code, err = checked_run(argv + [x for item in values.items() for x in item])
+        if tokens is None:
+            assert code == 2 and f"malformed {flag} value" in err
 
 
 def test_readme_flag_table_matches_the_parser():
