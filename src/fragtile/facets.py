@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import groupby
+from operator import add, attrgetter, mul, sub
 from typing import Sequence
 
 from .fragments import (
@@ -233,9 +234,12 @@ def double_cover_check(
     with coefficients c / q (c from grid_numerators, q = 2^31) on the
     columns js is x = part(M (z -+ c / q)) (minus for tau), so its cell
     coordinates are the block rows of S_sigma^-1 M (q (z - z_f) -+ c) over
-    q.  With S_sigma^-1 = X / e and M = A / d, each member keeps those rows
-    of X A as integer rows on v = (c, q) over e d q, tested by
-    cell_position.  Only a failing sample's point is formed as Fractions.
+    q.  With S_sigma^-1 = X / e and M = A / d, the s = 0 and s = 1 members
+    of a fragment share those rows of X A on the columns js, so each
+    fragment's block rows times c are formed once per sample, over e d q,
+    and each member adds its anchor constant q (X A)(z - z_f) before
+    cell_position tests it.  Only a failing sample's point is formed as
+    Fractions.
     """
     r, n = fs.dims.r, fs.dims.n
     coll = facet_collection(fs, index, z)
@@ -247,33 +251,35 @@ def double_cover_check(
         js, sign, part = coll.index, 1, a[:r]
     zono_rows = [[sign * row[j - 1] for j in js] for row in part]
     up = set(up_down_partition(fs, w, coll).up)
-    live = coll.live_members()
     q = SAMPLE_DENOMINATOR
     cells = []
-    for facet in live:
-        e, x = fs[facet.sigma].s_inv_rows
-        block = facet.sigma if coll.kind == GAMMA else complement(facet.sigma, n)
-        _, lam = w.lambda_of(fs, facet.sigma)
-        shift = [zi - fi for zi, fi in zip(coll.z, facet.z)]
-        rows = [
-            [sign * g[j - 1] for j in js] + [sum(map(mul, g, shift))]
-            for g in int_mat_mul([x[i - 1] for i in block], a)
+    for sigma, members in groupby(coll.live_members(), attrgetter("sigma")):
+        e, x = fs[sigma].s_inv_rows
+        block = sigma if coll.kind == GAMMA else complement(sigma, n)
+        _, lam = w.lambda_of(fs, sigma)
+        g = int_mat_mul([x[i - 1] for i in block], a)
+        anchors = [
+            ([q * sum(map(mul, row, map(sub, coll.z, facet.z))) for row in g], facet in up)
+            for facet in members
         ]
-        cells.append((rows, e * d * q, tuple(lam[i - 1] > 0 for i in block)))
+        rows = [[sign * row[j - 1] for j in js] for row in g]
+        cells.append((rows, e * d * q, tuple(lam[i - 1] > 0 for i in block), anchors))
 
     boundary_samples = 0
     failures = []
     for idx in range(sample_count):
         c = grid_numerators(f"cover:{seed}:{idx}:0", len(js), 1, SAMPLE_DENOMINATOR)
-        v = c + [q]
-        positions = [
-            cell_position((sum(map(mul, row, v)) for row in rows), one, rules)
-            for rows, one, rules in cells
-        ]
-        boundary_samples += any(pos is not None and pos[1] for pos in positions)
-        hits = [facet in up for facet, pos in zip(live, positions) if pos is not None and pos[0]]
-        up_count = sum(hits)
-        down_count = len(hits) - up_count
+        up_count = down_count = touched = 0
+        for rows, one, rules, anchors in cells:
+            y = [sum(map(mul, row, c)) for row in rows]
+            for constants, is_up in anchors:
+                pos = cell_position(map(add, y, constants), one, rules)
+                if pos is not None:
+                    touched |= pos[1]
+                    if pos[0]:
+                        up_count += is_up
+                        down_count += not is_up
+        boundary_samples += touched
         if (up_count, down_count) != (1, 1):
             q_rel = tuple(Fraction(sum(map(mul, row, c)), d * q) for row in zono_rows)
             failures.append((q_rel, up_count, down_count))

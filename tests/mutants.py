@@ -385,6 +385,20 @@ MUTANTS = [
         "if value < 0:",
         ("tests/test_cli.py::TestInputErrors::test_samples_below_one",),
     ),
+    # double_cover_check takes the boundary flag from each fragment's first
+    # member only: a sample that touches only an s = 1 shadow's boundary is
+    # not counted, which only the boundary counts on the step-1/4 grid see
+    # (the block map carries the fault over; its pinned count sees it).
+    Mutant(
+        "facets",
+        "touched |= pos[1]",
+        "touched |= pos[1] and constants is anchors[0][0]",
+        (
+            "tests/test_facets.py::TestDoubleCover::test_matches_the_fraction_path_with_redraws",
+            "tests/test_facets.py::TestDoubleCover::test_the_rules_match_the_fraction_path_on_the_corpus",
+            "tests/test_tiling.py::TestBlockLinearMaps::test_double_cover_maps_with_the_block_map",
+        ),
+    ),
 ]
 
 

@@ -69,6 +69,8 @@ CASES = {
     "double-cover-q3r2-1-tau": ("double-cover", "q3r2-1", ("--tau", "1", "--samples", "25", "--seed", "6")),
     "double-cover-q3r2-1-gamma": ("double-cover", "q3r2-1", ("--gamma", "1,2,3", "--samples", "25")),
     "double-cover-cover13-gamma": ("double-cover", "cover13", ("--gamma", "2,3", "--samples", "100")),
+    # r = 1: tau {} fails 44 of 50 samples, the other recorded cover13 witness.
+    "double-cover-cover13-tau-empty": ("double-cover", "cover13", ("--tau", "", "--samples", "50")),
     "crossing-K": ("crossing", "K", ("--samples", "3", "--seed", "2", "--w", "1,1", "--reach", "5")),
     "crossing-L-point": ("crossing", "L", ("--point", "-1/2,1/3", "--reach", "4", "--seed", "6")),
     "crossing-M": ("crossing", "M", ("--samples", "1", "--reach", "2", "--seed", "3")),

@@ -40,10 +40,13 @@ from fragtile import (
     complement,
     decompose,
     det,
+    double_cover_check,
+    facets,
     fragment_set,
     inverse,
     laplace_identity,
     solve,
+    subsets,
     tiling,
     verify_constancy,
 )
@@ -808,6 +811,50 @@ class TestBlockLinearMaps:
         assert compared == 12 * len(corpus) == 504
         # The origin is a corner of every z = 0 tile.
         assert boundaries >= len(corpus)
+
+    @pytest.mark.parametrize("step", [None, 4])
+    def test_double_cover_maps_with_the_block_map(self, step, monkeypatch):
+        # The shadows of a collection of (LM, Lw) are the images under
+        # L_top or L_bottom of those of (M, w), with the same rules, so each
+        # sample meets the same members: the verdict and boundary count are
+        # equal, a failing point maps by that block of L, and up and down
+        # swap when det L < 0, since every sign class flips.  No sample of
+        # the 2^-31 grid touches a shadow boundary here; on the open grid
+        # of step 1/4 many do, and the w-rules decide them.
+        if step:
+            grid_numerators = facets.grid_numerators
+            monkeypatch.setattr(
+                facets, "grid_numerators", lambda tag, dim, lo, hi: [x << 29 for x in grid_numerators(tag, dim, 1, step)]
+            )
+        rng = random.Random("block-linear:double-cover")
+        compared = failing = boundaries = 0
+        for path in corpus_files(max_n=4):
+            fs = corpus_set(path)
+            r, n = fs.dims.r, fs.dims.n
+            w = choose_generic_direction(fs, 0)
+            z = (0,) * n
+            reports = [
+                double_cover_check(fs, w, index, z, 30, 1) for index in (*subsets(n, r - 1), *subsets(n, r + 1))
+            ]
+            for l in self._block_maps(rng, r, fs.dims.k):
+                mapped = fragment_set(decompose(mat_mul(l, fs.decomposition.m), fs.dims))
+                mapped_w = certify_direction(mapped, l.mat_vec(w.w))
+                flip = det(l) < 0
+                for rep in reports:
+                    got = double_cover_check(mapped, mapped_w, rep.index, z, 30, 1)
+                    cols = slice(r, None) if rep.kind == "tau" else slice(None, r)
+                    part = [row[cols] for row in l.row_list()[cols]]
+                    expected = [
+                        (tuple(sum(map(mul, row, q_rel)) for row in part), *((down, up) if flip else (up, down)))
+                        for q_rel, up, down in rep.failures
+                    ]
+                    label = (path.stem, rep.index, flip)
+                    assert (got.passed, got.boundary_samples) == (rep.passed, rep.boundary_samples), label
+                    assert list(got.failures) == expected, label
+                    compared += 1
+                    failing += not rep.passed
+                    boundaries += rep.boundary_samples
+        assert (compared, failing, boundaries) == ((274, 42, 1500) if step else (274, 44, 0))
 
     @given(split_matrices(), st.data())
     def test_fuzz_block_map_and_swap(self, case, data):
