@@ -36,7 +36,6 @@ from .linalg import (
     LinalgError,
     clear_denominator,
     int_det,
-    int_mat_mul,
     normalize_integer_direction,
     rat,
     vector,
@@ -235,11 +234,11 @@ def double_cover_check(
     columns js is x = part(M (z -+ c / q)) (minus for tau), so its cell
     coordinates are the block rows of S_sigma^-1 M (q (z - z_f) -+ c) over
     q.  With S_sigma^-1 = X / e and M = A / d, the s = 0 and s = 1 members
-    of a fragment share those rows of X A on the columns js, so each
-    fragment's block rows times c are formed once per sample, over e d q,
-    and each member adds its anchor constant q (X A)(z - z_f) before
-    cell_position tests it.  Only a failing sample's point is formed as
-    Fractions.
+    of a fragment share those rows of X A on the columns js, scaled shared
+    cofactor products (s_inv_pairs), so each fragment's block rows times c
+    are formed once per sample, over e d q, and each member adds its anchor
+    constant q (X A)(z - z_f) before cell_position tests it.  Only a failing
+    sample's point is formed as Fractions.
     """
     r, n = fs.dims.r, fs.dims.n
     coll = facet_collection(fs, index, z)
@@ -252,12 +251,13 @@ def double_cover_check(
     zono_rows = [[sign * row[j - 1] for j in js] for row in part]
     up = set(up_down_partition(fs, w, coll).up)
     q = SAMPLE_DENOMINATOR
+    products = fs.blocks.products
     cells = []
     for sigma, members in groupby(coll.live_members(), attrgetter("sigma")):
-        e, x = fs[sigma].s_inv_rows
+        e, pairs = fs[sigma].s_inv_pairs
         block = sigma if coll.kind == GAMMA else complement(sigma, n)
         _, lam = w.lambda_of(fs, sigma)
-        g = int_mat_mul([x[i - 1] for i in block], a)
+        g = [[c * v for v in products[s]] for s, c in (pairs[i - 1] for i in block)]
         anchors = [
             ([q * sum(map(mul, row, map(sub, coll.z, facet.z))) for row in g], facet in up)
             for facet in members
@@ -379,19 +379,17 @@ def _classify_events(engine: TilingEngine, events):
     Distinct collections may share one hyperplane (their anchor translates
     differ along it), so parallelism is decided on the facet normals: the
     normal of the facet omitting generator j is row j of the fragment's
-    integer s_inv_rows.  Meeting two non-parallel hyperplanes at one point
-    means the ray passes through the codimension-2 skeleton, which the
-    pairing statement excludes.
+    S^-1, a multiple of its shared cofactor row (s_inv_pairs).  Meeting two
+    non-parallel hyperplanes at one point means the ray passes through the
+    codimension-2 skeleton, which the pairing statement excludes.
     """
-    crossings = []
+    fs, crossings = engine.fs, []
+    _, rows = fs.blocks.cofactors
     for t in sorted(events):
         items = events[t]
         if any(flag for _, flag in items):
             return True, []
-        normals = {
-            normalize_integer_direction(engine.fs[f.sigma].s_inv_rows[1][f.j - 1])
-            for f, _ in items
-        }
+        normals = {normalize_integer_direction(rows[fs[f.sigma].s_inv_pairs[1][f.j - 1][0]]) for f, _ in items}
         if len(normals) > 1:
             return True, []
         signs = [facet_signs(engine.fs, engine.w, f) for f, _ in items]

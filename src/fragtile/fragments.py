@@ -14,11 +14,14 @@ reads those integer rows; fragment_rows assembles d S_sigma from them.  Up to
 the column shuffle of (sigma, complement), S_sigma = diag(C_sigma, Cbar_hat),
 so det S_sigma = sgn(sigma, hat) det C_sigma det Cbar_hat.  BlockMinors holds
 every block determinant, a maximal minor of A's top or negated bottom rows
-found by minor_table's Laplace expansion, and forms a live S_sigma^-1 from
-cofactor tables on first read.  A Fragment keeps its two block minors as
-integers; its sign class is their signed product's sign, and its Fraction
-determinants are formed only when read.  The checks stay independent of the
-tables: sandc_identity and det M are int_det eliminations.
+found by minor_table's Laplace expansion.  By Cramer's rule every row of a
+live S_sigma^-1 is a scalar times one shared cofactor row, of A's top rows on
+an (r-1)-subset or of its negated bottom rows on a (k-1)-subset; BlockMinors
+builds those rows and their products with A's columns once, and a fragment's
+inverse is one (shared row, scale) pair per row.  A Fragment keeps its two
+block minors as integers; its sign class is their signed product's sign, and
+its Fraction determinants are formed only when read.  The checks stay
+independent of the tables: sandc_identity and det M are int_det eliminations.
 """
 from __future__ import annotations
 
@@ -26,6 +29,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
+from operator import mul
 from typing import Iterable, Iterator, Mapping
 
 from .linalg import DimensionError, Matrix, clear_rows, int_det, inverse_rows
@@ -111,24 +116,16 @@ def minor_table(rows: list[list[int]], n: int) -> MinorTable:
     return table
 
 
-def adjugate(deleted: list[MinorTable], cols: SubsetIndex, scale: int) -> list[list[int]]:
-    """scale * adj B for a side's block B on columns cols, from its "row j
-    deleted" tables: adj B[i][j] is (-1)^(i+j) times B's minor off row j and
-    column cols[i], read at one key per row and signed by parity."""
-    adj = []
-    for i in range(len(cols)):
-        key, s = cols[:i] + cols[i + 1 :], -scale if i & 1 else scale
-        adj.append([(-s if j & 1 else s) * table[key] for j, table in enumerate(deleted)])
-    return adj
-
-
 class BlockMinors:
     """The block sides of M = A / d as integer rows, A's top rows and its
     negated bottom rows; minors holds each side's maximal minors, the block
-    determinants, and deleted its "row j deleted" tables, on first read."""
+    determinants, and deleted its "row j deleted" tables, on first read.
+    Row i of adj B, B a side's block on columns cols, is (-1)^i times the
+    shared row of the key cols less cols[i], whose entry j is (-1)^j times
+    the side's minor off row j on the key."""
 
     def __init__(self, d: int, a: list[list[int]], r: int):
-        self.d, self.r, self.n = d, r, len(a)
+        self.d, self.r, self.n, self.a = d, r, len(a), a
         self.rows = a[:r], [[-x for x in row] for row in a[r:]]
         self.minors = tuple(minor_table(rows, self.n) for rows in self.rows)
 
@@ -137,17 +134,50 @@ class BlockMinors:
         n = self.n
         return tuple([minor_table(b[:j] + b[j + 1 :], n) for j in range(len(b))] for b in self.rows)
 
-    def inverse_rows(self, sigma: SubsetIndex) -> tuple[int, list[list[int]]]:
-        """S_sigma^-1 = X / e as (e, X), e > 0, for a live sigma.  A block B / d
-        of M has inverse d adj B / det B: row i of X comes from adj C_sigma for
-        i in sigma and from adj Cbar_hat off sigma, zero-padded."""
-        (r, n), hat = (self.r, self.n), complement(sigma, self.n)
+    @cached_property
+    def cofactors(self) -> tuple[tuple[dict, dict], list[list[int]]]:
+        """(keys, rows), top side (0) first: keys[side][key] = (s, g) for the
+        shared row of every key one short of the side's size, and rows[s]
+        that row over its content g, zero-padded to length n on the side's
+        coordinates."""
+        keys, rows = ({}, {}), []
+        for side, deleted in enumerate(self.deleted):
+            pad = [0] * (self.n - len(deleted))
+            for key in deleted[0]:
+                row = [-table[key] if j & 1 else table[key] for j, table in enumerate(deleted)]
+                g = gcd(*row) or 1
+                keys[side][key] = len(rows), g
+                row = [x // g for x in row]
+                rows.append(pad + row if side else row + pad)
+        return keys, rows
+
+    @cached_property
+    def products(self) -> list[list[int]]:
+        """Each shared row times A's columns."""
+        (_, rows), cols = self.cofactors, list(zip(*self.a))
+        return [[sum(map(mul, row, col)) for col in cols] for row in rows]
+
+    def adjugate_pairs(self, side: int, cols: SubsetIndex, scale: int) -> list[tuple[int, int]]:
+        """scale * adj B for the side's block B on columns cols, one pair
+        (s, c) per row: row i is c times rows[s] on the side's coordinates."""
+        keys, pairs = self.cofactors[0][side], []
+        for i in range(len(cols)):
+            s, g = keys[cols[:i] + cols[i + 1 :]]
+            pairs.append((s, -scale * g if i & 1 else scale * g))
+        return pairs
+
+    def inverse_pairs(self, sigma: SubsetIndex) -> tuple[int, list[tuple[int, int]]]:
+        """S_sigma^-1 = X / e as (e, pairs), e > 0, for a live sigma: row i of
+        X is c times rows[s] for pairs[i] = (s, c).  A block B / d of M has
+        inverse d adj B / det B: adj C_sigma gives the rows in sigma."""
+        hat = complement(sigma, self.n)
         det_top, det_bottom = self.minors[0][sigma], self.minors[1][hat]
         f = self.d if det_top * det_bottom > 0 else -self.d
-        top = iter(row + [0] * (n - r) for row in adjugate(self.deleted[0], sigma, f * det_bottom))
-        bottom = iter([0] * r + row for row in adjugate(self.deleted[1], hat, f * det_top))
-        rows = [next(top) if i in sigma else next(bottom) for i in range(1, n + 1)]
-        return abs(det_top * det_bottom), rows
+        pairs: list[tuple[int, int]] = [(0, 0)] * self.n
+        for side, cols, scale in ((0, sigma, f * det_bottom), (1, hat, f * det_top)):
+            for j, pair in zip(cols, self.adjugate_pairs(side, cols, scale)):
+                pairs[j - 1] = pair
+        return abs(det_top * det_bottom), pairs
 
 
 def decompose(m: Matrix, dims: Dimensions) -> Decomposition:
@@ -183,8 +213,9 @@ class Fragment:
     and det_bottom are the integer block minors d^r det C_sigma and
     d^k det Cbar_hat, and sign_class is the sign of
     det S_sigma = sgn(sigma, hat) det_top det_bottom / d^n.  The Fraction
-    determinants det_c, det_cbar and det_s, the fragment matrix s and
-    s_inv_rows are formed on first read."""
+    determinants det_c, det_cbar and det_s, the fragment matrix s,
+    s_inv_pairs and its written-out rows s_inv_rows are formed on first
+    read."""
 
     sigma: SubsetIndex
     det_top: int
@@ -211,9 +242,17 @@ class Fragment:
         return fragment_matrix(self.decomposition, self.sigma)
 
     @cached_property
+    def s_inv_pairs(self) -> tuple[int, list[tuple[int, int]]] | None:
+        """BlockMinors.inverse_pairs's (e, pairs), or None if degenerate."""
+        return None if self.sign_class == DEGENERATE else self.blocks.inverse_pairs(self.sigma)
+
+    @cached_property
     def s_inv_rows(self) -> tuple[int, list[list[int]]] | None:
-        """S_sigma^-1 = X / e as (e, X), e > 0, or None if degenerate."""
-        return None if self.sign_class == DEGENERATE else self.blocks.inverse_rows(self.sigma)
+        """S_sigma^-1 = X / e as (e, X), s_inv_pairs written out."""
+        if self.s_inv_pairs is None:
+            return None
+        (e, pairs), (_, rows) = self.s_inv_pairs, self.blocks.cofactors
+        return e, [[c * x for x in rows[s]] for s, c in pairs]
 
 
 class FragmentSet:

@@ -122,9 +122,10 @@ def eliminate(rows: list[list[int]], ncols: int, reduced: bool = True) -> tuple[
     A column's pivot is its first nonzero entry at or below the current row,
     swapped up; with pivot row y, pivot p and previous pivot prev (1 at the
     start), a row x becomes (p*x - x[col]*y) // prev, an exact division
-    (Bareiss).  Gauss-Jordan mode (reduced) updates every other row; echelon
-    mode only the rows below the pivot, from the pivot column on, since
-    their entries left of it are already 0.  Both modes give the rows at and
+    (Bareiss): with x[col] = 0 that is the rescale (p*x) // prev, skipped
+    when p == prev.  Gauss-Jordan mode (reduced) updates every other row;
+    echelon mode only the rows below the pivot, from the pivot column on,
+    since their entries left of it are already 0.  Both modes give the rows at and
     below the pivot the same update, so both return the same (pivots, last,
     sign): pivot columns, last pivot (1 if none), swap sign, and a
     full-rank square has det sign*last.  In Gauss-Jordan mode each row ends
@@ -149,13 +150,19 @@ def eliminate(rows: list[list[int]], ncols: int, reduced: bool = True) -> tuple[
             for r in range(nrows):
                 if r != row:
                     f = rows[r][col]
-                    rows[r] = [(p * a - f * b) // prev for a, b in zip(rows[r], y)]
+                    if f:
+                        rows[r] = [(p * a - f * b) // prev for a, b in zip(rows[r], y)]
+                    elif p != prev:
+                        rows[r] = [p * a // prev for a in rows[r]]
         else:
             tail = y[col:]
             for r in range(row + 1, nrows):
                 x = rows[r]
                 f = x[col]
-                x[col:] = [(p * a - f * b) // prev for a, b in zip(x[col:], tail)]
+                if f:
+                    x[col:] = [(p * a - f * b) // prev for a, b in zip(x[col:], tail)]
+                elif p != prev:
+                    x[col:] = [p * a // prev for a in x[col:]]
         pivots.append(col)
         prev = p
     return pivots, prev, sign

@@ -128,7 +128,8 @@ def slice_layout(
     the families are the valid keys: the |det Cbar_hat| / g points y = H v / d
     of the key lattice in Cbar_hat's half-open unit cube, which cell_hits
     scans by v on the rows X_hat H and the cell e d, X_hat the rows of
-    s_inv_rows off sigma on the bottom columns, over the box of v =
+    S_sigma^-1 = X / e off sigma on the bottom columns, so X_hat H scales
+    shared cofactor rows times H (s_inv_pairs), over the box of v =
     H^-1 (d Cbar_hat) x, the cube_extents of adj(H) d Cbar_hat divided by
     det H.  The window only filters: a key counts when d M_bottom z = H v for
     some z in it, one lookup in the sums over the window's first n - 1
@@ -155,6 +156,8 @@ def slice_layout(
         col = [row[c] for row in bottom]
         sums = {tuple(s + t * v for s, v in zip(y, col)) for y in sums for t in range(a, b + 1)}
     last = [row[-1] for row in bottom]
+    _, shared = fs.blocks.cofactors
+    shared_h = int_mat_mul([row[r:] for row in shared], h)
     classes = []
     for frag in fs:
         shape = [[row[j - 1] for j in frag.sigma] for row in m_rows[:r]]
@@ -164,9 +167,9 @@ def slice_layout(
         sigma_hat = complement(frag.sigma, n)
         _, lam = w.lambda_of(fs, frag.sigma)
         rules = tuple(lam[j - 1] > 0 for j in sigma_hat)
-        e, x = frag.s_inv_rows
+        e, pairs = frag.s_inv_pairs
         one = e * m_den
-        x_hat = int_mat_mul([x[j - 1][r:] for j in sigma_hat], h)
+        x_hat = [[c * v for v in shared_h[s]] for s, c in (pairs[j - 1] for j in sigma_hat)]
         extents = cube_extents([[row[j - 1] for j in sigma_hat] for row in v_rows])
         box = [(-(-a // det_h), b // det_h) for a, b in extents]
         offsets = []

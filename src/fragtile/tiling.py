@@ -72,20 +72,23 @@ def certify_direction(fs: FragmentSet, w: Sequence) -> GenericDirection:
     """Check every genericity condition for w exactly; raise on any zero.
 
     With w = wn / q, lambda_sigma = S^-1 w is X wn / (e q) for the
-    fragment's s_inv_rows (e, X), and M^-1 w comes the same way from
-    m_inv_rows: certifying eliminates nothing, tests the integers X wn for
-    zero, and keeps each lambda as X wn and e q divided by their gcd."""
+    fragment's s_inv_pairs (e, pairs), and M^-1 w comes the same way from
+    m_inv_rows: certifying eliminates nothing, meets wn once per shared
+    cofactor row, scales that product per row of X wn, tests the integers
+    X wn for zero, and keeps each lambda as X wn and e q over their gcd."""
     dims = fs.dims
     w = vector(w)
     if len(w) != dims.n:
         raise DimensionError(f"w has length {len(w)}, expected {dims.n}")
     q, wn = clear_denominator(w)
     lambdas: dict[SubsetIndex, tuple[int, tuple[int, ...]]] = {}
+    _, rows = fs.blocks.cofactors
+    dots = [sum(map(mul, row, wn)) for row in rows]
     for frag in fs:
         if frag.sign_class == DEGENERATE:
             continue
-        e, rows = frag.s_inv_rows
-        nums = [sum(map(mul, row, wn)) for row in rows]
+        e, pairs = frag.s_inv_pairs
+        nums = [c * dots[s] for s, c in pairs]
         if 0 in nums:
             raise GenericityError(f"w is not generic: zero entry in {_sigma_label(frag.sigma)}^-1 w")
         g = gcd(e * q, *nums)
@@ -194,12 +197,14 @@ def cell_hits(u: Sequence[int], h: Sequence[Sequence[int]], one: int, ranges):
     first c - 1 range widths, and the engine's frames put their widest
     coordinate last.
     """
-    *head, (lo, hi) = ranges
-    last = [row[len(head)] for row in h]
-    for prefix in product(*(range(a, b + 1) for a, b in head)):
+    head = len(ranges) - 1
+    lo, hi = ranges[head]
+    last = [row[head] for row in h]
+    rows = list(zip(u, h, last))
+    for prefix in product(*[range(a, b + 1) for a, b in ranges[:head]]) if head else ((),):
         t0, t1 = lo, hi
         res = []
-        for ui, row, a in zip(u, h, last):
+        for ui, row, a in rows:
             r = ui - sum(map(mul, row, prefix))
             if a > 0:
                 low, high = -((one - r) // a), r // a
@@ -339,17 +344,19 @@ class _Frame:
     cell (h2, one2) = (2 e H', 2 e); hits map by z = W^-1 x.
 
     A frame forms no matrix product: G's Gram matrix is shifted_gram of
-    T's, which the engine shares; S^-1 is the fragment's block-diagonal
-    s_inv_rows, so S^-1 M is I on sigma's diagonal block and -I on the
-    other's, and only its two off-diagonal blocks are summed, from M's top
-    rows (rows in sigma) or its bottom rows; and size_reduce carries S^-1 M
-    along to H'.  A frame eliminates nothing.  lam is lambda_of's
-    least-denominator pair (den, nums), held as certified, and the half-open
-    rules are the signs of nums.
+    T's, which the engine shares; S^-1 is the fragment's s_inv_pairs, each
+    row a scale times a shared cofactor row, so S^-1 M is I on sigma's
+    diagonal block and -I on the other's, and its two off-diagonal blocks
+    are scaled entries of the shared rows' products with M's cleared
+    columns; and size_reduce carries S^-1 M along to H'.  The cell rows of
+    e S^-1 are kept as (shared row, scale) pairs, cell_rows.  A frame
+    eliminates nothing.  lam is lambda_of's least-denominator pair
+    (den, nums), held as certified, and the half-open rules are the signs of
+    nums.
     """
 
     __slots__ = (
-        "sigma", "sign_class", "lam", "rules", "s_inv", "h2", "one2",
+        "sigma", "sign_class", "lam", "rules", "cell_rows", "h2", "one2",
         "to_x", "to_z", "extents", "rows",
     )
 
@@ -359,29 +366,28 @@ class _Frame:
         self.sign_class = frag.sign_class
         self.lam = w.lambda_of(fs, frag.sigma)
         self.rules = tuple(x > 0 for x in self.lam[1])
-        # T = t / slack_den, and G = T - D over it; the columns of M's top
-        # and bottom rows over m_den.
-        slack_den, t, t_gram, top_cols, bottom_cols = shared
-        n, r, m_den = fs.dims.n, fs.dims.r, fs.m_rows[0]
+        # T = t / slack_den, and G = T - D over it.
+        slack_den, t, t_gram = shared
+        n, m_den = fs.dims.n, fs.m_rows[0]
         sig = [j - 1 for j in frag.sigma]
         hat = [j - 1 for j in complement(frag.sigma, n)]
         g = [list(row) for row in t]
         for j in hat:
             g[j][j] -= slack_den
-        # S^-1 = si / si_den and M = m / m_den share the denominator
+        # S^-1 = X / si_den and M = m / m_den share the denominator
         # de = si_den * m_den, over which S^-1 M is de I on sigma's diagonal
-        # block and -de I on hat's: only the off-diagonal blocks take products.
-        si_den, si = frag.s_inv_rows
+        # block and -de I on hat's; off them, row i scales a shared product.
+        si_den, pairs = frag.s_inv_pairs
+        products = fs.blocks.products
         de = si_den * m_den
         h = [[0] * n for _ in range(n)]
-        for block, other, cols, diag, part in (
-            (sig, hat, top_cols, de, slice(None, r)), (hat, sig, bottom_cols, -de, slice(r, None))
-        ):
+        for block, other, diag in ((sig, hat, de), (hat, sig, -de)):
             for i in block:
-                row, hi = si[i][part], h[i]
+                s, c = pairs[i]
+                row, hi = products[s], h[i]
                 hi[i] = diag
                 for j in other:
-                    hi[j] = sum(map(mul, row, cols[j]))
+                    hi[j] = c * row[j]
         g, to_x, to_z, h = size_reduce(g, shifted_gram(t, t_gram, slack_den, hat), h)
         # The widest box coordinate j goes last, where cell_hits solves it
         # rather than enumerates it: rows j and n - 1 of the box and of W
@@ -392,13 +398,12 @@ class _Frame:
         for a in (extents, to_x, *to_z, *h):
             a[j], a[-1] = a[-1], a[j]
         self.extents, self.to_x, self.to_z = extents, to_x, to_z
-        # Dividing by the common gcd leaves the least denominator.
-        s_inv = [[x * m_den for x in row] for row in si]
-        common = gcd(de, *chain.from_iterable(s_inv + h))
+        # Dividing by the common gcd leaves the least denominator; a shared
+        # row's entries have gcd 1, so row i of m_den X has gcd |c m_den|.
+        common = gcd(de, *(c * m_den for _, c in pairs), *chain.from_iterable(h))
         if common > 1:
-            s_inv = [[x // common for x in row] for row in s_inv]
             h = [[x // common for x in row] for row in h]
-        self.s_inv = s_inv
+        self.cell_rows = [(s, c * m_den // common) for s, c in pairs]
         self.h2 = [[2 * x for x in row] for row in h]
         self.one2 = 2 * de // common
 
@@ -425,16 +430,14 @@ class TilingEngine:
         self.expected = fs.expected_coverage()
         (m_den, m), (e, m_inv), (r, n) = fs.m_rows, fs.m_inv_rows, (fs.dims.r, fs.dims.n)
         t = int_mat_mul([row[:r] for row in m_inv], m[:r])
-        shared = (
-            e * m_den, t, [[sum(map(mul, a, b)) for b in t] for a in t],
-            list(zip(*m[:r])), list(zip(*m[r:])),
-        )
+        shared = e * m_den, t, [[sum(map(mul, a, b)) for b in t] for a in t]
         live = [frag for frag in fs if frag.sign_class != DEGENERATE]
         self.frames = [_Frame(f, fs, w, shared, slice(i * n, i * n + n)) for i, f in enumerate(live)]
         self._slack_den = shared[0]
-        self._s_inv, self._to_x, self._extents = (
+        _, self._shared_rows = fs.blocks.cofactors
+        self._cell_rows, self._to_x, self._extents = (
             [x for frame in self.frames for x in getattr(frame, name)]
-            for name in ("s_inv", "to_x", "extents")
+            for name in ("cell_rows", "to_x", "extents")
         )
 
     @cached_property
@@ -445,8 +448,10 @@ class TilingEngine:
 
     def cell_coordinates(self, p_int: Sequence[int]) -> list[int]:
         """u = e S^-1 p_int of every frame, stacked: the cell coordinates of
-        p - M W^-1 x, p = p_int / q, are (2 u[frame.rows] - q h2 x) / (q one2)."""
-        return [sum(map(mul, row, p_int)) for row in self._s_inv]
+        p - M W^-1 x, p = p_int / q, are (2 u[frame.rows] - q h2 x) / (q one2),
+        one product per shared cofactor row, scaled per frame row."""
+        dots = [sum(map(mul, row, p_int)) for row in self._shared_rows]
+        return [c * dots[s] for s, c in self._cell_rows]
 
     def candidate_boxes(self, q: int, p_int: Sequence[int]) -> list[tuple[int, int]]:
         """Inclusive ranges (lo, hi) of every frame, stacked, on x = W z over

@@ -232,8 +232,8 @@ MUTANTS = [
     # with it every lambda, half-open rule and cell coordinate.
     Mutant(
         "fragments",
-        "key, s = cols[:i] + cols[i + 1 :], -scale if i & 1 else scale",
-        "key, s = cols[:i] + cols[i + 1 :], scale if i & 1 else -scale",
+        "pairs.append((s, -scale * g if i & 1 else scale * g))",
+        "pairs.append((s, scale * g if i & 1 else -scale * g))",
         (
             "tests/test_fragments.py::TestMinorTables::test_adjugate_of_random_blocks",
             "tests/test_fragments.py::TestMinorTables::test_corpus",
@@ -325,8 +325,8 @@ MUTANTS = [
     # frame's h2 no longer maps translates to the fragment basis.
     Mutant(
         "tiling",
-        "(hat, sig, bottom_cols, -de, slice(r, None))",
-        "(hat, sig, bottom_cols, de, slice(r, None))",
+        "(hat, sig, -de)",
+        "(hat, sig, de)",
         (
             "tests/test_tiling.py::TestSizeReduce::test_frames_keep_the_translate_lattice",
             "tests/test_golden.py",
@@ -397,6 +397,19 @@ MUTANTS = [
             "tests/test_facets.py::TestDoubleCover::test_matches_the_fraction_path_with_redraws",
             "tests/test_facets.py::TestDoubleCover::test_the_rules_match_the_fraction_path_on_the_corpus",
             "tests/test_tiling.py::TestBlockLinearMaps::test_double_cover_maps_with_the_block_map",
+        ),
+    ),
+    # The shared cofactor rows of the bottom side built with the parity of
+    # the other side: every S_sigma^-1 has its rows off sigma negated, so
+    # lambda's entries there and the bottom cell coordinates flip sign.
+    Mutant(
+        "fragments",
+        "row = [-table[key] if j & 1 else table[key] for j, table in enumerate(deleted)]",
+        "row = [-table[key] if (j + side) & 1 else table[key] for j, table in enumerate(deleted)]",
+        (
+            "tests/test_fragments.py::TestMinorTables::test_adjugate_of_random_blocks",
+            "tests/test_fragments.py::TestSharedCofactors::test_rows_and_lambdas_match_the_fraction_inverse",
+            "tests/test_golden.py",
         ),
     ),
 ]

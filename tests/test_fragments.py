@@ -6,7 +6,7 @@ from math import comb, gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import (
     BlockPermutation,
@@ -55,7 +55,7 @@ from fragtile import (
 )
 from fragtile import cli, fragments
 from fragtile.cli import parse_matrix
-from fragtile.fragments import BlockMinors, Fragment, adjugate
+from fragtile.fragments import BlockMinors, Fragment
 from fragtile.linalg import DimensionError, clear_rows, int_det, int_inverse, int_mat_mul
 
 MATRICES = Path(__file__).resolve().parent / "matrices"
@@ -444,24 +444,31 @@ def test_fragment_set_builds_no_matrix(monkeypatch):
     assert built
 
 
+def _adjugate(blocks, side, cols, scale):
+    """scale * adj B for a side's block on cols, written out from the shared
+    cofactor rows of adjugate_pairs."""
+    part = slice(blocks.r) if side == 0 else slice(blocks.r, None)
+    _, rows = blocks.cofactors
+    return [[c * x for x in rows[s][part]] for s, c in blocks.adjugate_pairs(side, cols, scale)]
+
+
 def _check_tables(fs):
     """Every block's determinant and adjugate from the minor tables against
     int_inverse of the block, and every live s_inv_rows against inverse(s).
     B adj B = det B I holds for a singular block too, where int_inverse
     gives no adjugate."""
     (d, a), (r, k, n) = fs.m_rows, (fs.dims.r, fs.dims.k, fs.dims.n)
-    upper, lower = fs.blocks.deleted
     singular = 0
     for frag in fs:
         sides = (
-            (frag.sigma, a[:r], upper, frag.det_c * d**r),
-            (complement(frag.sigma, n), [[-x for x in row] for row in a[r:]], lower, frag.det_cbar * d**k),
+            (0, frag.sigma, a[:r], frag.det_c * d**r),
+            (1, complement(frag.sigma, n), [[-x for x in row] for row in a[r:]], frag.det_cbar * d**k),
         )
-        for cols, rows, deleted, det_table in sides:
+        for side, cols, rows, det_table in sides:
             block = [[row[j - 1] for j in cols] for row in rows]
             det_block, adj = int_inverse(block)
             assert det_table == det_block, (frag.sigma, cols)
-            table_adj = adjugate(deleted, cols, 1)
+            table_adj = _adjugate(fs.blocks, side, cols, 1)
             assert adj is None or table_adj == adj, (frag.sigma, cols)
             identity = [[det_block * (i == j) for j in range(len(cols))] for i in range(len(cols))]
             assert int_mat_mul(block, table_adj) == identity, (frag.sigma, cols)
@@ -505,22 +512,29 @@ class TestMinorTables:
 
     def test_adjugate_of_random_blocks(self):
         # Seeded integer row blocks, r <= 4 rows by n <= 7 columns, with
-        # about a third of the entries 0: on every r-subset of columns whose
-        # minor is nonzero, the tables' adjugate is int_inverse's.
+        # about a third of the entries 0, padded by a zero column to the top
+        # rows of a square matrix whose other rows are 0, and negated to its
+        # bottom rows: on every r-subset of columns whose minor is nonzero,
+        # the adjugate that the shared cofactor rows give is int_inverse's,
+        # on either side.
         rng = random.Random("adjugate-blocks")
         checked = 0
         for _ in range(120):
             r = rng.randint(1, 4)
             n = rng.randint(r, 7)
             rows = [[rng.choice((0, 0, -3, -2, -1, 1, 2, 3)) for _ in range(n)] for _ in range(r)]
-            deleted = [fragments.minor_table(rows[:j] + rows[j + 1 :], n) for j in range(r)]
-            for cols in subsets(n, r):
-                det_block, adj = int_inverse([[row[j - 1] for j in cols] for row in rows])
-                if det_block:
-                    assert adjugate(deleted, cols, 1) == adj, (rows, cols)
-                    assert adjugate(deleted, cols, -3) == [[-3 * x for x in row] for row in adj]
-                    checked += 1
-        assert checked > 800
+            padded = [row + [0] for row in rows]
+            zeros = [[0] * (n + 1) for _ in range(n + 1 - r)]
+            negated = [[-x for x in row] for row in padded]
+            sides = (0, BlockMinors(1, padded + zeros, r)), (1, BlockMinors(1, zeros + negated, n + 1 - r))
+            for side, blocks in sides:
+                for cols in subsets(n, r):
+                    det_block, adj = int_inverse([[row[j - 1] for j in cols] for row in rows])
+                    if det_block:
+                        assert _adjugate(blocks, side, cols, 1) == adj, (rows, cols, side)
+                        assert _adjugate(blocks, side, cols, -3) == [[-3 * x for x in row] for row in adj]
+                        checked += 1
+        assert checked > 1600
 
     @given(singular_prone_matrices())
     def test_random_rational_matrices(self, case):
@@ -575,12 +589,13 @@ def _count_first_reads(monkeypatch, cls, name):
 
 
 class TestLazyInverses:
-    """S_sigma^-1 is formed only when a command reads it, never for a
-    degenerate fragment, and each set builds its "row deleted" tables once."""
+    """S_sigma^-1, as its (shared row, scale) pairs, is formed only when a
+    command reads it, never for a degenerate fragment, and each set builds
+    its "row deleted" tables once."""
 
     def _logs(self, monkeypatch):
         return (
-            _count_first_reads(monkeypatch, Fragment, "s_inv_rows"),
+            _count_first_reads(monkeypatch, Fragment, "s_inv_pairs"),
             _count_first_reads(monkeypatch, BlockMinors, "deleted"),
         )
 
@@ -607,6 +622,65 @@ class TestLazyInverses:
             assert all(frag.sign_class != DEGENERATE for frag in inverses), argv
             assert len(set(map(id, inverses))) == len(inverses), argv
             assert Counter(map(id, tables)) == Counter({id(inverses[0].blocks): 1}), argv
+
+
+class TestSharedCofactors:
+    """Every live S_sigma^-1 is one (shared cofactor row, scale) pair per
+    row, from the C(n, r-1) + C(n, k-1) rows that BlockMinors holds."""
+
+    @given(split_matrices())
+    @example((rows_matrix(2, [[2, 1], [1, 3]]), Dimensions(1, 1)))
+    @example((rows_matrix(1, [[2, 1, 0], [1, 3, 1], [0, 1, 2]]), Dimensions(1, 2)))
+    @example((rows_matrix(3, [[2, 1, 0], [1, 3, 1], [1, 1, 2]]), Dimensions(2, 1)))
+    def test_rows_and_lambdas_match_the_fraction_inverse(self, case):
+        # r = 1 or k = 1 reads the side's one shared row, of the empty key.
+        m, dims = case
+        fs = fragment_set(decompose(m, dims))
+        inverses = {
+            frag.sigma: inverse(fragment_matrix(fs.decomposition, frag.sigma))
+            for frag in fs
+            if frag.sign_class != DEGENERATE
+        }
+        for sigma, s_inv in inverses.items():
+            e, x = fs[sigma].s_inv_rows
+            assert Matrix.from_rows([[Fraction(v, e) for v in row] for row in x]) == s_inv, sigma
+        if fs.det_m == 0:
+            return
+        w = choose_generic_direction(fs, 0)
+        for sigma, s_inv in inverses.items():
+            assert pair_fractions(w.lambda_of(fs, sigma)) == s_inv.mat_vec(w.w), sigma
+
+    def test_cell_coordinates_dot_each_shared_row_once(self, monkeypatch):
+        # A machine-free counter guard (ROADMAP item 10): per point,
+        # cell_coordinates makes one dot product per shared row and only
+        # scales it per frame row, so a z6r3 corpus matrix takes 30, where
+        # one per frame row would take 6 per live frame, up to 120.
+        import builtins
+
+        from fragtile import tiling
+
+        engines = []
+        for path in corpus_files():
+            fs = corpus_set(path)
+            if fs.det_m != 0:
+                engines.append((path.stem, TilingEngine(fs, choose_generic_direction(fs, 0))))
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return builtins.sum(*args)
+
+        for module in (fragments, tiling):
+            monkeypatch.setattr(module, "sum", counted, raising=False)
+        rng = random.Random("shared-dots")
+        for name, engine in engines:
+            n, r = engine.fs.dims.n, engine.fs.dims.r
+            for _ in range(3):
+                del calls[:]
+                u = engine.cell_coordinates([rng.randint(-99, 99) for _ in range(n)])
+                assert len(calls) == comb(n, r - 1) + comb(n, n - r - 1), name
+                assert len(calls) == 30 or not name.startswith("z6r3"), name
+                assert len(u) == n * len(engine.frames), name
 
 
 class TestIntegerSetUp:
