@@ -15,13 +15,13 @@ verifiers check the theorem at every sample they draw.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
 from math import gcd
 from operator import mul
-from typing import Mapping, Sequence
 
 from .fragments import DEGENERATE, DegenerateFragmentError, FragmentSet, SubsetIndex, complement
 from .linalg import DimensionError, Matrix, SingularMatrixError, clear_denominator, int_mat_mul, vector
@@ -123,15 +123,38 @@ def grid_vector(tag: str, dim: int, lo: int, hi: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, SAMPLE_DENOMINATOR) for x in grid_numerators(tag, dim, lo, hi))
 
 
-def fundamental_point(fs: FragmentSet, tag: str) -> tuple[Fraction, ...]:
+class ClearedPoint(Sequence):
+    """The exact point p = nums / q (q > 0) as the integers it was formed
+    from, which tiles_at takes as they are; nums / q need not be in lowest
+    terms.  Read by index, slice or iteration it is the rational vector p,
+    one Fraction per read, so every reader of a point sees what it always
+    did.  It is a point type, not a second tiles_at that takes integers,
+    because tiles_at is the one entry that perfbench traces by name."""
+
+    __slots__ = ("q", "nums")
+
+    def __init__(self, q: int, nums: list[int]):
+        self.q, self.nums = q, nums
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(Fraction(x, self.q) for x in self.nums[i])
+        return Fraction(self.nums[i], self.q)
+
+    def __iter__(self):
+        return (Fraction(x, self.q) for x in self.nums)
+
+
+def fundamental_point(fs: FragmentSet, tag: str) -> ClearedPoint:
     """M u for u = c / 2^31 with c = grid_numerators(tag, n, 0, 2^31), a grid
     point of the fundamental domain M [0,1)^n: with M = A / d (fs.m_rows),
-    M u = A c / (d 2^31) is formed from integers, one Fraction per
-    coordinate."""
+    M u = A c / (d 2^31), kept as that ClearedPoint; no Fraction is built."""
     m_den, m_rows = fs.m_rows
     c = grid_numerators(tag, fs.dims.n, 0, SAMPLE_DENOMINATOR)
-    den = m_den * SAMPLE_DENOMINATOR
-    return tuple(Fraction(sum(map(mul, row, c)), den) for row in m_rows)
+    return ClearedPoint(m_den * SAMPLE_DENOMINATOR, [sum(map(mul, row, c)) for row in m_rows])
 
 
 def choose_generic_direction(fs: FragmentSet, seed: int) -> GenericDirection:
@@ -484,16 +507,24 @@ class TilingEngine:
         cell_position, and the count only flags the event.  Tiles come in
         frame order and, within a frame, sorted by z.
 
+        This is the one place a point is cleared to integers p = p_int / q:
+        a ClearedPoint gives its (q, nums) as they are, and any other point
+        is read as a rational vector and cleared to its least denominator.
+        Neither the boxes' floors nor the rounding below depend on which
+        denominator writes p, so both give the same tiles.
+
         The test runs on integers that do not grow with q: with u the cell
         coordinates, 2 (u_i // q) + (u_i % q > 0) replaces 2 u_i / q in the
         doubled cell.  Where q divides u_i that is exact; elsewhere the exact
         residual lies strictly between two even integers, and the odd one
         between them touches no face and is in [0, one2] exactly when it is.
         """
-        p = vector(p)
-        if len(p) != self.fs.dims.n:
-            raise DimensionError(f"point has length {len(p)}, expected {self.fs.dims.n}")
-        q, p_int = clear_denominator(p)
+        if isinstance(p, ClearedPoint):
+            q, p_int = p.q, p.nums
+        else:
+            q, p_int = clear_denominator(vector(p))
+        if len(p_int) != self.fs.dims.n:
+            raise DimensionError(f"point has length {len(p_int)}, expected {self.fs.dims.n}")
         ranges = self.candidate_boxes(q, p_int)
         u = [2 * (x // q) + (x % q > 0) for x in self.cell_coordinates(p_int)]
         found: list[tuple[TileId, str]] = []
@@ -522,10 +553,11 @@ def verify_constancy(
     """Sample the fundamental domain and check the cover count is constant.
 
     Points are drawn by fundamental_point, p = M u with u uniform on the
-    2^-31 grid of [0,1)^n; by lattice periodicity of the tiling, constancy
-    there is constancy everywhere.  A sample on a tile boundary is decided
-    by the half-open w-rules like any other; such samples are counted in
-    boundary_samples.
+    2^-31 grid of [0,1)^n, and reach tiles_at as the integers they were
+    formed from (ClearedPoint), with no Fraction per sample; by lattice
+    periodicity of the tiling, constancy there is constancy everywhere.  A
+    sample on a tile boundary is decided by the half-open w-rules like any
+    other; such samples are counted in boundary_samples.
     """
     engine = TilingEngine(fs, w)
     expected = engine.expected

@@ -412,6 +412,19 @@ MUTANTS = [
             "tests/test_golden.py",
         ),
     ),
+    # fundamental_point drops d from its denominator: every verify sample on
+    # a rational matrix (d > 1) is the point d times too far out, which only
+    # the rational cases of the Fraction comparison and the goldens see.
+    Mutant(
+        "tiling",
+        "m_den * SAMPLE_DENOMINATOR",
+        "SAMPLE_DENOMINATOR",
+        (
+            "tests/test_tiling.py::TestVerifyConstancy::test_matches_the_fraction_path",
+            "tests/test_golden.py::test_golden_stdout[verify-q3r2-1]",
+            "tests/test_golden.py::test_perfbench_digests[dense]",
+        ),
+    ),
 ]
 
 

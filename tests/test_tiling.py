@@ -1,4 +1,5 @@
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -48,10 +49,12 @@ from fragtile import (
     solve,
     subsets,
     tiling,
+    vector,
     verify_constancy,
 )
 from fragtile.linalg import DimensionError, clear_denominator, clear_rows, int_det, int_mat_mul
 from fragtile.tiling import (
+    ClearedPoint,
     cell_hits,
     cell_position,
     cube_extents,
@@ -909,8 +912,9 @@ class TestCoverage:
         path = tmp_path / "M.txt"
         path.write_text("2 2\n3 2 -4 1\n1 0 2 2\n2 0 -1 1\n0 1 -2 3\n")
         for point in ((1, 2), (1, 2, 3, 4, 5)):
-            with pytest.raises(DimensionError, match=f"length {len(point)}, expected 4"):
-                engine.tiles_at(point)
+            for p in (point, ClearedPoint(2, list(point))):
+                with pytest.raises(DimensionError, match=f"^point has length {len(point)}, expected 4$"):
+                    engine.tiles_at(p)
             text = ",".join(map(str, point))
             for command in ("coverage", "crossing"):
                 code, _, err = invoke([command, "--matrix", str(path), "--point", text])
@@ -993,16 +997,22 @@ class TestVerifyConstancy:
 
     def test_matches_the_fraction_path_with_redraws(self, mset, w_m, lset, w_l, monkeypatch):
         # On a grid of step 1/8 many samples land on tile boundaries, where
-        # the w-rules decide them; the oracle decides them the same way.
+        # the w-rules decide them; the oracle decides them the same way.  On
+        # the rational q3r2-0 (d = 12) and q3r2-1 (d = 6) a sample reaches
+        # tiles_at over d 2^31, which is not its least denominator.
+        cases = [(mset, w_m), (lset, w_l)]
+        for fs in (corpus_matrix(3, 2, 0, True), corpus_matrix(3, 2, 1, True)):
+            cases.append((fs, choose_generic_direction(fs, 0)))
         grid_numerators = tiling.grid_numerators
         monkeypatch.setattr(
             tiling, "grid_numerators", lambda tag, dim, lo, hi: [x << 28 for x in grid_numerators(tag, dim, 0, 8)]
         )
-        for fs, w in ((mset, w_m), (lset, w_l)):
+        for fs, w in cases:
             rep = verify_constancy(fs, w, 40, 1)
             assert rep.boundary_samples > 0
             assert rep.passed
             assert rep == reference_verify(fs, w, 40, 1)
+        assert [fs.m_rows[0] for fs, _ in cases[2:]] == [12, 6]
 
     def test_mat_vec_calls_do_not_grow_with_samples(self, mset, w_m, mat_vec_log):
         counts = []
@@ -1010,6 +1020,20 @@ class TestVerifyConstancy:
             del mat_vec_log[:]
             verify_constancy(mset, w_m, samples, 3)
             counts.append(len(mat_vec_log))
+        assert counts[0] == counts[1]
+
+    def test_points_are_not_cleared_per_sample(self, mset, w_m, monkeypatch):
+        # A sample reaches tiles_at as the integers it was formed from: no
+        # Fraction vector is read or cleared per sample.
+        log = []
+        for name in ("clear_denominator", "vector"):
+            func = getattr(tiling, name)
+            monkeypatch.setattr(tiling, name, lambda v, name=name, func=func: log.append(name) or func(v))
+        counts = []
+        for samples in (10, 100):
+            del log[:]
+            verify_constancy(mset, w_m, samples, 3)
+            counts.append(len(log))
         assert counts[0] == counts[1]
 
     def test_the_rules_decide_the_lattice_origin(self, mset, w_m, tmp_path, monkeypatch):
@@ -1023,6 +1047,35 @@ class TestVerifyConstancy:
         code, out, _ = invoke(["verify", "--matrix", str(path), "--w", "1,1,1,1", "--samples", "3"])
         assert code == 0
         assert out.endswith("boundary_redraws=3 values=1 f=1 pass=true\n")
+
+
+class TestClearedPoint:
+    def test_reads_as_the_rational_vector(self):
+        p = ClearedPoint(12, [6, -8, 0, 3])
+        expected = (HALF, Fraction(-2, 3), Fraction(0), Fraction(1, 4))
+        assert isinstance(p, Sequence) and not hasattr(p, "__dict__")
+        assert len(p) == 4 and tuple(p) == expected and list(p) == list(expected)
+        assert (p[0], p[-1], p[1:3], p[::-1]) == (expected[0], expected[-1], expected[1:3], expected[::-1])
+        assert vector(p) == expected and Matrix.from_rows([[1, 1, 1, 1]]).mat_vec(p) == (Fraction(1, 12),)
+
+    def test_fundamental_point_is_the_fraction_product(self):
+        # Every corpus matrix, the rational q files included: the point is
+        # M u for the grid vector u, as the Fraction product forms it.
+        for path in corpus_files():
+            fs = corpus_set(path)
+            m, n = fs.decomposition.m, fs.dims.n
+            for tag in ("sample:0:0:0", "sample:1:7:0", "ray:0:0"):
+                p = fundamental_point(fs, tag)
+                assert isinstance(p, ClearedPoint), path.name
+                assert tuple(p) == m.mat_vec(tiling.grid_vector(tag, n, 0, tiling.SAMPLE_DENOMINATOR)), path.name
+
+    def test_tiles_at_takes_either_form(self):
+        for path in corpus_files(max_n=5):
+            fs = corpus_set(path)
+            engine = TilingEngine(fs, choose_generic_direction(fs, 0))
+            for i in range(2):
+                p = fundamental_point(fs, f"sample:0:{i}:0")
+                assert engine.tiles_at(p) == engine.tiles_at(tuple(p)), path.name
 
 
 class TestAverageIdentity:
