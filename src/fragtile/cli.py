@@ -46,12 +46,13 @@ from .render import render_svg
 from .slices import slice_layout
 from .tiling import (
     SAMPLE_DENOMINATOR,
+    ClearedPoint,
     GenericityError,
     TilingEngine,
     certify_direction,
     choose_generic_direction,
     fundamental_point,
-    grid_vector,
+    grid_numerators,
     verify_constancy,
 )
 
@@ -225,7 +226,7 @@ def cmd_coverage(args, fs):
     report = TilingEngine(fs, w).coverage(args.point)
     pos, neg = report.census
     ok = report.f_value == report.expected
-    lines = [("point={}", report.point), ("w={}", w.w)]
+    lines = [("point={}", args.point), ("w={}", w.w)]
     for tile, sign_class in report.tiles:
         lines.append(("tile z={} sigma={} class={}", tile.z, set(tile.sigma), sign_class))
     lines.append((
@@ -369,13 +370,12 @@ def cmd_slice(args, fs):
     verdict = "ok" if balance_ok else "FAIL"
     lines.append(("balance_lhs={} balance_rhs={} {}", balance, expected_balance, verdict))
     engine = TilingEngine(fs, w)
-    zeros = (Fraction(0),) * fs.dims.k
     f_ok = True
     for i in range(args.samples):
-        p_r = grid_vector(
+        p_r = grid_numerators(
             f"slicepoint:{args.seed}:{i}", fs.dims.r, -3 * SAMPLE_DENOMINATOR, 3 * SAMPLE_DENOMINATOR
         )
-        report = engine.coverage(p_r + zeros)
+        report = engine.coverage(ClearedPoint(SAMPLE_DENOMINATOR, p_r + [0] * fs.dims.k))
         f_ok = f_ok and report.f_value == report.expected
     all_ok = all_ok and f_ok
     lines.append(("coverage_samples={} coverage_pass={} pass={}", args.samples, f_ok, all_ok))

@@ -79,10 +79,14 @@ def tilde_facet(z: Sequence[int], sigma: Sequence[int], j: int, s: int) -> Facet
 
     The s=1 member is re-anchored one lattice step along e_j, toward lower z
     when j carries a top part (j in sigma) and toward higher z otherwise;
-    s=0 members coincide with their plain form.
+    s=0 members coincide with their plain form.  A z entry that is not an
+    exact integer, a sigma that is not an index subset of [n], n = len(z),
+    a j outside 1..n and an s outside {0, 1} raise DimensionError.
     """
     z = _translate(z)
-    sigma = tuple(sorted(sigma))
+    sigma = normalize_subset(sigma, len(z))
+    if not 1 <= j <= len(z):
+        raise DimensionError(f"omitted generator must be in 1..{len(z)}, got {j}")
     if s not in (0, 1):
         raise DimensionError(f"facet side must be 0 or 1, got {s}")
     step = -s if j in sigma else s

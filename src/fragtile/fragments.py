@@ -213,9 +213,8 @@ class Fragment:
     and det_bottom are the integer block minors d^r det C_sigma and
     d^k det Cbar_hat, and sign_class is the sign of
     det S_sigma = sgn(sigma, hat) det_top det_bottom / d^n.  The Fraction
-    determinants det_c, det_cbar and det_s, the fragment matrix s,
-    s_inv_pairs and its written-out rows s_inv_rows are formed on first
-    read."""
+    determinants det_c, det_cbar and det_s, the fragment matrix s and
+    s_inv_pairs are formed on first read."""
 
     sigma: SubsetIndex
     det_top: int
@@ -245,14 +244,6 @@ class Fragment:
     def s_inv_pairs(self) -> tuple[int, list[tuple[int, int]]] | None:
         """BlockMinors.inverse_pairs's (e, pairs), or None if degenerate."""
         return None if self.sign_class == DEGENERATE else self.blocks.inverse_pairs(self.sigma)
-
-    @cached_property
-    def s_inv_rows(self) -> tuple[int, list[list[int]]] | None:
-        """S_sigma^-1 = X / e as (e, X), s_inv_pairs written out."""
-        if self.s_inv_pairs is None:
-            return None
-        (e, pairs), (_, rows) = self.s_inv_pairs, self.blocks.cofactors
-        return e, [[c * x for x in rows[s]] for s, c in pairs]
 
 
 class FragmentSet:

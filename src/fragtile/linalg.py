@@ -4,10 +4,11 @@ Entries and results are ``fractions.Fraction``, so predicates such as
 determinant signs are decided exactly; matrices are immutable, dense and
 row-major.  Every elimination is ``eliminate``, fraction-free (Bareiss) on
 integer rows, in one of two modes with one return contract: Gauss-Jordan
-for ``inverse`` and ``solve``, echelon (rows below each pivot only) for
-determinants.  ``det``, ``inverse`` and ``solve`` clear a matrix to A / c,
-eliminate A and divide once; ``int_det``, ``int_inverse``, ``inverse_rows``
-and ``int_mat_mul`` serve callers that hold integer rows.
+for ``inverse``, echelon (rows below each pivot only) for determinants.
+``det`` and ``inverse`` clear a matrix to A / c, eliminate A and divide
+once, and ``solve`` multiplies by the inverse; ``int_det``,
+``int_inverse``, ``inverse_rows`` and ``int_mat_mul`` serve callers that
+hold integer rows.
 Intended scale is small systems (n <= ~10), with no sparsity or asymptotic
 cleverness.
 """
@@ -213,18 +214,10 @@ def det(a: Matrix) -> Fraction:
 
 
 def solve(a: Matrix, b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Exact solution x of a*x = b for square invertible a: [a | b] is cleared
-    and eliminated, and x is the last column over the last pivot."""
-    if a.rows != a.cols:
-        raise DimensionError(f"solve needs a square matrix, got {a.rows}x{a.cols}")
-    n = a.rows
-    if len(b) != n:
-        raise DimensionError(f"right-hand side length {len(b)} vs size {n}")
-    _, aug = clear_rows([a.row(i) + (rat(b[i]),) for i in range(n)])
-    pivots, last, _ = eliminate(aug, n)
-    if len(pivots) < n:
-        raise SingularMatrixError("matrix is singular")
-    return tuple(Fraction(row[n], last) for row in aug)
+    """Exact solution x = a^-1 b of a*x = b for square invertible a."""
+    if len(b) != a.rows:
+        raise DimensionError(f"right-hand side length {len(b)} vs size {a.rows}")
+    return inverse(a).mat_vec(vector(b))
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -1,17 +1,19 @@
 """Deterministic SVG rendering of 2-D tilings and 2-D slices.
 
-All geometry is integer: render_svg picks one denominator q for the source's
-rows, the window and the anchors, and every coordinate from there on is an
-integer numerator over q.  Decimals appear only in the emitted document, from
-the integer dec6 (6 fractional digits, round half to even).  A tile translate
+All geometry is integer: render_svg picks one denominator q, the lcm of the
+source's denominator and the window's, scales the source's rows and anchors
+to it and clears the window over it, and every coordinate from there on is
+an integer numerator over q.  Decimals appear only in the emitted document,
+from the integer dec6 (6 fractional digits, round half to even).  A tile translate
 is drawn when its open parallelogram meets the open window: its offset lies
 strictly inside the four separating-axis strips, on integer normals, as
 cell_hits' residuals show, so the polygon census is reproducible.  Elements
 are grouped per fragment in lexicographic subset order, each group with its
 own fill shade, polygons in lexicographic order of their integer corners.  Both
-kinds of source hand over integer rows over one denominator: the shapes
-(S_sigma for a tiling, C_sigma for a slice) and the lattice basis (M or B),
-whose inverse, formed once, bounds the translate boxes.
+kinds of source hand over integers over one denominator: the shapes
+(S_sigma for a tiling, C_sigma for a slice), the anchors (the origin, or a
+slice's class offsets) and the lattice basis (M or B), whose inverse,
+formed once, bounds the translate boxes.
 """
 from __future__ import annotations
 
@@ -164,14 +166,12 @@ def render_svg(source, window) -> str:
     else:
         raise DimensionError(f"cannot render {type(source).__name__}")
 
-    # One denominator q for the rows, the window and the anchors; from here
+    # One denominator q for the rows, the anchors and the window; from here
     # on every coordinate is an integer over q.
-    points = [window, *(anchor for *_, anchors in families for anchor in anchors)]
-    q = lcm(den, *(v.denominator for point in points for v in point))
-    over_q = lambda point: tuple(v.numerator * (q // v.denominator) for v in point)
+    q = lcm(den, *(v.denominator for v in window))
     scale = q // den
     basis = [[x * scale for x in row] for row in basis]
-    window = over_q(window)
+    window = tuple(v.numerator * (q // v.denominator) for v in window)
 
     class_totals: dict[str, int] = {}
     for _, sign_class, _, _ in families:
@@ -183,7 +183,7 @@ def render_svg(source, window) -> str:
         class_seen[sign_class] = position + 1
         fill = _shade(PALETTE[sign_class], position, class_totals[sign_class])
         shape = [[x * scale for x in row] for row in shape]
-        anchors = [over_q(anchor) for anchor in anchors]
+        anchors = [tuple(x * scale for x in anchor) for anchor in anchors]
         polygons = _family_polygons(q, shape, anchors, basis, basis_inv_rows, window)
         groups.append((_group_id(sigma), fill, polygons))
     return _svg_document(groups, q, window)

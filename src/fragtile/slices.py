@@ -10,9 +10,9 @@ restricted tiling is periodic with finitely many translate classes per
 fragment.  A translate enters only through its key H v / d, the bottom rows
 of M times z, so cell_hits scans each fragment's keys v on its integer S^-1
 rows, the translate window only filters them, and offsets are reduced on
-the integer rows of B and of B^-1.  The layout holds B, B^-1 and each
-fragment's shape C_sigma as integer rows over M's denominator d, read from
-the decomposition's m_rows.
+the integer rows of B and of B^-1.  The layout holds B, each fragment's
+shape C_sigma and each class offset as integers over M's denominator d,
+read from the decomposition's m_rows, and B^-1 as integer rows.
 """
 from __future__ import annotations
 
@@ -92,12 +92,13 @@ def unimodular_reduce(
 @dataclass(frozen=True)
 class SliceClass:
     """Translate family of one fragment inside the slice plane; shape holds
-    C_sigma as integer rows over the layout's denominator."""
+    C_sigma as integer rows, and offsets each class's reduced offset as an
+    integer vector, both over the layout's denominator d = b_rows[0]."""
 
     sigma: SubsetIndex
     shape: list[list[int]]
     sign_class: str
-    offsets: tuple[tuple[Fraction, ...], ...]
+    offsets: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,8 @@ def slice_layout(
     some z in it, one lookup in the sums over the window's first n - 1
     coordinates per value of the last.  A key's offset is that of
     z = U[:, :k] v, whose top is t = Bk v over d, reduced into B's cell:
-    with B = A / d, (t - A floor(B^-1 t / d)) / d.  Families are a multiset:
+    with B = A / d, (t - A floor(B^-1 t / d)) / d, kept as its numerators
+    t - A floor(B^-1 t / d) over d.  Families are a multiset:
     distinct families can share a reduced offset, which is how overlapping
     fragments show up in the slice.
     """
@@ -182,7 +184,7 @@ def slice_layout(
             t = [sum(map(mul, row, v)) for row in bk_rows]
             cell = [sum(map(mul, row, t)) // (e_b * m_den) for row in x_b]
             shift = [sum(map(mul, row, cell)) for row in b_rows]
-            offsets.append(tuple(Fraction(a - b, m_den) for a, b in zip(t, shift)))
+            offsets.append(tuple(a - b for a, b in zip(t, shift)))
         classes.append(SliceClass(frag.sigma, shape, frag.sign_class, tuple(sorted(offsets))))
     g = Fraction(det_h, m_den**k)
     return SliceLayout(b_rows=(m_den, b_rows), classes=tuple(classes), g=g, b_inv_rows=b_inv_rows)

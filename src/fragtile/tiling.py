@@ -264,7 +264,6 @@ def _census(tiles: Sequence[tuple[TileId, str]]) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    point: tuple[Fraction, ...]
     tiles: tuple[tuple[TileId, str], ...]
     f_value: int
     expected: int
@@ -544,7 +543,7 @@ class TilingEngine:
     def coverage(self, p: Sequence[Fraction]) -> CoverageReport:
         tiles, _ = self.tiles_at(p)
         pos, neg = _census(tiles)
-        return CoverageReport(vector(p), tuple(tiles), pos - neg, self.expected)
+        return CoverageReport(tuple(tiles), pos - neg, self.expected)
 
 
 def verify_constancy(

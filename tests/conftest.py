@@ -256,6 +256,15 @@ def pair_fractions(pair) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, den) for x in nums)
 
 
+def s_inv_rows(frag) -> tuple[int, list[list[int]]] | None:
+    """S_sigma^-1 = X / e of a fragment as (e, X), its s_inv_pairs written
+    out row by row, or None for a degenerate fragment."""
+    if frag.s_inv_pairs is None:
+        return None
+    (e, pairs), (_, rows) = frag.s_inv_pairs, frag.blocks.cofactors
+    return e, [[c * x for x in rows[s]] for s, c in pairs]
+
+
 def invoke(argv):
     """Run the CLI in-process, capturing (exit code, stdout, stderr)."""
     import io
@@ -489,7 +498,7 @@ def reference_slice_layout(fs, w, window):
         sigma_hat = complement(frag.sigma, dims.n)
         lam = pair_fractions(w.lambda_of(fs, frag.sigma))
         rules = tuple(lam[j - 1] > 0 for j in sigma_hat)
-        e, x = frag.s_inv_rows
+        e, x = s_inv_rows(frag)
         h = int_mat_mul([x[j - 1][dims.r :] for j in sigma_hat], m_rows[dims.r :])
         families = {}
         for z, y in cell_hits([0] * dims.k, h, e * m_den, window):
@@ -1163,8 +1172,12 @@ def reference_render_boxes(source, window) -> list[list[tuple[int, int]]]:
         ]
         den, basis_inv_rows = source.m_rows[0], source.m_inv_rows
     else:
-        families = [(c.shape, c.offsets) for c in source.classes if c.sign_class != DEGENERATE and c.offsets]
         den, basis_inv_rows = source.b_rows[0], source.b_inv_rows
+        families = [
+            (c.shape, [tuple(Fraction(x, den) for x in offset) for offset in c.offsets])
+            for c in source.classes
+            if c.sign_class != DEGENERATE and c.offsets
+        ]
     boxes = []
     for shape, anchors in families:
         g1, g2 = ([Fraction(x, den) for x in col] for col in zip(*shape))

@@ -749,6 +749,27 @@ def test_readme_flag_table_matches_the_parser():
     assert documented == parsed
 
 
+def test_readme_library_example_runs():
+    # README's Library example, statement by statement: an expression
+    # statement with a trailing comment must evaluate to the comment's value.
+    import ast
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    source = readme.split("## Library\n\n```python\n")[1].split("```")[0]
+    lines = source.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for stmt in ast.parse(source).body:
+        code = ast.get_source_segment(source, stmt)
+        comment = lines[stmt.end_lineno - 1].partition("#")[2].strip()
+        if isinstance(stmt, ast.Expr) and comment:
+            assert eval(code, namespace) == eval(comment, namespace), code
+            checked += 1
+        else:
+            exec(code, namespace)
+    assert checked == 3
+
+
 def expected_polygon_count(fs, window):
     """Clipping-area oracle: translates whose clipped area is positive."""
     x0, x1, y0, y1 = window = tuple(map(Fraction, window))
@@ -899,8 +920,9 @@ class TestRenderAgainstSeparatingAxes:
             families = [(f.sigma, f.s, (zero,)) for f in source if f.sign_class != "degenerate"]
         else:
             basis = rows_matrix(*source.b_rows)
+            den = source.b_rows[0]
             families = [
-                (c.sigma, rows_matrix(source.b_rows[0], c.shape), c.offsets)
+                (c.sigma, rows_matrix(den, c.shape), [tuple(Fraction(x, den) for x in o) for o in c.offsets])
                 for c in source.classes
                 if c.sign_class != "degenerate" and c.offsets
             ]

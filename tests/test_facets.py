@@ -26,6 +26,7 @@ from conftest import (
     random_rational_invertible,
     reference_double_cover,
     reference_h_vector,
+    s_inv_rows,
     solve_affine,
     split_matrices,
 )
@@ -91,6 +92,17 @@ class TestTildeFacet:
                 tilde_facet(z, (1, 2), 1, 1)
         f = tilde_facet((Fraction(7), Fraction(-4, 2), 0, 0), (1, 2), 1, 1)
         assert f.z == (6, -2, 0, 0) and all(type(x) is int for x in f.z)
+
+    def test_invalid_sigma_and_j_are_refused(self):
+        # tilde_facet once named FacetId(sigma=(1, 1), j=9) without complaint.
+        cases = [((1, 1), 9, "invalid index subset"), ((0, 2), 1, "invalid index subset")]
+        cases += [((2, 5), 1, "invalid index subset"), ((1, 2), 0, "omitted generator")]
+        cases += [((1, 2), 5, "omitted generator")]
+        for sigma, j, message in cases:
+            with pytest.raises(DimensionError, match=message):
+                tilde_facet((0, 0, 0, 0), sigma, j, 0)
+        f = tilde_facet((0, 0, 0, 0), [2, 1], 4, 1)
+        assert f == FacetId(z=(0, 0, 0, 1), sigma=(1, 2), j=4, s=1)
 
 
 class TestFacetCollection:
@@ -914,7 +926,7 @@ class TestClassifyEvents:
         sigma = next(f.sigma for f in mset if f.sign_class != DEGENERATE)
         # Rows 1 and 2 of an invertible S_sigma^-1 are not parallel; sides
         # 0 and 1 of one generator share a normal.
-        normals = mset[sigma].s_inv_rows[1]
+        normals = s_inv_rows(mset[sigma])[1]
         assert normalize_integer_direction(normals[0]) != normalize_integer_direction(normals[1])
         zero = (0,) * 4
         first, across, parallel = (

@@ -29,6 +29,7 @@ from conftest import (
     random_invertible,
     random_rational_invertible,
     rows_matrix,
+    s_inv_rows,
     split_matrices,
 )
 from fragtile import (
@@ -328,9 +329,9 @@ class TestBlockFactorization:
             r, n = fs.dims.r, fs.dims.n
             for frag in fs:
                 if frag.sign_class == DEGENERATE:
-                    assert frag.s_inv_rows is None, frag.sigma
+                    assert s_inv_rows(frag) is None, frag.sigma
                     continue
-                e, x = frag.s_inv_rows
+                e, x = s_inv_rows(frag)
                 s_inv = Matrix.from_rows([[Fraction(v, e) for v in row] for row in x])
                 assert s_inv == inverse(frag.s), frag.sigma
                 # the two blocks: C^-1 on sigma's top columns, Cbar^-1 off it
@@ -474,9 +475,9 @@ def _check_tables(fs):
             assert int_mat_mul(block, table_adj) == identity, (frag.sigma, cols)
             singular += adj is None
         if frag.sign_class == DEGENERATE:
-            assert frag.s_inv_rows is None, frag.sigma
+            assert s_inv_rows(frag) is None, frag.sigma
         else:
-            e, x = frag.s_inv_rows
+            e, x = s_inv_rows(frag)
             assert Matrix.from_rows([[Fraction(v, e) for v in row] for row in x]) == inverse(frag.s), frag.sigma
     return singular
 
@@ -642,7 +643,7 @@ class TestSharedCofactors:
             if frag.sign_class != DEGENERATE
         }
         for sigma, s_inv in inverses.items():
-            e, x = fs[sigma].s_inv_rows
+            e, x = s_inv_rows(fs[sigma])
             assert Matrix.from_rows([[Fraction(v, e) for v in row] for row in x]) == s_inv, sigma
         if fs.det_m == 0:
             return

@@ -10,6 +10,7 @@ from conftest import (
     ReferenceReductionError,
     c_submatrices,
     corpus_files,
+    corpus_matrix,
     corpus_set,
     identity_matrix,
     invoke,
@@ -44,7 +45,7 @@ from fragtile import (
     unimodular_reduce,
     vector,
 )
-from fragtile import render, slices
+from fragtile import render, slices, tiling
 from fragtile.linalg import clear_rows
 from fragtile.tiling import cell_hits, cell_position
 
@@ -264,15 +265,25 @@ class TestSliceLayout:
         assert abs(det(rows_matrix(*layout.b_rows))) == 3
 
     def test_offsets_are_canonical(self, mset, w_m):
-        layout = slice_layout(mset, w_m, WINDOW4)
-        b_inv = inverse(rows_matrix(*layout.b_rows))
-        e, x = layout.b_inv_rows
-        assert e > 0 and Matrix.from_rows([[Fraction(v, e) for v in row] for row in x]) == b_inv
-        for cls in layout.classes:
-            assert cls.offsets == tuple(sorted(cls.offsets))
-            for offset in cls.offsets:
-                y = b_inv.mat_vec(offset)
-                assert all(0 <= yi < 1 for yi in y)
+        # On M (d = 1) and on q3r2-1 (d = 6): each offset is an integer
+        # vector over the layout's d, in B's half-open cell.
+        qset = corpus_matrix(3, 2, 1, True)
+        cases = [(mset, w_m, WINDOW4), (qset, choose_generic_direction(qset, 0), ((-4, 4),) * 3)]
+        dens = []
+        for fs, w, window in cases:
+            layout = slice_layout(fs, w, window)
+            den = layout.b_rows[0]
+            dens.append(den)
+            b_inv = inverse(rows_matrix(*layout.b_rows))
+            e, x = layout.b_inv_rows
+            assert e > 0 and Matrix.from_rows([[Fraction(v, e) for v in row] for row in x]) == b_inv
+            for cls in layout.classes:
+                assert cls.offsets == tuple(sorted(cls.offsets))
+                for offset in cls.offsets:
+                    assert all(type(v) is int for v in offset)
+                    y = b_inv.mat_vec([Fraction(v, den) for v in offset])
+                    assert all(0 <= yi < 1 for yi in y)
+        assert dens == [1, 6]
 
     def test_matches_the_fraction_layout_on_the_corpus(self):
         # Every corpus matrix, seeds 0-1, against the scan of every
@@ -291,7 +302,11 @@ class TestSliceLayout:
                 w = choose_generic_direction(fs, seed)
                 for window in windows:
                     layout = slice_layout(fs, w, window)
-                    got = [(cls.sigma, cls.sign_class, cls.offsets) for cls in layout.classes]
+                    den = layout.b_rows[0]
+                    got = [
+                        (cls.sigma, cls.sign_class, tuple(tuple(Fraction(x, den) for x in o) for o in cls.offsets))
+                        for cls in layout.classes
+                    ]
                     assert got == reference_slice_layout(fs, w, window), (path.name, seed, window)
             checked += 1
         assert checked == 58
@@ -476,3 +491,20 @@ class TestSliceCoverage:
     def test_k_line_slice(self, kset, w_k):
         rep = TilingEngine(kset, w_k).coverage((Fraction(5, 7), Fraction(0)))
         assert rep.f_value == -1
+
+    def test_samples_are_not_cleared_per_sample(self, monkeypatch):
+        # slice hands each coverage sample to tiles_at as the integers it
+        # was drawn as, as verify does: no Fraction vector is read or
+        # cleared per sample.
+        log = []
+        for name in ("clear_denominator", "vector"):
+            func = getattr(tiling, name)
+            monkeypatch.setattr(tiling, name, lambda v, name=name, func=func: log.append(name) or func(v))
+        for path in (CORPUS / "M.txt", CORPUS / "q3r2-1.txt"):
+            counts = []
+            for samples in (10, 100):
+                del log[:]
+                code, _, err = invoke(["slice", "--matrix", str(path), "--samples", str(samples)])
+                assert code == 0, err
+                counts.append(len(log))
+            assert counts[0] == counts[1], path.stem

@@ -742,11 +742,23 @@ class TestBlockLinearMaps:
     def _check_block_map(self, fs, w, located, l, label):
         """Assert that the tiles at L p for (LM, Lw) are the tiles at p for
         (M, w), each (p, tiles_at(p)) of located, with every sign class
-        flipped when det L < 0."""
-        flip = det(l) < 0
+        flipped when det L < 0.  The block determinants scale too: det C
+        by det L_top, det Cbar by det L_bottom, det S and both sides of the
+        Laplace identity by det L."""
+        det_l = det(l)
+        flip = det_l < 0
         mapped = fragment_set(decompose(mat_mul(l, fs.decomposition.m), fs.dims))
         classes = [self.FLIP[f.sign_class] if flip else f.sign_class for f in fs]
         assert [f.sign_class for f in mapped] == classes, label
+        r, rows = fs.dims.r, l.row_list()
+        det_top, det_bottom = (
+            det(Matrix.from_rows([row[part] for row in rows[part]])) for part in (slice(None, r), slice(r, None))
+        )
+        assert det_top * det_bottom == det_l, label
+        for f, g in zip(fs, mapped):
+            scaled = (det_top * f.det_c, det_bottom * f.det_cbar, det_l * f.det_s)
+            assert (g.det_c, g.det_cbar, g.det_s) == scaled, (label, f.sigma)
+        assert laplace_identity(mapped) == tuple(det_l * side for side in laplace_identity(fs)), label
         mapped_engine = TilingEngine(mapped, certify_direction(mapped, l.mat_vec(w.w)))
         for p, (tiles, boundary) in located:
             expected = [(tile, self.FLIP[c] if flip else c) for tile, c in tiles]
